@@ -7,14 +7,22 @@ The differential convention is
                     + sum_i (-1)^i x_i . phi(x_0..^i..x_n)
 
 so the kernel of d on 1-cochains with adjoint coefficients is the space
-of derivations.  Cochains are stored on sorted basis tuples; ranks of
-the differentials are computed by pushing elementary cochains through
-sparse echelon forms.  When the algebra has a toral basis element the
-complex splits by weight, and with an honest Z-grading it also splits
-by degree; both splittings are exact index bookkeeping, not heuristics.
+of derivations.  Cochains are stored on sorted basis tuples.  The
+differential is assembled from one stencil, _elementary_image: the image
+of a single elementary cochain (tuple T, target t), read off the
+algebra's cached bracket tables L.rev and L.ad.  ce_differential sums
+stencil images, and the sparse matrices of d are built column by column
+from them, charging each column's distinct nonzero entries to the work
+budget.  Ranks come from sparse echelon forms into which the rows of
+d_n, and the image vectors of d_{n-1}, go shortest first.  When the
+algebra has a toral basis element the complex splits by weight, and
+with an honest Z-grading it also splits by degree; both splittings are
+exact index bookkeeping, not heuristics, and a slice that d would leave
+is an error rather than a truncation.
 """
 
 import itertools
+from bisect import bisect_left
 from collections import defaultdict
 
 from .linalg import Echelon, SparseFpMatrix, solve_sparse, vec_add, vec_scale
@@ -149,63 +157,59 @@ class Cochain:
             self.n, self.module, self.L.name, len(self.coeffs))
 
 
-def _act(L, module, z, vec):
-    if module == "trivial":
-        return {}
-    return L.bracket_vec({z: 1}, vec)
+def _elementary_image(L, module, T, t):
+    """The stencil of d: the image of the elementary cochain sending the
+    sorted tuple T to e_t (to 1 in the trivial module, t = 0), as
+    {(U, k): coefficient} with zeros dropped.  Module-action terms insert
+    one index z into T (sign by z's position, value [e_z, e_t], read from
+    L.ad); bracket terms split a support index m into a pair (i, j) with
+    [e_i, e_j] touching e_m (read from L.rev)."""
+    p = L.p
+    img = {}
+    if module == "adjoint":
+        for z, vec in L.ad.get(t, ()):
+            if z in T:
+                continue
+            pos = bisect_left(T, z)
+            U = T[:pos] + (z,) + T[pos:]
+            sgn = -1 if pos % 2 else 1
+            for k, c in vec.items():
+                key = (U, k)
+                y = (img.get(key, 0) + sgn * c) % p
+                if y:
+                    img[key] = y
+                else:
+                    del img[key]
+    rev = L.rev
+    for a, m in enumerate(T):
+        rest = T[:a] + T[a + 1:]
+        for (i, j), c in rev.get(m, ()):
+            if i in rest or j in rest:
+                continue
+            pi = bisect_left(rest, i)
+            pj = bisect_left(rest, j) + 1
+            U = tuple(sorted(rest + (i, j)))
+            key = (U, t)
+            y = (img.get(key, 0) + (-c if (a + pi + pj) % 2 else c)) % p
+            if y:
+                img[key] = y
+            else:
+                del img[key]
+    return img
 
 
 def ce_differential(c):
-    """The Chevalley-Eilenberg differential, assembled support-first:
-    each stored tuple T feeds the output tuples it can reach, through
-    the module action (insertion of one index) and through splitting a
-    support index into a bracket pair."""
-    L, n, module = c.L, c.n, c.module
+    """The Chevalley-Eilenberg differential: the sum of the stencil
+    images of the cochain's elementary terms."""
+    L, module = c.L, c.module
     p = L.p
     out = defaultdict(dict)
-
-    def bump(U, k, val):
-        val %= p
-        if not val:
-            return
-        y = (out[U].get(k, 0) + val) % p
-        if y:
-            out[U][k] = y
-        else:
-            out[U].pop(k, None)
-
     for T, vec in c.coeffs.items():
-        Tset = set(T)
-        # module action: U = T with z inserted, sign by z's position
-        if module == "adjoint":
-            for z in range(L.dim):
-                if z in Tset:
-                    continue
-                acted = _act(L, module, z, vec)
-                if not acted:
-                    continue
-                pos = sum(1 for t in T if t < z)
-                sgn = -1 if pos % 2 else 1
-                U = T[:pos] + (z,) + T[pos:]
-                for k, v in acted.items():
-                    bump(U, k, sgn * v)
-        # bracket terms: replace one support index m by a pair (i, j)
-        for m in T:
-            rest = tuple(t for t in T if t != m)
-            restset = Tset - {m}
-            sgn_m = -1 if sum(1 for r in rest if r < m) % 2 else 1
-            for (i, j), cc in L.rev.get(m, ()):
-                if i in restset or j in restset:
-                    continue
-                merged = sorted(rest + (i, j))
-                pi = merged.index(i)
-                pj = merged.index(j)
-                sgn = -1 if (pi + pj) % 2 else 1
-                U = tuple(merged)
-                f = sgn * sgn_m * cc
-                for k, v in vec.items():
-                    bump(U, k, f * v)
-    return Cochain(L, n + 1, module, {U: v for U, v in out.items() if v})
+        for t, a in vec.items():
+            for (U, k), v in _elementary_image(L, module, T, t).items():
+                row = out[U]
+                row[k] = (row.get(k, 0) + a * v) % p
+    return Cochain(L, c.n + 1, module, out)
 
 
 def _column_weight(L, module, T, t):
@@ -295,20 +299,29 @@ class CohomologyResult:
             self.dim, self.ncols, self.rank_d, self.rank_prev)
 
 
-def _differential_rows(L, n, module, cols, budget, counter):
+def _column_images(L, module, cols, budget, counter):
+    """Yield the stencil image of each given (tuple, target) column,
+    charging its distinct nonzero entries to counter[0] and raising
+    BudgetExceeded once the count passes budget."""
+    for T, t in cols:
+        img = _elementary_image(L, module, T, t)
+        counter[0] += len(img)
+        if counter[0] > budget:
+            raise BudgetExceeded(
+                "differential exceeds the %d-entry budget; restrict to "
+                "a weight slice (weight_zero_reduce) or raise the budget"
+                % budget)
+        yield img
+
+
+def _differential_rows(L, module, cols, budget, counter):
     """Sparse rows (one per output coordinate) of d restricted to the
     given C^n columns, keyed by C^{n+1} coordinates."""
     rows = defaultdict(dict)
-    for idx, (T, t) in enumerate(cols):
-        img = ce_differential(Cochain(L, n, module, {T: {t: 1}}))
-        for key, v in img.flatten().items():
+    for idx, img in enumerate(
+            _column_images(L, module, cols, budget, counter)):
+        for key, v in img.items():
             rows[key][idx] = v
-            counter[0] += 1
-            if counter[0] > budget:
-                raise BudgetExceeded(
-                    "differential exceeds the %d-entry budget; restrict to "
-                    "a weight slice (weight_zero_reduce) or raise the budget"
-                    % budget)
     return rows
 
 
@@ -320,7 +333,9 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         dim H^n = #C^n - rank(d_n) - rank(d_{n-1}).
 
     With want_reps, also returns cocycle representatives extending the
-    coboundary space.  Results without representatives are cached under
+    coboundary space.  Raises ValueError when d_{n-1} maps the slice
+    outside itself, since dropping those entries would give a wrong
+    dimension.  Results without representatives are cached under
     (algebra hash, module, n, slice descriptor)."""
     desc = slice_.descriptor() if slice_ is not None else None
     key = None
@@ -333,23 +348,32 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
                                     hit["rank_d"], hit["rank_prev"])
     cols = chain_columns(L, n, module, slice_)
     counter = [0]
-    rows = _differential_rows(L, n, module, cols, budget, counter)
+    rows = _differential_rows(L, module, cols, budget, counter)
     mat = SparseFpMatrix(len(cols), L.p)
-    for r in rows.values():
-        mat.add_row(r)
+    # shortest rows first keeps pivot rows sparse; popping each row as it
+    # goes in frees it before the next one is reduced
+    for k in sorted(rows, key=lambda k: len(rows[k])):
+        mat.add_row(rows.pop(k))
+    del rows
     rank_d = mat.rank
 
-    prev_cols = chain_columns(L, n - 1, module, slice_)
-    prev_rows = _differential_rows(L, n - 1, module, prev_cols, budget, counter)
     # image vectors of d_{n-1}, re-keyed to C^n column indices
     colidx = {ct: i for i, ct in enumerate(cols)}
+    prev_cols = chain_columns(L, n - 1, module, slice_)
+    img_vecs = []
+    for img in _column_images(L, module, prev_cols, budget, counter):
+        if not img:
+            continue
+        try:
+            img_vecs.append({colidx[ck]: v for ck, v in img.items()})
+        except KeyError as e:
+            raise ValueError(
+                "slice is not closed under d: d_%d leaves it at column %r"
+                % (n - 1, e.args[0])) from None
     image = Echelon(L.p)
-    img_vecs = defaultdict(dict)
-    for key2, row in prev_rows.items():
-        for j, v in row.items():
-            img_vecs[j][key2] = v
-    for j, vec in img_vecs.items():
-        image.add({colidx[ck]: v for ck, v in vec.items() if ck in colidx})
+    for vec in sorted(img_vecs, key=len):
+        image.add(vec)
+    del img_vecs
     rank_prev = image.rank
 
     dim = len(cols) - rank_d - rank_prev
@@ -401,7 +425,7 @@ def coboundary_witness(L, c, module=None, budget=DEFAULT_BUDGET):
             slice_ = ComplexSlice(L, module, weight=w)
     cols = chain_columns(L, 1, module, slice_)
     counter = [0]
-    rows = _differential_rows(L, 1, module, cols, budget, counter)
+    rows = _differential_rows(L, module, cols, budget, counter)
     tgt = c.flatten()
     keys = set(rows) | set(tgt)
     eqs = [(rows.get(k, {}), tgt.get(k, 0)) for k in keys]
@@ -418,7 +442,8 @@ def coboundary_witness(L, c, module=None, budget=DEFAULT_BUDGET):
 def class_span_dim(L, cocycles, module="adjoint", budget=DEFAULT_BUDGET):
     """Dimension of the span of the given 2-cocycles in H^2: each input
     is verified to be closed, then counted against the coboundary space
-    of the weight slices its support touches."""
+    of the weight slices its support touches, whose assembly is charged
+    to the budget like the differential in cohomology_dim."""
     if not cocycles:
         return 0
     weights = set()
@@ -439,9 +464,8 @@ def class_span_dim(L, cocycles, module="adjoint", budget=DEFAULT_BUDGET):
                                       ComplexSlice(L, module, weight=w)))
     else:
         cols = chain_columns(L, 1, module)
-    for T, t in cols:
-        img = ce_differential(Cochain(L, 1, module, {T: {t: 1}}))
-        span.add(img.flatten())
+    for img in _column_images(L, module, cols, budget, [0]):
+        span.add(img)
     count = 0
     for c in cocycles:
         if span.add(c.flatten()):

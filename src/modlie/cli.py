@@ -52,8 +52,11 @@ def _print_table(rows, timing, cached):
         inst = ",".join("%s=%s" % (k, v) for k, v in sorted(
             r["instance"].items()))
         mark = " (cached)" if cached[i] else ""
-        print("%-*s  %-28s  %-14s  %7.2fs%s"
-              % (wid, r["claim"], inst[:28], r["status"], timing[i], mark))
+        # a claim's time is shown once, on its first row
+        dt = "" if timing[i] is None else "%7.2fs" % timing[i]
+        print(("%-*s  %-28s  %-14s  %8s%s"
+               % (wid, r["claim"], inst[:28], r["status"], dt,
+                  mark)).rstrip())
         if r["status"] == "fail":
             print("    expected: %s" % json.dumps(r["expected"],
                                                   sort_keys=True))
@@ -114,9 +117,9 @@ def cmd_verify(args):
             print("verify: %s" % e, file=sys.stderr)
             return 2
         dt = time.time() - t0
-        for r in got:
+        for i, r in enumerate(got):
             rows.append(r)
-            timing.append(dt / len(got))
+            timing.append(None if i else dt)
             cached.append(bool(cache) and cache.hits > h0
                           and cache.misses == m0)
     status = "pass" if all(r["status"] == "pass" for r in rows) else "fail"
@@ -306,10 +309,11 @@ def main(argv=None):
         ap.print_help()
         return 2
     # cohomology builtins need concrete parameters; fill standard defaults
+    # (only when absent: an explicit --p 0 must reach the prime check)
     if hasattr(args, "deg"):
-        args.p = args.p or 5
-        args.n = args.n or 1
-        args.m = args.m or 1
+        for name, default in (("p", 5), ("n", 1), ("m", 1)):
+            if getattr(args, name) is None:
+                setattr(args, name, default)
     try:
         return args.func(args)
     except OSError as e:

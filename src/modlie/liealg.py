@@ -69,6 +69,7 @@ class LieAlgebra:
             if vec:
                 self.bracket[(i, j)] = vec
         self._rev = None
+        self._ad = None
         self._weights = None
         self._validate_grading()
         if check is None:
@@ -134,6 +135,18 @@ class LieAlgebra:
                     table[k].append(((i, j), c))
             self._rev = dict(table)
         return self._rev
+
+    @property
+    def ad(self):
+        """index t -> list of (z, [e_z, e_t]) over the z with a nonzero
+        bracket; the module action in the cochain differential."""
+        if self._ad is None:
+            table = defaultdict(list)
+            for (i, j), vec in self.bracket.items():
+                table[j].append((i, vec))
+                table[i].append((j, vec_scale(vec, -1, self.p)))
+            self._ad = dict(table)
+        return self._ad
 
     def check_jacobi(self):
         """Exhaustive Jacobi check over basis triples; raises on failure."""

@@ -8,7 +8,22 @@ normalized so the pivot coefficient is 1; every remaining entry of a pivot
 row sits in a column strictly greater than the pivot column, which makes
 back-substitution in decreasing column order valid for kernels and solves.
 All ranks are exact; rank + nullity = number of columns by construction.
+
+Reduction takes the smallest live column from a heap instead of scanning
+the row for its minimum at every step: a column is pushed when it enters
+the row, and a popped column that has cancelled since is skipped.  Since
+pivot tails only reach to the right, the columns come out in increasing
+order, so the residual is the same as with a scan.
+
+The order in which rows are inserted changes the stored pivot rows and
+their fill, but no result: the pivot set is {min(v) : v != 0 in the row
+space}, which depends on the span alone, and for each free column there
+is exactly one kernel vector with a 1 there and 0 at every other free
+column, so kernel_basis is order-independent as well.  Callers may
+therefore insert rows in whatever order keeps elimination cheap.
 """
+
+from heapq import heapify, heappop, heappush
 
 from .arith import inv_mod
 
@@ -49,22 +64,34 @@ class Echelon:
         pivot column gets eliminated, so against a fixed echelon this is a
         linear projection and residuals of equivalent vectors coincide."""
         p = self.p
+        pivots = self.pivots
         row = {k: v % p for k, v in row.items() if v % p}
+        # every live column of `row` is in the heap; a popped column that
+        # cancelled since it was pushed is simply skipped
+        heap = list(row)
+        heapify(heap)
         out = {}
-        while row:
-            c = min(row)
-            f = row.pop(c)
-            piv = self.pivots.get(c)
+        while heap:
+            c = heappop(heap)
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            piv = pivots.get(c)
             if piv is None:
                 out[c] = f
                 continue
             # pivot tails only hold columns > c, so they land back in `row`
             for k, v in piv.items():
-                y = (row.get(k, 0) - f * v) % p
-                if y:
-                    row[k] = y
+                y = row.get(k)
+                if y is None:
+                    row[k] = (-f * v) % p
+                    heappush(heap, k)
                 else:
-                    row.pop(k, None)
+                    y = (y - f * v) % p
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
         return out
 
     def add(self, row):
@@ -72,7 +99,7 @@ class Echelon:
         row = self.reduce(row)
         if not row:
             return False
-        c = min(row)
+        c = next(iter(row))  # reduce() emits columns in increasing order
         f = inv_mod(row.pop(c), self.p)
         self.pivots[c] = {k: (v * f) % self.p for k, v in row.items()}
         return True
@@ -89,10 +116,8 @@ class SparseFpMatrix:
         self.ncols = ncols
         self.p = p
         self.ech = Echelon(p)
-        self.nnz = 0
 
     def add_row(self, row):
-        self.nnz += len(row)
         return self.ech.add(row)
 
     @property

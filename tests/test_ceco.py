@@ -276,6 +276,28 @@ def test_budget_is_enforced():
         cohomology_dim(L, 2, budget=10)
 
 
+def test_class_span_budget_is_enforced():
+    W = make_w1(1, P)
+    f = phi21(W)
+    assert class_span_dim(W, [f], budget=100) == 1
+    with pytest.raises(BudgetExceeded):
+        class_span_dim(W, [f], budget=1)
+
+
+class DropsToral(ComplexSlice):
+    """A slice not closed under d: it leaves out every column whose
+    tuple holds e_0, though d_1 maps e_j^* onto such columns."""
+
+    def admits(self, T, t):
+        return 0 not in T
+
+
+def test_leaking_slice_raises():
+    W = make_w1(1, P)
+    with pytest.raises(ValueError, match="not closed under d"):
+        cohomology_dim(W, 2, slice_=DropsToral(W))
+
+
 def test_cochain_add_scale_and_mismatch():
     W = make_w1(1, P)
     f = phi21(W)

@@ -5,6 +5,7 @@ management, and algebra input from builtins and JSON files."""
 import glob
 import json
 import os
+import re
 
 import pytest
 
@@ -60,6 +61,16 @@ def test_verify_single_claim_table(capsys):
     # two instances (p = 5, 7), both pass
     assert out.strip().splitlines()[-1] == "2/2 rows pass"
     assert "(cached)" not in out
+
+
+def test_verify_table_shows_claim_time_once(capsys):
+    rc, out, err = run(capsys, ["verify", "h2-w1-basic",
+                                "--cache-dir", "off"])
+    assert rc == 0
+    first, second = out.splitlines()[1:3]
+    # one claim call produced both rows: its time is on the first only
+    assert re.search(r"\d+\.\d\ds$", first)
+    assert second.rstrip().endswith("pass")
 
 
 def test_verify_json_report_is_deterministic(capsys, tmp_path):
@@ -196,6 +207,15 @@ def test_cohomology_bad_inputs(capsys, tmp_path):
     rc, out, err = run(capsys, ["cohomology", "not-a-builtin",
                                 "--cache-dir", "off"])
     assert rc == 2 and "unknown builtin" in err
+
+
+def test_cohomology_p_zero_is_rejected(capsys):
+    # --p 0 must not fall back to the default p = 5
+    rc, out, err = run(capsys, ["cohomology", "w1n", "--p", "0", "--deg", "2",
+                                "--cache-dir", "off"])
+    assert rc == 2
+    assert "p = 0 is not prime" in err
+    assert out == ""
 
 
 def test_degree_slice_refused_on_filtered_builtin(capsys):

@@ -1,7 +1,10 @@
 """Sparse echelon forms, ranks, kernels, and linear solving over F_p,
-checked against brute force on seeded random systems."""
+checked against brute force on seeded random systems and against a
+dense Gaussian elimination on hypothesis-drawn sparse systems."""
 
 import random
+
+from hypothesis import given, settings, strategies as st
 
 from modlie.linalg import (
     Echelon,
@@ -14,6 +17,27 @@ from modlie.linalg import (
 
 def dense(v, n, p):
     return [v.get(i, 0) % p for i in range(n)]
+
+
+def dense_rref(rows, n, p):
+    """Reduced row echelon form by dense Gaussian elimination: returns
+    (pivot columns in increasing order, the nonzero reduced rows)."""
+    mat = [dense(r, n, p) for r in rows]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][c]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        inv = pow(mat[r][c], -1, p)
+        mat[r] = [x * inv % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                f = mat[i][c]
+                mat[i] = [(x - f * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    return pivots, mat[:len(pivots)]
 
 
 def random_row(rng, n, p):
@@ -55,22 +79,7 @@ def test_rank_against_dense_elimination():
         m = SparseFpMatrix(n, p)
         for r in rows:
             m.add_row(r)
-        # dense Gaussian elimination as the oracle
-        mat = [dense(r, n, p) for r in rows]
-        rank = 0
-        for c in range(n):
-            piv = next((i for i in range(rank, len(mat)) if mat[i][c]), None)
-            if piv is None:
-                continue
-            mat[rank], mat[piv] = mat[piv], mat[rank]
-            inv = pow(mat[rank][c], -1, p)
-            mat[rank] = [x * inv % p for x in mat[rank]]
-            for i in range(len(mat)):
-                if i != rank and mat[i][c]:
-                    f = mat[i][c]
-                    mat[i] = [(x - f * y) % p
-                              for x, y in zip(mat[i], mat[rank])]
-            rank += 1
+        rank = len(dense_rref(rows, n, p)[0])
         assert m.rank == rank
         assert m.nullity == n - rank
 
@@ -128,3 +137,49 @@ def test_solve_sparse_inconsistent():
     p = 5
     eqs = [({0: 1}, 1), ({0: 1}, 2)]
     assert solve_sparse(eqs, 1, p) is None
+
+
+@st.composite
+def sparse_systems(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 9))
+    row = st.dictionaries(st.integers(0, n - 1), st.integers(1, p - 1),
+                          max_size=4)
+    rows = draw(st.lists(row, max_size=12))
+    order = draw(st.permutations(range(len(rows))))
+    probe = draw(st.dictionaries(st.integers(0, n - 1), st.integers(0, p - 1),
+                                 max_size=n))
+    return p, n, rows, order, probe
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_systems())
+def test_echelon_and_kernel_against_dense_oracle(system):
+    p, n, rows, order, probe = system
+    pivots, rref = dense_rref(rows, n, p)
+    m = SparseFpMatrix(n, p)
+    for r in rows:
+        m.add_row(r)
+    assert m.rank == len(pivots)
+    # min-column pivoting picks the leading columns of the reduced form
+    assert sorted(m.ech.pivots) == pivots
+    # the kernel vector of free column f is the unique one with a 1 at f
+    # and 0 at every other free column
+    free = [c for c in range(n) if c not in pivots]
+    want = []
+    for f in free:
+        v = {f: 1}
+        for c, r in zip(pivots, rref):
+            if r[f]:
+                v[c] = -r[f] % p
+        want.append(v)
+    assert m.kernel_basis() == want
+    # membership agrees with the dense rank of the extended system
+    in_span = len(dense_rref(rows + [probe], n, p)[0]) == len(pivots)
+    assert m.ech.member(probe) == in_span
+    # the insertion order changes neither the pivot set nor the kernel
+    shuffled = SparseFpMatrix(n, p)
+    for i in order:
+        shuffled.add_row(rows[i])
+    assert sorted(shuffled.ech.pivots) == pivots
+    assert shuffled.kernel_basis() == want
