@@ -14,7 +14,15 @@ algebra's cached bracket tables L.rev and L.ad.  ce_differential sums
 stencil images, and the sparse matrices of d are built column by column
 from them, charging each column's distinct nonzero entries to the work
 budget.  Ranks come from sparse echelon forms into which the rows of
-d_n, and the image vectors of d_{n-1}, go shortest first.  When the
+d_n, and the image vectors of d_{n-1}, go shortest first.  The columns
+of C^n are first renumbered sparsest first, by their count of nonzeros
+in d_n (ties in enumeration order), so min-column pivoting eliminates
+on sparse columns and pushes fill toward the dense ones, as in the
+structured Gaussian elimination of LaMacchia and Odlyzko.  A column
+order changes no rank and no dimension; the kernel of d_n then gets
+its basis at other free columns, so cohomology_dim's representatives
+are a different basis of the same classes, still deterministic, since
+the order depends only on the support of d.  When the
 algebra has a toral basis element the complex splits by weight, and
 with an honest Z-grading it also splits by degree; both splittings are
 exact index bookkeeping, not heuristics, and a slice that d would leave
@@ -23,7 +31,7 @@ is an error rather than a truncation.
 
 import itertools
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 from .linalg import Echelon, SparseFpMatrix, solve_sparse, vec_add, vec_scale
 
@@ -349,11 +357,19 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     cols = chain_columns(L, n, module, slice_)
     counter = [0]
     rows = _differential_rows(L, module, cols, budget, counter)
+    # columns enter the echelon sparsest first, so min-column pivoting
+    # eliminates on sparse columns and pushes fill toward the dense ones
+    weight = Counter(itertools.chain.from_iterable(rows.values()))
+    order = sorted(range(len(cols)), key=lambda i: (weight[i], i))
+    newpos = [0] * len(cols)
+    for i, j in enumerate(order):
+        newpos[j] = i
+    cols = [cols[j] for j in order]
     mat = SparseFpMatrix(len(cols), L.p)
     # shortest rows first keeps pivot rows sparse; popping each row as it
     # goes in frees it before the next one is reduced
     for k in sorted(rows, key=lambda k: len(rows[k])):
-        mat.add_row(rows.pop(k))
+        mat.add_row({newpos[j]: v for j, v in rows.pop(k).items()})
     del rows
     rank_d = mat.rank
 

@@ -250,11 +250,20 @@ def cmd_cache(args):
     return 0
 
 
+def height(text):
+    """argparse type of --n and --m: an integer >= 1, so that the error
+    names the option rather than a constructor's own parameter."""
+    h = int(text)
+    if h < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %d" % h)
+    return h
+
+
 def _add_common(sp):
     sp.add_argument("--p", type=int, default=None,
                     help="characteristic (prime)")
-    sp.add_argument("--n", type=int, default=None, help="W-height n")
-    sp.add_argument("--m", type=int, default=None,
+    sp.add_argument("--n", type=height, default=None, help="W-height n")
+    sp.add_argument("--m", type=height, default=None,
                     help="divided-power height m")
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for randomized probes")

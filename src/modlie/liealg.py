@@ -207,6 +207,8 @@ class LieAlgebra:
             doc["grading"] = self.grading
         if self.toral is not None:
             doc["toral"] = self.toral
+        if self.filtration:
+            doc["filtration"] = True
         return doc
 
     @classmethod
@@ -217,12 +219,20 @@ class LieAlgebra:
             quads = doc["bracket"]
         except (KeyError, TypeError) as exc:
             raise ValueError("algebra document missing field: %s" % exc)
+        dim = len(labels)
+        if doc.get("dim", dim) != dim:
+            raise ValueError("dim %r does not match the %d basis labels"
+                             % (doc["dim"], dim))
         bracket = defaultdict(dict)
         for entry in quads:
             if len(entry) != 4:
                 raise ValueError(
                     "bad bracket entry %r (need [i, j, k, value])" % (entry,))
             i, j, k, v = entry
+            if not all(isinstance(x, int) and 0 <= x < dim
+                       for x in (i, j, k)):
+                raise ValueError("bracket entry %r needs basis indices in "
+                                 "0..%d" % (entry, dim - 1))
             if i == j:
                 if v % p:
                     raise ValueError("nonzero diagonal bracket entry %r" % (entry,))
@@ -233,7 +243,8 @@ class LieAlgebra:
                 raise ValueError("conflicting bracket entries for %r" % (entry,))
             bracket[key][k] = val % p
         return cls(p, labels, dict(bracket), grading=doc.get("grading"),
-                   toral=doc.get("toral"), name=name)
+                   toral=doc.get("toral"), name=name,
+                   filtration=bool(doc.get("filtration", False)))
 
     def hash_key(self):
         blob = json.dumps(self.to_json(), sort_keys=True).encode()

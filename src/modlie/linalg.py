@@ -21,6 +21,15 @@ space}, which depends on the span alone, and for each free column there
 is exactly one kernel vector with a 1 there and 0 at every other free
 column, so kernel_basis is order-independent as well.  Callers may
 therefore insert rows in whatever order keeps elimination cheap.
+
+kernel_basis back-substitutes sparsely.  It builds once an index from
+each column to the pivots whose row holds it, and from each free column
+visits only the pivots that index reaches, largest first from a heap:
+a pivot row holds only columns to its right, so every pivot reached
+from c lies left of c, and when c is popped the entries its row reads
+are final.  The vectors are those of a dense pass over all pivots in
+decreasing order, at a cost set by the fill the kernel touches rather
+than by rank times nullity.
 """
 
 from heapq import heapify, heappop, heappush
@@ -129,15 +138,34 @@ class SparseFpMatrix:
         return self.ncols - self.rank
 
     def kernel_basis(self):
-        """One kernel vector per non-pivot column, by back-substitution."""
+        """One kernel vector per non-pivot column, in increasing column
+        order, by sparse back-substitution: the vector of free column f
+        has a 1 at f, and v[c] = -sum(row_c[k] v[k]) at each pivot c.
+        Only pivots whose row holds a column already set can be nonzero,
+        so they are reached through a `users` index (column -> pivots
+        whose row holds it) and taken largest first from a heap.  That is
+        valid because a pivot row only holds columns to the right of its
+        pivot: every pivot pushed while c is handled lies left of c, so
+        when c is popped every v[k] its row reads is final."""
         p = self.p
         pivots = self.ech.pivots
-        free = [c for c in range(self.ncols) if c not in pivots]
+        users = {}
+        for c, row in pivots.items():
+            for k in row:
+                users.setdefault(k, []).append(c)
         basis = []
-        for f in free:
+        for f in range(self.ncols):
+            if f in pivots:
+                continue
             v = {f: 1}
-            # pivot rows only reference columns greater than their pivot
-            for c in sorted(pivots, reverse=True):
+            heap = [-c for c in users.get(f, ())]
+            heapify(heap)
+            last = None
+            while heap:
+                c = -heappop(heap)
+                if c == last:  # pushed more than once; pops come in order
+                    continue
+                last = c
                 s = 0
                 for k, val in pivots[c].items():
                     x = v.get(k)
@@ -146,6 +174,8 @@ class SparseFpMatrix:
                 s = (-s) % p
                 if s:
                     v[c] = s
+                    for u in users.get(c, ()):
+                        heappush(heap, -u)
             basis.append(v)
         return basis
 

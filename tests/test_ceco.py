@@ -260,14 +260,45 @@ def test_support_weight_of_phi21():
     assert f.support_weight() == 0
 
 
-def test_representatives_are_honest():
-    W = make_w1(1, P)
-    res = cohomology_dim(W, 2, want_reps=True)
-    assert len(res.reps) == res.dim == 1
-    rep = res.reps[0]
-    assert ce_differential(rep).is_zero()
-    assert coboundary_witness(W, rep) is None
-    assert class_span_dim(W, res.reps) == res.dim
+def _deformed():
+    A = make_divided_powers(1, P)
+    return make_deformed(A, partial_derivation(A))
+
+
+@pytest.mark.parametrize("build, weight_zero, dim", [
+    (lambda: make_w1(1, P), False, 1),
+    (lambda: current_algebra(make_w1(1, P), make_divided_powers(1, P)),
+     True, 20),
+    (_deformed, True, 4),
+], ids=["w1", "w1xo1", "ldef"])
+def test_representatives_are_honest(build, weight_zero, dim):
+    L = build()
+    slice_ = weight_zero_reduce(L) if weight_zero else None
+    res = cohomology_dim(L, 2, slice_=slice_, want_reps=True)
+    assert len(res.reps) == res.dim == dim
+    for rep in res.reps:
+        assert ce_differential(rep).is_zero()
+        assert coboundary_witness(L, rep) is None
+    assert class_span_dim(L, res.reps) == res.dim
+
+
+@pytest.mark.parametrize("L", [make_sl2(P), make_w1(1, P)],
+                         ids=["sl2", "w1"])
+@pytest.mark.parametrize("module", ["adjoint", "trivial"])
+def test_euler_characteristic(L, module):
+    # sum (-1)^n dim C^n = sum (-1)^n dim H^n on the whole complex and on
+    # each weight slice.  rank_d at n comes from the rows of d_n, with
+    # columns reordered by weight; rank_prev at n + 1 from an independent
+    # echelon of d_n's column images; the two must agree.
+    slices = [None] + [ComplexSlice(L, module, weight=w) for w in range(P)]
+    for slice_ in slices:
+        res = [cohomology_dim(L, n, module, slice_=slice_)
+               for n in range(L.dim + 1)]
+        assert res[0].rank_prev == 0 and res[-1].rank_d == 0
+        for lo, hi in zip(res, res[1:]):
+            assert lo.rank_d == hi.rank_prev
+        assert (sum((-1) ** n * r.ncols for n, r in enumerate(res))
+                == sum((-1) ** n * r.dim for n, r in enumerate(res)))
 
 
 def test_budget_is_enforced():

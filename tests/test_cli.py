@@ -218,6 +218,17 @@ def test_cohomology_p_zero_is_rejected(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("option, algebra", [
+    ("--m", "w1n-x-om"), ("--m", "sl2-x-om"), ("--m", "ldef"),
+    ("--m", "w1-sd"), ("--m", "sl2-sd"), ("--n", "w1n")])
+def test_height_below_one_names_its_option(capsys, option, algebra):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", algebra, option, "0", "--cache-dir", "off"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: must be >= 1, got 0" % option in err
+
+
 def test_degree_slice_refused_on_filtered_builtin(capsys):
     rc, out, err = run(capsys, ["cohomology", "ldef", "--degree-slice", "5",
                                 "--cache-dir", "off"])

@@ -4,6 +4,7 @@ identification, and the ideal/solvability probes."""
 
 import pytest
 
+from modlie.ceco import cohomology_dim, weight_zero_reduce
 from modlie.commalg import (
     make_divided_powers,
     partial_derivation,
@@ -273,6 +274,34 @@ def test_lie_json_round_trip():
     assert M.grading == L.grading
     assert M.toral == L.toral
     assert M.hash_key() == L.hash_key()
+
+
+def test_filtered_json_round_trip():
+    # the deformed algebra is only filtered: without the flag its bracket
+    # reads back as not degree-additive
+    A = make_divided_powers(1, P)
+    L = make_deformed(A, partial_derivation(A))
+    doc = L.to_json()
+    assert doc["filtration"] is True
+    M = LieAlgebra.from_json(doc)
+    assert M.filtration
+    assert M.bracket == L.bracket
+    assert M.hash_key() == L.hash_key()
+    h2 = cohomology_dim(M, 2, slice_=weight_zero_reduce(M))
+    assert h2.dim == cohomology_dim(L, 2, slice_=weight_zero_reduce(L)).dim
+    assert h2.dim == 4
+
+
+def test_from_json_rejects_out_of_range_bracket_index():
+    doc = {"p": P, "basis": ["a", "b", "c"], "bracket": [[0, 1, 7, 1]]}
+    with pytest.raises(ValueError, match="basis indices"):
+        LieAlgebra.from_json(doc)
+
+
+def test_from_json_rejects_dim_mismatch():
+    doc = {"p": P, "dim": 9, "basis": ["a", "b"], "bracket": []}
+    with pytest.raises(ValueError, match="does not match"):
+        LieAlgebra.from_json(doc)
 
 
 @pytest.mark.slow
