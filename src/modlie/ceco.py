@@ -53,6 +53,10 @@ __all__ = [
 
 DEFAULT_BUDGET = 5_000_000
 
+# Part of every cache key: bump it whenever the differential or the rank
+# semantics change, so that entries computed by older code are misses.
+ENGINE = 1
+
 
 class BudgetExceeded(RuntimeError):
     pass
@@ -344,12 +348,12 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     coboundary space.  Raises ValueError when d_{n-1} maps the slice
     outside itself, since dropping those entries would give a wrong
     dimension.  Results without representatives are cached under
-    (algebra hash, module, n, slice descriptor)."""
+    (engine version, algebra hash, module, n, slice descriptor)."""
     desc = slice_.descriptor() if slice_ is not None else None
     key = None
     if cache is not None:
-        key = {"algebra": L.hash_key(), "module": module, "n": n,
-               "slice": desc, "kind": "cohomology"}
+        key = {"engine": ENGINE, "algebra": L.hash_key(), "module": module,
+               "n": n, "slice": desc, "kind": "cohomology"}
         hit = cache.get(key)
         if hit is not None and not want_reps:
             return CohomologyResult(hit["dim"], hit["ncols"],

@@ -947,7 +947,9 @@ def harrison_h2(A):
 
     for key, unknowns in blocks.items():
         m = SparseFpMatrix(len(unknowns), p)
-        for r in rows_per_block.get(key, ()):
+        # shortest rows first keeps pivot rows sparse; the order changes
+        # neither the pivots nor kernel_basis
+        for r in sorted(rows_per_block.get(key, ()), key=len):
             m.add_row(r)
         kernel = m.kernel_basis()
         image = Echelon(p)

@@ -71,6 +71,11 @@ class LieAlgebra:
         self._rev = None
         self._ad = None
         self._weights = None
+        if toral is not None and not (
+                isinstance(toral, int) and not isinstance(toral, bool)
+                and 0 <= toral < self.dim):
+            raise ValueError("toral %r is not a basis index in 0..%d"
+                             % (toral, self.dim - 1))
         self._validate_grading()
         if check is None:
             check = self.dim <= JACOBI_EAGER_DIM
@@ -85,6 +90,10 @@ class LieAlgebra:
     def _validate_grading(self):
         if self.grading is None:
             return
+        if len(self.grading) != self.dim or not all(
+                isinstance(g, int) for g in self.grading):
+            raise ValueError("grading must be %d integer degrees, one per "
+                             "basis element, not %r" % (self.dim, self.grading))
         for (i, j), vec in self.bracket.items():
             s = self.grading[i] + self.grading[j]
             for k in vec:
@@ -149,23 +158,47 @@ class LieAlgebra:
         return self._ad
 
     def check_jacobi(self):
-        """Exhaustive Jacobi check over basis triples; raises on failure."""
-        n = self.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                bij = self.bracket.get((i, j))
-                for k in range(j + 1, n):
-                    s = self.bracket_vec(bij or {}, {k: 1})
-                    s = vec_add(s, self.bracket_vec(
-                        self.bracket.get((j, k), {}), {i: 1}), self.p)
-                    s = vec_add(s, self.bracket_vec(
-                        vec_scale(self.bracket.get((i, k), {}), -1, self.p),
-                        {j: 1}), self.p)
-                    if s:
-                        raise ValueError(
-                            "Jacobi fails on (%s, %s, %s): %r"
-                            % (self.labels[i], self.labels[j], self.labels[k], s)
-                        )
+        """Exhaustive Jacobi check over basis triples; raises on failure.
+
+        The Jacobi sum of i < j < k is [[e_i,e_j],e_k] + [[e_j,e_k],e_i]
+        - [[e_i,e_k],e_j]: one term per pair of the triple, the bracket
+        of that pair with the third element.  So the sums are built from
+        the nonzero structure constants alone: each entry c e_m of
+        [e_a, e_b] meets each (z, [e_z, e_m]) of ad[m] with z not in
+        {a, b}, and adds -c [e_z, e_m] to the triple {a, b, z}, or
+        +c [e_z, e_m] when a < z < b.  This covers every nonzero term of
+        every triple, so the check is still exhaustive: a triple that
+        receives nothing has sum exactly 0.  On failure it reports the
+        smallest triple with a nonzero sum, the first one a loop over
+        triples in lexicographic order would meet, with that sum."""
+        p = self.p
+        ad = self.ad
+        sums = {}
+        for (a, b), vec in self.bracket.items():
+            for m, c in vec.items():
+                for z, w in ad.get(m, ()):
+                    if z > b:
+                        key, s = (a, b, z), -c
+                    elif z < a:
+                        key, s = (z, a, b), -c
+                    elif a < z < b:
+                        key, s = (a, z, b), c
+                    else:
+                        continue
+                    acc = sums.get(key)
+                    if acc is None:
+                        acc = sums[key] = {}
+                    for k, x in w.items():
+                        acc[k] = acc.get(k, 0) + s * x
+        bad = [key for key, acc in sums.items()
+               if any(x % p for x in acc.values())]
+        if bad:
+            i, j, k = min(bad)
+            s = {t: x % p for t, x in sums[(i, j, k)].items() if x % p}
+            raise ValueError(
+                "Jacobi fails on (%s, %s, %s): %r"
+                % (self.labels[i], self.labels[j], self.labels[k], s)
+            )
         self.jacobi_checked = True
 
     def weights_for(self, t):
@@ -219,13 +252,16 @@ class LieAlgebra:
             quads = doc["bracket"]
         except (KeyError, TypeError) as exc:
             raise ValueError("algebra document missing field: %s" % exc)
+        if not all(isinstance(doc.get(f, []), list)
+                   for f in ("basis", "bracket", "grading")):
+            raise ValueError("basis, bracket and grading must be lists")
         dim = len(labels)
         if doc.get("dim", dim) != dim:
             raise ValueError("dim %r does not match the %d basis labels"
                              % (doc["dim"], dim))
         bracket = defaultdict(dict)
         for entry in quads:
-            if len(entry) != 4:
+            if not isinstance(entry, list) or len(entry) != 4:
                 raise ValueError(
                     "bad bracket entry %r (need [i, j, k, value])" % (entry,))
             i, j, k, v = entry
@@ -233,6 +269,9 @@ class LieAlgebra:
                        for x in (i, j, k)):
                 raise ValueError("bracket entry %r needs basis indices in "
                                  "0..%d" % (entry, dim - 1))
+            if not isinstance(v, int):
+                raise ValueError("bracket entry %r needs an integer value"
+                                 % (entry,))
             if i == j:
                 if v % p:
                     raise ValueError("nonzero diagonal bracket entry %r" % (entry,))
@@ -244,7 +283,7 @@ class LieAlgebra:
             bracket[key][k] = val % p
         return cls(p, labels, dict(bracket), grading=doc.get("grading"),
                    toral=doc.get("toral"), name=name,
-                   filtration=bool(doc.get("filtration", False)))
+                   filtration=bool(doc.get("filtration", False)), check=True)
 
     def hash_key(self):
         blob = json.dumps(self.to_json(), sort_keys=True).encode()

@@ -2,10 +2,14 @@
 cohomology dimensions, weight and degree slicing, coboundary witnesses,
 class spans, and the Massey bracket."""
 
+import json
+import os
 import random
 
 import pytest
 
+from modlie import ceco
+from modlie.cache import DiskCache
 from modlie.ceco import (
     BudgetExceeded,
     Cochain,
@@ -327,6 +331,26 @@ def test_leaking_slice_raises():
     W = make_w1(1, P)
     with pytest.raises(ValueError, match="not closed under d"):
         cohomology_dim(W, 2, slice_=DropsToral(W))
+
+
+def test_cache_entry_of_another_engine_is_a_miss(tmp_path, monkeypatch):
+    W = make_w1(1, P)
+    cache = DiskCache(str(tmp_path))
+    monkeypatch.setattr(ceco, "ENGINE", ceco.ENGINE + 1)
+    assert cohomology_dim(W, 2, cache=cache).dim == 1
+    # make the entry written under the other engine a wrong answer
+    [(name, _)] = cache.entries()
+    path = os.path.join(cache.path, name)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["value"]["dim"] = 99
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    monkeypatch.undo()
+    assert cohomology_dim(W, 2, cache=cache).dim == 1
+    assert (cache.hits, cache.misses) == (0, 2)
+    assert cohomology_dim(W, 2, cache=cache).dim == 1
+    assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_cochain_add_scale_and_mismatch():

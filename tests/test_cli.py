@@ -209,6 +209,24 @@ def test_cohomology_bad_inputs(capsys, tmp_path):
     assert rc == 2 and "unknown builtin" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"p": 5, "basis": ["a", "b"], "bracket": [], "toral": 9},
+     "toral 9 is not a basis index"),
+    ({"p": 5, "basis": ["a", "b"], "bracket": [5]}, "bad bracket entry 5"),
+    ({"p": 5, "basis": ["x%d" % i for i in range(33)],
+      "bracket": [[0, 1, 0, 1], [0, 2, 2, 1]]}, "Jacobi fails on (x0, x1, x2)"),
+], ids=["toral-outside-basis", "entry-not-a-list", "non-lie-dim-33"])
+def test_cohomology_rejects_invalid_algebra_file(capsys, tmp_path, doc,
+                                                 message):
+    path = str(tmp_path / "alg.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    rc, out, err = run(capsys, ["cohomology", path, "--cache-dir", "off"])
+    assert rc == 2
+    assert "malformed algebra file" in err and message in err
+    assert out == ""
+
+
 def test_cohomology_p_zero_is_rejected(capsys):
     # --p 0 must not fall back to the default p = 5
     rc, out, err = run(capsys, ["cohomology", "w1n", "--p", "0", "--deg", "2",

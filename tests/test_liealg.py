@@ -2,7 +2,12 @@
 derivation tails, the deformed current algebra, the Kuznetsov
 identification, and the ideal/solvability probes."""
 
+import ast
+import re
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modlie.ceco import cohomology_dim, weight_zero_reduce
 from modlie.commalg import (
@@ -14,6 +19,7 @@ from modlie.commalg import (
     zero_derivation,
 )
 from modlie.liealg import (
+    JACOBI_EAGER_DIM,
     LieAlgebra,
     center,
     current_algebra,
@@ -29,6 +35,7 @@ from modlie.liealg import (
     semidirect_current,
     verify_morphism,
 )
+from modlie.linalg import vec_add, vec_scale
 
 P = 5
 
@@ -264,6 +271,82 @@ def test_jacobi_failure_is_caught():
                    {(0, 1): {0: 1}, (0, 2): {2: 1}})
 
 
+def dense_check_jacobi(L):
+    """Reference for LieAlgebra.check_jacobi: the Jacobi sum of every
+    basis triple in lexicographic order, from three bracket_vec calls."""
+    n = L.dim
+    for i in range(n):
+        for j in range(i + 1, n):
+            bij = L.bracket.get((i, j))
+            for k in range(j + 1, n):
+                s = L.bracket_vec(bij or {}, {k: 1})
+                s = vec_add(s, L.bracket_vec(
+                    L.bracket.get((j, k), {}), {i: 1}), L.p)
+                s = vec_add(s, L.bracket_vec(
+                    vec_scale(L.bracket.get((i, k), {}), -1, L.p),
+                    {j: 1}), L.p)
+                if s:
+                    raise ValueError(
+                        "Jacobi fails on (%s, %s, %s): %r"
+                        % (L.labels[i], L.labels[j], L.labels[k], s)
+                    )
+
+
+def jacobi_verdict(check, L):
+    """None when check passes L, else (failing triple, residual dict)."""
+    try:
+        check(L)
+    except ValueError as e:
+        m = re.fullmatch(r"Jacobi fails on \((.*)\): (\{.*\})", str(e))
+        assert m, str(e)
+        return m.group(1), ast.literal_eval(m.group(2))
+    return None
+
+
+def assert_jacobi_checks_agree(L):
+    want = jacobi_verdict(dense_check_jacobi, L)
+    assert jacobi_verdict(LieAlgebra.check_jacobi, L) == want
+    assert L.jacobi_checked == (want is None)
+    return want
+
+
+@st.composite
+def sparse_brackets(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ij: ij[0] < ij[1])
+    vec = st.dictionaries(st.integers(0, n - 1), st.integers(1, p - 1),
+                          min_size=1, max_size=3)
+    return p, n, draw(st.dictionaries(pair, vec, max_size=n * (n - 1) // 2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_brackets())
+def test_sparse_jacobi_matches_dense_reference(drawn):
+    p, n, bracket = drawn
+    # check_jacobi is arithmetic mod p alone; the constructor's floor of
+    # p >= 5 is lifted so that p = 2 (where -1 = 1) and p = 3 are covered
+    with mock.patch("modlie.liealg.check_prime", lambda p: p):
+        L = LieAlgebra(p, ["x%d" % i for i in range(n)], bracket, check=False)
+    assert_jacobi_checks_agree(L)
+
+
+def test_sparse_jacobi_matches_dense_reference_on_flipped_constants():
+    C = current_algebra(make_w1(1, P), make_divided_powers(1, P))
+    assert assert_jacobi_checks_agree(C) is None
+    entries = [(key, k) for key, vec in sorted(C.bracket.items())
+               for k in sorted(vec)]
+    assert len(entries) > 100
+    failures = 0
+    for key, k in entries[::7]:
+        bracket = {kk: dict(vec) for kk, vec in C.bracket.items()}
+        bracket[key][k] = -bracket[key][k] % P
+        L = LieAlgebra(P, C.labels, bracket, check=False)
+        failures += assert_jacobi_checks_agree(L) is not None
+    assert failures > 0
+
+
 def test_lie_json_round_trip():
     L = semidirect_current(make_w1(1, P), make_divided_powers(1, P),
                            [partial_derivation(make_divided_powers(1, P))])
@@ -301,6 +384,38 @@ def test_from_json_rejects_out_of_range_bracket_index():
 def test_from_json_rejects_dim_mismatch():
     doc = {"p": P, "dim": 9, "basis": ["a", "b"], "bracket": []}
     with pytest.raises(ValueError, match="does not match"):
+        LieAlgebra.from_json(doc)
+
+
+@pytest.mark.parametrize("toral", [9, -1, "x", True])
+def test_toral_must_be_a_basis_index(toral):
+    doc = {"p": P, "basis": ["a", "b"], "bracket": [], "toral": toral}
+    with pytest.raises(ValueError, match="is not a basis index"):
+        LieAlgebra.from_json(doc)
+    with pytest.raises(ValueError, match="is not a basis index"):
+        LieAlgebra(P, ["a", "b"], {}, toral=toral)
+
+
+def test_from_json_rejects_bracket_entry_that_is_not_a_list():
+    doc = {"p": P, "basis": ["a", "b"], "bracket": [5]}
+    with pytest.raises(ValueError, match="bad bracket entry 5"):
+        LieAlgebra.from_json(doc)
+
+
+def test_grading_needs_one_degree_per_basis_element():
+    doc = {"p": P, "basis": ["a", "b"], "bracket": [], "grading": [0]}
+    with pytest.raises(ValueError, match="grading must be 2 integer degrees"):
+        LieAlgebra.from_json(doc)
+    with pytest.raises(ValueError, match="grading must be 2 integer degrees"):
+        LieAlgebra(P, ["a", "b"], {}, grading=[0, 1, 2])
+
+
+def test_from_json_checks_jacobi_at_every_dimension():
+    # [[a,b],c] + [[b,c],a] + [[c,a],b] = [a,c] + [b,c] = c; central
+    # padding takes dim past the constructors' eager-check threshold
+    doc = {"p": P, "basis": ["x%d" % i for i in range(JACOBI_EAGER_DIM + 1)],
+           "bracket": [[0, 1, 0, 1], [0, 2, 2, 1]]}
+    with pytest.raises(ValueError, match=r"Jacobi fails on \(x0, x1, x2\)"):
         LieAlgebra.from_json(doc)
 
 
