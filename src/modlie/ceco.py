@@ -14,24 +14,46 @@ algebra's cached bracket tables L.rev and L.ad.  ce_differential sums
 stencil images, and the sparse matrices of d are built column by column
 from them, charging each column's distinct nonzero entries to the work
 budget.  Ranks come from sparse echelon forms into which the rows of
-d_n, and the image vectors of d_{n-1}, go shortest first.  The columns
-of C^n are first renumbered sparsest first, by their count of nonzeros
-in d_n (ties in enumeration order), so min-column pivoting eliminates
-on sparse columns and pushes fill toward the dense ones, as in the
-structured Gaussian elimination of LaMacchia and Odlyzko.  A column
-order changes no rank and no dimension; the kernel of d_n then gets
-its basis at other free columns, so cohomology_dim's representatives
-are a different basis of the same classes, still deterministic, since
-the order depends only on the support of d.  When the
-algebra has a toral basis element the complex splits by weight, and
-with an honest Z-grading it also splits by degree; both splittings are
-exact index bookkeeping, not heuristics, and a slice that d would leave
-is an error rather than a truncation.
+d_n, and the image vectors of d_{n-1}, go shortest first.
+
+Of d_n, cohomology_dim keeps only the rows (U, k) whose tuple U holds
+an element of S = L.generators, a set of basis elements generating L as
+a Lie algebra.  Those rows are the coordinates of i_s(d phi), s in S,
+so their kernel is {phi : i_s d phi = 0 for s in S}.  By the Cartan
+identities of Chevalley and Eilenberg, i_[x,y] = [L_x, i_y] and
+L_x = d i_x + i_x d, so with d^2 = 0 (the Jacobi identity)
+
+    i_[x,y] d phi = L_x i_y d phi - i_y d i_x d phi,
+
+which vanishes when i_x d phi and i_y d phi do.  The z with i_z d phi =
+0 thus form a subalgebra; holding S, it is all of L, and d phi = 0.  So
+the kept rows have exactly the kernel of all rows, on any slice, for
+every n and both modules: the rank, the pivot set (the least columns of
+the row space, which the kernel fixes) and the kernel basis are those
+of the whole matrix, while weight-zero H^2 of W1(1)(x)O1(1) or W1(2)
+at p = 7 keeps one row in five or in eight.  The image of d_{n-1} is
+always assembled whole.
+
+The columns of C^n are first renumbered sparsest first, by their count
+of stencil terms in the whole d_n (ties in enumeration order), so
+min-column pivoting eliminates on sparse columns and pushes fill toward
+the dense ones, as in the structured Gaussian elimination of LaMacchia
+and Odlyzko.  The count is read off the lengths of L.ad and L.rev: in
+the kept rows alone every column that meets S looks dense, and that
+order gave weight-one H^3 of W1(2) at p = 5 three times the fill.  A
+column order changes no rank and no dimension; the kernel of d_n then
+gets its basis at other free columns, so cohomology_dim's
+representatives are a different basis of the same classes, still
+deterministic, since the order depends only on the algebra's tables.
+When the algebra has a toral basis element the complex splits by
+weight, and with an honest Z-grading it also splits by degree; both
+splittings are exact index bookkeeping, not heuristics, and a slice
+that d would leave is an error rather than a truncation.
 """
 
 import itertools
 from bisect import bisect_left
-from collections import Counter, defaultdict
+from collections import defaultdict
 
 from .linalg import Echelon, SparseFpMatrix, solve_sparse, vec_add, vec_scale
 
@@ -169,17 +191,36 @@ class Cochain:
             self.n, self.module, self.L.name, len(self.coeffs))
 
 
-def _elementary_image(L, module, T, t):
+def _generator_tables(L, gens):
+    """(S, ad, rev) for the stencil restricted to the generator set S:
+    L.ad keeping only z in S, and L.rev keeping only pairs that meet S."""
+    S = frozenset(gens)
+    ad = {t: [(z, v) for z, v in row if z in S] for t, row in L.ad.items()}
+    rev = {m: [(ij, c) for ij, c in row if ij[0] in S or ij[1] in S]
+           for m, row in L.rev.items()}
+    return S, ad, rev
+
+
+def _elementary_image(L, module, T, t, restrict=None):
     """The stencil of d: the image of the elementary cochain sending the
     sorted tuple T to e_t (to 1 in the trivial module, t = 0), as
     {(U, k): coefficient} with zeros dropped.  Module-action terms insert
     one index z into T (sign by z's position, value [e_z, e_t], read from
     L.ad); bracket terms split a support index m into a pair (i, j) with
-    [e_i, e_j] touching e_m (read from L.rev)."""
+    [e_i, e_j] touching e_m (read from L.rev).  With restrict = (S, ad,
+    rev) from _generator_tables, only the entries whose tuple U meets S:
+    the full tables serve wherever the kept part of T already meets S,
+    the filtered ones elsewhere."""
     p = L.p
     img = {}
+    ad, rev = L.ad, L.rev
+    if restrict is not None:
+        S, ad_S, rev_S = restrict
+        hits = sum(x in S for x in T)
+        if not hits:
+            ad = ad_S
     if module == "adjoint":
-        for z, vec in L.ad.get(t, ()):
+        for z, vec in ad.get(t, ()):
             if z in T:
                 continue
             pos = bisect_left(T, z)
@@ -192,10 +233,12 @@ def _elementary_image(L, module, T, t):
                     img[key] = y
                 else:
                     del img[key]
-    rev = L.rev
     for a, m in enumerate(T):
         rest = T[:a] + T[a + 1:]
-        for (i, j), c in rev.get(m, ()):
+        table = rev
+        if restrict is not None and hits == (m in S):
+            table = rev_S
+        for (i, j), c in table.get(m, ()):
             if i in rest or j in rest:
                 continue
             pi = bisect_left(rest, i)
@@ -311,12 +354,14 @@ class CohomologyResult:
             self.dim, self.ncols, self.rank_d, self.rank_prev)
 
 
-def _column_images(L, module, cols, budget, counter):
+def _column_images(L, module, cols, budget, counter, gens=None):
     """Yield the stencil image of each given (tuple, target) column,
     charging its distinct nonzero entries to counter[0] and raising
-    BudgetExceeded once the count passes budget."""
+    BudgetExceeded once the count passes budget.  With gens, only the
+    rows whose tuple contains one of those basis indices."""
+    restrict = _generator_tables(L, gens) if gens is not None else None
     for T, t in cols:
-        img = _elementary_image(L, module, T, t)
+        img = _elementary_image(L, module, T, t, restrict)
         counter[0] += len(img)
         if counter[0] > budget:
             raise BudgetExceeded(
@@ -326,12 +371,13 @@ def _column_images(L, module, cols, budget, counter):
         yield img
 
 
-def _differential_rows(L, module, cols, budget, counter):
+def _differential_rows(L, module, cols, budget, counter, gens=None):
     """Sparse rows (one per output coordinate) of d restricted to the
-    given C^n columns, keyed by C^{n+1} coordinates."""
+    given C^n columns, keyed by C^{n+1} coordinates; with gens, only the
+    rows whose tuple contains one of those basis indices."""
     rows = defaultdict(dict)
     for idx, img in enumerate(
-            _column_images(L, module, cols, budget, counter)):
+            _column_images(L, module, cols, budget, counter, gens)):
         for key, v in img.items():
             rows[key][idx] = v
     return rows
@@ -344,11 +390,22 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
 
         dim H^n = #C^n - rank(d_n) - rank(d_{n-1}).
 
+    Only the rows of d_n whose tuple contains one of L.generators are
+    assembled and eliminated; they have the same kernel as all rows (see
+    the module docstring), so the rank, the pivots and the kernel basis
+    are those of the whole matrix.  The budget counts the entries that
+    are assembled, so a query that exceeded it with every row may now
+    fit.  The restriction is sound only for a Lie algebra, so an
+    algebra whose Jacobi identity is not yet verified is checked first,
+    and ValueError is raised when it fails.
+
     With want_reps, also returns cocycle representatives extending the
     coboundary space.  Raises ValueError when d_{n-1} maps the slice
     outside itself, since dropping those entries would give a wrong
     dimension.  Results without representatives are cached under
     (engine version, algebra hash, module, n, slice descriptor)."""
+    if not L.jacobi_checked:
+        L.check_jacobi()
     desc = slice_.descriptor() if slice_ is not None else None
     key = None
     if cache is not None:
@@ -360,10 +417,17 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
                                     hit["rank_d"], hit["rank_prev"])
     cols = chain_columns(L, n, module, slice_)
     counter = [0]
-    rows = _differential_rows(L, module, cols, budget, counter)
+    rows = _differential_rows(L, module, cols, budget, counter,
+                              gens=L.generators)
     # columns enter the echelon sparsest first, so min-column pivoting
-    # eliminates on sparse columns and pushes fill toward the dense ones
-    weight = Counter(itertools.chain.from_iterable(rows.values()))
+    # eliminates on sparse columns and pushes fill toward the dense ones;
+    # a column's weight is its count of stencil terms in the whole d_n,
+    # read off the table lengths, since in the kept rows alone every
+    # column that meets the generators looks dense
+    ad, rev = L.ad, L.rev
+    weight = [sum(len(rev.get(m, ())) for m in T)
+              + (len(ad.get(t, ())) if module == "adjoint" else 0)
+              for T, t in cols]
     order = sorted(range(len(cols)), key=lambda i: (weight[i], i))
     newpos = [0] * len(cols)
     for i, j in enumerate(order):

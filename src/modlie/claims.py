@@ -31,7 +31,7 @@ from .linalg import Echelon
 from .cocycles import (phi21, theta, upsilon, psi, phi_big, psi_t,
                        lambda_identities_check, build_filtered_deformation)
 
-__all__ = ["CLAIMS", "claim_ids", "resolve_claim", "run_claim", "run_all"]
+__all__ = ["CLAIMS", "resolve_claim", "run_claim", "run_all"]
 
 
 class Claim:
@@ -463,10 +463,6 @@ _register(
     "dim H^2(W_1(1) (x) O_1, K) = dim H^2(W_1(1), K) * dim O_1, both "
     "sides computed directly",
     ("p",), [{"p": 5}], _trivial_coeffs)
-
-
-def claim_ids():
-    return list(CLAIMS)
 
 
 def resolve_claim(cid):

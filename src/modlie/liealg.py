@@ -70,6 +70,7 @@ class LieAlgebra:
                 self.bracket[(i, j)] = vec
         self._rev = None
         self._ad = None
+        self._generators = None
         self._weights = None
         if toral is not None and not (
                 isinstance(toral, int) and not isinstance(toral, bool)
@@ -156,6 +157,49 @@ class LieAlgebra:
                 table[i].append((j, vec_scale(vec, -1, self.p)))
             self._ad = dict(table)
         return self._ad
+
+    @property
+    def generators(self):
+        """Basis indices that generate L as a Lie algebra, found on first
+        use and cached.  Greedy: start from the element with the most
+        nonzero brackets, then take, sparsest ad first, every element not
+        yet in the subalgebra generated so far, whose span grows
+        incrementally; finally drop, latest first, each generator that
+        the others already generate.  Only an element of [L, L] +
+        span(rest) can be generated by the rest, so only those are tried
+        and an abelian algebra keeps every index.  cohomology_dim
+        assembles only the rows of d that contain a generator; the
+        choice sets its speed, never its result."""
+        if self._generators is None:
+            p, ad = self.p, self.ad
+            nnz = [len(ad.get(i, ())) for i in range(self.dim)]
+            most = sorted(range(self.dim), key=lambda i: (-nnz[i], i))[:1]
+            gens = []
+            span, basis = Echelon(p), []
+            for i in most + sorted(range(self.dim), key=lambda i: (nnz[i], i)):
+                if span.rank == self.dim:
+                    break
+                if not span.member({i: 1}):
+                    gens.append(i)
+                    _grow_subalgebra(self, span, basis, i)
+            derived = Echelon(p)
+            for vec in self.bracket.values():
+                derived.add(vec)
+            for g in reversed(gens):
+                rest = [h for h in gens if h != g]
+                near = Echelon(p)
+                near.pivots = dict(derived.pivots)
+                for h in rest:
+                    near.add({h: 1})
+                if not rest or not near.member({g: 1}):
+                    continue
+                span, basis = Echelon(p), []
+                for h in rest:
+                    _grow_subalgebra(self, span, basis, h)
+                if span.rank == self.dim:
+                    gens = rest
+            self._generators = tuple(gens)
+        return self._generators
 
     def check_jacobi(self):
         """Exhaustive Jacobi check over basis triples; raises on failure.
@@ -281,9 +325,13 @@ class LieAlgebra:
             if prev is not None and prev != val % p:
                 raise ValueError("conflicting bracket entries for %r" % (entry,))
             bracket[key][k] = val % p
+        filtration = doc.get("filtration", False)
+        if not isinstance(filtration, bool):
+            raise ValueError("filtration must be true or false, not %r"
+                             % (filtration,))
         return cls(p, labels, dict(bracket), grading=doc.get("grading"),
                    toral=doc.get("toral"), name=name,
-                   filtration=bool(doc.get("filtration", False)), check=True)
+                   filtration=filtration, check=True)
 
     def hash_key(self):
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
@@ -626,6 +674,22 @@ def derived_series(L, S=None):
 def is_solvable(L, S=None):
     dims = derived_series(L, S)
     return dims[-1] == 0
+
+
+def _grow_subalgebra(L, span, basis, i):
+    """Extend the subalgebra spanned by basis (echelon span) by e_i and
+    close it under brackets: each new vector, when popped, is bracketed
+    with every vector found so far, so every pair meets once; a span
+    that reaches all of L is closed already."""
+    work = [{i: 1}] if span.add({i: 1}) else []
+    basis.extend(work)
+    while work and span.rank < L.dim:
+        x = work.pop()
+        for y in list(basis):
+            w = L.bracket_vec(x, y)
+            if w and span.add(w):
+                basis.append(w)
+                work.append(w)
 
 
 def _ideal_echelon(L, vecs):

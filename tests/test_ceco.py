@@ -26,7 +26,10 @@ from modlie.ceco import (
 )
 from modlie.cocycles import phi21, phi_big
 from modlie.commalg import make_divided_powers, partial_derivation
+from modlie.linalg import Echelon
 from modlie.liealg import (
+    JACOBI_EAGER_DIM,
+    LieAlgebra,
     current_algebra,
     make_deformed,
     make_sl2,
@@ -303,6 +306,73 @@ def test_euler_characteristic(L, module):
             assert lo.rank_d == hi.rank_prev
         assert (sum((-1) ** n * r.ncols for n, r in enumerate(res))
                 == sum((-1) ** n * r.dim for n, r in enumerate(res)))
+
+
+ORACLE_ALGEBRAS = {
+    "sl2": lambda: make_sl2(P),
+    "w1": lambda: make_w1(1, P),
+    "w1_2": lambda: make_w1(2, P),
+    "w1xo1": lambda: current_algebra(make_w1(1, P), make_divided_powers(1, P)),
+    "ldef": _deformed,
+}
+# with every row, larger C^n take tens of seconds to eliminate
+ORACLE_MAX_COLS = 2500
+
+
+def _rank_and_pivots(L, module, cols, gens=None):
+    # the given column order, rows shortest first
+    rows = ceco._differential_rows(L, module, cols, 10 ** 9, [0], gens=gens)
+    ech = Echelon(L.p)
+    for row in sorted(rows.values(), key=len):
+        ech.add(row)
+    return ech.rank, set(ech.pivots)
+
+
+def _oracle_cases(L):
+    for module in ("adjoint", "trivial"):
+        slices = [None, ComplexSlice(L, module, weight=0)]
+        if not L.filtration:
+            slices.append(ComplexSlice(L, module, degree=0))
+        for slice_ in slices:
+            for n in range(4):
+                cols = chain_columns(L, n, module, slice_)
+                if len(cols) <= ORACLE_MAX_COLS:
+                    yield module, slice_, n, cols
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_generator_rows_match_all_rows(name):
+    # the rows of d_n holding a generator have the kernel of all rows:
+    # same rank, same pivots in the same column order
+    L = ORACLE_ALGEBRAS[name]()
+    cases = 0
+    for module, slice_, n, cols in _oracle_cases(L):
+        assert (_rank_and_pivots(L, module, cols, L.generators)
+                == _rank_and_pivots(L, module, cols)), (module, n, slice_)
+        cases += 1
+    assert cases >= 12
+
+
+def test_rows_of_a_non_generating_set_lose_rank():
+    # e_-1 alone generates only its own line, so some kernel grows
+    W = make_w1(1, P)
+    assert W.generators == (0, W.dim - 1)
+    lost = [(module, n) for module, slice_, n, cols in _oracle_cases(W)
+            if _rank_and_pivots(W, module, cols, (0,))[0]
+            < _rank_and_pivots(W, module, cols)[0]]
+    assert lost
+
+
+def test_non_lie_input_is_rejected():
+    # [[a,b],c] + [[b,c],a] + [[c,a],b] = [a,c] + [b,c] = c; the padding
+    # takes dim past the eager Jacobi check of the constructor
+    labels = ["x%d" % i for i in range(JACOBI_EAGER_DIM + 1)]
+    L = LieAlgebra(P, labels, {(0, 1): {0: 1}, (0, 2): {2: 1}}, check=False)
+    assert not L.jacobi_checked
+    with pytest.raises(ValueError, match=r"Jacobi fails on \(x0, x1, x2\)"):
+        cohomology_dim(L, 2)
+    with pytest.raises(ValueError, match="Jacobi fails"):
+        cohomology_dim(L, 1, module="trivial")
 
 
 def test_budget_is_enforced():

@@ -215,7 +215,11 @@ def test_cohomology_bad_inputs(capsys, tmp_path):
     ({"p": 5, "basis": ["a", "b"], "bracket": [5]}, "bad bracket entry 5"),
     ({"p": 5, "basis": ["x%d" % i for i in range(33)],
       "bracket": [[0, 1, 0, 1], [0, 2, 2, 1]]}, "Jacobi fails on (x0, x1, x2)"),
-], ids=["toral-outside-basis", "entry-not-a-list", "non-lie-dim-33"])
+    ({"p": 5, "basis": ["a", "b"], "bracket": [[0, 1, 1, 1]],
+      "grading": [-1, 1], "filtration": "false"},
+     "filtration must be true or false, not 'false'"),
+], ids=["toral-outside-basis", "entry-not-a-list", "non-lie-dim-33",
+        "filtration-not-a-boolean"])
 def test_cohomology_rejects_invalid_algebra_file(capsys, tmp_path, doc,
                                                  message):
     path = str(tmp_path / "alg.json")

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlie.ceco import cohomology_dim, weight_zero_reduce
+from modlie.cli import BUILTINS, _build_algebra
 from modlie.commalg import (
     make_divided_powers,
     partial_derivation,
@@ -35,7 +36,7 @@ from modlie.liealg import (
     semidirect_current,
     verify_morphism,
 )
-from modlie.linalg import vec_add, vec_scale
+from modlie.linalg import Echelon, vec_add, vec_scale
 
 P = 5
 
@@ -347,6 +348,42 @@ def test_sparse_jacobi_matches_dense_reference_on_flipped_constants():
     assert failures > 0
 
 
+def _generated_dim(L, gens):
+    # naive closure: bracket every pair of the span until it stops growing
+    ech, basis = Echelon(L.p), []
+    for g in gens:
+        if ech.add({g: 1}):
+            basis.append({g: 1})
+    grown = True
+    while grown:
+        grown = False
+        for x in list(basis):
+            for y in list(basis):
+                w = L.bracket_vec(x, y)
+                if w and ech.add(w):
+                    basis.append(w)
+                    grown = True
+    return ech.rank
+
+
+@pytest.mark.parametrize("name, n", [(b, 1) for b in BUILTINS] + [("w1n", 2)])
+def test_generators_generate_every_builtin(name, n):
+    L = _build_algebra(name, P, n, 1)
+    assert L._generators is None  # found on first use, not at construction
+    gens = L.generators
+    assert gens and len(set(gens)) == len(gens)
+    assert all(0 <= g < L.dim for g in gens)
+    assert _generated_dim(L, gens) == L.dim
+    # none of them is redundant
+    for g in gens:
+        assert _generated_dim(L, [h for h in gens if h != g]) < L.dim
+
+
+def test_generators_of_an_abelian_algebra_are_the_whole_basis():
+    L = LieAlgebra(P, ["a%d" % i for i in range(40)], {}, check=False)
+    assert L.generators == tuple(range(40))
+
+
 def test_lie_json_round_trip():
     L = semidirect_current(make_w1(1, P), make_divided_powers(1, P),
                            [partial_derivation(make_divided_powers(1, P))])
@@ -373,6 +410,19 @@ def test_filtered_json_round_trip():
     h2 = cohomology_dim(M, 2, slice_=weight_zero_reduce(M))
     assert h2.dim == cohomology_dim(L, 2, slice_=weight_zero_reduce(L)).dim
     assert h2.dim == 4
+
+
+@pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])
+def test_from_json_filtration_must_be_a_boolean(flag):
+    # [a, b] = b with degrees -1, 1 is not degree-additive, so only a
+    # real filtration flag may let it load
+    doc = {"p": P, "basis": ["a", "b"], "bracket": [[0, 1, 1, 1]],
+           "grading": [-1, 1]}
+    with pytest.raises(ValueError, match="not degree-additive"):
+        LieAlgebra.from_json(doc)
+    assert LieAlgebra.from_json(dict(doc, filtration=True)).filtration
+    with pytest.raises(ValueError, match="filtration must be true or false"):
+        LieAlgebra.from_json(dict(doc, filtration=flag))
 
 
 def test_from_json_rejects_out_of_range_bracket_index():
