@@ -55,7 +55,8 @@ import itertools
 from bisect import bisect_left
 from collections import defaultdict
 
-from .linalg import Echelon, SparseFpMatrix, solve_sparse, vec_add, vec_scale
+from .linalg import (DEFAULT_BUDGET, Echelon, SparseFpMatrix, solve_sparse,
+                     vec_add, vec_scale)
 
 __all__ = [
     "BudgetExceeded",
@@ -72,8 +73,6 @@ __all__ = [
     "massey_bracket",
     "h2_positive",
 ]
-
-DEFAULT_BUDGET = 5_000_000
 
 # Part of every cache key: bump it whenever the differential or the rank
 # semantics change, so that entries computed by older code are misses.

@@ -27,7 +27,7 @@ from .commalg import (make_divided_powers, partial_derivation,
 from .liealg import (make_w1, make_sl2, current_algebra, make_deformed,
                      semidirect_current, kuznetsov_map, verify_morphism,
                      center, derived_series, is_solvable, find_proper_ideal)
-from .linalg import Echelon
+from .linalg import DEFAULT_BUDGET, Echelon
 from .cocycles import (phi21, theta, upsilon, psi, phi_big, psi_t,
                        lambda_identities_check, build_filtered_deformation)
 
@@ -73,7 +73,7 @@ class Claim:
 
 
 class Ctx:
-    def __init__(self, budget=5_000_000, cache=None, seed=0):
+    def __init__(self, budget=DEFAULT_BUDGET, cache=None, seed=0):
         self.budget = budget
         self.cache = cache
         self.seed = seed
@@ -191,15 +191,15 @@ def _lambda_identities(inst, ctx):
 
 def _hochschild_harrison(inst, ctx):
     p = inst["p"]
-    A1 = make_divided_powers(1, p)
-    hh = [hochschild_hn_dim(A1, i, budget=ctx.budget) for i in (0, 1, 2)]
-    har = [harrison_h2(make_divided_powers(m, p))[0] for m in (1, 2)]
-    rows = [_row({"hochschild_o1": [5, 5, 5], "har2_by_m": [5, 50]},
+    algs = [make_divided_powers(m, p) for m in (1, 2)]
+    hh = [hochschild_hn_dim(algs[0], i, budget=ctx.budget) for i in (0, 1, 2)]
+    har = [harrison_h2(A)[0] for A in algs]
+    rows = [_row({"hochschild_o1": [p] * 3,
+                  "har2_by_m": [m * p ** m for m in (1, 2)]},
                  {"hochschild_o1": hh, "har2_by_m": har},
                  instance={"p": p, "part": "dimensions"})]
     sym, lit, cls = [], [], []
-    for m in (1, 2):
-        A = make_divided_powers(m, p)
+    for m, A in enumerate(algs, 1):
         D = partial_derivation(A)
         for i in range(1, m + 1):
             F = basic_harrison_cocycle(m, p, i, "divided", A=A)
@@ -432,7 +432,7 @@ _register(
     ("p",), [{"p": 5}, {"p": 7}], _lambda_identities)
 _register(
     "hochschild-harrison",
-    "dim H^i(O_1, O_1) = 5 for i = 0, 1, 2; dim Har^2(O_m, O_m) = m p^m "
+    "dim H^i(O_1, O_1) = p for i = 0, 1, 2; dim Har^2(O_m, O_m) = m p^m "
     "for m = 1, 2",
     ("p",), [{"p": 5}], _hochschild_harrison)
 _register(

@@ -38,6 +38,11 @@ from .arith import inv_mod
 
 __all__ = ["SparseFpMatrix", "Echelon", "solve_sparse", "vec_add", "vec_scale"]
 
+# The one default work budget of every budgeted computation (cohomology
+# assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
+# here, below both, so that each can import it.
+DEFAULT_BUDGET = 5_000_000
+
 
 def vec_scale(v, c, p):
     c %= p

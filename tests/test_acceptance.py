@@ -5,6 +5,8 @@ equality over F_p."""
 
 import json
 
+import pytest
+
 from modlie.claims import run_claim
 
 
@@ -70,6 +72,13 @@ def test_08_hochschild_and_harrison_structure():
                                 "har2_by_m": [5, 50]}
     assert cocycles["computed"]["star_literal_zero"] == [True, False, True]
     assert cocycles["computed"]["star_class_zero"] == [True] * 3
+
+
+@pytest.mark.slow
+def test_08_hochschild_and_harrison_structure_at_p_7():
+    dims, _ = check("hochschild-harrison", {"p": 7})
+    assert dims["computed"] == {"hochschild_o1": [7, 7, 7],
+                                "har2_by_m": [7, 98]}
 
 
 def test_09_positive_h2_of_the_semidirect_sums():

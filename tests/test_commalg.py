@@ -3,8 +3,13 @@ Hochschild/Harrison layer: frozen dimensions, the basic symmetric
 cocycles, and the digit-wise reading that the literal binomial
 coefficient fails."""
 
-import pytest
+import functools
+import inspect
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from modlie import ceco, claims, cli, commalg
 from modlie.arith import binom
 from modlie.commalg import (
     Derivation,
@@ -34,9 +39,23 @@ from modlie.commalg import (
     tensor_product,
     zero_derivation,
 )
-from modlie.linalg import vec_scale
+from modlie.linalg import Echelon, vec_scale
 
 P = 5
+
+# builders of the algebras the generator-pair tests cover, with the
+# generators CommAlgebra.generators is expected to find
+ALGEBRAS = {
+    "O1(1)": (lambda: make_divided_powers(1, P), (1,)),
+    "O1(2)": (lambda: make_divided_powers(2, P), (1, 5)),
+    "O_1": (lambda: make_reduced_poly(1, P), (1,)),
+    "O_2": (lambda: make_reduced_poly(2, P), (1, 5)),
+    "O1(1)(x)O1(1)": (lambda: tensor_product(make_divided_powers(1, P),
+                                             make_divided_powers(1, P)),
+                      (1, 5)),
+    "K": (lambda: make_scalars(P), ()),
+    "O1(1),p=7": (lambda: make_divided_powers(1, 7), (1,)),
+}
 
 
 def test_divided_powers_products():
@@ -322,3 +341,165 @@ def test_algebra_json_round_trip():
     for i in range(A.dim):
         for j in range(A.dim):
             assert B.product(i, j) == A.product(i, j)
+
+
+def test_one_default_budget():
+    # cohomology assembly, the bar complex and the claims share one default
+    bar = inspect.signature(hochschild_hn_dim).parameters["budget"].default
+    assert bar == claims.Ctx().budget == ceco.DEFAULT_BUDGET == cli.DEFAULT_BUDGET
+
+
+def _generated_dim(A, gens):
+    # naive closure: multiply every pair of the span until it stops growing
+    ech, basis = Echelon(A.p), []
+    for v in [A.unit_vec] + [{g: 1} for g in gens]:
+        if ech.add(v):
+            basis.append(v)
+    grown = True
+    while grown:
+        grown = False
+        for x in list(basis):
+            for y in list(basis):
+                w = A.mul(x, y)
+                if w and ech.add(w):
+                    basis.append(w)
+                    grown = True
+    return ech.rank
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_comm_generators_generate_every_builtin(name):
+    build, expected = ALGEBRAS[name]
+    A = build()
+    assert A._generators is None  # found on first use, not at construction
+    assert A.generators == expected
+    assert _generated_dim(A, A.generators) == A.dim
+    # none of them is redundant
+    for g in A.generators:
+        assert _generated_dim(A, [h for h in A.generators if h != g]) < A.dim
+    # the unit and two generators meet 69 of the 300 pairs (a < c) of O1(2)
+    if name == "O1(2)":
+        assert len(list(commalg._harrison_pairs(A))) == 69
+
+
+def _harrison_run(A, monkeypatch, firsts=None):
+    """harrison_h2(A) with its rows assembled on _harrison_pairs(A, firsts)
+    (generator pairs when firsts is None), and the block systems it solved."""
+    pairs, blocks = commalg._harrison_pairs, commalg._harrison_blocks
+    seen = {}
+
+    def record(A, kept):
+        out = blocks(A, kept)
+        seen["systems"] = out[2]
+        return out
+
+    with monkeypatch.context() as mp:
+        mp.setattr(commalg, "_harrison_blocks", record)
+        if firsts is not None:
+            mp.setattr(commalg, "_harrison_pairs", lambda A: pairs(A, firsts))
+        result = harrison_h2(A)
+    return result, seen["systems"]
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow)
+    if name in ("O_2", "O1(1)(x)O1(1)") else name
+    for name in ALGEBRAS])
+def test_harrison_generator_pairs_match_all_pairs(name, monkeypatch):
+    A = ALGEBRAS[name][0]()
+    (dim, reps), systems = _harrison_run(A, monkeypatch)
+    (dim_all, reps_all), systems_all = _harrison_run(
+        A, monkeypatch, range(A.dim))
+    assert systems.keys() == systems_all.keys()
+    for key, m in systems.items():
+        ref = systems_all[key]
+        assert m.rank == ref.rank
+        assert set(m.ech.pivots) == set(ref.ech.pivots)
+        assert m.kernel_basis() == ref.kernel_basis()
+    assert dim == dim_all
+    assert [F.values for F in reps] == [F.values for F in reps_all]
+
+
+def test_harrison_pairs_of_a_non_generating_set_lose_rank(monkeypatch):
+    A = make_divided_powers(1, P)
+    assert _harrison_run(A, monkeypatch, [A.unit])[0][0] == 35
+    B = make_divided_powers(2, P)
+    assert _harrison_run(B, monkeypatch, [B.unit, 1])[0][0] == 200
+
+
+def dense_is_harrison_cocycle(F):
+    """Reference for is_harrison_cocycle: dF(a, b, c) over every triple
+    with a < c."""
+    A = F.A
+    for a in range(A.dim):
+        for c in range(a + 1, A.dim):
+            for b in range(A.dim):
+                if commalg._delta2_value(A, F, a, b, c):
+                    return False
+    return True
+
+
+def _tensor_cocycle(T, F, B):
+    """F (x) (multiplication of B) on T = A (x) B: a symmetric cocycle
+    whenever F is one on A, since the B parts multiply associatively."""
+    dB = B.dim
+    vals = {}
+    for x in range(T.dim):
+        for y in range(x, T.dim):
+            (ia, ib), (ja, jb) = divmod(x, dB), divmod(y, dB)
+            vals[(x, y)] = {ka * dB + kb: ca * cb
+                            for ka, ca in F(ia, ja).items()
+                            for kb, cb in B.product(ib, jb).items()}
+    return SymmetricBilinearMap(T, vals)
+
+
+def _basic_cocycles(name, A):
+    if name == "O_2":
+        return [basic_harrison_cocycle(2, P, i, "reduced", A=A) for i in (1, 2)]
+    if name == "O1(1)(x)O1(1)":
+        B = make_divided_powers(1, P)
+        return [_tensor_cocycle(A, basic_harrison_cocycle(1, P, 1, "divided"), B)]
+    m = A.meta["n"]
+    return [basic_harrison_cocycle(m, A.p, i, "divided", A=A)
+            for i in range(1, m + 1)]
+
+
+@functools.cache
+def _cocycle_algebra(name):
+    # built once per session: the hypothesis examples only read them
+    A = ALGEBRAS[name][0]()
+    return A, _basic_cocycles(name, A)
+
+
+@st.composite
+def symmetric_cochains(draw):
+    """A coboundary or a basic cocycle on one of the covered algebras,
+    perturbed in one entry or not; returns (cochain, perturbed)."""
+    name = draw(st.sampled_from(
+        ["O1(1)", "O1(2)", "O_2", "O1(1)(x)O1(1)", "O1(1),p=7"]))
+    A, basic = _cocycle_algebra(name)
+    n, p = A.dim, A.p
+    index = st.integers(0, n - 1)
+    if draw(st.booleans()):
+        G = draw(st.dictionaries(
+            index, st.dictionaries(index, st.integers(1, p - 1),
+                                   min_size=1, max_size=2), max_size=4))
+        F = hochschild_delta((A, G))
+    else:
+        F = draw(st.sampled_from(basic))
+    perturbed = draw(st.booleans())
+    if perturbed:
+        i, j, t = draw(index), draw(index), draw(index)
+        F = F.add(SymmetricBilinearMap(A, {(i, j): {t: 1}}),
+                  scale=draw(st.integers(1, p - 1)))
+    return F, perturbed
+
+
+@settings(max_examples=80, deadline=None)
+@given(symmetric_cochains())
+def test_generator_pair_cocycle_check_matches_all_triples(drawn):
+    F, perturbed = drawn
+    want = dense_is_harrison_cocycle(F)
+    assert is_harrison_cocycle(F) == want
+    if not perturbed:
+        assert want
