@@ -462,12 +462,11 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     dim = len(cols) - rank_d - rank_prev
     reps = None
     if want_reps:
-        span = Echelon(L.p)
-        for piv, row in image.pivots.items():
-            span.pivots[piv] = dict(row)
+        # the image echelon, its rank read, grows into the span of the
+        # coboundaries and the representatives found so far
         reps = []
         for v in mat.kernel_basis():
-            if span.add(v):
+            if image.add(v):
                 coeffs = defaultdict(dict)
                 for i, c in v.items():
                     T, t = cols[i]
@@ -507,12 +506,8 @@ def coboundary_witness(L, c, module=None, budget=DEFAULT_BUDGET):
         if w is not None:
             slice_ = ComplexSlice(L, module, weight=w)
     cols = chain_columns(L, 1, module, slice_)
-    counter = [0]
-    rows = _differential_rows(L, module, cols, budget, counter)
-    tgt = c.flatten()
-    keys = set(rows) | set(tgt)
-    eqs = [(rows.get(k, {}), tgt.get(k, 0)) for k in keys]
-    sol = solve_sparse(eqs, len(cols), L.p)
+    images = dict(enumerate(_column_images(L, module, cols, budget, [0])))
+    sol = solve_sparse(images, c.flatten(), L.p)
     if sol is None:
         return None
     coeffs = defaultdict(dict)

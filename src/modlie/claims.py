@@ -27,7 +27,7 @@ from .commalg import (make_divided_powers, partial_derivation,
 from .liealg import (make_w1, make_sl2, current_algebra, make_deformed,
                      semidirect_current, kuznetsov_map, verify_morphism,
                      center, derived_series, is_solvable, find_proper_ideal)
-from .linalg import DEFAULT_BUDGET, Echelon
+from .linalg import DEFAULT_BUDGET, Echelon, LinearMap
 from .cocycles import (phi21, theta, upsilon, psi, phi_big, psi_t,
                        lambda_identities_check, build_filtered_deformation)
 
@@ -259,37 +259,27 @@ def _massey(inst, ctx):
                   "jacobi": out.jacobi_checked})]
 
 
-def _flatten_matrix(cols, dim):
-    return {j * dim + i: v for j, col in cols.items() for i, v in col.items()}
-
-
 def _outer_intersection(L, A):
     """dim of (1 (x) Der(A)) meet ad(L (x) A), by exact ranks of the
     flattened operator matrices."""
     dim = L.dim
     ad_ech = Echelon(L.p)
     for k in range(dim):
-        cols = {}
-        for j in range(dim):
-            v = L.bracket_pair(k, j)
-            if v:
-                cols[j] = v
-        ad_ech.add(_flatten_matrix(cols, dim))
+        ad = LinearMap(L, L, {j: L.bracket_pair(k, j) for j in range(dim)})
+        ad_ech.add(ad.flatten())
     r_ad = ad_ech.rank
     der_ech = Echelon(L.p)
     dA = A.dim
-    both = Echelon(L.p)
-    for piv, row in ad_ech.pivots.items():
-        both.pivots[piv] = dict(row)
+    # ad_ech, its rank read, grows into the echelon of both spans
     for D in derivation_space(A):
         cols = {}
         for i in range(dim // dA):
             for a, col in D.cols.items():
                 cols[i * dA + a] = {i * dA + k: c for k, c in col.items()}
-        flat = _flatten_matrix(cols, dim)
+        flat = LinearMap(L, L, cols).flatten()
         der_ech.add(flat)
-        both.add(flat)
-    return r_ad + der_ech.rank - both.rank
+        ad_ech.add(flat)
+    return r_ad + der_ech.rank - ad_ech.rank
 
 
 def _simplicity_full(inst, ctx):

@@ -97,7 +97,7 @@ def cmd_verify(args):
             ov = {k: v for k, v in ov.items() if k in claim.params}
             ov = ov or None
         ctx = Ctx(budget=args.budget, cache=cache, seed=args.seed)
-        t0 = time.time()
+        t0 = time.perf_counter()
         h0, m0 = (cache.hits, cache.misses) if cache else (0, 0)
         try:
             got = claim.rows(ctx, ov)
@@ -116,7 +116,7 @@ def cmd_verify(args):
         except ValueError as e:
             print("verify: %s" % e, file=sys.stderr)
             return 2
-        dt = time.time() - t0
+        dt = time.perf_counter() - t0
         for i, r in enumerate(got):
             rows.append(r)
             timing.append(None if i else dt)
@@ -194,7 +194,7 @@ def cmd_cohomology(args):
             print("cohomology: %s" % e, file=sys.stderr)
             return 2
     cache = DiskCache(args.cache_dir) if args.cache_dir != "off" else None
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         res = cohomology_dim(L, args.deg, module=module, slice_=slice_,
                              budget=args.budget, cache=cache,
@@ -202,7 +202,7 @@ def cmd_cohomology(args):
     except BudgetExceeded as e:
         print("cohomology: %s" % e, file=sys.stderr)
         return 1
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     body = {
         "query": {"algebra": L.name, "dim": L.dim, "p": L.p,
                   "degree": args.deg, "module": module,
@@ -226,8 +226,8 @@ def cmd_cohomology(args):
                  res.dim, res.ncols, res.rank_d, res.rank_prev, dt))
         if args.dump_reps:
             for i, c in enumerate(res.reps):
-                flat = ["(%s;%s)->%d:%d" % (L.labels[T[0]], L.labels[T[1]],
-                                            t, v)
+                flat = ["(%s)->%d:%d" % (";".join(L.labels[x] for x in T),
+                                         t, v)
                         for T, vec in sorted(c.coeffs.items())
                         for t, v in sorted(vec.items())]
                 print("  rep %d: %s" % (i, " ".join(flat[:8])

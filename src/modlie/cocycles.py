@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from .arith import binom, inv_mod, lambda_coeff, lambda_table, n_div_p, n_int
 from .ceco import Cochain, ce_differential, massey_bracket, _column_degree
-from .commalg import Derivation, SymmetricBilinearMap, solve_delta1, star_action
+from .commalg import solve_delta1, star_action
 from .liealg import LieAlgebra
+from .linalg import LinearMap
 
 __all__ = [
     "CocycleError",
@@ -29,8 +30,6 @@ __all__ = [
     "lifted_upsilon",
     "lifted_psi",
     "lifted_phi",
-    "CocycleRecipe",
-    "materialize",
     "lifted_family_check",
     "lambda_identities_check",
     "build_filtered_deformation",
@@ -261,22 +260,6 @@ def psi_t(W, t, check=True):
     return _check_closed(c, "psi_t") if check else c
 
 
-def _apply_linear(A, M, vec):
-    """Apply a linear endomorphism given as a Derivation or as sparse
-    columns {src: {tgt: c}}."""
-    if isinstance(M, Derivation):
-        return M(vec)
-    out = {}
-    for j, c in vec.items():
-        for i, v in M.get(j, {}).items():
-            y = (out.get(i, 0) + c * v) % A.p
-            if y:
-                out[i] = y
-            else:
-                out.pop(i, None)
-    return out
-
-
 def theta_prime(Ld, u=None, check=False):
     """The middle (lambda-coefficient) correction line used by the
     lifted Theta family:
@@ -376,7 +359,8 @@ def lifted_theta(Ld, u=None, check=True):
 
 def lifted_upsilon(Ld, F, H=None, check=True):
     """Lifted Upsilon on L(A, D), for a symmetric Harrison cocycle F
-    whose star action is a Hochschild coboundary, D*F = deltaH:
+    whose star action is a Hochschild coboundary, D*F = deltaH, with H
+    given by sparse columns as solve_delta1 returns it:
 
         middle      (-2 < i+j < p-1):  e_{i+j} (x) N_ij F(a,b)
         deformation (i = j = -1):      e_{p-2} (x) (bH(a) - aH(b)
@@ -395,6 +379,7 @@ def lifted_upsilon(Ld, F, H=None, check=True):
         if H is None:
             raise ValueError(
                 "D*F is not a Hochschild coboundary; no potential H exists")
+    H = LinearMap(A, A, H)
     coeffs = {}
     top = p - 2
     for x in range(Ld.dim):
@@ -405,9 +390,9 @@ def lifted_upsilon(Ld, F, H=None, check=True):
             j -= 1
             vec = {}
             if i == -1 and j == -1:
-                for k, v in A.mul({b: 1}, _apply_linear(A, H, {a: 1})).items():
+                for k, v in A.mul({b: 1}, H({a: 1})).items():
                     vec[k] = (vec.get(k, 0) + v) % p
-                for k, v in A.mul({a: 1}, _apply_linear(A, H, {b: 1})).items():
+                for k, v in A.mul({a: 1}, H({b: 1})).items():
                     vec[k] = (vec.get(k, 0) - v) % p
                 for k, v in F.eval_vec(D({a: 1}), {b: 1}).items():
                     vec[k] = (vec.get(k, 0) - v) % p
@@ -485,78 +470,6 @@ def lifted_phi(Ld, E, check=True):
     """Lifted Phi on L(A, D) equals Phi_E: no deformation correction."""
     c = phi_big(Ld, E, check=False)
     return _check_closed(c, "LiftedPhi") if check else c
-
-
-class CocycleRecipe:
-    """Serializable description of one named cocycle: family name plus
-    parameters, so a claimed class can be rebuilt from the report alone."""
-
-    FAMILIES = ("phi21", "Theta", "Upsilon", "Psi", "PhiBig", "psi_t",
-                "ThetaPrime", "LiftedTheta", "LiftedUpsilon", "LiftedPsi")
-
-    def __init__(self, family, **params):
-        if family not in self.FAMILIES:
-            raise ValueError("unknown cocycle family %r" % family)
-        self.family = family
-        self.params = params
-
-    def to_json(self):
-        doc = {"family": self.family}
-        for key, val in sorted(self.params.items()):
-            if isinstance(val, SymmetricBilinearMap):
-                doc[key] = {"symmetric_map": val.to_json()}
-            elif isinstance(val, Derivation):
-                doc[key] = {"derivation": _cols_json(val.cols)}
-            elif isinstance(val, Cochain):
-                doc[key] = {"cochain": _cochain_json(val)}
-            elif isinstance(val, dict):
-                if val and isinstance(next(iter(val.values())), dict):
-                    doc[key] = {"linear_map": _cols_json(val)}
-                else:
-                    doc[key] = {"vector": sorted(val.items())}
-            else:
-                doc[key] = val
-        return doc
-
-    def __repr__(self):
-        return "<CocycleRecipe %s(%s)>" % (
-            self.family, ", ".join(sorted(self.params)))
-
-
-def _cols_json(cols):
-    return [[j, i, v] for j in sorted(cols) for i, v in sorted(cols[j].items())]
-
-
-def _cochain_json(c):
-    return [[list(T), k, v] for T, vec in sorted(c.coeffs.items())
-            for k, v in sorted(vec.items())]
-
-
-def materialize(recipe, L, check=True):
-    """Build the cochain a recipe describes, on the given algebra."""
-    fam = recipe.family
-    par = recipe.params
-    if fam == "phi21":
-        return phi21(L, check=check)
-    if fam == "Theta":
-        return theta(L, par["phi"], par["u"], check=check)
-    if fam == "Upsilon":
-        return upsilon(L, par["F"], check=check)
-    if fam == "Psi":
-        return psi(L, par["D"], check=check)
-    if fam == "PhiBig":
-        return phi_big(L, par["D"], check=check)
-    if fam == "psi_t":
-        return psi_t(L, par["t"], check=check)
-    if fam == "ThetaPrime":
-        return theta_prime(L, par.get("u"), check=check)
-    if fam == "LiftedTheta":
-        return lifted_theta(L, par.get("u"), check=check)
-    if fam == "LiftedUpsilon":
-        return lifted_upsilon(L, par["F"], par.get("H"), check=check)
-    if fam == "LiftedPsi":
-        return lifted_psi(L, par["E"], check=check)
-    raise ValueError("unknown cocycle family %r" % fam)
 
 
 def lifted_family_check(A, D, cache=None):

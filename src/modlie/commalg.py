@@ -22,30 +22,31 @@ With d^2 F = 0 at (s, x, b, c),
     dF(sx, b, c) = s dF(x, b, c) + dF(s, xb, c) - dF(s, x, bc)
                    + dF(s, x, b) c,
 
-so the first arguments x with dF(x, ., .) = 0 form a subspace closed
-under multiplication by every such s.  Holding the unit and the basis
-elements S = A.generators, which generate A as an algebra, it is all
-of A.  For symmetric F over commutative A, dF(c, b, a) = -dF(a, b, c),
-and dF(a, b, a) = 0 as p is odd; so of the triples with a < c that
-decide everything, harrison_h2 assembles and is_harrison_cocycle checks
-only those where a or c lies in {unit} + S.  Every block keeps its
-kernel, hence its pivots, its kernel_basis and the representatives; on
-O1(2) at p = 5 that keeps 69 of the 300 pairs (a, c).
+so the first arguments x with dF(x, ., .) = 0 form a subspace X closed
+under multiplication by every such s.  For symmetric F over commutative
+A, dF(c, b, a) = -dF(a, b, c), and dF(a, b, a) = 0 as p is odd.  Let X
+hold the basis elements S = A.generators, which with the unit generate A
+as an algebra.  Then X holds the ideal I that S generates, and A = K 1 +
+I.  The unit lies in X too: dF(1, b, c) = -dF(c, b, 1) = 0 for c in I,
+and dF(1, b, 1) = 0 as p is odd.  So X = A, and of the triples with
+a < c that decide everything, harrison_h2 assembles and
+is_harrison_cocycle checks only those where a or c lies in S.  Every
+block keeps its kernel, hence its pivots, its kernel_basis and the
+representatives; on O1(2) at p = 5 that keeps 47 of the 300 pairs
+(a, c).
 """
 
-import hashlib
-import json
 from collections import defaultdict
 
 from .arith import binom, binom_mod_p, check_prime
-from .linalg import (DEFAULT_BUDGET, Echelon, SparseFpMatrix, solve_sparse,
-                     vec_add, vec_scale)
+from .linalg import (DEFAULT_BUDGET, Echelon, LinearMap, SparseFpMatrix,
+                     solve_sparse, vec_add, vec_scale)
 
 __all__ = [
     "CommAlgebra",
     "Derivation",
     "SymmetricBilinearMap",
-    "AlgebraMap",
+    "is_multiplicative",
     "make_divided_powers",
     "make_reduced_poly",
     "make_scalars",
@@ -131,9 +132,9 @@ class CommAlgebra:
         an index joins when it lies outside the subalgebra generated so
         far, which an Echelon holds as a span closed under multiplication
         by the generators chosen.  harrison_h2 and is_harrison_cocycle
-        keep only the equations whose outer arguments meet the unit or a
-        generator; the choice (even a redundant generator) sets their
-        speed, never their result."""
+        keep only the equations whose outer arguments meet a generator;
+        the choice (even a redundant generator) sets their speed, never
+        their result."""
         if self._generators is None:
             span, basis, gens = Echelon(self.p), [], []
 
@@ -154,9 +155,6 @@ class CommAlgebra:
                     close([w for v in basis if (w := self.mul(v, {i: 1}))])
             self._generators = tuple(gens)
         return self._generators
-
-    def basis_vec(self, i):
-        return {i: 1}
 
     @property
     def unit_vec(self):
@@ -215,44 +213,6 @@ class CommAlgebra:
                             "degrees are not additive on %s * %s"
                             % (self.labels[i], self.labels[j])
                         )
-
-    def to_json(self):
-        quads = []
-        for (i, j), vec in sorted(self.mult.items()):
-            for k, v in sorted(vec.items()):
-                quads.append([i, j, k, v])
-        return {
-            "p": self.p,
-            "dim": self.dim,
-            "basis": self.labels,
-            "unit": self.unit,
-            "mult": quads,
-        }
-
-    @classmethod
-    def from_json(cls, doc, name="imported"):
-        try:
-            p = doc["p"]
-            labels = doc["basis"]
-            unit = doc["unit"]
-            quads = doc["mult"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError("algebra document missing field: %s" % exc)
-        mult = defaultdict(dict)
-        for entry in quads:
-            if len(entry) != 4:
-                raise ValueError("bad mult entry %r (need [i, j, k, value])" % (entry,))
-            i, j, k, v = entry
-            key = (min(i, j), max(i, j))
-            prev = mult[key].get(k)
-            if prev is not None and prev != v % p:
-                raise ValueError("conflicting mult entries for %r" % (entry,))
-            mult[key][k] = v % p
-        return cls(p, labels, dict(mult), unit, name=name)
-
-    def hash_key(self):
-        blob = json.dumps(self.to_json(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
     def __repr__(self):
         return "<CommAlgebra %s dim=%d p=%d>" % (self.name, self.dim, self.p)
@@ -372,44 +332,17 @@ def tensor_product(A, B):
     )
 
 
-class AlgebraMap:
-    """Linear map between algebras, stored by sparse columns."""
-
-    def __init__(self, source, target, cols):
-        self.source = source
-        self.target = target
-        self.cols = {j: dict(v) for j, v in cols.items() if v}
-
-    def __call__(self, vec):
-        out = {}
-        for j, c in vec.items():
-            for k, v in self.cols.get(j, {}).items():
-                y = (out.get(k, 0) + c * v) % self.target.p
-                if y:
-                    out[k] = y
-                else:
-                    out.pop(k, None)
-        return out
-
-    def is_multiplicative(self):
-        A, B = self.source, self.target
-        for i in range(A.dim):
-            for j in range(i, A.dim):
-                lhs = self(A.product(i, j))
-                rhs = B.mul(self({i: 1}), self({j: 1}))
-                if lhs != rhs:
-                    return False, (i, j)
-        return True, None
-
-    def is_bijective(self):
-        m = SparseFpMatrix(self.source.dim, self.source.p)
-        rows = defaultdict(dict)
-        for j, col in self.cols.items():
-            for k, v in col.items():
-                rows[k][j] = v
-        for r in rows.values():
-            m.add_row(r)
-        return self.source.dim == self.target.dim and m.rank == self.source.dim
+def is_multiplicative(f):
+    """(True, None) when the linear map f between algebras preserves
+    products of basis elements, else (False, first failing pair)."""
+    A, B = f.source, f.target
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            lhs = f(A.product(i, j))
+            rhs = B.mul(f({i: 1}), f({j: 1}))
+            if lhs != rhs:
+                return False, (i, j)
+    return True, None
 
 
 def divided_to_reduced_iso(n, p):
@@ -427,25 +360,20 @@ def divided_to_reduced_iso(n, p):
                 c = c * t % p
             e += ai * p ** a
         cols[idx] = {e: c}
-    f = AlgebraMap(Om, O1, cols)
-    ok, pair = f.is_multiplicative()
+    f = LinearMap(Om, O1, cols)
+    ok, pair = is_multiplicative(f)
     if not ok or not f.is_bijective():
         raise AssertionError("divided/reduced identification failed at %r" % (pair,))
     return f
 
 
-class Derivation:
+class Derivation(LinearMap):
     """Linear operator on a CommAlgebra satisfying the Leibniz rule,
     stored by sparse columns (image of each basis element)."""
 
     def __init__(self, A, cols, name="D", check=True):
+        super().__init__(A, A, cols)
         self.A = A
-        self.p = A.p
-        self.cols = {
-            j: {k: v % A.p for k, v in col.items() if v % A.p}
-            for j, col in cols.items()
-        }
-        self.cols = {j: col for j, col in self.cols.items() if col}
         self.name = name
         if check:
             bad = self._leibniz_failure()
@@ -468,29 +396,6 @@ class Derivation:
                 if lhs != rhs:
                     return (i, j)
         return None
-
-    def __call__(self, vec):
-        out = {}
-        for j, c in vec.items():
-            for k, v in self.cols.get(j, {}).items():
-                y = (out.get(k, 0) + c * v) % self.p
-                if y:
-                    out[k] = y
-                else:
-                    out.pop(k, None)
-        return out
-
-    @property
-    def matrix(self):
-        n = self.A.dim
-        return [
-            [self.cols.get(j, {}).get(i, 0) for j in range(n)] for i in range(n)
-        ]
-
-    def flatten(self):
-        return {
-            j * self.A.dim + k: v for j, col in self.cols.items() for k, v in col.items()
-        }
 
     def is_zero(self):
         return not self.cols
@@ -641,15 +546,7 @@ def derivation_space(A):
 
 def d_invariants(A, D):
     """Basis of the kernel of D on A (the D-constants)."""
-    n = A.dim
-    m = SparseFpMatrix(n, A.p)
-    rows = defaultdict(dict)
-    for j, col in D.cols.items():
-        for k, v in col.items():
-            rows[k][j] = v
-    for r in rows.values():
-        m.add_row(r)
-    return m.kernel_basis()
+    return SparseFpMatrix.from_columns(D.cols, A.dim, A.p).kernel_basis()
 
 
 def der_invariants(A, D, ders=None):
@@ -658,14 +555,8 @@ def der_invariants(A, D, ders=None):
         ders = derivation_space(A)
     if not ders:
         return []
-    coms = [D.commutator(E).flatten() for E in ders]
-    rows = defaultdict(dict)
-    for idx, v in enumerate(coms):
-        for key, c in v.items():
-            rows[key][idx] = c
-    m = SparseFpMatrix(len(ders), A.p)
-    for r in rows.values():
-        m.add_row(r)
+    coms = {idx: D.commutator(E).flatten() for idx, E in enumerate(ders)}
+    m = SparseFpMatrix.from_columns(coms, len(ders), A.p)
     out = []
     for combo in m.kernel_basis():
         E = zero_derivation(A)
@@ -684,14 +575,10 @@ def der_coinvariants(A, D, ders=None):
     image = Echelon(A.p)
     for E in ders:
         image.add(D.commutator(E).flatten())
-    reps = []
-    span = Echelon(A.p)
-    for piv, row in image.pivots.items():
-        span.pivots[piv] = dict(row)
-    for E in ders:
-        if span.add(E.flatten()):
-            reps.append(E)
-    return len(ders) - image.rank, reps
+    dim = len(ders) - image.rank
+    # the image echelon grows into the span of image + representatives
+    reps = [E for E in ders if image.add(E.flatten())]
+    return dim, reps
 
 
 class SymmetricBilinearMap:
@@ -752,20 +639,6 @@ class SymmetricBilinearMap:
                 out[base + k] = v
         return out
 
-    def to_json(self):
-        return [
-            [i, j, k, v]
-            for (i, j), vec in sorted(self.values.items())
-            for k, v in sorted(vec.items())
-        ]
-
-    @classmethod
-    def from_json(cls, A, quads):
-        vals = defaultdict(dict)
-        for i, j, k, v in quads:
-            vals[(min(i, j), max(i, j))][k] = v % A.p
-        return cls(A, dict(vals))
-
 
 def hochschild_delta(c):
     """The Hochschild coboundary of a degree-1 cochain (a linear operator,
@@ -821,8 +694,11 @@ def is_harrison_cocycle(F):
     """Exact check that the symmetric 2-cochain F is a Hochschild cocycle.
     For symmetric F the coboundary satisfies dF(c,b,a) = -dF(a,b,c), so
     triples with first index < last index decide everything, and of
-    those only the pairs (a, c) that meet {unit} + A.generators need to
-    be checked (module docstring)."""
+    those only the pairs (a, c) that meet A.generators need to be
+    checked: the x with dF(x, ., .) = 0 then form a subspace closed under
+    multiplication by the generators, so they hold the ideal I these
+    generate, and also the unit, as dF(1, b, c) = -dF(c, b, 1) = 0 for c
+    in I and dF(1, b, 1) = 0 for odd p (module docstring)."""
     A = F.A
     for a, c in _harrison_pairs(A):
         for b in range(A.dim):
@@ -941,10 +817,13 @@ def _coboundary_vectors(A):
 def _harrison_pairs(A, firsts=None):
     """Yield the pairs (a, c), a < c, whose cocycle equations dF(a, b, c)
     = 0 harrison_h2 assembles and is_harrison_cocycle checks: those with
-    a or c in {unit} + A.generators, which decide every equation (module
-    docstring), or in firsts when given; firsts = range(A.dim) yields
-    every pair."""
-    keep = {A.unit, *A.generators} if firsts is None else set(firsts)
+    a or c in A.generators, or in firsts when given; firsts =
+    range(A.dim) yields every pair.  The generators decide every
+    equation, the unit included: with X = {x : dF(x, ., .) = 0} holding
+    them, X holds the ideal I they generate and A = K 1 + I, and
+    dF(1, b, c) = -dF(c, b, 1) = 0 for c in I while dF(1, b, 1) = 0 as
+    p is odd (module docstring)."""
+    keep = set(A.generators if firsts is None else firsts)
     for a in range(A.dim):
         for c in range(a + 1, A.dim):
             if a in keep or c in keep:
@@ -1019,14 +898,16 @@ def harrison_h2(A):
     Hochschild 2-cocycles modulo coboundaries of 1-cochains.  The cocycle
     system is solved blockwise per multidegree shift.
 
-    Only the equations dF(a, b, c) = 0 with a or c in {unit} +
-    A.generators are assembled.  By d^2 F = 0 the first arguments x with
-    dF(x, ., .) = 0 form a subspace closed under multiplication by the
-    generators, hence all of A once it holds the unit and the generators;
-    and dF(c, b, a) = -dF(a, b, c) for symmetric F over commutative A, so
-    a generator in either outer slot suffices (module docstring).  Every
-    block keeps its kernel, so its pivots, its kernel_basis and the
-    representatives are those of the full system, in the same order."""
+    Only the equations dF(a, b, c) = 0 with a or c in A.generators are
+    assembled.  By d^2 F = 0 the first arguments x with dF(x, ., .) = 0
+    form a subspace X closed under multiplication by the generators, and
+    dF(c, b, a) = -dF(a, b, c) for symmetric F over commutative A, so a
+    generator in either outer slot suffices.  X holds the ideal I the
+    generators generate, and A = K 1 + I; the unit lies in X as
+    dF(1, b, c) = -dF(c, b, 1) = 0 for c in I and dF(1, b, 1) = 0 for odd
+    p, so X = A (module docstring).  Every block keeps its kernel, so its
+    pivots, its kernel_basis and the representatives are those of the
+    full system, in the same order."""
     n, p = A.dim, A.p
     blocks, local, systems = _harrison_blocks(A, _harrison_pairs(A))
 
@@ -1049,12 +930,9 @@ def harrison_h2(A):
                 i, j = divmod(pair, n)
                 locvec[local[key][(i, j, t)]] = v
             image.add(locvec)
-        span = Echelon(p)
-        for piv, row in image.pivots.items():
-            span.pivots[piv] = dict(row)
         got = 0
         for v in kernel:
-            if span.add(v):
+            if image.add(v):
                 got += 1
                 vals = defaultdict(dict)
                 for pos, c in v.items():
@@ -1065,37 +943,15 @@ def harrison_h2(A):
     return dim_total, reps
 
 
-def _solve_combination(vectors, target, p):
-    """Coefficients c with sum c_s vectors[s] = target, or None."""
-    keys = set(target)
-    for v in vectors:
-        keys.update(v)
-    eqs = []
-    for k in keys:
-        row = {s: v[k] for s, v in enumerate(vectors) if k in v}
-        eqs.append((row, target.get(k, 0)))
-    return solve_sparse(eqs, len(vectors), p)
-
-
 def solve_delta1(A, target):
     """Solve dH = target for a 1-cochain H given a symmetric 2-cochain
     target; returns sparse columns or None when target is not a
     coboundary."""
-    n, p = A.dim, A.p
-    eqs = []
-    cob = _coboundary_vectors(A)
-    rows = defaultdict(dict)
-    for idx, ((src, tgt), vec) in enumerate(cob):
-        for k, v in vec.items():
-            rows[k][src * n + tgt] = v
-    tgt_flat = {}
-    for (i, j), vec in target.values.items():
-        for t, v in vec.items():
-            tgt_flat[_pair_key(n, i, j, t)] = v
-    keys = set(rows) | set(tgt_flat)
-    for k in keys:
-        eqs.append((rows.get(k, {}), tgt_flat.get(k, 0)))
-    sol = solve_sparse(eqs, n * n, p)
+    n = A.dim
+    # the column of the unknown (src -> tgt) sits at src * n + tgt, and
+    # target.flatten() uses the pair coordinates of _coboundary_vectors
+    cob = {src * n + tgt: vec for (src, tgt), vec in _coboundary_vectors(A)}
+    sol = solve_sparse(cob, target.flatten(), A.p)
     if sol is None:
         return None
     cols = defaultdict(dict)
@@ -1120,17 +976,11 @@ def harrison_h2_d_invariants(A, D):
     action = []  # column r: coordinates of [D * F_r] in the class basis
     for F in reps:
         gamma = cob.reduce(star_action(D, F).flatten())
-        coords = _solve_combination(rhos, gamma, p)
+        coords = solve_sparse(dict(enumerate(rhos)), gamma, p)
         if coords is None:
             raise AssertionError("star action left the cocycle class space")
         action.append(coords)
-    m = SparseFpMatrix(len(reps), p)
-    rows = defaultdict(dict)
-    for r, coords in enumerate(action):
-        for s, c in coords.items():
-            rows[s][r] = c
-    for row in rows.values():
-        m.add_row(row)
+    m = SparseFpMatrix.from_columns(dict(enumerate(action)), len(reps), p)
     out = []
     for combo in m.kernel_basis():
         F = SymmetricBilinearMap(A, {})

@@ -6,7 +6,7 @@ current algebras L (x) A, semidirect sums with derivation tails, the
 deformed current algebras L(A, D) whose extra bracket term lives on the
 (e_{-1}, e_{-1}) block, and the degree-preserving identification of
 W1(n) with L(O1(n-1), d).  Structure probes (center, derived series,
-ideal closures, root decompositions) are exact sparse computations.
+ideal closures, weights) are exact sparse computations.
 """
 
 import hashlib
@@ -17,11 +17,11 @@ from collections import defaultdict
 from .arith import check_prime, structure_constant_N
 from .commalg import (make_divided_powers, partial_derivation,
                       tensor_derivation, tensor_product)
-from .linalg import Echelon, SparseFpMatrix, solve_sparse, vec_add, vec_scale
+from .linalg import (Echelon, LinearMap, SparseFpMatrix, solve_sparse,
+                     vec_add, vec_scale)
 
 __all__ = [
     "LieAlgebra",
-    "LinearMap",
     "make_w1",
     "make_sl2",
     "current_algebra",
@@ -29,7 +29,6 @@ __all__ = [
     "make_deformed",
     "kuznetsov_map",
     "verify_morphism",
-    "root_decomposition",
     "center",
     "derived_series",
     "is_solvable",
@@ -187,8 +186,7 @@ class LieAlgebra:
                 derived.add(vec)
             for g in reversed(gens):
                 rest = [h for h in gens if h != g]
-                near = Echelon(p)
-                near.pivots = dict(derived.pivots)
+                near = derived.copy()
                 for h in rest:
                     near.add({h: 1})
                 if not rest or not near.member({g: 1}):
@@ -438,20 +436,11 @@ def semidirect_current(L, A, Ds, check=None):
     dA = A.dim
     n0 = cur.dim
     nt = len(Ds)
-    flat = [D.flatten() for D in Ds]
+    flat = {t: D.flatten() for t, D in enumerate(Ds)}
     span = Echelon(A.p)
-    for v in flat:
+    for v in flat.values():
         if not span.add(dict(v)):
             raise ValueError("derivation tails are linearly dependent")
-
-    def tail_coords(D):
-        tgt = D.flatten()
-        keys = set(tgt)
-        for v in flat:
-            keys.update(v)
-        eqs = [({s: flat[s][key] for s in range(nt) if key in flat[s]},
-                tgt.get(key, 0)) for key in keys]
-        return solve_sparse(eqs, nt, A.p)
 
     bracket = {}
     for key, vec in cur.bracket.items():
@@ -468,7 +457,7 @@ def semidirect_current(L, A, Ds, check=None):
             C = Ds[t].commutator(Ds[u])
             if C.is_zero():
                 continue
-            coords = tail_coords(C)
+            coords = solve_sparse(flat, C.flatten(), A.p)
             if coords is None:
                 raise ValueError(
                     "derivation span is not closed under commutators")
@@ -527,42 +516,15 @@ def make_deformed(A, D, name=None):
     return L
 
 
-class LinearMap:
-    """Linear map between Lie algebras, by sparse columns."""
-
-    def __init__(self, source, target, cols):
-        self.source = source
-        self.target = target
-        self.cols = {j: dict(v) for j, v in cols.items() if v}
-
-    def __call__(self, vec):
-        out = {}
-        p = self.target.p
-        for j, c in vec.items():
-            for k, v in self.cols.get(j, {}).items():
-                y = (out.get(k, 0) + c * v) % p
-                if y:
-                    out[k] = y
-                else:
-                    out.pop(k, None)
-        return out
-
-
 def verify_morphism(f):
     """Check that f is a bijective Lie algebra morphism; returns
     (ok, witness) where witness names the first failing pair."""
     L, M = f.source, f.target
     if L.dim != M.dim:
         return False, ("dim", L.dim, M.dim)
-    m = SparseFpMatrix(L.dim, L.p)
-    rows = defaultdict(dict)
-    for j, col in f.cols.items():
-        for k, v in col.items():
-            rows[k][j] = v
-    for r in rows.values():
-        m.add_row(r)
-    if m.rank != L.dim:
-        return False, ("rank", m.rank)
+    rank = f.rank()
+    if rank != L.dim:
+        return False, ("rank", rank)
     for i in range(L.dim):
         for j in range(i + 1, L.dim):
             lhs = f(L.bracket_pair(i, j))
@@ -611,33 +573,13 @@ def kuznetsov_map(n, p, A=None):
     return LinearMap(src, tgt, cols)
 
 
-def root_decomposition(L, t=None):
-    """Partition of the basis by weight under ad of the toral element."""
-    if t is None:
-        t = L.toral
-    if t is None:
-        raise ValueError("%s has no toral element" % L.name)
-    out = defaultdict(list)
-    for k in range(L.dim):
-        v = L.bracket_pair(t, k)
-        extra = {m: c for m, c in v.items() if m != k}
-        if extra:
-            raise ValueError("ad(%s) is not diagonal" % L.labels[t])
-        out[v.get(k, 0)].append(k)
-    return dict(out)
-
-
 def center(L):
-    """Basis of the center: vectors commuting with every basis element."""
-    m = SparseFpMatrix(L.dim, L.p)
-    for j in range(L.dim):
-        rows = defaultdict(dict)
-        for i in range(L.dim):
-            for k, c in L.bracket_pair(i, j).items():
-                rows[k][i] = c
-        for r in rows.values():
-            m.add_row(r)
-    return m.kernel_basis()
+    """Basis of the center: the kernel of x -> ([x, e_j])_j, whose
+    column i holds [e_i, e_j] at (j, k)."""
+    columns = {i: {(j, k): c for j in range(L.dim)
+                   for k, c in L.bracket_pair(i, j).items()}
+               for i in range(L.dim)}
+    return SparseFpMatrix.from_columns(columns, L.dim, L.p).kernel_basis()
 
 
 def _span_of(L, vecs):

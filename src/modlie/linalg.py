@@ -19,8 +19,10 @@ The order in which rows are inserted changes the stored pivot rows and
 their fill, but no result: the pivot set is {min(v) : v != 0 in the row
 space}, which depends on the span alone, and for each free column there
 is exactly one kernel vector with a 1 there and 0 at every other free
-column, so kernel_basis is order-independent as well.  Callers may
-therefore insert rows in whatever order keeps elimination cheap.
+column, so kernel_basis is order-independent as well.  So is the
+solution solve_sparse returns: with every free unknown 0, the pivot
+unknowns are determined.  Callers may therefore insert rows in whatever
+order keeps elimination cheap.
 
 kernel_basis back-substitutes sparsely.  It builds once an index from
 each column to the pivots whose row holds it, and from each free column
@@ -30,13 +32,22 @@ from c lies left of c, and when c is popped the entries its row reads
 are final.  The vectors are those of a dense pass over all pivots in
 decreasing order, at a cost set by the fill the kernel touches rather
 than by rank times nullity.
+
+A linear map is given by its columns {j: {k: c}}: column j is the image
+of the j-th source basis vector.  LinearMap applies and flattens such
+columns, SparseFpMatrix.from_columns takes the rank and kernel of the
+map they give, and solve_sparse finds a preimage; both transpose the
+columns into rows here, so no caller builds rows by hand.  The rank of
+a map may equally be read off an echelon of its columns, since column
+rank equals row rank.
 """
 
 from heapq import heapify, heappop, heappush
 
 from .arith import inv_mod
 
-__all__ = ["SparseFpMatrix", "Echelon", "solve_sparse", "vec_add", "vec_scale"]
+__all__ = ["LinearMap", "SparseFpMatrix", "Echelon", "solve_sparse",
+           "vec_add", "vec_scale"]
 
 # The one default work budget of every budgeted computation (cohomology
 # assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
@@ -121,15 +132,84 @@ class Echelon:
     def member(self, row):
         return not self.reduce(row)
 
+    def copy(self):
+        """An echelon of the same span that can grow on its own; pivot
+        rows are never mutated, so they are shared."""
+        e = Echelon(self.p)
+        e.pivots = dict(self.pivots)
+        return e
+
+
+def _transpose(columns):
+    """The rows {k: {j: c}} of the matrix with columns {j: {k: c}}."""
+    rows = {}
+    for j, col in columns.items():
+        for k, c in col.items():
+            rows.setdefault(k, {})[j] = c
+    return rows
+
+
+class LinearMap:
+    """Linear map from source to target (anything with p and dim), by
+    sparse columns: cols[j] is the image of the j-th basis vector."""
+
+    def __init__(self, source, target, cols):
+        p = self.p = target.p
+        self.source = source
+        self.target = target
+        self.cols = {}
+        for j, col in cols.items():
+            col = {k: v % p for k, v in col.items() if v % p}
+            if col:
+                self.cols[j] = col
+
+    def __call__(self, vec):
+        out = {}
+        p = self.p
+        for j, c in vec.items():
+            for k, v in self.cols.get(j, {}).items():
+                y = (out.get(k, 0) + c * v) % p
+                if y:
+                    out[k] = y
+                else:
+                    out.pop(k, None)
+        return out
+
+    def flatten(self):
+        """The matrix as one sparse vector: entry (j, k) at j * dim + k."""
+        n = self.target.dim
+        return {j * n + k: v for j, col in self.cols.items()
+                for k, v in col.items()}
+
+    def rank(self):
+        """Rank, from an echelon of the columns."""
+        ech = Echelon(self.p)
+        for col in self.cols.values():
+            ech.add(col)
+        return ech.rank
+
+    def is_bijective(self):
+        return self.source.dim == self.target.dim == self.rank()
+
 
 class SparseFpMatrix:
-    """Row-built sparse matrix understood as a linear system on `ncols`
-    unknowns; used for exact rank and kernel computations."""
+    """Sparse matrix understood as a linear system on `ncols` unknowns,
+    built row by row or, by from_columns, from the columns of a linear
+    map; used for exact rank and kernel computations."""
 
     def __init__(self, ncols, p):
         self.ncols = ncols
         self.p = p
         self.ech = Echelon(p)
+
+    @classmethod
+    def from_columns(cls, columns, ncols, p):
+        """The system on ncols unknowns whose j-th column is columns[j]
+        (absent columns are zero): its kernel is that of the map."""
+        m = cls(ncols, p)
+        for row in _transpose(columns).values():
+            m.add_row(row)
+        return m
 
     def add_row(self, row):
         return self.ech.add(row)
@@ -185,24 +265,21 @@ class SparseFpMatrix:
         return basis
 
 
-def solve_sparse(eqs, ncols, p):
-    """Solve the sparse linear system given as (row, rhs) pairs; unknowns are
-    columns 0..ncols-1.  Returns one solution dict (free unknowns set to 0)
-    or None when inconsistent."""
-    RHS = ncols  # augmented column; larger than every unknown, so it is
-    # never chosen as a min-column pivot before the unknowns are exhausted
+def solve_sparse(columns, target, p):
+    """One x with sum_j x_j columns[j] = target, free unknowns set to 0,
+    or None when target lies outside the span of the columns.  Unknowns
+    are the integer column keys; columns and target are sparse vectors
+    over one coordinate space."""
+    # augmented column; larger than every unknown, so it is never chosen
+    # as a min-column pivot before the unknowns are exhausted
+    RHS = max(columns, default=-1) + 1
+    rows = _transpose(columns)
+    for k, c in target.items():
+        rows.setdefault(k, {})[RHS] = c
     ech = Echelon(p)
-    for row, rhs in eqs:
-        r = dict(row)
-        if rhs % p:
-            r[RHS] = rhs % p
-        res = ech.reduce(r)
-        if res:
-            if min(res) == RHS:
-                return None
-            c = min(res)
-            f = inv_mod(res.pop(c), p)
-            ech.pivots[c] = {k: (v * f) % p for k, v in res.items()}
+    for row in rows.values():
+        if ech.add(row) and RHS in ech.pivots:
+            return None
     x = {}
     for c in sorted(ech.pivots, reverse=True):
         s = 0

@@ -105,17 +105,18 @@ def test_outer_derivation_of_w1_2_is_ad_to_the_p():
     c = Cochain(W, 1, "adjoint", cols)
     assert not c.is_zero()
     assert ce_differential(c).is_zero()
-    # no z solves [e_i, z] = c(e_i) for all i
-    eqs = []
-    for i in range(W.dim):
-        rows = {}
-        for t in range(W.dim):
-            for k, coef in W.bracket_pair(i, t).items():
-                rows.setdefault(k, {})[t] = coef
-        want = c.evaluate(i)
-        for k in set(rows) | set(want):
-            eqs.append((rows.get(k, {}), want.get(k, 0)))
-    assert solve_sparse(eqs, W.dim, P) is None
+    # no z solves [e_i, z] = c(e_i) for all i: the map z -> ([e_i, z])_i
+    # has column t = ([e_i, e_t])_i at coordinates (i, k)
+    columns = {t: {(i, k): coef for i in range(W.dim)
+                   for k, coef in W.bracket_pair(i, t).items()}
+               for t in range(W.dim)}
+    target = {(i, k): coef for i in range(W.dim)
+              for k, coef in c.evaluate(i).items()}
+    assert solve_sparse(columns, target, P) is None
+    # while the inner derivation ad(e_-1) is reached, by z = -e_-1
+    inner = {(i, k): coef for i in range(W.dim)
+             for k, coef in W.bracket_pair(0, i).items()}
+    assert solve_sparse(columns, inner, P) == {0: P - 1}
 
 
 def test_h2_of_sl2_vanishes():

@@ -180,6 +180,27 @@ def test_cohomology_dump_reps(capsys):
         [[[2, 4], 0, 1], [[3, 4], 1, 1]]]
 
 
+@pytest.mark.parametrize("extra, dim", [
+    (["--n", "2", "--deg", "1"], 1),
+    (["--deg", "3"], 2),
+])
+def test_cohomology_dump_reps_table_names_every_argument(capsys, extra, dim):
+    # the table lists each term as (labels of all arguments)->target:value
+    argv = ["cohomology", "w1n", "--dump-reps", "--cache-dir", "off"] + extra
+    rc, out, err = run(capsys, argv + ["--output", "json"])
+    assert rc == 0
+    reps = json.loads(out)["representatives"]
+    assert len(reps) == dim
+    rc, out, err = run(capsys, argv)
+    assert rc == 0, err
+    for i, rep in enumerate(reps):
+        terms = ["(%s)->%d:%d" % (";".join("e_%d" % (x - 1) for x in T), t, v)
+                 for T, t, v in rep]
+        line = "  rep %d: %s" % (i, " ".join(terms[:8])) + (
+            " ..." if len(terms) > 8 else "")
+        assert line in out.splitlines()
+
+
 def test_cohomology_from_algebra_file(capsys, tmp_path):
     path = str(tmp_path / "alg.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -16,7 +16,6 @@ from modlie.ceco import (
 )
 from modlie.cocycles import (
     CocycleError,
-    CocycleRecipe,
     build_filtered_deformation,
     lambda_identities_check,
     lifted_family_check,
@@ -24,7 +23,6 @@ from modlie.cocycles import (
     lifted_psi,
     lifted_theta,
     lifted_upsilon,
-    materialize,
     phi21,
     phi_big,
     psi,
@@ -374,22 +372,3 @@ def test_filtered_deformation_obstruction():
         build_filtered_deformation(L, f)
 
 
-def test_recipes_round_trip(setup):
-    W, A, d = setup["W"], setup["A"], setup["d"]
-    Ld = setup["Ld"]
-    r = CocycleRecipe("phi21")
-    assert materialize(r, W).coeffs == phi21(W).coeffs
-    assert r.to_json() == {"family": "phi21"}
-    W2 = make_w1(2, P)
-    r2 = CocycleRecipe("psi_t", t=1)
-    assert materialize(r2, W2).coeffs == psi_t(W2, 1).coeffs
-    assert r2.to_json() == {"family": "psi_t", "t": 1}
-    r3 = CocycleRecipe("LiftedPsi", E=d)
-    assert materialize(r3, Ld).coeffs == lifted_psi(Ld, d).coeffs
-    assert "derivation" in r3.to_json()["E"]
-    F = basic_harrison_cocycle(1, P, 1, "divided", A=A)
-    r4 = CocycleRecipe("Upsilon", F=F)
-    doc = r4.to_json()
-    assert doc["F"] == {"symmetric_map": F.to_json()}
-    with pytest.raises(ValueError):
-        CocycleRecipe("NoSuchFamily")

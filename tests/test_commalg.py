@@ -26,6 +26,7 @@ from modlie.commalg import (
     hochschild_delta,
     hochschild_hn_dim,
     is_harrison_cocycle,
+    is_multiplicative,
     make_divided_powers,
     make_reduced_poly,
     make_scalars,
@@ -90,7 +91,7 @@ def test_divided_reduced_identification():
     for n in (1, 2):
         f = divided_to_reduced_iso(n, P)
         assert f.is_bijective()
-        ok, _ = f.is_multiplicative()
+        ok, _ = is_multiplicative(f)
         assert ok
     f = divided_to_reduced_iso(2, P)
     exps = f.source.meta["exps"]
@@ -331,18 +332,6 @@ def test_dx_derivations_on_reduced_ring():
     assert d1.commutator(d2).is_zero()
 
 
-def test_algebra_json_round_trip():
-    from modlie.commalg import CommAlgebra
-    A = make_divided_powers(1, P)
-    doc = A.to_json()
-    B = CommAlgebra.from_json(doc)
-    assert B.dim == A.dim
-    assert B.hash_key() == A.hash_key()
-    for i in range(A.dim):
-        for j in range(A.dim):
-            assert B.product(i, j) == A.product(i, j)
-
-
 def test_one_default_budget():
     # cohomology assembly, the bar complex and the claims share one default
     bar = inspect.signature(hochschild_hn_dim).parameters["budget"].default
@@ -377,9 +366,9 @@ def test_comm_generators_generate_every_builtin(name):
     # none of them is redundant
     for g in A.generators:
         assert _generated_dim(A, [h for h in A.generators if h != g]) < A.dim
-    # the unit and two generators meet 69 of the 300 pairs (a < c) of O1(2)
+    # the two generators meet 47 of the 300 pairs (a < c) of O1(2)
     if name == "O1(2)":
-        assert len(list(commalg._harrison_pairs(A))) == 69
+        assert len(list(commalg._harrison_pairs(A))) == 47
 
 
 def _harrison_run(A, monkeypatch, firsts=None):

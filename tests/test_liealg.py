@@ -32,7 +32,6 @@ from modlie.liealg import (
     make_deformed,
     make_sl2,
     make_w1,
-    root_decomposition,
     semidirect_current,
     verify_morphism,
 )
@@ -72,9 +71,8 @@ def test_w1_higher_rank():
     assert W.bracket_pair(0, 6) == {5: 1}       # [e_-1, e_5] = e_4
     assert W.bracket_pair(5, 6) == {10: 2}      # [e_4, e_5]: N_45 = 42 = 2
     assert W.bracket_pair(2, 4) == {}           # [e_1, e_3]: N_13 = 5 = 0
-    w = root_decomposition(W)
-    assert sorted(w) == [0, 1, 2, 3, 4]
-    assert all(len(v) == 5 for v in w.values())
+    w = W.weights_for(W.toral)
+    assert all(w.count(x) == 5 for x in range(P))
 
 
 def test_sl2_structure():
@@ -87,11 +85,12 @@ def test_sl2_structure():
     assert derived_series(S) == [3, 3]
 
 
-def test_root_decomposition_w1():
+def test_weights_for_w1():
     W = make_w1(1, P)
-    w = root_decomposition(W)
     # weight of e_i under ad e_0 is i mod p; one line each
-    assert {k: len(v) for k, v in w.items()} == {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
+    assert W.weights_for(W.toral) == [i % P for i in range(-1, P - 1)]
+    with pytest.raises(ValueError, match="not diagonal"):
+        W.weights_for(0)  # ad e_-1 shifts degrees
 
 
 def test_current_algebra_bracket():

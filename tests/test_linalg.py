@@ -1,13 +1,16 @@
-"""Sparse echelon forms, ranks, kernels, and linear solving over F_p,
-checked against brute force on seeded random systems and against a
-dense Gaussian elimination on hypothesis-drawn sparse systems."""
+"""Sparse echelon forms, ranks, kernels, linear maps given by columns,
+and linear solving over F_p, checked against brute force on seeded
+random systems and against a dense Gaussian elimination on
+hypothesis-drawn sparse systems."""
 
 import random
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from modlie.linalg import (
     Echelon,
+    LinearMap,
     SparseFpMatrix,
     solve_sparse,
     vec_add,
@@ -43,6 +46,15 @@ def dense_rref(rows, n, p):
 def random_row(rng, n, p):
     return {i: rng.randrange(1, p) for i in range(n)
             if rng.random() < 0.5}
+
+
+def columns_of(rows, n):
+    """The columns {j: {row index: c}} of the matrix with the given rows."""
+    cols = {j: {} for j in range(n)}
+    for i, r in enumerate(rows):
+        for j, c in r.items():
+            cols[j][i] = c
+    return cols
 
 
 def test_vec_ops_drop_zeros():
@@ -117,7 +129,8 @@ def test_solve_sparse_against_brute_force():
     n = 4
     for trial in range(30):
         eqs = [(random_row(rng, n, p), rng.randrange(p)) for _ in range(3)]
-        sol = solve_sparse(eqs, n, p)
+        target = {i: rhs for i, (_, rhs) in enumerate(eqs) if rhs}
+        sol = solve_sparse(columns_of([r for r, _ in eqs], n), target, p)
         all_solutions = [
             [(code // p ** i) % p for i in range(n)]
             for code in range(p ** n)
@@ -135,8 +148,11 @@ def test_solve_sparse_against_brute_force():
 
 def test_solve_sparse_inconsistent():
     p = 5
-    eqs = [({0: 1}, 1), ({0: 1}, 2)]
-    assert solve_sparse(eqs, 1, p) is None
+    # x_0 = 1 and x_0 = 2
+    assert solve_sparse({0: {0: 1, 1: 1}}, {0: 1, 1: 2}, p) is None
+    # a coordinate no column reaches
+    assert solve_sparse({0: {0: 1}}, {1: 1}, p) is None
+    assert solve_sparse({}, {}, p) == {}
 
 
 @st.composite
@@ -177,6 +193,26 @@ def test_echelon_and_kernel_against_dense_oracle(system):
     # membership agrees with the dense rank of the extended system
     in_span = len(dense_rref(rows + [probe], n, p)[0]) == len(pivots)
     assert m.ech.member(probe) == in_span
+    # the same map given by its columns: x -> (r . x) over the rows r
+    by_cols = SparseFpMatrix.from_columns(columns_of(rows, n), n, p)
+    assert sorted(by_cols.ech.pivots) == pivots
+    assert by_cols.kernel_basis() == want
+    f = LinearMap(SimpleNamespace(dim=n, p=p),
+                  SimpleNamespace(dim=len(rows), p=p), columns_of(rows, n))
+    assert f.rank() == len(pivots)
+    assert f.is_bijective() == (len(rows) == n == len(pivots))
+    # solve_sparse on columns, with probe[i] as the right-hand side of
+    # row i: solvable iff the augmented column is no pivot
+    rhs = [probe.get(i, 0) for i in range(len(rows))]
+    sol = solve_sparse(columns_of(rows, n),
+                       {i: b for i, b in enumerate(rhs) if b}, p)
+    aug = [{**r, n: b} for r, b in zip(rows, rhs)]
+    solvable = n not in dense_rref(aug, n + 1, p)[0]
+    assert (sol is not None) == solvable
+    if sol is not None:
+        assert all(not sol.get(f) for f in free)
+        for r, b in zip(rows, rhs):
+            assert sum(c * sol.get(j, 0) for j, c in r.items()) % p == b
     # the insertion order changes neither the pivot set nor the kernel
     shuffled = SparseFpMatrix(n, p)
     for i in order:
