@@ -8,13 +8,17 @@ The differential convention is
 
 so the kernel of d on 1-cochains with adjoint coefficients is the space
 of derivations.  Cochains are stored on sorted basis tuples.  The
-differential is assembled from one stencil, _elementary_image: the image
-of a single elementary cochain (tuple T, target t), read off the
-algebra's cached bracket tables L.rev and L.ad.  ce_differential sums
-stencil images, and the sparse matrices of d are built column by column
-from them, charging each column's distinct nonzero entries to the work
-budget.  Ranks come from sparse echelon forms into which the rows of
-d_n, and the image vectors of d_{n-1}, go shortest first.
+differential is assembled from one stencil, _stencil: the images of the
+elementary cochains (tuple T, target t), read off the algebra's cached
+bracket tables L.rev and L.ad, visited tuple-major.  The bracket terms
+of T split one of its indices into a pair and do not depend on t, so
+_bracket_terms computes them once per tuple and every target of T shares
+them; only the module-action terms, which insert one index into T, are
+built per target.  ce_differential sums stencil images, and the sparse
+matrices of d are built column by column from them, charging each
+column's distinct nonzero entries to the work budget.  Ranks come from
+sparse echelon forms into which the rows of d_n, and the image vectors
+of d_{n-1}, go shortest first.
 
 Of d_n, cohomology_dim keeps only the rows (U, k) whose tuple U holds
 an element of S = L.generators, a set of basis elements generating L as
@@ -48,12 +52,19 @@ deterministic, since the order depends only on the algebra's tables.
 When the algebra has a toral basis element the complex splits by
 weight, and with an honest Z-grading it also splits by degree; both
 splittings are exact index bookkeeping, not heuristics, and a slice
-that d would leave is an error rather than a truncation.
+that d would leave is an error rather than a truncation.  A ComplexSlice
+holds the grade of each basis element as data (its weight mod p and/or
+its degree), and a column's grade is its target's less its tuple's.  So
+chain_columns buckets the targets by grade once, and each tuple reads
+only the bucket its grade asks for: C^n of a slice costs its own
+columns, not all C(dim, n) dim candidates.
 """
 
 import itertools
+import time
 from bisect import bisect_left
 from collections import defaultdict
+from operator import itemgetter
 
 from .linalg import (DEFAULT_BUDGET, Echelon, SparseFpMatrix, solve_sparse,
                      vec_add, vec_scale)
@@ -175,15 +186,11 @@ class Cochain:
 
     def support_weight(self):
         """Common weight of the support columns, or raise if mixed."""
-        w = None
-        for T, vec in self.coeffs.items():
-            for k in vec:
-                cw = _column_weight(self.L, self.module, T, k)
-                if w is None:
-                    w = cw
-                elif w != cw:
-                    raise ValueError("cochain support mixes weights")
-        return w
+        grade = ComplexSlice(self.L, self.module, weight=0).grade
+        ws = {grade(T, k) for T, vec in self.coeffs.items() for k in vec}
+        if len(ws) > 1:
+            raise ValueError("cochain support mixes weights")
+        return ws.pop()[0] if ws else None
 
     def __repr__(self):
         return "<Cochain n=%d %s on %s, %d terms>" % (
@@ -200,56 +207,63 @@ def _generator_tables(L, gens):
     return S, ad, rev
 
 
-def _elementary_image(L, module, T, t, restrict=None):
-    """The stencil of d: the image of the elementary cochain sending the
-    sorted tuple T to e_t (to 1 in the trivial module, t = 0), as
-    {(U, k): coefficient} with zeros dropped.  Module-action terms insert
-    one index z into T (sign by z's position, value [e_z, e_t], read from
-    L.ad); bracket terms split a support index m into a pair (i, j) with
-    [e_i, e_j] touching e_m (read from L.rev).  With restrict = (S, ad,
-    rev) from _generator_tables, only the entries whose tuple U meets S:
-    the full tables serve wherever the kept part of T already meets S,
-    the filtered ones elsewhere."""
-    p = L.p
-    img = {}
-    ad, rev = L.ad, L.rev
+def _bracket_terms(L, T, restrict):
+    """The bracket terms (U, signed c) of the stencil at T, shared by
+    every target: a support index m splits into a pair (i, j) with
+    [e_i, e_j] touching e_m (read from L.rev).  With restrict, the full
+    table serves where the rest of T meets S, the filtered one elsewhere."""
+    rev = L.rev
     if restrict is not None:
-        S, ad_S, rev_S = restrict
+        S, _, rev_S = restrict
         hits = sum(x in S for x in T)
-        if not hits:
-            ad = ad_S
-    if module == "adjoint":
-        for z, vec in ad.get(t, ()):
-            if z in T:
-                continue
-            pos = bisect_left(T, z)
-            U = T[:pos] + (z,) + T[pos:]
-            sgn = -1 if pos % 2 else 1
-            for k, c in vec.items():
-                key = (U, k)
-                y = (img.get(key, 0) + sgn * c) % p
-                if y:
-                    img[key] = y
-                else:
-                    del img[key]
+    terms = []
     for a, m in enumerate(T):
         rest = T[:a] + T[a + 1:]
-        table = rev
-        if restrict is not None and hits == (m in S):
-            table = rev_S
+        table = rev_S if restrict is not None and hits == (m in S) else rev
         for (i, j), c in table.get(m, ()):
             if i in rest or j in rest:
                 continue
             pi = bisect_left(rest, i)
             pj = bisect_left(rest, j) + 1
-            U = tuple(sorted(rest + (i, j)))
+            terms.append((tuple(sorted(rest + (i, j))),
+                          -c if (a + pi + pj) % 2 else c))
+    return terms
+
+
+def _stencil(L, module, T, targets, restrict=None):
+    """The stencil of d: per target t, the image {(U, k): c} of the cochain
+    sending the sorted tuple T to e_t (to 1 in the trivial module, t = 0).
+    Module-action terms insert one z into T (sign by position, value
+    [e_z, e_t] from L.ad), then T's bracket terms follow at (U, t).  With
+    restrict = (S, ad, rev) from _generator_tables, only U meeting S."""
+    p, ad = L.p, L.ad
+    if restrict is not None and restrict[0].isdisjoint(T):
+        ad = restrict[1]
+    terms = _bracket_terms(L, T, restrict)
+    for t in targets:
+        img = {}
+        if module == "adjoint":
+            for z, vec in ad.get(t, ()):
+                if z in T:
+                    continue
+                pos = bisect_left(T, z)
+                U = T[:pos] + (z,) + T[pos:]
+                sgn = -1 if pos % 2 else 1
+                for k, c in vec.items():
+                    key = (U, k)
+                    y = (img.get(key, 0) + sgn * c) % p
+                    if y:
+                        img[key] = y
+                    else:
+                        del img[key]
+        for U, c in terms:
             key = (U, t)
-            y = (img.get(key, 0) + (-c if (a + pi + pj) % 2 else c)) % p
+            y = (img.get(key, 0) + c) % p
             if y:
                 img[key] = y
             else:
                 del img[key]
-    return img
+        yield img
 
 
 def ce_differential(c):
@@ -259,34 +273,19 @@ def ce_differential(c):
     p = L.p
     out = defaultdict(dict)
     for T, vec in c.coeffs.items():
-        for t, a in vec.items():
-            for (U, k), v in _elementary_image(L, module, T, t).items():
+        for a, img in zip(vec.values(), _stencil(L, module, T, vec)):
+            for (U, k), v in img.items():
                 row = out[U]
                 row[k] = (row.get(k, 0) + a * v) % p
     return Cochain(L, c.n + 1, module, out)
-
-
-def _column_weight(L, module, T, t):
-    w = L.weights
-    s = -sum(w[x] for x in T)
-    if module == "adjoint":
-        s += w[t]
-    return s % L.p
-
-
-def _column_degree(L, module, T, t):
-    g = L.grading
-    s = -sum(g[x] for x in T)
-    if module == "adjoint":
-        s += g[t]
-    return s
 
 
 class ComplexSlice:
     """Restriction of the cochain complex to one weight class (mod p,
     via the toral element) and/or one exact integer degree (via the
     Z-grading; refused on merely filtered algebras, where degrees are
-    not additive)."""
+    not additive).  Grades of basis elements are data; a subclass may
+    narrow admits, not widen it."""
 
     def __init__(self, L, module="adjoint", weight=None, degree=None,
                  toral=None):
@@ -303,22 +302,27 @@ class ComplexSlice:
         self.weight = weight % L.p if weight is not None else None
         self.degree = degree
         self.toral = toral
-        self._wt = None
-        if weight is not None:
-            self._wt = L.weights_for(toral) if toral is not None else L.weights
+        # (grade of each basis element, modulus) per fixed coordinate
+        self._coords = [(L.weights_for(toral) if toral is not None
+                         else L.weights, L.p)] if weight is not None else []
+        if degree is not None:
+            self._coords.append((L.grading, 0))
+        self.target = tuple(x for x in (self.weight, degree) if x is not None)
+
+    def grade(self, T, t=None):
+        """Grade of the column (T, t): that of e_t (zero in the trivial
+        module or for t = None) less those of T's elements, the weight
+        reduced mod p."""
+        out = []
+        for g, m in self._coords:
+            s = -sum(g[x] for x in T)
+            if t is not None and self.module == "adjoint":
+                s += g[t]
+            out.append(s % m if m else s)
+        return tuple(out)
 
     def admits(self, T, t):
-        if self.weight is not None:
-            w = self._wt
-            s = -sum(w[x] for x in T)
-            if self.module == "adjoint":
-                s += w[t]
-            if s % self.L.p != self.weight:
-                return False
-        if self.degree is not None and \
-                _column_degree(self.L, self.module, T, t) != self.degree:
-            return False
-        return True
+        return self.grade(T, t) == self.target
 
     def descriptor(self):
         return {"module": self.module, "weight": self.weight,
@@ -328,25 +332,36 @@ class ComplexSlice:
 def chain_columns(L, n, module="adjoint", slice_=None):
     """Enumerate the (tuple, target) columns of C^n, in lexicographic
     tuple order; target 0 stands for the ground field in the trivial
-    module."""
+    module.  On a slice each tuple T reads only the bucket of targets its
+    grade asks for, and slice_.admits decides those candidates."""
     if n < 0:
         return []
     targets = range(L.dim) if module == "adjoint" else (0,)
-    cols = []
-    for T in itertools.combinations(range(L.dim), n):
-        for t in targets:
-            if slice_ is None or slice_.admits(T, t):
-                cols.append((T, t))
-    return cols
+    tuples = itertools.combinations(range(L.dim), n)
+    if slice_ is None:
+        return [(T, t) for T in tuples for t in targets]
+    buckets = defaultdict(list)  # (T, t) has grade grade(T) + grade((), t)
+    for t in targets:
+        need = zip(slice_.target, slice_.grade((), t), slice_._coords)
+        buckets[tuple((w - x) % m if m else w - x
+                      for w, x, (_, m) in need)].append(t)
+    return [(T, t) for T in tuples for t in buckets.get(slice_.grade(T), ())
+            if slice_.admits(T, t)]
 
 
 class CohomologyResult:
-    def __init__(self, dim, ncols, rank_d, rank_prev, reps=None):
+    """dim H^n, its ranks, representatives when asked for, and stats:
+    seconds per stage (enumerate, assemble, rank_d, rank_prev, reps),
+    the columns, kept rows and entries of d_n, and the entries charged to
+    the budget; a cache hit has only {"cached": True}."""
+
+    def __init__(self, dim, ncols, rank_d, rank_prev, reps=None, stats=None):
         self.dim = dim
         self.ncols = ncols
         self.rank_d = rank_d
         self.rank_prev = rank_prev
         self.reps = reps
+        self.stats = stats
 
     def __repr__(self):
         return "<H dim=%d (cols=%d, rank d=%d, rank prev=%d)>" % (
@@ -359,15 +374,15 @@ def _column_images(L, module, cols, budget, counter, gens=None):
     BudgetExceeded once the count passes budget.  With gens, only the
     rows whose tuple contains one of those basis indices."""
     restrict = _generator_tables(L, gens) if gens is not None else None
-    for T, t in cols:
-        img = _elementary_image(L, module, T, t, restrict)
-        counter[0] += len(img)
-        if counter[0] > budget:
-            raise BudgetExceeded(
-                "differential exceeds the %d-entry budget; restrict to "
-                "a weight slice (weight_zero_reduce) or raise the budget"
-                % budget)
-        yield img
+    for T, run in itertools.groupby(cols, itemgetter(0)):
+        for img in _stencil(L, module, T, [t for _, t in run], restrict):
+            counter[0] += len(img)
+            if counter[0] > budget:
+                raise BudgetExceeded(
+                    "differential exceeds the %d-entry budget; restrict to "
+                    "a weight slice (weight_zero_reduce) or raise the budget"
+                    % budget)
+            yield img
 
 
 def _differential_rows(L, module, cols, budget, counter, gens=None):
@@ -413,11 +428,20 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         hit = cache.get(key)
         if hit is not None and not want_reps:
             return CohomologyResult(hit["dim"], hit["ncols"],
-                                    hit["rank_d"], hit["rank_prev"])
+                                    hit["rank_d"], hit["rank_prev"],
+                                    stats={"cached": True})
+    laps = [time.perf_counter()]
+
+    def lap():  # seconds since the previous lap
+        laps.append(time.perf_counter())
+        return laps[-1] - laps[-2]
+
     cols = chain_columns(L, n, module, slice_)
+    stats = {"cached": False, "enumerate_s": lap(), "ncols": len(cols)}
     counter = [0]
     rows = _differential_rows(L, module, cols, budget, counter,
                               gens=L.generators)
+    stats.update(rows=len(rows), nnz=counter[0])
     # columns enter the echelon sparsest first, so min-column pivoting
     # eliminates on sparse columns and pushes fill toward the dense ones;
     # a column's weight is its count of stencil terms in the whole d_n,
@@ -433,16 +457,19 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         newpos[j] = i
     cols = [cols[j] for j in order]
     mat = SparseFpMatrix(len(cols), L.p)
+    stats["assemble_s"] = lap()
     # shortest rows first keeps pivot rows sparse; popping each row as it
     # goes in frees it before the next one is reduced
     for k in sorted(rows, key=lambda k: len(rows[k])):
         mat.add_row({newpos[j]: v for j, v in rows.pop(k).items()})
     del rows
     rank_d = mat.rank
+    stats["rank_d_s"] = lap()
 
     # image vectors of d_{n-1}, re-keyed to C^n column indices
     colidx = {ct: i for i, ct in enumerate(cols)}
     prev_cols = chain_columns(L, n - 1, module, slice_)
+    stats["enumerate_s"] += lap()
     img_vecs = []
     for img in _column_images(L, module, prev_cols, budget, counter):
         if not img:
@@ -453,11 +480,13 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
             raise ValueError(
                 "slice is not closed under d: d_%d leaves it at column %r"
                 % (n - 1, e.args[0])) from None
+    stats["assemble_s"] += lap()
     image = Echelon(L.p)
     for vec in sorted(img_vecs, key=len):
         image.add(vec)
     del img_vecs
     rank_prev = image.rank
+    stats["rank_prev_s"] = lap()
 
     dim = len(cols) - rank_d - rank_prev
     reps = None
@@ -475,10 +504,11 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         if len(reps) != dim:
             raise AssertionError("representative count %d != dim %d"
                                  % (len(reps), dim))
+    stats.update(reps_s=lap(), budget_used=counter[0], budget=budget)
     if cache is not None and key is not None:
         cache.put(key, {"dim": dim, "ncols": len(cols),
                         "rank_d": rank_d, "rank_prev": rank_prev})
-    return CohomologyResult(dim, len(cols), rank_d, rank_prev, reps)
+    return CohomologyResult(dim, len(cols), rank_d, rank_prev, reps, stats)
 
 
 def weight_zero_reduce(L, module="adjoint", t=None):

@@ -31,7 +31,7 @@ from .linalg import DEFAULT_BUDGET, Echelon, LinearMap
 from .cocycles import (phi21, theta, upsilon, psi, phi_big, psi_t,
                        lambda_identities_check, build_filtered_deformation)
 
-__all__ = ["CLAIMS", "resolve_claim", "run_claim", "run_all"]
+__all__ = ["CLAIMS", "resolve_claim", "run_claim"]
 
 
 class Claim:
@@ -156,7 +156,7 @@ def _h2_current_split(inst, ctx):
     har = harrison_h2(A)[0]
     total = cohomology_dim(L, 2, slice_=weight_zero_reduce(L),
                            budget=ctx.budget, cache=ctx.cache).dim
-    return [_row({"summands": [5, 5, 5, 5], "sum": 20, "h2": 20},
+    return [_row({"summands": [p] * 4, "sum": 4 * p, "h2": 4 * p},
                  {"summands": [s1, nder, nder, har],
                   "sum": s1 + 2 * nder + har, "h2": total})]
 
@@ -296,8 +296,9 @@ def _simplicity_full(inst, ctx):
     f1 = find_proper_ideal(Ld, seed=ctx.seed)
     f2 = find_proper_ideal(L, seed=ctx.seed)
     f3 = find_proper_ideal(L0, seed=ctx.seed)
+    ideal = p * (p - 1)  # W_1(1) (x) the augmentation ideal of O_1
     rows.append(_row(
-        {"deformed": None, "current": 20, "undeformed": 20},
+        {"deformed": None, "current": ideal, "undeformed": ideal},
         {"deformed": None if f1 is None else f1["dim"],
          "current": None if f2 is None else f2["dim"],
          "undeformed": None if f3 is None else f3["dim"]},
@@ -305,7 +306,7 @@ def _simplicity_full(inst, ctx):
         statement=("the deformation of the current algebra by the shift "
                    "derivation has no proper nonzero ideal, while the "
                    "undeformed algebra and the zero-derivation deformation "
-                   "have one of dimension 20"),
+                   "have one of dimension p(p - 1)"),
         provenance="derived"))
 
     # current-algebra structure probes: Z(S (x) A) = Z(S) (x) A, the
@@ -350,7 +351,7 @@ def _vanishing(inst, ctx):
                                                toral=alg.toral),
                            budget=ctx.budget, cache=ctx.cache).dim
         checks.append({"algebra": name, "weight": w, "dim": d})
-    for deg in (1, 3, 7):
+    for deg in (1, 3, p + 2):
         d = cohomology_dim(L, 2, slice_=degree_slice(L, deg),
                            budget=ctx.budget, cache=ctx.cache).dim
         checks.append({"algebra": "current", "degree": deg, "dim": d})
@@ -367,7 +368,7 @@ def _trivial_coeffs(inst, ctx):
                           cache=ctx.cache).dim
     right = cohomology_dim(W, 2, module="trivial", budget=ctx.budget,
                            cache=ctx.cache).dim
-    return [_row({"current": 5, "base": 1, "ratio_is_dimA": True},
+    return [_row({"current": p, "base": 1, "ratio_is_dimA": True},
                  {"current": left, "base": right,
                   "ratio_is_dimA": left == right * A.dim})]
 
@@ -406,7 +407,7 @@ _register(
 _register(
     "h2-current-split",
     "dim H^2(W_1(1) (x) O_1) = dim H^2(W_1(1)) * dim O_1 + 2 dim Der(O_1) "
-    "+ dim Har^2(O_1, O_1) = 20, the total confirmed by direct "
+    "+ dim Har^2(O_1, O_1) = 4p, the total confirmed by direct "
     "weight-zero cohomology",
     ("p",), [{"p": 5}], _h2_current_split)
 _register(
@@ -465,11 +466,3 @@ def resolve_claim(cid):
 def run_claim(cid, overrides=None, ctx=None):
     claim = resolve_claim(cid)
     return claim.rows(ctx or Ctx(), overrides)
-
-
-def run_all(ctx=None):
-    ctx = ctx or Ctx()
-    rows = []
-    for claim in CLAIMS.values():
-        rows.extend(claim.rows(ctx))
-    return rows

@@ -203,6 +203,9 @@ def cmd_cohomology(args):
         print("cohomology: %s" % e, file=sys.stderr)
         return 1
     dt = time.perf_counter() - t0
+    if args.stats:
+        print("stats: %s" % json.dumps(res.stats, sort_keys=True),
+              file=sys.stderr)
     body = {
         "query": {"algebra": L.name, "dim": L.dim, "p": L.p,
                   "degree": args.deg, "module": module,
@@ -305,6 +308,8 @@ def main(argv=None):
                    help="restrict to one integer degree of the grading")
     c.add_argument("--dump-reps", action="store_true",
                    help="include representative cocycles")
+    c.add_argument("--stats", action="store_true",
+                   help="print per-stage times and sizes to stderr")
     _add_common(c)
     c.set_defaults(func=cmd_cohomology)
 

@@ -12,7 +12,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 from .arith import binom, inv_mod, lambda_coeff, lambda_table, n_div_p, n_int
-from .ceco import Cochain, ce_differential, massey_bracket, _column_degree
+from .ceco import Cochain, ComplexSlice, ce_differential, massey_bracket
 from .commalg import solve_delta1, star_action
 from .liealg import LieAlgebra
 from .linalg import LinearMap
@@ -604,9 +604,10 @@ def build_filtered_deformation(L, Phi, name=None):
         T = min(dPhi.coeffs)
         raise CocycleError("filtered deformation direction", T,
                            dPhi.coeffs[T])
+    degree = ComplexSlice(L, degree=0).grade
     for T, vec in Phi.coeffs.items():
         for k in vec:
-            if _column_degree(L, "adjoint", T, k) <= 0:
+            if degree(T, k)[0] <= 0:
                 raise ValueError(
                     "Phi has a non-positive degree component at %r -> %d"
                     % (T, k))

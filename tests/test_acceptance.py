@@ -115,3 +115,15 @@ def test_13_trivial_coefficients_scale_by_dim_a():
     (row,) = check("trivial-coefficients")
     assert row["computed"] == {"current": 5, "base": 1,
                                "ratio_is_dimA": True}
+
+
+@pytest.mark.slow
+def test_p_only_claims_compute_their_expected_values_from_p():
+    (split,) = check("h2-current-split", {"p": 7})
+    assert split["computed"] == {"summands": [7] * 4, "sum": 28, "h2": 28}
+    (triv,) = check("trivial-coefficients", {"p": 7})
+    assert triv["computed"]["current"] == 7
+    ideals, _ = check("simplicity-suite", {"p": 7})
+    assert ideals["computed"]["current"] == 42
+    (row,) = check("vanishing-slices", {"p": 7})
+    assert [c["degree"] for c in row["computed"] if "degree" in c] == [1, 3, 9]

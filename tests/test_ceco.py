@@ -2,9 +2,11 @@
 cohomology dimensions, weight and degree slicing, coboundary witnesses,
 class spans, and the Massey bracket."""
 
+import itertools
 import json
 import os
 import random
+from collections import defaultdict
 
 import pytest
 
@@ -26,6 +28,9 @@ from modlie.ceco import (
 )
 from modlie.cocycles import phi21, phi_big
 from modlie.commalg import make_divided_powers, partial_derivation
+from bisect import bisect_left
+from math import comb
+
 from modlie.linalg import Echelon
 from modlie.liealg import (
     JACOBI_EAGER_DIM,
@@ -435,3 +440,161 @@ def test_cochain_add_scale_and_mismatch():
         f.add(Cochain(W, 1, "adjoint", {}))
     with pytest.raises(ValueError):
         f.evaluate(0)
+
+
+# ------------------------------------------------- enumeration and stencil
+# oracles: the column filter and the per-column stencil as they were
+# before grade buckets and shared bracket terms
+
+
+def _reference_admits(slice_, T, t):
+    # the weight and degree sums of a column, written out
+    L, adj = slice_.L, slice_.module == "adjoint"
+    if slice_.weight is not None:
+        w = L.weights_for(slice_.toral) if slice_.toral is not None \
+            else L.weights
+        if (-sum(w[x] for x in T) + (w[t] if adj else 0)) % L.p \
+                != slice_.weight:
+            return False
+    if slice_.degree is not None:
+        g = L.grading
+        if -sum(g[x] for x in T) + (g[t] if adj else 0) != slice_.degree:
+            return False
+    return True
+
+
+def _reference_columns(L, n, module, slice_):
+    # every one of the C(dim, n) * dim candidates through the filter
+    targets = range(L.dim) if module == "adjoint" else (0,)
+    return [(T, t) for T in itertools.combinations(range(L.dim), n)
+            for t in targets
+            if slice_ is None or _reference_admits(slice_, T, t)]
+
+
+def _reference_image(L, module, T, t, restrict=None):
+    # the stencil of one column, its bracket terms recomputed per target
+    p = L.p
+    img = {}
+    ad, rev = L.ad, L.rev
+    if restrict is not None:
+        S, ad_S, rev_S = restrict
+        hits = sum(x in S for x in T)
+        if not hits:
+            ad = ad_S
+    if module == "adjoint":
+        for z, vec in ad.get(t, ()):
+            if z in T:
+                continue
+            pos = bisect_left(T, z)
+            U = T[:pos] + (z,) + T[pos:]
+            sgn = -1 if pos % 2 else 1
+            for k, c in vec.items():
+                key = (U, k)
+                y = (img.get(key, 0) + sgn * c) % p
+                if y:
+                    img[key] = y
+                else:
+                    del img[key]
+    for a, m in enumerate(T):
+        rest = T[:a] + T[a + 1:]
+        table = rev
+        if restrict is not None and hits == (m in S):
+            table = rev_S
+        for (i, j), c in table.get(m, ()):
+            if i in rest or j in rest:
+                continue
+            pi = bisect_left(rest, i)
+            pj = bisect_left(rest, j) + 1
+            U = tuple(sorted(rest + (i, j)))
+            key = (U, t)
+            y = (img.get(key, 0) + (-c if (a + pi + pj) % 2 else c)) % p
+            if y:
+                img[key] = y
+            else:
+                del img[key]
+    return img
+
+
+# whole-complex C^3 of the 25-dimensional algebras has 57 500 columns;
+# their images are compared under --runslow
+STENCIL_MAX_COLS = 6000
+
+
+def _stencil_cases(L):
+    for module in ("adjoint", "trivial"):
+        slices = [None, ComplexSlice(L, module, weight=0),
+                  ComplexSlice(L, module, weight=2)]
+        if not L.filtration:
+            slices += [ComplexSlice(L, module, degree=0),
+                       ComplexSlice(L, module, degree=-1),
+                       ComplexSlice(L, module, weight=0, degree=0),
+                       ComplexSlice(L, module, weight=1, degree=-2)]
+        for slice_ in slices:
+            for n in range(4):
+                yield module, slice_, n
+
+
+def _check_stencil(L, big):
+    # every column list in order; every image, key order included, with
+    # and without generator rows
+    restrict = ceco._generator_tables(L, L.generators)
+    compared = 0
+    for module, slice_, n in _stencil_cases(L):
+        cols = chain_columns(L, n, module, slice_)
+        assert cols == _reference_columns(L, n, module, slice_), \
+            (module, n, slice_ and slice_.descriptor())
+        if (len(cols) > STENCIL_MAX_COLS) != big:
+            continue
+        for gens, rs in ((None, None), (L.generators, restrict)):
+            got = ceco._column_images(L, module, cols, 10 ** 9, [0], gens)
+            for (T, t), img in zip(cols, got):
+                assert list(img.items()) == list(
+                    _reference_image(L, module, T, t, rs).items()), \
+                    (module, n, T, t, gens)
+                compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_columns_and_stencil_match_the_reference(name):
+    assert _check_stencil(ORACLE_ALGEBRAS[name](), big=False) > 100
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["w1_2", "w1xo1", "ldef"])
+def test_columns_and_stencil_match_the_reference_on_whole_c3(name):
+    assert _check_stencil(ORACLE_ALGEBRAS[name](), big=True) > 40000
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_ce_differential_sums_reference_images(name):
+    L = ORACLE_ALGEBRAS[name]()
+    rng = random.Random(name)
+    nonzero = 0
+    for module in ("adjoint", "trivial"):
+        for n in range(3):
+            c = random_cochain(L, n, module, rng)
+            want = defaultdict(dict)
+            for T, vec in c.coeffs.items():
+                for t, a in vec.items():
+                    for (U, k), v in _reference_image(
+                            L, module, T, t).items():
+                        want[U][k] = (want[U].get(k, 0) + a * v) % L.p
+            got = ce_differential(c)
+            assert got.flatten() == Cochain(L, n + 1, module,
+                                            want).flatten(), (module, n)
+            nonzero += not got.is_zero()
+    assert nonzero >= 4
+
+
+def test_enumeration_asks_admits_once_per_column(monkeypatch):
+    # a tuple reads only its grade's bucket of targets, so admits is
+    # asked about the 1 500 columns, not all C(25, 2) * 25 candidates
+    W = make_w1(2, P)
+    calls = []
+    admits = ComplexSlice.admits
+    monkeypatch.setattr(ComplexSlice, "admits", lambda self, T, t: (
+        calls.append((T, t)) or admits(self, T, t)))
+    cols = chain_columns(W, 2, slice_=weight_zero_reduce(W))
+    assert len(cols) == 1500 < comb(W.dim, 2) * W.dim == 7500
+    assert calls == cols

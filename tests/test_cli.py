@@ -180,6 +180,30 @@ def test_cohomology_dump_reps(capsys):
         [[[2, 4], 0, 1], [[3, 4], 1, 1]]]
 
 
+def test_cohomology_stats_leave_the_report_alone(capsys, tmp_path):
+    argv = ["cohomology", "w1n-x-om", "--dump-reps", "--output", "json",
+            "--cache-dir", "off"]
+    rc, plain, err = run(capsys, argv)
+    assert rc == 0 and err == ""
+    rc, out, err = run(capsys, argv + ["--stats"])
+    assert rc == 0 and out == plain
+    assert err.startswith("stats: ") and err.count("\n") == 1
+    stats = json.loads(err[len("stats: "):])
+    doc = json.loads(out)
+    assert stats["cached"] is False and stats["ncols"] == doc["ncols"] == 1500
+    assert 0 < stats["nnz"] < stats["budget_used"] <= stats["budget"]
+    assert 0 < stats["rows"] <= stats["nnz"]
+    for stage in ("enumerate", "assemble", "rank_d", "rank_prev", "reps"):
+        assert stats[stage + "_s"] >= 0
+    # a cache hit reports itself, and its report is the same too
+    cached = ["cohomology", "w1n-x-om", "--output", "json", "--cache-dir",
+              str(tmp_path), "--stats"]
+    rc, first, err = run(capsys, cached)
+    rc, again, err = run(capsys, cached)
+    assert again == first
+    assert json.loads(err[len("stats: "):]) == {"cached": True}
+
+
 @pytest.mark.parametrize("extra, dim", [
     (["--n", "2", "--deg", "1"], 1),
     (["--deg", "3"], 2),
