@@ -58,6 +58,10 @@ its degree), and a column's grade is its target's less its tuple's.  So
 chain_columns buckets the targets by grade once, and each tuple reads
 only the bucket its grade asks for: C^n of a slice costs its own
 columns, not all C(dim, n) dim candidates.
+
+massey_bracket inserts one 2-cochain into the other with linalg.circle,
+the kernel that also checks Jacobi, so it visits only the nonzero values
+of the two cochains, not every basis triple.
 """
 
 import itertools
@@ -66,8 +70,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from operator import itemgetter
 
-from .linalg import (DEFAULT_BUDGET, Echelon, SparseFpMatrix, solve_sparse,
-                     vec_add, vec_scale)
+from .linalg import (DEFAULT_BUDGET, Echelon, SparseFpMatrix, bilinear_table,
+                     circle, solve_sparse, vec_scale)
 
 __all__ = [
     "BudgetExceeded",
@@ -142,24 +146,6 @@ class Cochain:
             return {}
         v = self.coeffs.get(T, {})
         return v if sign == 1 else vec_scale(v, -1, self.L.p)
-
-    def eval_vec_pair(self, u, v):
-        """Bilinear evaluation of a 2-cochain on sparse vectors."""
-        if self.n != 2:
-            raise ValueError("eval_vec_pair needs a 2-cochain")
-        out = {}
-        p = self.L.p
-        for i, a in u.items():
-            for j, b in v.items():
-                if i == j:
-                    continue
-                for k, w in self.evaluate(i, j).items():
-                    y = (out.get(k, 0) + a * b * w) % p
-                    if y:
-                        out[k] = y
-                    else:
-                        out.pop(k, None)
-        return out
 
     def is_zero(self):
         return not self.coeffs
@@ -523,11 +509,12 @@ def degree_slice(L, d, module="adjoint"):
     return ComplexSlice(L, module, degree=d)
 
 
-def coboundary_witness(L, c, module=None, budget=DEFAULT_BUDGET):
-    """Solve d(psi) = c for a 1-cochain psi; returns the witness Cochain
-    or None when c is not a coboundary.  The search space is cut to the
-    weight slice of c's support when a toral element is available."""
-    module = module or c.module
+def coboundary_witness(L, c, budget=DEFAULT_BUDGET):
+    """Solve d(psi) = c for a 1-cochain psi in c's module; returns the
+    witness Cochain or None when c is not a coboundary.  The search
+    space is cut to the weight slice of c's support when a toral element
+    is available."""
+    module = c.module
     if c.n != 2:
         raise ValueError("coboundary_witness expects a 2-cochain")
     slice_ = None
@@ -587,32 +574,19 @@ def massey_bracket(phi, psi):
         [phi,psi](x,y,z) = phi(psi(x,y),z) + psi(phi(x,y),z) + cyclic,
 
     a 3-cochain.  d(Phi) = 0 and [Phi,Phi] = 0 make [.,.]+Phi a Lie
-    bracket; vanishing pairwise brackets let deformation directions mix."""
+    bracket; vanishing pairwise brackets let deformation directions mix.
+    It is the fold of check_jacobi taken twice, linalg.circle of psi
+    into phi plus that of phi into psi, so only the nonzero values of
+    the two cochains are visited."""
     L = phi.L
     if psi.L is not L or phi.n != 2 or psi.n != 2:
         raise ValueError("massey_bracket needs two 2-cochains on one algebra")
     if phi.module != "adjoint" or psi.module != "adjoint":
         raise ValueError("massey_bracket needs adjoint coefficients")
     p = L.p
-    triples = set()
-    for c in (phi, psi):
-        for (a, b) in c.coeffs:
-            for z in range(L.dim):
-                if z != a and z != b:
-                    triples.add(tuple(sorted((a, b, z))))
-    coeffs = {}
-    for (x, y, z) in sorted(triples):
-        v = {}
-        for f, g in ((phi, psi), (psi, phi)):
-            for (a, b, cdx) in ((x, y, z), (y, z, x), (z, x, y)):
-                inner = g.evaluate(a, b)
-                if not inner:
-                    continue
-                w = f.eval_vec_pair(inner, {cdx: 1})
-                v = vec_add(v, w, p)
-        if v:
-            coeffs[(x, y, z)] = v
-    return Cochain(L, 3, "adjoint", coeffs)
+    sums = circle(psi.coeffs, bilinear_table(phi.coeffs, -1, p))
+    circle(phi.coeffs, bilinear_table(psi.coeffs, -1, p), sums)
+    return Cochain(L, 3, "adjoint", dict(sorted(sums.items())))
 
 
 def h2_positive(L, module="adjoint", budget=DEFAULT_BUDGET, cache=None):

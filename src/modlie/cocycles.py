@@ -30,7 +30,6 @@ __all__ = [
     "lifted_upsilon",
     "lifted_psi",
     "lifted_phi",
-    "lifted_family_check",
     "lambda_identities_check",
     "build_filtered_deformation",
 ]
@@ -62,21 +61,10 @@ def _tensor_layout(L):
     semidirect sums; tails beyond w_dim*a_dim are ignored by families
     that extend by zero)."""
     meta = L.meta or {}
-    kind = meta.get("kind")
-    if kind in ("current", "deformed"):
-        w, a = meta["dims"]
-        return w, a, meta["A"]
-    if kind == "semidirect":
+    if meta.get("kind") in ("current", "deformed", "semidirect"):
         w, a = meta["dims"]
         return w, a, meta["A"]
     raise ValueError("algebra %s has no tensor-product layout" % L.name)
-
-
-def _w_indices(L):
-    """Number of W-lines and the offset convention: line i of the W
-    factor covers basis indices (i+1)*a_dim .. (i+2)*a_dim - 1."""
-    w, a, A = _tensor_layout(L)
-    return w, a, A
 
 
 def phi21(W, check=True):
@@ -115,7 +103,7 @@ def phi21(W, check=True):
 def theta(L, phi_on_s, u, check=True):
     """Theta_{phi,u} on S (x) A (tails, if any, get zero):
     (x (x) a, y (x) b) -> phi(x, y) (x) abu."""
-    w, dA, A = _w_indices(L)
+    w, dA, A = _tensor_layout(L)
     p = L.p
     coeffs = {}
     for (si, sj), vec in phi_on_s.coeffs.items():
@@ -138,7 +126,7 @@ def theta(L, phi_on_s, u, check=True):
 
 def upsilon(L, F, check=True):
     """Upsilon_F on S (x) A: (x (x) a, y (x) b) -> [x,y] (x) F(a,b)."""
-    w, dA, A = _w_indices(L)
+    w, dA, A = _tensor_layout(L)
     p = L.p
     coeffs = {}
     for si in range(w):
@@ -188,7 +176,7 @@ def psi(L, D, check=True):
 
     Out-of-range targets occur only with both binomials divisible by p
     (asserted), so the formula self-truncates."""
-    w, dA, A = _w_indices(L)
+    w, dA, A = _tensor_layout(L)
     p = L.p
     top = w - 2
     coeffs = {}
@@ -224,7 +212,7 @@ def psi(L, D, check=True):
 def phi_big(L, E, check=True):
     """Phi_E on W1(n) (x) A (and extensions by zero): supported on the
     e_{-1} line, (e_{-1} (x) a, e_{-1} (x) b) -> e_top (x) (aE(b) - bE(a))."""
-    w, dA, A = _w_indices(L)
+    w, dA, A = _tensor_layout(L)
     p = L.p
     base = (w - 1) * dA
     coeffs = {}
@@ -470,52 +458,6 @@ def lifted_phi(Ld, E, check=True):
     """Lifted Phi on L(A, D) equals Phi_E: no deformation correction."""
     c = phi_big(Ld, E, check=False)
     return _check_closed(c, "LiftedPhi") if check else c
-
-
-def lifted_family_check(A, D, cache=None):
-    """Build the four lifted families on L(A, D) from exact kernel data
-    (invariants of A, invariant Harrison classes with their potentials,
-    invariant derivations, derivation coinvariants), verify each is
-    closed, and count their independent classes against both the sum of
-    the four component dimensions and the directly computed dim H^2."""
-    from .ceco import class_span_dim, cohomology_dim, weight_zero_reduce
-    from .commalg import (d_invariants, der_coinvariants, der_invariants,
-                          harrison_h2_d_invariants)
-    from .liealg import make_deformed
-
-    Ld = make_deformed(A, D)
-    report = {"p": A.p, "algebra": Ld.name, "families": {}}
-    cocycles = []
-
-    us = d_invariants(A, D)
-    cs = [lifted_theta(Ld, u) for u in us]
-    report["families"]["LiftedTheta"] = {"count": len(cs)}
-    cocycles += cs
-
-    fh = harrison_h2_d_invariants(A, D)[1]
-    cs = [lifted_upsilon(Ld, F, H) for F, H in fh]
-    report["families"]["LiftedUpsilon"] = {"count": len(cs)}
-    cocycles += cs
-
-    es = der_invariants(A, D)
-    cs = [lifted_psi(Ld, E) for E in es]
-    report["families"]["LiftedPsi"] = {"count": len(cs)}
-    cocycles += cs
-
-    ndim, reps = der_coinvariants(A, D)
-    cs = [lifted_phi(Ld, E) for E in reps]
-    report["families"]["LiftedPhi"] = {"count": len(cs)}
-    cocycles += cs
-
-    span = class_span_dim(Ld, cocycles)
-    expected = len(cocycles)
-    h2 = cohomology_dim(Ld, 2, slice_=weight_zero_reduce(Ld),
-                        cache=cache).dim
-    report["independent_classes"] = span
-    report["expected_sum"] = expected
-    report["h2_dim"] = h2
-    report["ok"] = span == expected == h2
-    return report
 
 
 def _frac_mod(fr, p):

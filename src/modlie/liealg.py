@@ -6,7 +6,10 @@ current algebras L (x) A, semidirect sums with derivation tails, the
 deformed current algebras L(A, D) whose extra bracket term lives on the
 (e_{-1}, e_{-1}) block, and the degree-preserving identification of
 W1(n) with L(O1(n-1), d).  Structure probes (center, derived series,
-ideal closures, weights) are exact sparse computations.
+ideal closures, weights) are exact sparse computations.  The adjoint
+table ad and the Jacobi check come from the bilinear-map kernel of
+linalg: ad is bilinear_table of the bracket, and the Jacobi sums are
+circle of the bracket with itself.
 """
 
 import hashlib
@@ -17,8 +20,8 @@ from collections import defaultdict
 from .arith import check_prime, structure_constant_N
 from .commalg import (make_divided_powers, partial_derivation,
                       tensor_derivation, tensor_product)
-from .linalg import (Echelon, LinearMap, SparseFpMatrix, solve_sparse,
-                     vec_add, vec_scale)
+from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_table,
+                     circle, solve_sparse, vec_add, vec_scale)
 
 __all__ = [
     "LieAlgebra",
@@ -150,11 +153,7 @@ class LieAlgebra:
         """index t -> list of (z, [e_z, e_t]) over the z with a nonzero
         bracket; the module action in the cochain differential."""
         if self._ad is None:
-            table = defaultdict(list)
-            for (i, j), vec in self.bracket.items():
-                table[j].append((i, vec))
-                table[i].append((j, vec_scale(vec, -1, self.p)))
-            self._ad = dict(table)
+            self._ad = bilinear_table(self.bracket, -1, self.p)
         return self._ad
 
     @property
@@ -203,35 +202,15 @@ class LieAlgebra:
         """Exhaustive Jacobi check over basis triples; raises on failure.
 
         The Jacobi sum of i < j < k is [[e_i,e_j],e_k] + [[e_j,e_k],e_i]
-        - [[e_i,e_k],e_j]: one term per pair of the triple, the bracket
-        of that pair with the third element.  So the sums are built from
-        the nonzero structure constants alone: each entry c e_m of
-        [e_a, e_b] meets each (z, [e_z, e_m]) of ad[m] with z not in
-        {a, b}, and adds -c [e_z, e_m] to the triple {a, b, z}, or
-        +c [e_z, e_m] when a < z < b.  This covers every nonzero term of
-        every triple, so the check is still exhaustive: a triple that
-        receives nothing has sum exactly 0.  On failure it reports the
-        smallest triple with a nonzero sum, the first one a loop over
-        triples in lexicographic order would meet, with that sum."""
+        - [[e_i,e_k],e_j], the circle product of the bracket with itself
+        ([mu, mu] / 2 in the Nijenhuis-Richardson bracket).  linalg.circle
+        builds it from the nonzero structure constants alone, so the
+        check is still exhaustive: a triple that receives no term has sum
+        exactly 0.  On failure it reports the smallest triple with a
+        nonzero sum, the first one a loop over triples in lexicographic
+        order would meet, with that sum."""
         p = self.p
-        ad = self.ad
-        sums = {}
-        for (a, b), vec in self.bracket.items():
-            for m, c in vec.items():
-                for z, w in ad.get(m, ()):
-                    if z > b:
-                        key, s = (a, b, z), -c
-                    elif z < a:
-                        key, s = (z, a, b), -c
-                    elif a < z < b:
-                        key, s = (a, z, b), c
-                    else:
-                        continue
-                    acc = sums.get(key)
-                    if acc is None:
-                        acc = sums[key] = {}
-                    for k, x in w.items():
-                        acc[k] = acc.get(k, 0) + s * x
+        sums = circle(self.bracket, self.ad)
         bad = [key for key, acc in sums.items()
                if any(x % p for x in acc.values())]
         if bad:

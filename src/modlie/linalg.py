@@ -40,6 +40,18 @@ map they give, and solve_sparse finds a preimage; both transpose the
 columns into rows here, so no caller builds rows by hand.  The rank of
 a map may equally be read off an echelon of its columns, since column
 rank equals row rank.
+
+A bilinear map f is given on pairs {(i, j): f(e_i, e_j)}, i < j for an
+alternating map and i <= j for a symmetric one; bilinear_table lists it
+by second argument, t -> [(z, f(e_z, e_t))].  Jacobi ([mu, mu] = 0 for
+the Nijenhuis-Richardson bracket), the Massey square [Phi, Phi] of a
+deformation (the same bracket) and associativity ([m, m] = 0 for the
+Gerstenhaber bracket) all insert one bilinear map into another and
+collect the terms by triple.  compose is that one insertion: it walks
+the nonzero entries c e_m of g(e_x, e_y) and the row of m in the table
+of f, so it visits only nonzero terms, and a triple that receives none
+has value 0.  circle folds its terms onto sorted triples for alternating
+maps; commutative associativity folds them in commalg.
 """
 
 from heapq import heapify, heappop, heappush
@@ -47,7 +59,7 @@ from heapq import heapify, heappop, heappush
 from .arith import inv_mod
 
 __all__ = ["LinearMap", "SparseFpMatrix", "Echelon", "solve_sparse",
-           "vec_add", "vec_scale"]
+           "vec_add", "vec_scale", "bilinear_table", "compose", "circle"]
 
 # The one default work budget of every budgeted computation (cohomology
 # assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
@@ -71,6 +83,59 @@ def vec_add(u, v, p):
         else:
             w.pop(k, None)
     return w
+
+
+def bilinear_table(pairs, sign, p):
+    """The table t -> [(z, f(e_z, e_t))] of the bilinear map f given by
+    pairs[(i, j)] = f(e_i, e_j) and f(e_j, e_i) = sign f(e_i, e_j):
+    sign -1 for an alternating map (keys i < j), +1 for a symmetric one,
+    whose diagonal entries (keys i = j) are listed once."""
+    table = {}
+    for (i, j), vec in pairs.items():
+        table.setdefault(j, []).append((i, vec))
+        if i != j:
+            table.setdefault(i, []).append(
+                (j, vec if sign == 1 else vec_scale(vec, sign, p)))
+    return table
+
+
+def compose(inner, outer):
+    """The nonzero terms of f(e_z, g(e_x, e_y)), for g given on pairs
+    (inner) and f by its bilinear_table (outer): yields (x, y, c, row)
+    for each entry c e_m of g(e_x, e_y) with a row in outer, whose terms
+    are c w = f(e_z, c e_m) for (z, w) in row = outer[m]."""
+    for (x, y), vec in inner.items():
+        for m, c in vec.items():
+            row = outer.get(m)
+            if row:
+                yield x, y, c, row
+
+
+def circle(inner, outer, sums=None):
+    """f o g for alternating f and g, f(g(a, b), c) + f(g(b, c), a) +
+    f(g(c, a), b), on the sorted triples a < b < c that receive a term,
+    accumulated unreduced into sums.  A term c w = f(e_z, g(e_x, e_y))
+    of compose, x < y, enters its sorted triple as f(g(x, y), z) = -c w
+    when z lies outside (x, y), as f(g(y, x), z) = +c w when x < z < y,
+    and not at all when z is x or y."""
+    if sums is None:
+        sums = {}
+    for x, y, c, row in compose(inner, outer):
+        for z, w in row:
+            if z > y:
+                key, s = (x, y, z), -c
+            elif z < x:
+                key, s = (z, x, y), -c
+            elif x < z < y:
+                key, s = (x, z, y), c
+            else:
+                continue
+            acc = sums.get(key)
+            if acc is None:
+                acc = sums[key] = {}
+            for k, v in w.items():
+                acc[k] = acc.get(k, 0) + s * v
+    return sums
 
 
 class Echelon:

@@ -127,3 +127,13 @@ def test_p_only_claims_compute_their_expected_values_from_p():
     assert ideals["computed"]["current"] == 42
     (row,) = check("vanishing-slices", {"p": 7})
     assert [c["degree"] for c in row["computed"] if "degree" in c] == [1, 3, 9]
+
+
+@pytest.mark.slow
+def test_massey_and_kuznetsov_claims_at_the_next_height():
+    (row,) = check("massey-certificates", {"m": 2})
+    assert row["computed"] == {"phi_sq_zero": True, "pairwise_zero": True,
+                               "jacobi": True}
+    rows = check("kuznetsov-iso", {"n": 3})
+    assert [r["instance"]["n"] for r in rows] == [3, 3]
+    assert all(r["computed"] is True for r in rows)

@@ -9,6 +9,7 @@ import random
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from modlie import ceco
 from modlie.cache import DiskCache
@@ -31,7 +32,7 @@ from modlie.commalg import make_divided_powers, partial_derivation
 from bisect import bisect_left
 from math import comb
 
-from modlie.linalg import Echelon
+from modlie.linalg import Echelon, vec_add
 from modlie.liealg import (
     JACOBI_EAGER_DIM,
     LieAlgebra,
@@ -216,6 +217,15 @@ def test_coboundary_witness_positive_and_negative():
     assert coboundary_witness(W, phi21(W)) is None
 
 
+def test_coboundary_witness_works_in_the_cochains_module():
+    W = make_w1(1, P)
+    c = ce_differential(Cochain(W, 1, "trivial", {(1,): {0: 1}}))
+    assert c.module == "trivial" and not c.is_zero()
+    w = coboundary_witness(W, c)
+    assert w is not None and w.module == "trivial"
+    assert ce_differential(w).flatten() == c.flatten()
+
+
 def test_class_span_dimensions():
     W = make_w1(1, P)
     rng = random.Random(9)
@@ -239,6 +249,68 @@ def test_massey_bracket_symmetry_and_closure():
     # closed inputs give a closed bracket
     f = phi21(W)
     assert ce_differential(massey_bracket(f, f)).is_zero()
+
+
+def dense_massey_bracket(phi, psi):
+    """Reference for massey_bracket: every sorted triple that meets a
+    support pair of either cochain, each summed over both orders and the
+    three cyclic positions, with the outer cochain evaluated on the
+    sparse inner value term by term."""
+    L, p = phi.L, phi.L.p
+
+    def outer(f, u, c):
+        out = {}
+        for i, a in u.items():
+            if i != c:
+                for k, w in f.evaluate(i, c).items():
+                    out = vec_add(out, {k: a * w}, p)
+        return out
+
+    triples = set()
+    for c in (phi, psi):
+        for (a, b) in c.coeffs:
+            for z in range(L.dim):
+                if z != a and z != b:
+                    triples.add(tuple(sorted((a, b, z))))
+    coeffs = {}
+    for (x, y, z) in sorted(triples):
+        v = {}
+        for f, g in ((phi, psi), (psi, phi)):
+            for (a, b, c) in ((x, y, z), (y, z, x), (z, x, y)):
+                inner = g.evaluate(a, b)
+                if inner:
+                    v = vec_add(v, outer(f, inner, c), p)
+        if v:
+            coeffs[(x, y, z)] = v
+    return coeffs
+
+
+MASSEY_ALGEBRAS = [
+    make_w1(1, P),
+    make_sl2(P),
+    LieAlgebra(P, ["a%d" % i for i in range(5)], {}, grading=[0, 1, 1, 2, 3],
+               name="abelian"),
+]
+
+
+@st.composite
+def cochain_pairs(draw):
+    L = draw(st.sampled_from(MASSEY_ALGEBRAS))
+    n = L.dim
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda ab: ab[0] < ab[1])
+    vec = st.dictionaries(st.integers(0, n - 1), st.integers(1, P - 1),
+                          min_size=1, max_size=3)
+    a, b = (Cochain(L, 2, "adjoint", draw(st.dictionaries(pair, vec)))
+            for _ in range(2))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(cochain_pairs())
+def test_massey_bracket_matches_dense_reference(ab):
+    a, b = ab
+    assert massey_bracket(a, b).coeffs == dense_massey_bracket(a, b)
 
 
 def test_massey_square_of_the_deformation_direction():

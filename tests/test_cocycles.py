@@ -18,7 +18,6 @@ from modlie.cocycles import (
     CocycleError,
     build_filtered_deformation,
     lambda_identities_check,
-    lifted_family_check,
     lifted_phi,
     lifted_psi,
     lifted_theta,
@@ -291,16 +290,6 @@ def test_lifted_families_span_h2_at_height_two(setup):
     ]
     assert class_span_dim(Ld, four) == 4
     assert cohomology_dim(Ld, 2, slice_=weight_zero_reduce(Ld)).dim == 4
-
-
-def test_lifted_family_check_report(setup):
-    A, d = setup["A"], setup["d"]
-    rep = lifted_family_check(A, d)
-    assert rep["ok"]
-    assert rep["independent_classes"] == rep["expected_sum"] == 4
-    assert rep["h2_dim"] == 4
-    assert {k: v["count"] for k, v in rep["families"].items()} == {
-        "LiftedTheta": 1, "LiftedUpsilon": 1, "LiftedPsi": 1, "LiftedPhi": 1}
 
 
 def test_lambda_identities_pass():

@@ -5,6 +5,8 @@ coefficient fails."""
 
 import functools
 import inspect
+import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from modlie import ceco, claims, cli, commalg
 from modlie.arith import binom
 from modlie.commalg import (
+    CommAlgebra,
     Derivation,
     SymmetricBilinearMap,
     basic_harrison_cocycle,
@@ -40,6 +43,7 @@ from modlie.commalg import (
     tensor_product,
     zero_derivation,
 )
+from modlie.arith import inv_mod
 from modlie.linalg import Echelon, vec_scale
 
 P = 5
@@ -99,6 +103,84 @@ def test_divided_reduced_identification():
     # x1^2 -> 2! x^2, x1^3 x2 -> 3! x^{3 + 5}
     assert f({ix[(2, 0)]: 1}) == {2: 2}
     assert f({ix[(3, 1)]: 1}) == {8: 1}  # 3! = 6 = 1 mod 5
+
+
+def dense_associativity_failure(A):
+    """Reference for the associativity check of CommAlgebra: (ij)k
+    against i(jk) on every ordered basis triple in lexicographic order;
+    the first failing triple, or None."""
+    n = A.dim
+    for i in range(n):
+        for j in range(n):
+            ij = A.product(i, j)
+            for k in range(n):
+                if A.mul(ij, {k: 1}) != A.mul({i: 1}, A.product(j, k)):
+                    return (i, j, k)
+    return None
+
+
+def associativity_verdict(p, n, mult, unit):
+    """(failing triple or None) from the check, and from the reference,
+    for the unital commutative table on basis labels 0..n-1.  The
+    constructor's floor of p >= 5 is lifted: the check is arithmetic mod
+    p alone."""
+    labels = [str(i) for i in range(n)]
+    with mock.patch("modlie.commalg.check_prime", lambda p: p), \
+            mock.patch.object(CommAlgebra, "_validate", lambda self: None):
+        A = CommAlgebra(p, labels, mult, unit)
+    try:
+        A._validate()
+        got = None
+    except ValueError as e:
+        m = re.fullmatch(r"associativity fails on \((.*)\)", str(e))
+        assert m, str(e)
+        got = tuple(int(x) for x in m.group(1).split(", "))
+    return got, dense_associativity_failure(A)
+
+
+@st.composite
+def unital_tables(draw):
+    """Unital commutative tables on n basis elements, unit at a drawn
+    index: either random products, or a truncated polynomial ring
+    K[x]/(x^n) on a permuted, rescaled basis (associative), optionally
+    with one product replaced."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 6))
+    perm = draw(st.permutations(range(n)))
+    unit = perm[0]
+    vec = st.dictionaries(st.integers(0, n - 1), st.integers(1, p - 1),
+                          max_size=2)
+    others = [i for i in range(n) if i != unit]
+    pairs = [(i, j) for i in others for j in others if i <= j]
+    mult = {(unit, j): {j: 1} for j in range(n)}
+    if draw(st.booleans()):
+        for ij in pairs:
+            mult[ij] = draw(vec)
+    else:
+        c = [1] + [draw(st.integers(1, p - 1)) for _ in range(n - 1)]
+        for a in range(1, n):
+            for b in range(a, n - a):
+                coef = c[a] * c[b] * inv_mod(c[a + b], p)
+                mult[tuple(sorted((perm[a], perm[b])))] = {perm[a + b]: coef}
+        if pairs and draw(st.booleans()):
+            mult[draw(st.sampled_from(pairs))] = draw(vec)
+    return p, n, mult, unit
+
+
+@settings(max_examples=400, deadline=None)
+@given(unital_tables())
+def test_associativity_check_matches_dense_reference(drawn):
+    got, want = associativity_verdict(*drawn)
+    assert got == want
+
+
+def test_non_associative_table_is_rejected():
+    # (aa)b = b b = 0 but a(ab) = a a = b
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+            (1, 1): {2: 1}, (1, 2): {1: 1}}
+    assert associativity_verdict(P, 3, mult, 0) == ((1, 1, 2), (1, 1, 2))
+    with pytest.raises(ValueError, match=r"associativity fails on \(a, a, b\)"):
+        CommAlgebra(P, ["1", "a", "b"], mult, 0)
 
 
 def test_derivation_guard_and_shift():
