@@ -170,14 +170,6 @@ class Cochain:
             (T, k): v for T, vec in self.coeffs.items() for k, v in vec.items()
         }
 
-    def support_weight(self):
-        """Common weight of the support columns, or raise if mixed."""
-        grade = ComplexSlice(self.L, self.module, weight=0).grade
-        ws = {grade(T, k) for T, vec in self.coeffs.items() for k in vec}
-        if len(ws) > 1:
-            raise ValueError("cochain support mixes weights")
-        return ws.pop()[0] if ws else None
-
     def __repr__(self):
         return "<Cochain n=%d %s on %s, %d terms>" % (
             self.n, self.module, self.L.name, len(self.coeffs))
@@ -273,9 +265,8 @@ class ComplexSlice:
     not additive).  Grades of basis elements are data; a subclass may
     narrow admits, not widen it."""
 
-    def __init__(self, L, module="adjoint", weight=None, degree=None,
-                 toral=None):
-        if weight is not None and toral is None and L.toral is None:
+    def __init__(self, L, module="adjoint", weight=None, degree=None):
+        if weight is not None and L.toral is None:
             raise ValueError("weight slice needs a toral element")
         if degree is not None:
             if L.grading is None:
@@ -287,10 +278,8 @@ class ComplexSlice:
         self.module = module
         self.weight = weight % L.p if weight is not None else None
         self.degree = degree
-        self.toral = toral
         # (grade of each basis element, modulus) per fixed coordinate
-        self._coords = [(L.weights_for(toral) if toral is not None
-                         else L.weights, L.p)] if weight is not None else []
+        self._coords = [(L.weights, L.p)] if weight is not None else []
         if degree is not None:
             self._coords.append((L.grading, 0))
         self.target = tuple(x for x in (self.weight, degree) if x is not None)
@@ -312,7 +301,8 @@ class ComplexSlice:
 
     def descriptor(self):
         return {"module": self.module, "weight": self.weight,
-                "degree": self.degree, "toral": self.toral}
+                "degree": self.degree,
+                "toral": self.L.toral if self.weight is not None else None}
 
 
 def chain_columns(L, n, module="adjoint", slice_=None):
@@ -454,10 +444,10 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
 
     # image vectors of d_{n-1}, re-keyed to C^n column indices
     colidx = {ct: i for i, ct in enumerate(cols)}
-    prev_cols = chain_columns(L, n - 1, module, slice_)
+    _, images = _coboundaries(L, n, module, [slice_], budget, counter)
     stats["enumerate_s"] += lap()
     img_vecs = []
-    for img in _column_images(L, module, prev_cols, budget, counter):
+    for img in images:
         if not img:
             continue
         try:
@@ -482,11 +472,7 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         reps = []
         for v in mat.kernel_basis():
             if image.add(v):
-                coeffs = defaultdict(dict)
-                for i, c in v.items():
-                    T, t = cols[i]
-                    coeffs[T][t] = c
-                reps.append(Cochain(L, n, module, dict(coeffs)))
+                reps.append(_cochain(L, n, module, cols, v))
         if len(reps) != dim:
             raise AssertionError("representative count %d != dim %d"
                                  % (len(reps), dim))
@@ -497,41 +483,58 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     return CohomologyResult(dim, len(cols), rank_d, rank_prev, reps, stats)
 
 
-def weight_zero_reduce(L, module="adjoint", t=None):
-    """The weight-zero slice of the complex (with respect to the toral
-    element t, default the algebra's own); the whole cohomology sits
+def weight_zero_reduce(L, module="adjoint"):
+    """The weight-zero slice of the complex; the whole cohomology sits
     here when a toral element acts (the nonzero-weight slices are exact,
     which the vanishing spot checks verify rather than assume)."""
-    return ComplexSlice(L, module, weight=0, toral=t)
+    return ComplexSlice(L, module, weight=0)
 
 
 def degree_slice(L, d, module="adjoint"):
     return ComplexSlice(L, module, degree=d)
 
 
+def _coboundaries(L, n, module, slices, budget, counter):
+    """The columns of C^{n-1} on the given slices (None for the whole
+    complex), in order, and a lazy generator of their images under d,
+    which spans B^n on those slices; assembly is charged to counter."""
+    cols = [ct for s in slices for ct in chain_columns(L, n - 1, module, s)]
+    return cols, _column_images(L, module, cols, budget, counter)
+
+
+def _support_slices(L, module, cochains):
+    """The weight slices that the terms of the cochains touch, which hold
+    every coboundary that can meet them since d keeps weights; [None],
+    the whole complex, when L has no toral element."""
+    if L.toral is None:
+        return [None]
+    grade = ComplexSlice(L, module, weight=0).grade
+    weights = {grade(T, k)[0] for c in cochains
+               for T, vec in c.coeffs.items() for k in vec}
+    return [ComplexSlice(L, module, weight=w) for w in sorted(weights)]
+
+
+def _cochain(L, n, module, cols, vec):
+    """The n-cochain whose coordinate on the column cols[i] is vec[i]."""
+    coeffs = defaultdict(dict)
+    for i, c in vec.items():
+        T, t = cols[i]
+        coeffs[T][t] = c
+    return Cochain(L, n, module, coeffs)
+
+
 def coboundary_witness(L, c, budget=DEFAULT_BUDGET):
     """Solve d(psi) = c for a 1-cochain psi in c's module; returns the
     witness Cochain or None when c is not a coboundary.  The search
-    space is cut to the weight slice of c's support when a toral element
-    is available."""
-    module = c.module
+    space is cut to the weight slices that c's support touches when a
+    toral element is available."""
     if c.n != 2:
         raise ValueError("coboundary_witness expects a 2-cochain")
-    slice_ = None
-    if L.toral is not None:
-        w = c.support_weight()
-        if w is not None:
-            slice_ = ComplexSlice(L, module, weight=w)
-    cols = chain_columns(L, 1, module, slice_)
-    images = dict(enumerate(_column_images(L, module, cols, budget, [0])))
-    sol = solve_sparse(images, c.flatten(), L.p)
-    if sol is None:
-        return None
-    coeffs = defaultdict(dict)
-    for i, v in sol.items():
-        T, t = cols[i]
-        coeffs[T][t] = v
-    return Cochain(L, 1, module, dict(coeffs))
+    cols, images = _coboundaries(L, 2, c.module,
+                                 _support_slices(L, c.module, [c]),
+                                 budget, [0])
+    sol = solve_sparse(dict(enumerate(images)), c.flatten(), L.p)
+    return None if sol is None else _cochain(L, 1, c.module, cols, sol)
 
 
 def class_span_dim(L, cocycles, module="adjoint", budget=DEFAULT_BUDGET):
@@ -541,31 +544,18 @@ def class_span_dim(L, cocycles, module="adjoint", budget=DEFAULT_BUDGET):
     to the budget like the differential in cohomology_dim."""
     if not cocycles:
         return 0
-    weights = set()
     for c in cocycles:
         if c.n != 2 or c.module != module:
             raise ValueError("need 2-cochains in the %s module" % module)
         if not ce_differential(c).is_zero():
             raise ValueError("input cochain is not closed")
-        if L.toral is not None:
-            w = c.support_weight()
-            if w is not None:
-                weights.add(w)
     span = Echelon(L.p)
-    if L.toral is not None and weights:
-        cols = []
-        for w in sorted(weights):
-            cols.extend(chain_columns(L, 1, module,
-                                      ComplexSlice(L, module, weight=w)))
-    else:
-        cols = chain_columns(L, 1, module)
-    for img in _column_images(L, module, cols, budget, [0]):
+    _, images = _coboundaries(L, 2, module,
+                              _support_slices(L, module, cocycles),
+                              budget, [0])
+    for img in images:
         span.add(img)
-    count = 0
-    for c in cocycles:
-        if span.add(c.flatten()):
-            count += 1
-    return count
+    return sum(1 for c in cocycles if span.add(c.flatten()))
 
 
 def massey_bracket(phi, psi):

@@ -347,8 +347,7 @@ def _vanishing(inst, ctx):
     for name, alg, w in (("w1n", W2, 1), ("w1n", W2, 2),
                          ("current", L, 1), ("current", L, 3)):
         d = cohomology_dim(alg, 2,
-                           slice_=ComplexSlice(alg, weight=w % p,
-                                               toral=alg.toral),
+                           slice_=ComplexSlice(alg, weight=w % p),
                            budget=ctx.budget, cache=ctx.cache).dim
         checks.append({"algebra": name, "weight": w, "dim": d})
     for deg in (1, 3, p + 2):

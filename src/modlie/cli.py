@@ -187,9 +187,7 @@ def cmd_cohomology(args):
     slice_ = None
     if weight is not None or degree is not None:
         try:
-            slice_ = ComplexSlice(
-                L, module, weight=weight, degree=degree,
-                toral=L.toral if weight is not None else None)
+            slice_ = ComplexSlice(L, module, weight=weight, degree=degree)
         except ValueError as e:
             print("cohomology: %s" % e, file=sys.stderr)
             return 2

@@ -2,20 +2,26 @@
 their deformations; coefficient-identity checks; and the filtered
 deformation builder.
 
+Each lifted family on a deformed algebra L(A, D) is its plain family on
+W1(1) (x) A plus one correction: Psi_E and Upsilon_F gain a line on the
+block (e_{-1} (x) A) x (e_{-1} (x) A), where the deformation Phi_D
+lives, built by _e_minus_one_block (which is all of Phi_E); Theta loses
+the lambda middle line theta_prime.  The reuse is exact: off that block
+the bracket of L(A, D) on e_i (x) 1, e_j (x) 1 is that of W1(1).
+
 Every family that the theory proves closed is verified closed at
 construction time (an exact Chevalley-Eilenberg differential check); a
 failure raises CocycleError carrying a failing tuple, which is the
 primary regression tripwire of the package.
 """
 
-from collections import defaultdict
 from fractions import Fraction
 
 from .arith import binom, inv_mod, lambda_coeff, lambda_table, n_div_p, n_int
 from .ceco import Cochain, ComplexSlice, ce_differential, massey_bracket
 from .commalg import solve_delta1, star_action
-from .liealg import LieAlgebra
-from .linalg import LinearMap
+from .liealg import LieAlgebra, make_w1
+from .linalg import LinearMap, vec_add, vec_scale
 
 __all__ = [
     "CocycleError",
@@ -100,26 +106,29 @@ def phi21(W, check=True):
     return _check_closed(c, "phi21") if check else c
 
 
+def _tensor(svec, avec, dA, p):
+    """svec (x) avec as a sparse vector of S (x) A, whose basis element
+    e_k (x) a_m sits at k*dA + m."""
+    return {k * dA + m: c for k, cv in svec.items()
+            for m, c in vec_scale(avec, cv, p).items()}
+
+
+def _sub(u, v, p):
+    return vec_add(u, vec_scale(v, -1, p), p)
+
+
 def theta(L, phi_on_s, u, check=True):
     """Theta_{phi,u} on S (x) A (tails, if any, get zero):
     (x (x) a, y (x) b) -> phi(x, y) (x) abu."""
     w, dA, A = _tensor_layout(L)
-    p = L.p
     coeffs = {}
     for (si, sj), vec in phi_on_s.coeffs.items():
         for a in range(dA):
             for b in range(dA):
                 ab_u = A.mul(A.mul({a: 1}, {b: 1}), u)
-                if not ab_u:
-                    continue
-                out = {}
-                for k, cv in vec.items():
-                    for m, cm in ab_u.items():
-                        key = k * dA + m
-                        out[key] = (out.get(key, 0) + cv * cm) % p
-                out = {k: v for k, v in out.items() if v}
-                if out:
-                    coeffs[(si * dA + a, sj * dA + b)] = out
+                if ab_u:
+                    coeffs[(si * dA + a, sj * dA + b)] = _tensor(
+                        vec, ab_u, dA, L.p)
     c = Cochain(L, 2, "adjoint", coeffs)
     return _check_closed(c, "Theta") if check else c
 
@@ -127,7 +136,6 @@ def theta(L, phi_on_s, u, check=True):
 def upsilon(L, F, check=True):
     """Upsilon_F on S (x) A: (x (x) a, y (x) b) -> [x,y] (x) F(a,b)."""
     w, dA, A = _tensor_layout(L)
-    p = L.p
     coeffs = {}
     for si in range(w):
         for sj in range(si + 1, w):  # [e_si, e_si] = 0 contributes nothing
@@ -137,16 +145,9 @@ def upsilon(L, F, check=True):
             for a in range(dA):
                 for b in range(dA):
                     Fab = F(a, b) if a <= b else F(b, a)
-                    if not Fab:
-                        continue
-                    out = {}
-                    for k, cv in bvec.items():
-                        for m, cm in Fab.items():
-                            key = k * dA + m
-                            out[key] = (out.get(key, 0) + cv * cm) % p
-                    out = {k: v for k, v in out.items() if v}
-                    if out:
-                        coeffs[(si * dA + a, sj * dA + b)] = out
+                    if Fab:
+                        coeffs[(si * dA + a, sj * dA + b)] = _tensor(
+                            bvec, Fab, dA, L.p)
     c = Cochain(L, 2, "adjoint", coeffs)
     return _check_closed(c, "Upsilon") if check else c
 
@@ -175,7 +176,8 @@ def psi(L, D, check=True):
             e_{i+j} (x) (binom(i+j+1, j) bD(a) - binom(i+j+1, i) aD(b)).
 
     Out-of-range targets occur only with both binomials divisible by p
-    (asserted), so the formula self-truncates."""
+    (asserted), so the formula self-truncates; at i = j = -1 both are
+    binom(-1, -1) = 0."""
     w, dA, A = _tensor_layout(L)
     p = L.p
     top = w - 2
@@ -188,45 +190,39 @@ def psi(L, D, check=True):
             j -= 1
             c1 = binom(i + j + 1, j) % p
             c2 = binom(i + j + 1, i) % p
+            if not (c1 or c2):
+                continue
             m = i + j
             if m < -1 or m > top:
-                if c1 or c2:
-                    raise AssertionError(
-                        "Psi coefficient escapes the basis at (%d, %d)"
-                        % (i, j))
-                continue
+                raise AssertionError(
+                    "Psi coefficient escapes the basis at (%d, %d)" % (i, j))
             vec = {}
             if c1:
-                for k, v in A.mul({b: 1}, D({a: 1})).items():
-                    vec[k] = (vec.get(k, 0) + c1 * v) % p
+                vec = vec_scale(A.mul({b: 1}, D({a: 1})), c1, p)
             if c2:
-                for k, v in A.mul({a: 1}, D({b: 1})).items():
-                    vec[k] = (vec.get(k, 0) - c2 * v) % p
-            vec = {k: v for k, v in vec.items() if v}
+                vec = _sub(vec, vec_scale(A.mul({a: 1}, D({b: 1})), c2, p), p)
             if vec:
-                coeffs[(x, y)] = {(m + 1) * dA + k: v for k, v in vec.items()}
+                coeffs[(x, y)] = _tensor({m + 1: 1}, vec, dA, p)
     c = Cochain(L, 2, "adjoint", coeffs)
     return _check_closed(c, "Psi") if check else c
+
+
+def _e_minus_one_block(L, f):
+    """The 2-cochain (e_{-1} (x) a, e_{-1} (x) b) -> e_top (x) f(a, b),
+    a < b, zero elsewhere; f returns a sparse vector of A.  On L(A, D)
+    this is the block where the deformation Phi_D lives."""
+    w, dA, _ = _tensor_layout(L)
+    return Cochain(L, 2, "adjoint", {
+        (a, b): _tensor({w - 1: 1}, f(a, b), dA, L.p)
+        for a in range(dA) for b in range(a + 1, dA)})
 
 
 def phi_big(L, E, check=True):
     """Phi_E on W1(n) (x) A (and extensions by zero): supported on the
     e_{-1} line, (e_{-1} (x) a, e_{-1} (x) b) -> e_top (x) (aE(b) - bE(a))."""
-    w, dA, A = _tensor_layout(L)
-    p = L.p
-    base = (w - 1) * dA
-    coeffs = {}
-    for a in range(dA):
-        for b in range(a + 1, dA):
-            vec = {}
-            for k, v in A.mul({a: 1}, E({b: 1})).items():
-                vec[k] = (vec.get(k, 0) + v) % p
-            for k, v in A.mul({b: 1}, E({a: 1})).items():
-                vec[k] = (vec.get(k, 0) - v) % p
-            vec = {k: v for k, v in vec.items() if v}
-            if vec:
-                coeffs[(a, b)] = {base + k: v for k, v in vec.items()}
-    c = Cochain(L, 2, "adjoint", coeffs)
+    A = _tensor_layout(L)[2]
+    c = _e_minus_one_block(L, lambda a, b: _sub(
+        A.mul({a: 1}, E({b: 1})), A.mul({b: 1}, E({a: 1})), L.p))
     return _check_closed(c, "PhiBig") if check else c
 
 
@@ -248,19 +244,24 @@ def psi_t(W, t, check=True):
     return _check_closed(c, "psi_t") if check else c
 
 
-def theta_prime(Ld, u=None, check=False):
+def _deformed(Ld, family):
+    """(A, D) of a deformed algebra L(A, D), or ValueError naming family."""
+    meta = Ld.meta or {}
+    if meta.get("kind") != "deformed":
+        raise ValueError("%s lives on a deformed algebra" % family)
+    return meta["A"], meta["D"]
+
+
+def theta_prime(Ld, u=None):
     """The middle (lambda-coefficient) correction line used by the
     lifted Theta family:
 
         (e_i (x) a, e_j (x) b) ->
             e_{i+j} (x) (lambda_ij aD(b) - lambda_ji bD(a)) u
 
-    on a deformed algebra L(A, D); not closed on its own."""
-    meta = Ld.meta or {}
-    if meta.get("kind") != "deformed":
-        raise ValueError("theta_prime lives on a deformed algebra")
-    A = meta["A"]
-    D = meta["D"]
+    on a deformed algebra L(A, D); not closed on its own, so it is
+    never checked."""
+    A, D = _deformed(Ld, "theta_prime")
     p = Ld.p
     dA = A.dim
     if u is None:
@@ -275,24 +276,21 @@ def theta_prime(Ld, u=None, check=False):
             m = i + j
             if not -1 <= m <= p - 2:
                 continue
-            l1 = lambda_coeff(i, j, p)
-            l2 = lambda_coeff(j, i, p)
             vec = {}
+            l1, l2 = lambda_coeff(i, j, p), lambda_coeff(j, i, p)
             if l1:
-                for k, v in A.mul(A.mul({a: 1}, D({b: 1})), u).items():
-                    vec[k] = (vec.get(k, 0) + l1 * v) % p
+                vec = vec_scale(A.mul(A.mul({a: 1}, D({b: 1})), u), l1, p)
             if l2:
-                for k, v in A.mul(A.mul({b: 1}, D({a: 1})), u).items():
-                    vec[k] = (vec.get(k, 0) - l2 * v) % p
-            vec = {k: v for k, v in vec.items() if v}
+                vec = _sub(vec, vec_scale(
+                    A.mul(A.mul({b: 1}, D({a: 1})), u), l2, p), p)
             if vec:
-                coeffs[(x, y)] = {(m + 1) * dA + k: v for k, v in vec.items()}
-    c = Cochain(Ld, 2, "adjoint", coeffs)
-    return _check_closed(c, "ThetaPrime") if check else c
+                coeffs[(x, y)] = _tensor({m + 1: 1}, vec, dA, p)
+    return Cochain(Ld, 2, "adjoint", coeffs)
 
 
 def lifted_theta(Ld, u=None, check=True):
-    """Lifted Theta on L(A, D), for u in the kernel of D:
+    """Lifted Theta on L(A, D), for u in the kernel of D: Theta_{phi21,u}
+    less the middle line theta_prime,
 
         top line   (i+j >= p-1):      e_{i+j-p} (x) (N_ij/p) abu
         middle     (-2 < i+j < p-1):  -e_{i+j} (x) (l_ij aD(b) - l_ji bD(a)) u
@@ -302,155 +300,59 @@ def lifted_theta(Ld, u=None, check=True):
     authority; with the opposite sign the differential has a residual on
     triples like (e_{-1} (x) 1, e_{-1} (x) x, e_1 (x) 1)).  Either sign
     gives [ThetaPrime, Phi_D] = 0 since l_{p-2,0} = 0, so the classes
-    are the same up to sign of the correction.
+    are the same up to sign of the correction.  The top line is Theta's
+    unchanged: for i < j the bracket of e_i (x) 1 and e_j (x) 1 on
+    L(A, D) is that of W1(1), as Phi_D touches only the e_{-1} block.
     """
-    meta = Ld.meta or {}
-    if meta.get("kind") != "deformed":
-        raise ValueError("lifted_theta lives on a deformed algebra")
-    A = meta["A"]
-    D = meta["D"]
-    p = Ld.p
-    dA = A.dim
+    A, D = _deformed(Ld, "lifted_theta")
     if u is None:
         u = A.unit_vec
     if D(u):
         raise ValueError("lifted Theta requires D(u) = 0")
-    coeffs = defaultdict(dict)
-    mid = theta_prime(Ld, u, check=False)
-    for T, vec in mid.coeffs.items():
-        coeffs[T].update({k: (-v) % p for k, v in vec.items()})
-    for x in range(Ld.dim):
-        i, a = divmod(x, dA)
-        i -= 1
-        for y in range(x + 1, Ld.dim):
-            j, b = divmod(y, dA)
-            j -= 1
-            if i + j < p - 1:
-                continue
-            c = n_div_p(i, j, p)
-            if not c:
-                continue
-            e = i + j - p
-            if not -1 <= e <= p - 2:
-                raise AssertionError("lifted Theta target out of range")
-            abu = A.mul(A.mul({a: 1}, {b: 1}), u)
-            for k, v in abu.items():
-                key = (e + 1) * dA + k
-                y2 = (coeffs[(x, y)].get(key, 0) + c * v) % p
-                if y2:
-                    coeffs[(x, y)][key] = y2
-                else:
-                    coeffs[(x, y)].pop(key, None)
-    c = Cochain(Ld, 2, "adjoint", {T: v for T, v in coeffs.items() if v})
+    top = theta(Ld, phi21(make_w1(1, Ld.p), check=False), u, check=False)
+    c = top.add(theta_prime(Ld, u), scale=-1)
     return _check_closed(c, "LiftedTheta") if check else c
 
 
 def lifted_upsilon(Ld, F, H=None, check=True):
     """Lifted Upsilon on L(A, D), for a symmetric Harrison cocycle F
     whose star action is a Hochschild coboundary, D*F = deltaH, with H
-    given by sparse columns as solve_delta1 returns it:
+    given by sparse columns as solve_delta1 returns it: Upsilon_F plus
+    the deformation line
 
-        middle      (-2 < i+j < p-1):  e_{i+j} (x) N_ij F(a,b)
-        deformation (i = j = -1):      e_{p-2} (x) (bH(a) - aH(b)
-                                            - F(D(a),b) + F(a,D(b)))
-        top         (i+j >= p-1):      0
+        (e_{-1} (x) a, e_{-1} (x) b) ->
+            e_{p-2} (x) (bH(a) - aH(b) - F(D(a),b) + F(a,D(b))).
     """
-    meta = Ld.meta or {}
-    if meta.get("kind") != "deformed":
-        raise ValueError("lifted_upsilon lives on a deformed algebra")
-    A = meta["A"]
-    D = meta["D"]
+    A, D = _deformed(Ld, "lifted_upsilon")
     p = Ld.p
-    dA = A.dim
     if H is None:
         H = solve_delta1(A, star_action(D, F))
         if H is None:
             raise ValueError(
                 "D*F is not a Hochschild coboundary; no potential H exists")
     H = LinearMap(A, A, H)
-    coeffs = {}
-    top = p - 2
-    for x in range(Ld.dim):
-        i, a = divmod(x, dA)
-        i -= 1
-        for y in range(x + 1, Ld.dim):
-            j, b = divmod(y, dA)
-            j -= 1
-            vec = {}
-            if i == -1 and j == -1:
-                for k, v in A.mul({b: 1}, H({a: 1})).items():
-                    vec[k] = (vec.get(k, 0) + v) % p
-                for k, v in A.mul({a: 1}, H({b: 1})).items():
-                    vec[k] = (vec.get(k, 0) - v) % p
-                for k, v in F.eval_vec(D({a: 1}), {b: 1}).items():
-                    vec[k] = (vec.get(k, 0) - v) % p
-                for k, v in F.eval_vec({a: 1}, D({b: 1})).items():
-                    vec[k] = (vec.get(k, 0) + v) % p
-                base = (top + 1) * dA
-            elif -1 <= i + j <= top:
-                c = n_int(i, j) % p
-                if c:
-                    Fab = F(a, b) if a <= b else F(b, a)
-                    for k, v in Fab.items():
-                        vec[k] = (vec.get(k, 0) + c * v) % p
-                base = (i + j + 1) * dA
-            else:
-                continue
-            vec = {k: v for k, v in vec.items() if v}
-            if vec:
-                coeffs[(x, y)] = {base + k: v for k, v in vec.items()}
-    c = Cochain(Ld, 2, "adjoint", coeffs)
+
+    def line(a, b):
+        ea, eb = {a: 1}, {b: 1}
+        return vec_add(_sub(A.mul(eb, H(ea)), A.mul(ea, H(eb)), p),
+                       _sub(F.eval_vec(ea, D(eb)), F.eval_vec(D(ea), eb), p),
+                       p)
+
+    c = upsilon(Ld, F, check=False).add(_e_minus_one_block(Ld, line))
     return _check_closed(c, "LiftedUpsilon") if check else c
 
 
 def lifted_psi(Ld, E, check=True):
-    """Lifted Psi on L(A, D), for E a derivation commuting with D:
+    """Lifted Psi on L(A, D), for E a derivation commuting with D: Psi_E
+    plus the deformation line
 
-        deformation (i = j = -1):      e_{p-2} (x) (E(a)D(b) - E(b)D(a))
-        middle      (-2 < i+j < p-1):  e_{i+j} (x) (binom(i+j+1, j) bE(a)
-                                                  - binom(i+j+1, i) aE(b))
-        top         (i+j >= p-1):      0
+        (e_{-1} (x) a, e_{-1} (x) b) -> e_{p-2} (x) (E(a)D(b) - E(b)D(a)).
     """
-    meta = Ld.meta or {}
-    if meta.get("kind") != "deformed":
-        raise ValueError("lifted_psi lives on a deformed algebra")
-    A = meta["A"]
-    D = meta["D"]
-    p = Ld.p
-    dA = A.dim
+    A, D = _deformed(Ld, "lifted_psi")
     if not D.commutator(E).is_zero():
         raise ValueError("lifted Psi requires [D, E] = 0")
-    coeffs = {}
-    top = p - 2
-    for x in range(Ld.dim):
-        i, a = divmod(x, dA)
-        i -= 1
-        for y in range(x + 1, Ld.dim):
-            j, b = divmod(y, dA)
-            j -= 1
-            vec = {}
-            if i == -1 and j == -1:
-                for k, v in A.mul(E({a: 1}), D({b: 1})).items():
-                    vec[k] = (vec.get(k, 0) + v) % p
-                for k, v in A.mul(E({b: 1}), D({a: 1})).items():
-                    vec[k] = (vec.get(k, 0) - v) % p
-                base = (top + 1) * dA
-            elif -1 <= i + j <= top:
-                c1 = binom(i + j + 1, j) % p
-                c2 = binom(i + j + 1, i) % p
-                if c1:
-                    for k, v in A.mul({b: 1}, E({a: 1})).items():
-                        vec[k] = (vec.get(k, 0) + c1 * v) % p
-                if c2:
-                    for k, v in A.mul({a: 1}, E({b: 1})).items():
-                        vec[k] = (vec.get(k, 0) - c2 * v) % p
-                base = (i + j + 1) * dA
-            else:
-                continue
-            vec = {k: v for k, v in vec.items() if v}
-            if vec:
-                coeffs[(x, y)] = {base + k: v for k, v in vec.items()}
-    c = Cochain(Ld, 2, "adjoint", coeffs)
+    c = psi(Ld, E, check=False).add(_e_minus_one_block(Ld, lambda a, b: _sub(
+        A.mul(E({a: 1}), D({b: 1})), A.mul(E({b: 1}), D({a: 1})), Ld.p)))
     return _check_closed(c, "LiftedPsi") if check else c
 
 

@@ -44,7 +44,7 @@ from modlie.commalg import (
     scale_derivation,
     zero_derivation,
 )
-from modlie.linalg import vec_add, vec_scale
+from modlie.linalg import LinearMap, vec_add, vec_scale
 from modlie.liealg import (
     LieAlgebra,
     current_algebra,
@@ -234,6 +234,39 @@ def test_lifted_upsilon_with_zero_direction_restricts(setup):
     lifted = lifted_upsilon(Ld0, F)
     plain = upsilon(L, F)
     assert lifted.coeffs == plain.coeffs
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_lifted_upsilon_is_upsilon_plus_the_deformation_line(m):
+    # off the (e_-1, e_-1) block the lifted cocycle is the plain one; on
+    # it, e_{p-2} (x) (bH(a) - aH(b) - F(D(a), b) + F(a, D(b)))
+    A = make_divided_powers(m, P)
+    d = partial_derivation(A)
+    L = current_algebra(make_w1(1, P), A)
+    Ld = make_deformed(A, d)
+    pairs = harrison_h2_d_invariants(A, d)[1]
+    assert pairs
+    on_line = 0
+    for F, H in pairs:
+        lifted = lifted_upsilon(Ld, F, H)
+        plain = upsilon(L, F)
+        Hmap = LinearMap(A, A, H)
+        for T in set(lifted.coeffs) | set(plain.coeffs):
+            x, y = T
+            want = plain.coeffs.get(T, {})
+            if x < A.dim and y < A.dim:
+                want = vec_add(want, upsilon_line(A, F, Hmap, d, x, y), P)
+                on_line += bool(want)
+            assert lifted.coeffs.get(T, {}) == want
+    assert on_line  # the line is not empty, so the check above bites
+
+
+def upsilon_line(A, F, H, D, a, b):
+    ea, eb = {a: 1}, {b: 1}
+    v = vec_add(A.mul(eb, H(ea)), vec_scale(A.mul(ea, H(eb)), -1, P), P)
+    v = vec_add(v, vec_scale(F.eval_vec(D(ea), eb), -1, P), P)
+    v = vec_add(v, F.eval_vec(ea, D(eb)), P)
+    return {(P - 1) * A.dim + k: c for k, c in v.items()}
 
 
 def test_lifted_psi_family(setup):
