@@ -71,7 +71,7 @@ from collections import defaultdict
 from operator import itemgetter
 
 from .linalg import (DEFAULT_BUDGET, Echelon, SparseFpMatrix, bilinear_table,
-                     circle, solve_sparse, vec_scale)
+                     circle, solve_sparse, transpose, vec_scale)
 
 __all__ = [
     "BudgetExceeded",
@@ -361,18 +361,6 @@ def _column_images(L, module, cols, budget, counter, gens=None):
             yield img
 
 
-def _differential_rows(L, module, cols, budget, counter, gens=None):
-    """Sparse rows (one per output coordinate) of d restricted to the
-    given C^n columns, keyed by C^{n+1} coordinates; with gens, only the
-    rows whose tuple contains one of those basis indices."""
-    rows = defaultdict(dict)
-    for idx, img in enumerate(
-            _column_images(L, module, cols, budget, counter, gens)):
-        for key, v in img.items():
-            rows[key][idx] = v
-    return rows
-
-
 def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
                    cache=None, want_reps=False):
     """dim H^n(L; module) on the chosen slice (the whole complex when
@@ -415,8 +403,9 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     cols = chain_columns(L, n, module, slice_)
     stats = {"cached": False, "enumerate_s": lap(), "ncols": len(cols)}
     counter = [0]
-    rows = _differential_rows(L, module, cols, budget, counter,
-                              gens=L.generators)
+    # rows of d_n keyed by C^{n+1} coordinates, streamed from the images
+    rows = transpose(enumerate(
+        _column_images(L, module, cols, budget, counter, L.generators)))
     stats.update(rows=len(rows), nnz=counter[0])
     # columns enter the echelon sparsest first, so min-column pivoting
     # eliminates on sparse columns and pushes fill toward the dense ones;

@@ -142,7 +142,9 @@ def _lifted_h2(inst, ctx):
     h2 = cohomology_dim(Ld, 2, slice_=weight_zero_reduce(Ld),
                         budget=ctx.budget, cache=ctx.cache).dim
     summands = [inv, codim, derinv, har]
-    return [_row({"summands": [1, 1, 1, 1], "sum": 4, "h2": 4},
+    # 1 + 3m = dim H^2(W_1(m + 1)), by the Kuznetsov isomorphism
+    return [_row({"summands": [1, m, m, m], "sum": 1 + 3 * m,
+                  "h2": 1 + 3 * m},
                  {"summands": summands, "sum": sum(summands), "h2": h2})]
 
 

@@ -88,14 +88,21 @@ def cmd_verify(args):
         val = getattr(args, name)
         if val is not None:
             overrides[name] = val
+    # a named claim gets every override and refuses one it does not
+    # take; 'all' passes each claim the ones it takes and says so
+    every = args.claim.lower() == "all"
+    if every:
+        for cid in targets:
+            skip = [k for k in overrides if k not in CLAIMS[cid].params]
+            if skip:
+                print("verify: %s ignores %s" % (
+                    cid, ", ".join("--" + k for k in skip)), file=sys.stderr)
     cache = DiskCache(args.cache_dir) if args.cache_dir != "off" else None
     rows, timing, cached = [], [], []
     for cid in targets:
         claim = CLAIMS[cid]
-        ov = overrides or None
-        if ov:
-            ov = {k: v for k, v in ov.items() if k in claim.params}
-            ov = ov or None
+        ov = {k: v for k, v in overrides.items()
+              if not every or k in claim.params} or None
         ctx = Ctx(budget=args.budget, cache=cache, seed=args.seed)
         t0 = time.perf_counter()
         h0, m0 = (cache.hits, cache.misses) if cache else (0, 0)

@@ -8,32 +8,35 @@ cohomology computed exactly through sparse ranks of the bar complex.
 
 Every structure-constant table is monomial-sparse: a product of two basis
 elements has at most one nonzero term.  Multidegrees are carried along so
-bar-complex computations decompose into independent blocks (the bar
-differential preserves the multidegree shift of a cochain), which is what
-keeps the dimension-25 computations fast.
+the Harrison system splits into independent blocks (the Hochschild
+differential preserves the multidegree shift of a cochain).
 
-Har^2(A, A) (Harrison; Gerstenhaber) needs only some of the cocycle
-equations dF(a, b, c) = 0 of a symmetric 2-cochain F, where
+The Hochschild differential is written once, in _stencil: the terms of
 
-    dF(a, b, c) = a F(b, c) - F(ab, c) + F(a, bc) - F(a, b) c.
+    dF(x_0..x_k) = x_0 F(x_1..x_k) + sum_i (-1)^i F(..x_{i-1} x_i..)
+                   + (-1)^{k+1} F(x_0..x_{k-1}) x_k
 
-With d^2 F = 0 at (s, x, b, c),
+at a basis tuple.  Evaluated, they give hochschild_delta, the Leibniz
+check and is_harrison_cocycle; as one scalar row per output coordinate
+they give the systems of derivation_space, harrison_h2 and
+hochschild_hn_dim; the d^1 rows, transposed, are the coboundaries that
+solve_delta1 and the Harrison quotients read.
 
-    dF(sx, b, c) = s dF(x, b, c) + dF(s, xb, c) - dF(s, x, bc)
-                   + dF(s, x, b) c,
+A kernel {F : dF = 0} needs only the rows whose first argument lies in
+{unit} + A.generators.  For G = dF, d^2 F = 0 at (s, x, ..) gives
 
-so the first arguments x with dF(x, ., .) = 0 form a subspace X closed
-under multiplication by every such s.  For symmetric F over commutative
-A, dF(c, b, a) = -dF(a, b, c), and dF(a, b, a) = 0 as p is odd.  Let X
-hold the basis elements S = A.generators, which with the unit generate A
-as an algebra.  Then X holds the ideal I that S generates, and A = K 1 +
-I.  The unit lies in X too: dF(1, b, c) = -dF(c, b, 1) = 0 for c in I,
-and dF(1, b, 1) = 0 as p is odd.  So X = A, and of the triples with
-a < c that decide everything, harrison_h2 assembles and
-is_harrison_cocycle checks only those where a or c lies in S.  Every
-block keeps its kernel, hence its pivots, its kernel_basis and the
-representatives; on O1(2) at p = 5 that keeps 47 of the 300 pairs
-(a, c).
+    G(sx, ..) = s G(x, ..) + (terms whose first argument is s),
+
+so X = {x : G(x, ..) = 0} is a subspace closed under products; holding
+the unit and the generators, it is A.  Without the unit, X is only the
+ideal the generators generate: for full cochains the unit row is needed
+(on O1(1) the rank of d_1 drops from 20 to 19 without it).  Symmetric
+2-cochains need no unit row: over odd p, dF(c, b, a) = -dF(a, b, c), so
+dF(1, b, c) = 0 for c in that ideal, and dF(1, b, 1) = 0.  So
+harrison_h2 assembles and is_harrison_cocycle checks only the pairs
+(a, c), a < c, that meet A.generators (_harrison_pairs):
+47 of the 300 pairs of O1(2) at p = 5.  Every kernel, hence every pivot
+set, kernel_basis and representative, is that of the full system.
 """
 
 import itertools
@@ -41,8 +44,8 @@ from collections import defaultdict
 
 from .arith import binom, binom_mod_p, check_prime
 from .linalg import (DEFAULT_BUDGET, Echelon, LinearMap, SparseFpMatrix,
-                     bilinear_table, compose, solve_sparse, vec_add,
-                     vec_scale)
+                     bilinear_table, compose, solve_sparse, transpose,
+                     vec_add, vec_scale)
 
 __all__ = [
     "CommAlgebra",
@@ -103,8 +106,8 @@ class CommAlgebra:
             vec = {k: v % p for k, v in vec.items() if v % p}
             if vec:
                 self.mult[(i, j)] = vec
+        self._table = bilinear_table(self.mult, 1, p)
         self._validate()
-        self._divisors = None
         self._generators = None
 
     @property
@@ -165,21 +168,13 @@ class CommAlgebra:
     def unit_vec(self):
         return {self.unit: 1}
 
-    def divisors(self, m):
-        """All ordered pairs (u, v, c) with b_u * b_v = c * b_m + ..."""
-        if self._divisors is None:
-            table = defaultdict(list)
-            for (i, j), vec in self.mult.items():
-                for k, c in vec.items():
-                    table[k].append((i, j, c))
-                    if i != j:
-                        table[k].append((j, i, c))
-            self._divisors = dict(table)
-        return self._divisors.get(m, ())
+    def products(self, m):
+        """The nonzero products of b_m, as pairs (s, b_m * b_s)."""
+        return self._table.get(m, ())
 
     def shift(self, tgt, srcs):
         """Multidegree of target minus the sum over source indices; the
-        block key for bar-complex slicing.  Collapses to 0 without degrees."""
+        block key of the Harrison system.  Collapses to 0 without degrees."""
         if self.degrees is None:
             return 0
         d = list(self.degrees[tgt])
@@ -203,8 +198,7 @@ class CommAlgebra:
         # so A is associative exactly when F is fully symmetric: for each
         # sorted triple, every choice of outer argument gives one value.
         vals = {}
-        for x, y, c, row in compose(self.mult,
-                                    bilinear_table(self.mult, 1, p)):
+        for x, y, c, row in compose(self.mult, self._table):
             for z, w in row:
                 acc = vals.setdefault((tuple(sorted((x, y, z))), z), {})
                 for k, v in w.items():
@@ -392,26 +386,14 @@ class Derivation(LinearMap):
         self.A = A
         self.name = name
         if check:
-            bad = self._leibniz_failure()
-            if bad is not None:
-                raise ValueError(
-                    "%s is not a derivation: Leibniz fails on (%s, %s)"
-                    % (name, A.labels[bad[0]], A.labels[bad[1]])
-                )
-
-    def _leibniz_failure(self):
-        A = self.A
-        for i in range(A.dim):
-            for j in range(i, A.dim):
-                lhs = self(A.product(i, j))
-                rhs = vec_add(
-                    A.mul(self({i: 1}), {j: 1}),
-                    A.mul({i: 1}, self({j: 1})),
-                    A.p,
-                )
-                if lhs != rhs:
-                    return (i, j)
-        return None
+            # Leibniz: the Hochschild coboundary vanishes on every i <= j
+            value = lambda args: self.cols.get(args[0], {})
+            for i in range(A.dim):
+                for j in range(i, A.dim):
+                    if _delta_value(A, value, (i, j)):
+                        raise ValueError(
+                            "%s is not a derivation: Leibniz fails on "
+                            "(%s, %s)" % (name, A.labels[i], A.labels[j]))
 
     def is_zero(self):
         return not self.cols
@@ -524,33 +506,15 @@ def zero_derivation(A):
 
 
 def derivation_space(A):
-    """Basis of Der(A), as the kernel of the Leibniz system on matrix
-    entries.  Unknown (src, tgt) gets column src * dim + tgt."""
+    """Basis of Der(A), the kernel of d^1 on matrix entries: unknown
+    (src, tgt) gets column src * dim + tgt.  Only the rows dD(a, b) = 0
+    with a in {unit} + A.generators are assembled (module docstring)."""
     n, p = A.dim, A.p
     m = SparseFpMatrix(n * n, p)
-    for i in range(n):
-        for j in range(i, n):
-            # D(b_i b_j) - b_i D(b_j) - b_j D(b_i) = 0, one row per target
-            rows = defaultdict(dict)
-
-            def bump(t, src, tgt, c):
-                y = (rows[t].get(src * n + tgt, 0) + c) % p
-                if y:
-                    rows[t][src * n + tgt] = y
-                else:
-                    rows[t].pop(src * n + tgt, None)
-
-            for k, c in A.product(i, j).items():
-                for t in range(n):
-                    bump(t, k, t, c)
-            for s in range(n):
-                for t, c in A.product(i, s).items():
-                    bump(t, j, s, -c)
-                for t, c in A.product(j, s).items():
-                    bump(t, i, s, -c)
-            for r in rows.values():
-                if r:
-                    m.add_row(r)
+    for a in (A.unit,) + A.generators:
+        for b in range(n):
+            for row in _stencil_rows(A, (a, b)).values():
+                m.add_row(row)
     ders = []
     for v in m.kernel_basis():
         cols = defaultdict(dict)
@@ -656,71 +620,87 @@ class SymmetricBilinearMap:
         return out
 
 
+def _stencil(A, xs):
+    """The terms (args, m, c) of the Hochschild coboundary at the basis
+    tuple xs = (x_0..x_k): dF(xs) = sum c e_m F(args), where m None
+    stands for the plain value c F(args)."""
+    k = len(xs) - 1
+    terms = [(xs[1:], xs[0], 1)]
+    for i in range(1, k + 1):
+        sign = -1 if i % 2 else 1
+        for m, c in A.product(xs[i - 1], xs[i]).items():
+            terms.append((xs[:i - 1] + (m,) + xs[i + 1:], None, sign * c))
+    terms.append((xs[:-1], xs[-1], 1 if k % 2 else -1))
+    return terms
+
+
+def _delta_value(A, F, xs):
+    """dF(xs) for the cochain F given as a function of argument tuples."""
+    p, out = A.p, {}
+    for args, m, c in _stencil(A, xs):
+        v = F(args)
+        if m is not None:
+            v = A.mul({m: 1}, v)
+        for t, w in v.items():
+            out[t] = out.get(t, 0) + c * w
+    return {t: w % p for t, w in out.items() if w % p}
+
+
+def _stencil_rows(A, xs, fold=False):
+    """dF(xs) = 0 as one scalar row per output coordinate t, keyed by the
+    unknowns (args, s), the e_s coefficient of F(args), flattened to
+    (args in base dim) * dim + s; fold sorts args, for symmetric F."""
+    n, p = A.dim, A.p
+    rows = defaultdict(dict)
+    for args, m, c in _stencil(A, xs):
+        base = 0
+        for a in (sorted(args) if fold else args):
+            base = base * n + a
+        base *= n
+        if m is None:
+            for t in range(n):
+                r = rows[t]
+                r[base + t] = r.get(base + t, 0) + c
+            continue
+        for s, vec in A.products(m):
+            for t, w in vec.items():
+                r = rows[t]
+                r[base + s] = r.get(base + s, 0) + c * w
+    out = {}
+    for t, r in rows.items():
+        r = {k: v % p for k, v in r.items() if v % p}
+        if r:
+            out[t] = r
+    return out
+
+
 def hochschild_delta(c):
     """The Hochschild coboundary of a degree-1 cochain (a linear operator,
     given as a Derivation-like object or raw sparse columns) or of a
     degree-2 symmetric cochain.
 
-    Degree 1: dG(a, b) = a G(b) + b G(a) - G(ab), returned as a
+    Degree 1: dG(a, b) = a G(b) - G(ab) + G(a) b, returned as a
     SymmetricBilinearMap (it is symmetric for any G).
     Degree 2: dF(a, b, c) = a F(b,c) - F(ab, c) + F(a, bc) - F(a,b) c,
     returned as a dict keyed by all index triples."""
     if isinstance(c, SymmetricBilinearMap):
-        A, p = c.A, c.p
-        out = {}
-        for a in range(A.dim):
-            for b in range(A.dim):
-                for cc in range(A.dim):
-                    v = _delta2_value(A, c, a, b, cc)
-                    if v:
-                        out[(a, b, cc)] = v
-        return out
-    if isinstance(c, Derivation):
-        A, cols = c.A, c.cols
-    else:
-        A, cols = c  # (algebra, sparse columns) pair
-    p = A.p
-    vals = {}
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            v = vec_add(
-                A.mul({i: 1}, cols.get(j, {})),
-                A.mul({j: 1}, cols.get(i, {})),
-                p,
-            )
-            for k, cm in A.product(i, j).items():
-                v = vec_add(v, vec_scale(cols.get(k, {}), -cm, p), p)
-            if v:
-                vals[(i, j)] = v
-    return SymmetricBilinearMap(A, vals)
-
-
-def _delta2_value(A, F, a, b, c):
-    p = A.p
-    v = A.mul({a: 1}, F(b, c))
-    for m, cm in A.product(a, b).items():
-        v = vec_add(v, vec_scale(F(m, c), -cm, p), p)
-    for m, cm in A.product(b, c).items():
-        v = vec_add(v, vec_scale(F(a, m), cm, p), p)
-    v = vec_add(v, vec_scale(A.mul(F(a, b), {c: 1}), -1, p), p)
-    return v
+        A, F = c.A, (lambda args: c(*args))
+        return {xs: v for xs in itertools.product(range(A.dim), repeat=3)
+                if (v := _delta_value(A, F, xs))}
+    A, cols = (c.A, c.cols) if isinstance(c, Derivation) else c
+    G = lambda args: cols.get(args[0], {})
+    return SymmetricBilinearMap(A, {
+        (i, j): v for i in range(A.dim) for j in range(i, A.dim)
+        if (v := _delta_value(A, G, (i, j)))})
 
 
 def is_harrison_cocycle(F):
-    """Exact check that the symmetric 2-cochain F is a Hochschild cocycle.
-    For symmetric F the coboundary satisfies dF(c,b,a) = -dF(a,b,c), so
-    triples with first index < last index decide everything, and of
-    those only the pairs (a, c) that meet A.generators need to be
-    checked: the x with dF(x, ., .) = 0 then form a subspace closed under
-    multiplication by the generators, so they hold the ideal I these
-    generate, and also the unit, as dF(1, b, c) = -dF(c, b, 1) = 0 for c
-    in I and dF(1, b, 1) = 0 for odd p (module docstring)."""
-    A = F.A
-    for a, c in _harrison_pairs(A):
-        for b in range(A.dim):
-            if _delta2_value(A, F, a, b, c):
-                return False
-    return True
+    """Exact check that the symmetric 2-cochain F is a Hochschild cocycle:
+    dF(a, b, c) = 0 on the pairs (a, c) of _harrison_pairs, which decide
+    every triple (module docstring)."""
+    A, value = F.A, (lambda args: F(*args))
+    return not any(_delta_value(A, value, (a, b, c))
+                   for a, c in _harrison_pairs(A) for b in range(A.dim))
 
 
 def star_action(D, F):
@@ -799,35 +779,14 @@ def basic_harrison_cocycle(m, p, i, variant, A=None):
     return F
 
 
-def _pair_key(n, i, j, t):
-    if i > j:
-        i, j = j, i
-    return (i * n + j) * n + t
-
-
-def _coboundary_vectors(A):
-    """delta(G) over all elementary 1-cochains G = (src -> tgt), as sparse
-    vectors on symmetric-pair coordinates."""
-    n, p = A.dim, A.p
-    out = []
-    for src in range(n):
-        for tgt in range(n):
-            vec = defaultdict(int)
-            # a G(b) + b G(a) terms: pairs containing src
-            for other in range(n):
-                for k, c in A.product(other, tgt).items():
-                    vec[_pair_key(n, other, src, k)] += c
-            # extra copy when both arguments hit src
-            for k, c in A.product(src, tgt).items():
-                vec[_pair_key(n, src, src, k)] += c
-            # -G(ab) over pairs multiplying into src
-            for (i, j), prod in A.mult.items():
-                c = prod.get(src)
-                if c:
-                    vec[_pair_key(n, i, j, tgt)] -= c
-            row = {k: v % p for k, v in vec.items() if v % p}
-            out.append(((src, tgt), row))
-    return out
+def _coboundary_columns(A):
+    """dG for every elementary 1-cochain G = (src -> tgt), keyed
+    src * dim + tgt, on the flatten() coordinates (i * dim + j) * dim + t
+    of symmetric pairs i <= j: the d^1 rows of all pairs, transposed."""
+    n = A.dim
+    return transpose(((a * n + b) * n + t, row)
+                     for a in range(n) for b in range(a, n)
+                     for t, row in _stencil_rows(A, (a, b)).items())
 
 
 def _harrison_pairs(A, firsts=None):
@@ -835,10 +794,7 @@ def _harrison_pairs(A, firsts=None):
     = 0 harrison_h2 assembles and is_harrison_cocycle checks: those with
     a or c in A.generators, or in firsts when given; firsts =
     range(A.dim) yields every pair.  The generators decide every
-    equation, the unit included: with X = {x : dF(x, ., .) = 0} holding
-    them, X holds the ideal I they generate and A = K 1 + I, and
-    dF(1, b, c) = -dF(c, b, 1) = 0 for c in I while dF(1, b, 1) = 0 as
-    p is odd (module docstring)."""
+    equation, the unit's included (module docstring)."""
     keep = set(A.generators if firsts is None else firsts)
     for a in range(A.dim):
         for c in range(a + 1, A.dim):
@@ -848,58 +804,26 @@ def _harrison_pairs(A, firsts=None):
 
 def _harrison_blocks(A, pairs):
     """The symmetric cocycle system on the given pairs, split by
-    multidegree shift: per block key, its unknowns (i, j, t) for pair
-    i <= j and target t, their local positions, and a SparseFpMatrix of
-    the equations dF(a, b, c) = 0 over (a, c) in pairs and every b, one
-    scalar row per output coordinate, inserted shortest first (which
-    keeps pivot rows sparse and changes neither the pivots nor
-    kernel_basis)."""
+    multidegree shift: per block key, its unknowns (i * dim + j) * dim + t
+    for pair i <= j and target t, their local positions, and a
+    SparseFpMatrix of the rows of dF(a, b, c) = 0 over (a, c) in pairs and
+    every b, inserted shortest first (which keeps pivot rows sparse and
+    changes neither the pivots nor kernel_basis)."""
     n, p = A.dim, A.p
     blocks = defaultdict(list)
     for i in range(n):
         for j in range(i, n):
             for t in range(n):
-                blocks[A.shift(t, (i, j))].append((i, j, t))
-    local = {}
-    for key, unknowns in blocks.items():
-        local[key] = {u: pos for pos, u in enumerate(unknowns)}
-
+                blocks[A.shift(t, (i, j))].append((i * n + j) * n + t)
+    local = {key: {u: pos for pos, u in enumerate(unknowns)}
+             for key, unknowns in blocks.items()}
     rows_per_block = defaultdict(list)
     for a, c in pairs:
         for b in range(n):
-            # a F(b,c) - F(ab,c) + F(a,bc) - F(a,b) c = 0; one scalar
-            # row per output coordinate t.  In the outer terms the
-            # unknown's own target s runs free of t.
-            rows = defaultdict(dict)
-
-            def bump(t, i, j, s, coeff):
-                if i > j:
-                    i, j = j, i
-                k = (i, j, s)
-                y = (rows[t].get(k, 0) + coeff) % p
-                if y:
-                    rows[t][k] = y
-                else:
-                    rows[t].pop(k, None)
-
-            for s in range(n):
-                for t, cm in A.product(a, s).items():
-                    bump(t, b, c, s, cm)
-                for t, cm in A.product(c, s).items():
-                    bump(t, a, b, s, -cm)
-            for m_, cm in A.product(a, b).items():
-                for t in range(n):
-                    bump(t, m_, c, t, -cm)
-            for m_, cm in A.product(b, c).items():
-                for t in range(n):
-                    bump(t, a, m_, t, cm)
-            for t, row in rows.items():
-                if not row:
-                    continue
+            for t, row in _stencil_rows(A, (a, b, c), fold=True).items():
                 key = A.shift(t, (a, b, c))
                 loc = local[key]
                 rows_per_block[key].append({loc[k]: v for k, v in row.items()})
-
     systems = {}
     for key, unknowns in blocks.items():
         m = SparseFpMatrix(len(unknowns), p)
@@ -911,51 +835,32 @@ def _harrison_blocks(A, pairs):
 
 def harrison_h2(A):
     """Dimension and representative basis of Har^2(A, A): symmetric
-    Hochschild 2-cocycles modulo coboundaries of 1-cochains.  The cocycle
-    system is solved blockwise per multidegree shift.
-
-    Only the equations dF(a, b, c) = 0 with a or c in A.generators are
-    assembled.  By d^2 F = 0 the first arguments x with dF(x, ., .) = 0
-    form a subspace X closed under multiplication by the generators, and
-    dF(c, b, a) = -dF(a, b, c) for symmetric F over commutative A, so a
-    generator in either outer slot suffices.  X holds the ideal I the
-    generators generate, and A = K 1 + I; the unit lies in X as
-    dF(1, b, c) = -dF(c, b, 1) = 0 for c in I and dF(1, b, 1) = 0 for odd
-    p, so X = A (module docstring).  Every block keeps its kernel, so its
-    pivots, its kernel_basis and the representatives are those of the
-    full system, in the same order."""
+    Hochschild 2-cocycles modulo coboundaries of 1-cochains, solved
+    blockwise per multidegree shift.  Only the equations dF(a, b, c) = 0
+    with a or c in A.generators are assembled (module docstring); every
+    block keeps its kernel, so its pivots, its kernel_basis and the
+    representatives are those of the full system, in the same order."""
     n, p = A.dim, A.p
     blocks, local, systems = _harrison_blocks(A, _harrison_pairs(A))
-
+    image_cols = defaultdict(list)
+    for g, vec in _coboundary_columns(A).items():
+        image_cols[A.shift(g % n, (g // n,))].append(vec)
     dim_total = 0
     reps = []
-    image_rows = defaultdict(list)
-    for (src, tgt), vec in _coboundary_vectors(A):
-        if vec:
-            key = A.shift(tgt, (src,))
-            image_rows[key].append(vec)
-
     for key, unknowns in blocks.items():
         kernel = systems[key].kernel_basis()
         image = Echelon(p)
-        for vec in image_rows.get(key, ()):
-            # convert pair-key coordinates to local block coordinates
-            locvec = {}
-            for flat, v in vec.items():
-                pair, t = divmod(flat, n)
-                i, j = divmod(pair, n)
-                locvec[local[key][(i, j, t)]] = v
-            image.add(locvec)
-        got = 0
+        loc = local[key]
+        for vec in image_cols.get(key, ()):
+            image.add({loc[u]: v for u, v in vec.items()})
         for v in kernel:
             if image.add(v):
-                got += 1
+                dim_total += 1
                 vals = defaultdict(dict)
                 for pos, c in v.items():
-                    i, j, t = unknowns[pos]
-                    vals[(i, j)][t] = c
+                    pair, t = divmod(unknowns[pos], n)
+                    vals[divmod(pair, n)][t] = c
                 reps.append(SymmetricBilinearMap(A, dict(vals)))
-        dim_total += got
     return dim_total, reps
 
 
@@ -964,10 +869,7 @@ def solve_delta1(A, target):
     target; returns sparse columns or None when target is not a
     coboundary."""
     n = A.dim
-    # the column of the unknown (src -> tgt) sits at src * n + tgt, and
-    # target.flatten() uses the pair coordinates of _coboundary_vectors
-    cob = {src * n + tgt: vec for (src, tgt), vec in _coboundary_vectors(A)}
-    sol = solve_sparse(cob, target.flatten(), A.p)
+    sol = solve_sparse(_coboundary_columns(A), target.flatten(), A.p)
     if sol is None:
         return None
     cols = defaultdict(dict)
@@ -986,7 +888,7 @@ def harrison_h2_d_invariants(A, D):
     if d2 == 0:
         return 0, []
     cob = Echelon(p)
-    for _, vec in _coboundary_vectors(A):
+    for vec in _coboundary_columns(A).values():
         cob.add(vec)
     rhos = [cob.reduce(F.flatten()) for F in reps]
     action = []  # column r: coordinates of [D * F_r] in the class basis
@@ -1011,58 +913,24 @@ def harrison_h2_d_invariants(A, D):
 
 def hochschild_hn_dim(A, n, budget=DEFAULT_BUDGET):
     """dim H^n(A, A) for 0 <= n <= 3 via the bar complex: the number of
-    n-cochains minus the ranks of the outgoing and incoming differentials,
-    computed blockwise per multidegree shift."""
+    n-cochains minus the ranks of the outgoing and incoming differentials.
+    The rank of d_k is read off the rows of dF(x_0..x_k) = 0 with x_0 in
+    {unit} + A.generators, which have the kernel of all rows (module
+    docstring).  One echelon takes every multidegree block: rows of two
+    blocks share no column, so they never meet in elimination."""
     if not 0 <= n <= 3:
         raise ValueError("only degrees 0..3 are supported")
-    if A.dim ** (n + 1) > budget:
+    dim, p = A.dim, A.p
+    if dim ** (n + 1) > budget:
         raise ValueError(
-            "bar complex size %d exceeds budget %d" % (A.dim ** (n + 1), budget)
-        )
-    cochains = A.dim ** n * A.dim
-    return cochains - _bar_rank(A, n) - (_bar_rank(A, n - 1) if n else 0)
+            "bar complex size %d exceeds budget %d" % (dim ** (n + 1), budget))
 
+    def rank(k):
+        ech = Echelon(p)
+        for x0 in (A.unit,) + A.generators:
+            for rest in itertools.product(range(dim), repeat=k):
+                for row in _stencil_rows(A, (x0,) + rest).values():
+                    ech.add(row)
+        return ech.rank
 
-def _bar_rank(A, k):
-    """Rank of the bar differential C^k -> C^{k+1}, by pushing every
-    elementary k-cochain through an echelon per multidegree block."""
-    n, p = A.dim, A.p
-    echelons = defaultdict(lambda: Echelon(p))
-    rank = 0
-
-    def coord(tup, t):
-        key = 0
-        for a in tup:
-            key = key * n + a
-        return key * n + t
-
-    tuples = [()]
-    for _ in range(k):
-        tuples = [tu + (a,) for tu in tuples for a in range(n)]
-    for tau in tuples:
-        for s in range(n):
-            vec = defaultdict(int)
-            for z in range(n):
-                for t, c in A.product(z, s).items():
-                    vec[coord((z,) + tau, t)] += c
-                if k:
-                    sign = -1 if (k + 1) % 2 else 1
-                    for t, c in A.product(s, z).items():
-                        vec[coord(tau + (z,), t)] += sign * c
-            if not k:
-                # degree-0 cochains: d(u)(a) = a u - u a = 0, commutative
-                for z in range(n):
-                    for t, c in A.product(z, s).items():
-                        vec[coord((z,), t)] -= c
-            for pos in range(1, k + 1):
-                m_ = tau[pos - 1]
-                sign = -1 if pos % 2 else 1
-                rest_l, rest_r = tau[: pos - 1], tau[pos:]
-                for (u, v, c) in A.divisors(m_):
-                    vec[coord(rest_l + (u, v) + rest_r, s)] += sign * c
-            row = {kk: v % p for kk, v in vec.items() if v % p}
-            if row:
-                key = A.shift(s, tau)
-                if echelons[key].add(row):
-                    rank += 1
-    return rank
+    return dim ** (n + 1) - rank(n) - (rank(n - 1) if n else 0)

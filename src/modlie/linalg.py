@@ -36,8 +36,9 @@ than by rank times nullity.
 A linear map is given by its columns {j: {k: c}}: column j is the image
 of the j-th source basis vector.  LinearMap applies and flattens such
 columns, SparseFpMatrix.from_columns takes the rank and kernel of the
-map they give, and solve_sparse finds a preimage; both transpose the
-columns into rows here, so no caller builds rows by hand.  The rank of
+map they give, and solve_sparse finds a preimage; both turn the columns
+into rows with transpose, the one transpose of the package, so no caller
+builds rows by hand.  The rank of
 a map may equally be read off an echelon of its columns, since column
 rank equals row rank.
 
@@ -54,12 +55,14 @@ has value 0.  circle folds its terms onto sorted triples for alternating
 maps; commutative associativity folds them in commalg.
 """
 
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 
 from .arith import inv_mod
 
 __all__ = ["LinearMap", "SparseFpMatrix", "Echelon", "solve_sparse",
-           "vec_add", "vec_scale", "bilinear_table", "compose", "circle"]
+           "transpose", "vec_add", "vec_scale", "bilinear_table", "compose",
+           "circle"]
 
 # The one default work budget of every budgeted computation (cohomology
 # assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
@@ -205,12 +208,14 @@ class Echelon:
         return e
 
 
-def _transpose(columns):
-    """The rows {k: {j: c}} of the matrix with columns {j: {k: c}}."""
-    rows = {}
-    for j, col in columns.items():
+def transpose(columns):
+    """The rows {k: {j: c}} of the matrix whose columns are the given
+    (j, {k: c}) pairs, each row in the order its columns come; the pairs
+    may be a generator, so the columns need not be held."""
+    rows = defaultdict(dict)
+    for j, col in columns:
         for k, c in col.items():
-            rows.setdefault(k, {})[j] = c
+            rows[k][j] = c
     return rows
 
 
@@ -272,7 +277,7 @@ class SparseFpMatrix:
         """The system on ncols unknowns whose j-th column is columns[j]
         (absent columns are zero): its kernel is that of the map."""
         m = cls(ncols, p)
-        for row in _transpose(columns).values():
+        for row in transpose(columns.items()).values():
             m.add_row(row)
         return m
 
@@ -338,9 +343,9 @@ def solve_sparse(columns, target, p):
     # augmented column; larger than every unknown, so it is never chosen
     # as a min-column pivot before the unknowns are exhausted
     RHS = max(columns, default=-1) + 1
-    rows = _transpose(columns)
+    rows = transpose(columns.items())
     for k, c in target.items():
-        rows.setdefault(k, {})[RHS] = c
+        rows[k][RHS] = c
     ech = Echelon(p)
     for row in rows.values():
         if ech.add(row) and RHS in ech.pivots:

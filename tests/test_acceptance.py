@@ -137,3 +137,11 @@ def test_massey_and_kuznetsov_claims_at_the_next_height():
     rows = check("kuznetsov-iso", {"n": 3})
     assert [r["instance"]["n"] for r in rows] == [3, 3]
     assert all(r["computed"] is True for r in rows)
+
+
+@pytest.mark.slow
+def test_lifted_h2_expects_one_plus_three_m():
+    # at m = 2 the summands are [1, m, m, m] and the total 1 + 3m, which
+    # is dim H^2(W_1(m + 1)) by the Kuznetsov isomorphism
+    (row,) = check("lifted-h2", {"p": 5, "m": 2})
+    assert row["computed"] == {"summands": [1, 2, 2, 2], "sum": 7, "h2": 7}

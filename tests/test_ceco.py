@@ -32,7 +32,7 @@ from modlie.commalg import make_divided_powers, partial_derivation
 from bisect import bisect_left
 from math import comb
 
-from modlie.linalg import Echelon, vec_add
+from modlie.linalg import Echelon, transpose, vec_add
 from modlie.liealg import (
     JACOBI_EAGER_DIM,
     LieAlgebra,
@@ -410,7 +410,8 @@ ORACLE_MAX_COLS = 2500
 
 def _rank_and_pivots(L, module, cols, gens=None):
     # the given column order, rows shortest first
-    rows = ceco._differential_rows(L, module, cols, 10 ** 9, [0], gens=gens)
+    rows = transpose(enumerate(
+        ceco._column_images(L, module, cols, 10 ** 9, [0], gens)))
     ech = Echelon(L.p)
     for row in sorted(rows.values(), key=len):
         ech.add(row)

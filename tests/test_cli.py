@@ -9,6 +9,7 @@ import re
 
 import pytest
 
+from modlie import cli
 from modlie.cli import main
 from modlie.claims import CLAIMS
 from modlie.liealg import make_sl2
@@ -61,6 +62,29 @@ def test_verify_single_claim_table(capsys):
     # two instances (p = 5, 7), both pass
     assert out.strip().splitlines()[-1] == "2/2 rows pass"
     assert "(cached)" not in out
+
+
+def test_verify_named_claim_refuses_an_override_it_does_not_take(capsys):
+    rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--m", "3",
+                                "--cache-dir", "off"])
+    assert rc == 2
+    assert "claim h2-w1-basic does not take --m" in err
+    assert "rows pass" not in out
+
+
+def test_verify_all_names_the_overrides_each_claim_ignores(capsys,
+                                                          monkeypatch):
+    # two cheap claims stand in for the registry: one takes --n
+    monkeypatch.setattr(cli, "CLAIMS", {cid: CLAIMS[cid] for cid in
+                                        ("h2-w1-basic", "dimh1-w1n")})
+    rc, out, err = run(capsys, ["verify", "all", "--n", "1",
+                                "--cache-dir", "off", "--output", "json"])
+    assert rc == 0
+    assert err.splitlines() == ["verify: h2-w1-basic ignores --n"]
+    rows = json.loads(out)["claims"]
+    assert [(r["claim"], r["instance"]) for r in rows] == [
+        ("h2-w1-basic", {"p": 5}), ("h2-w1-basic", {"p": 7}),
+        ("dimh1-w1n", {"p": 5, "n": 1})]
 
 
 def test_verify_table_shows_claim_time_once(capsys):
