@@ -71,7 +71,7 @@ from collections import defaultdict
 from operator import itemgetter
 
 from .linalg import (DEFAULT_BUDGET, Echelon, SparseFpMatrix, bilinear_table,
-                     circle, solve_sparse, transpose, vec_scale)
+                     circle, family_add, solve_sparse, transpose, vec_scale)
 
 __all__ = [
     "BudgetExceeded",
@@ -153,12 +153,8 @@ class Cochain:
     def add(self, other, scale=1):
         if other.n != self.n or other.module != self.module:
             raise ValueError("cochain mismatch")
-        coeffs = defaultdict(dict)
-        for c, s in ((self, 1), (other, scale)):
-            for T, vec in c.coeffs.items():
-                for k, v in vec.items():
-                    coeffs[T][k] = (coeffs[T].get(k, 0) + s * v) % self.L.p
-        return Cochain(self.L, self.n, self.module, dict(coeffs))
+        return Cochain(self.L, self.n, self.module, family_add(
+            self.coeffs, other.coeffs, self.L.p, scale))
 
     def scale(self, c):
         return Cochain(self.L, self.n, self.module, {

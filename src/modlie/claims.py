@@ -401,7 +401,7 @@ _register(
     ("p", "n"), [{"p": 5, "n": 2}], _kuznetsov)
 _register(
     "lifted-h2",
-    "dim H^2(L(O_1, d)) = 4 = dim A^d + dim Der(A)_d + dim Der(A)^d "
+    "dim H^2(L(O_1(m), d)) = 1 + 3m = dim A^d + dim Der(A)_d + dim Der(A)^d "
     "+ dim Har^2(A, A)^d, each summand an independent exact kernel "
     "or cokernel computation",
     ("p", "m"), [{"p": 5, "m": 1}], _lifted_h2)
@@ -430,7 +430,7 @@ _register(
 _register(
     "h2plus-w1",
     "the positive part of H^2 of W_1(1) (x) O_1 + K d is 1-dimensional",
-    ("p", "m"), [{"p": 5, "m": 1}], _h2plus("w1"), provenance="derived")
+    ("p",), [{"p": 5, "m": 1}], _h2plus("w1"), provenance="derived")
 _register(
     "h2plus-sl2",
     "the positive part of H^2 of sl_2 (x) O_1 + K d vanishes",

@@ -21,7 +21,8 @@ from .arith import binom, inv_mod, lambda_coeff, lambda_table, n_div_p, n_int
 from .ceco import Cochain, ComplexSlice, ce_differential, massey_bracket
 from .commalg import solve_delta1, star_action
 from .liealg import LieAlgebra, make_w1
-from .linalg import LinearMap, vec_add, vec_scale
+from .linalg import (LinearMap, bilinear_tensor, family_add, vec_add,
+                     vec_scale)
 
 __all__ = [
     "CocycleError",
@@ -106,67 +107,28 @@ def phi21(W, check=True):
     return _check_closed(c, "phi21") if check else c
 
 
-def _tensor(svec, avec, dA, p):
-    """svec (x) avec as a sparse vector of S (x) A, whose basis element
+def _line(k, avec, dA):
+    """e_k (x) avec as a sparse vector of S (x) A, whose basis element
     e_k (x) a_m sits at k*dA + m."""
-    return {k * dA + m: c for k, cv in svec.items()
-            for m, c in vec_scale(avec, cv, p).items()}
-
-
-def _sub(u, v, p):
-    return vec_add(u, vec_scale(v, -1, p), p)
+    return {k * dA + m: c for m, c in avec.items()}
 
 
 def theta(L, phi_on_s, u, check=True):
     """Theta_{phi,u} on S (x) A (tails, if any, get zero):
     (x (x) a, y (x) b) -> phi(x, y) (x) abu."""
-    w, dA, A = _tensor_layout(L)
-    coeffs = {}
-    for (si, sj), vec in phi_on_s.coeffs.items():
-        for a in range(dA):
-            for b in range(dA):
-                ab_u = A.mul(A.mul({a: 1}, {b: 1}), u)
-                if ab_u:
-                    coeffs[(si * dA + a, sj * dA + b)] = _tensor(
-                        vec, ab_u, dA, L.p)
-    c = Cochain(L, 2, "adjoint", coeffs)
+    _, dA, A = _tensor_layout(L)
+    abu = {key: v for key, ab in A.mult.items() if (v := A.mul(ab, u))}
+    c = Cochain(L, 2, "adjoint",
+                bilinear_tensor(phi_on_s.coeffs, abu, 1, dA, L.p))
     return _check_closed(c, "Theta") if check else c
 
 
 def upsilon(L, F, check=True):
     """Upsilon_F on S (x) A: (x (x) a, y (x) b) -> [x,y] (x) F(a,b)."""
-    w, dA, A = _tensor_layout(L)
-    coeffs = {}
-    for si in range(w):
-        for sj in range(si + 1, w):  # [e_si, e_si] = 0 contributes nothing
-            bvec = _s_bracket(L, si, sj, dA)
-            if not bvec:
-                continue
-            for a in range(dA):
-                for b in range(dA):
-                    Fab = F(a, b) if a <= b else F(b, a)
-                    if Fab:
-                        coeffs[(si * dA + a, sj * dA + b)] = _tensor(
-                            bvec, Fab, dA, L.p)
-    c = Cochain(L, 2, "adjoint", coeffs)
+    _, dA, _ = _tensor_layout(L)
+    c = Cochain(L, 2, "adjoint",
+                bilinear_tensor(L.meta["L"].bracket, F.values, 1, dA, L.p))
     return _check_closed(c, "Upsilon") if check else c
-
-
-def _s_bracket(L, si, sj, dA):
-    """[e_si, e_sj] of the S-factor read off the unit column of the
-    tensor bracket (a-index 0 is the unit of A for our layouts)."""
-    A = _tensor_layout(L)[2]
-    ua = A.unit
-    v = L.bracket_pair(si * dA + ua, sj * dA + ua)
-    out = {}
-    for key, c in v.items():
-        k, m = divmod(key, dA)
-        if m != ua:
-            # deformation components (e.g. Phi_D lines) are not part of
-            # the S-bracket; callers on deformed algebras handle them
-            continue
-        out[k] = c
-    return out
 
 
 def psi(L, D, check=True):
@@ -196,13 +158,10 @@ def psi(L, D, check=True):
             if m < -1 or m > top:
                 raise AssertionError(
                     "Psi coefficient escapes the basis at (%d, %d)" % (i, j))
-            vec = {}
-            if c1:
-                vec = vec_scale(A.mul({b: 1}, D({a: 1})), c1, p)
-            if c2:
-                vec = _sub(vec, vec_scale(A.mul({a: 1}, D({b: 1})), c2, p), p)
+            vec = vec_add(vec_scale(A.mul({b: 1}, D({a: 1})), c1, p),
+                          A.mul({a: 1}, D({b: 1})), p, -c2)
             if vec:
-                coeffs[(x, y)] = _tensor({m + 1: 1}, vec, dA, p)
+                coeffs[(x, y)] = _line(m + 1, vec, dA)
     c = Cochain(L, 2, "adjoint", coeffs)
     return _check_closed(c, "Psi") if check else c
 
@@ -213,7 +172,7 @@ def _e_minus_one_block(L, f):
     this is the block where the deformation Phi_D lives."""
     w, dA, _ = _tensor_layout(L)
     return Cochain(L, 2, "adjoint", {
-        (a, b): _tensor({w - 1: 1}, f(a, b), dA, L.p)
+        (a, b): _line(w - 1, f(a, b), dA)
         for a in range(dA) for b in range(a + 1, dA)})
 
 
@@ -221,8 +180,8 @@ def phi_big(L, E, check=True):
     """Phi_E on W1(n) (x) A (and extensions by zero): supported on the
     e_{-1} line, (e_{-1} (x) a, e_{-1} (x) b) -> e_top (x) (aE(b) - bE(a))."""
     A = _tensor_layout(L)[2]
-    c = _e_minus_one_block(L, lambda a, b: _sub(
-        A.mul({a: 1}, E({b: 1})), A.mul({b: 1}, E({a: 1})), L.p))
+    c = _e_minus_one_block(L, lambda a, b: vec_add(
+        A.mul({a: 1}, E({b: 1})), A.mul({b: 1}, E({a: 1})), L.p, -1))
     return _check_closed(c, "PhiBig") if check else c
 
 
@@ -276,15 +235,11 @@ def theta_prime(Ld, u=None):
             m = i + j
             if not -1 <= m <= p - 2:
                 continue
-            vec = {}
             l1, l2 = lambda_coeff(i, j, p), lambda_coeff(j, i, p)
-            if l1:
-                vec = vec_scale(A.mul(A.mul({a: 1}, D({b: 1})), u), l1, p)
-            if l2:
-                vec = _sub(vec, vec_scale(
-                    A.mul(A.mul({b: 1}, D({a: 1})), u), l2, p), p)
+            vec = vec_add(vec_scale(A.mul(A.mul({a: 1}, D({b: 1})), u), l1, p),
+                          A.mul(A.mul({b: 1}, D({a: 1})), u), p, -l2)
             if vec:
-                coeffs[(x, y)] = _tensor({m + 1: 1}, vec, dA, p)
+                coeffs[(x, y)] = _line(m + 1, vec, dA)
     return Cochain(Ld, 2, "adjoint", coeffs)
 
 
@@ -334,9 +289,9 @@ def lifted_upsilon(Ld, F, H=None, check=True):
 
     def line(a, b):
         ea, eb = {a: 1}, {b: 1}
-        return vec_add(_sub(A.mul(eb, H(ea)), A.mul(ea, H(eb)), p),
-                       _sub(F.eval_vec(ea, D(eb)), F.eval_vec(D(ea), eb), p),
-                       p)
+        return vec_add(vec_add(A.mul(eb, H(ea)), A.mul(ea, H(eb)), p, -1),
+                       vec_add(F.eval_vec(ea, D(eb)), F.eval_vec(D(ea), eb),
+                               p, -1), p)
 
     c = upsilon(Ld, F, check=False).add(_e_minus_one_block(Ld, line))
     return _check_closed(c, "LiftedUpsilon") if check else c
@@ -351,8 +306,9 @@ def lifted_psi(Ld, E, check=True):
     A, D = _deformed(Ld, "lifted_psi")
     if not D.commutator(E).is_zero():
         raise ValueError("lifted Psi requires [D, E] = 0")
-    c = psi(Ld, E, check=False).add(_e_minus_one_block(Ld, lambda a, b: _sub(
-        A.mul(E({a: 1}), D({b: 1})), A.mul(E({b: 1}), D({a: 1})), Ld.p)))
+    c = psi(Ld, E, check=False).add(_e_minus_one_block(
+        Ld, lambda a, b: vec_add(A.mul(E({a: 1}), D({b: 1})),
+                                 A.mul(E({b: 1}), D({a: 1})), Ld.p, -1)))
     return _check_closed(c, "LiftedPsi") if check else c
 
 
@@ -461,19 +417,9 @@ def build_filtered_deformation(L, Phi, name=None):
         raise ValueError(
             "[Phi, Phi] != 0 at %r: obstruction to integrability" % (T,))
     p = L.p
-    bracket = {k: dict(v) for k, v in L.bracket.items()}
-    for (x, y), vec in Phi.coeffs.items():
-        row = bracket.setdefault((x, y), {})
-        for k, v in vec.items():
-            w = (row.get(k, 0) + v) % p
-            if w:
-                row[k] = w
-            else:
-                row.pop(k, None)
-        if not row:
-            bracket.pop((x, y), None)
     out = LieAlgebra(
-        p, list(L.labels), bracket, grading=list(L.grading),
+        p, list(L.labels), family_add(L.bracket, Phi.coeffs, p),
+        grading=list(L.grading),
         toral=L.toral, name=name or (L.name + "+Phi"),
         meta={"kind": "filtered_deformation", "base": L},
         filtration=True, check=False,

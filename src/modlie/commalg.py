@@ -44,8 +44,10 @@ from collections import defaultdict
 
 from .arith import binom, binom_mod_p, check_prime
 from .linalg import (DEFAULT_BUDGET, Echelon, LinearMap, SparseFpMatrix,
-                     bilinear_table, compose, solve_sparse, transpose,
-                     vec_add, vec_scale)
+                     bilinear_eval, bilinear_get, bilinear_pairs,
+                     bilinear_table, bilinear_tensor, compose, family_add,
+                     morphism_failure, solve_sparse, transpose, vec_add,
+                     vec_scale)
 
 __all__ = [
     "CommAlgebra",
@@ -99,13 +101,7 @@ class CommAlgebra:
         self.name = name
         self.meta = meta or {}
         self.degrees = list(degrees) if degrees is not None else None
-        self.mult = {}
-        for (i, j), vec in mult.items():
-            if i > j:
-                i, j = j, i
-            vec = {k: v % p for k, v in vec.items() if v % p}
-            if vec:
-                self.mult[(i, j)] = vec
+        self.mult = bilinear_pairs(mult, 1, p)
         self._table = bilinear_table(self.mult, 1, p)
         self._validate()
         self._generators = None
@@ -115,23 +111,10 @@ class CommAlgebra:
         return len(self.labels)
 
     def product(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.mult.get((i, j), {})
+        return bilinear_get(self.mult, 1, self.p, i, j)
 
     def mul(self, u, v):
-        out = {}
-        p = self.p
-        for i, a in u.items():
-            for j, b in v.items():
-                c = a * b
-                for k, w in self.product(i, j).items():
-                    y = (out.get(k, 0) + c * w) % p
-                    if y:
-                        out[k] = y
-                    else:
-                        out.pop(k, None)
-        return out
+        return bilinear_eval(self.mult, 1, self.p, u, v)
 
     @property
     def generators(self):
@@ -305,36 +288,16 @@ def tensor_product(A, B):
     if A.p != B.p:
         raise ValueError("tensor factors live over different primes")
     dB = B.dim
-    dim = A.dim * dB
     labels = [
         "%s@%s" % (A.labels[i], B.labels[j]) for i in range(A.dim) for j in range(dB)
     ]
     degrees = None
     if A.degrees is not None and B.degrees is not None:
         degrees = [A.degrees[i] + B.degrees[j] for i in range(A.dim) for j in range(dB)]
-    mult = {}
-    for x in range(dim):
-        ia, ib = divmod(x, dB)
-        for y in range(x, dim):
-            ja, jb = divmod(y, dB)
-            va = A.product(ia, ja)
-            if not va:
-                continue
-            vb = B.product(ib, jb)
-            if not vb:
-                continue
-            out = {}
-            for ka, ca in va.items():
-                for kb, cb in vb.items():
-                    c = ca * cb % A.p
-                    if c:
-                        out[ka * dB + kb] = c
-            if out:
-                mult[(x, y)] = out
     return CommAlgebra(
         A.p,
         labels,
-        mult,
+        dict(sorted(bilinear_tensor(A.mult, B.mult, 1, dB, A.p).items())),
         unit=A.unit * dB + B.unit,
         degrees=degrees,
         name="%s(x)%s" % (A.name, B.name),
@@ -345,14 +308,8 @@ def tensor_product(A, B):
 def is_multiplicative(f):
     """(True, None) when the linear map f between algebras preserves
     products of basis elements, else (False, first failing pair)."""
-    A, B = f.source, f.target
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            lhs = f(A.product(i, j))
-            rhs = B.mul(f({i: 1}), f({j: 1}))
-            if lhs != rhs:
-                return False, (i, j)
-    return True, None
+    bad = morphism_failure(f, f.source.mult, f.target.mult, 1)
+    return (False, bad[:2]) if bad else (True, None)
 
 
 def divided_to_reduced_iso(n, p):
@@ -399,19 +356,13 @@ class Derivation(LinearMap):
         return not self.cols
 
     def add(self, other, scale=1):
-        cols = defaultdict(dict)
-        for D, s in ((self, 1), (other, scale)):
-            for j, col in D.cols.items():
-                for k, v in col.items():
-                    cols[j][k] = (cols[j].get(k, 0) + s * v) % self.p
-        return Derivation(self.A, dict(cols), name="%s+%s" % (self.name, other.name))
+        cols = family_add(self.cols, other.cols, self.p, scale)
+        return Derivation(self.A, cols, name="%s+%s" % (self.name, other.name))
 
     def commutator(self, other):
         cols = {}
         for j in range(self.A.dim):
-            v = vec_add(
-                self(other({j: 1})), vec_scale(other(self({j: 1})), -1, self.p), self.p
-            )
+            v = vec_add(self(other({j: 1})), other(self({j: 1})), self.p, -1)
             if v:
                 cols[j] = v
         return Derivation(
@@ -567,42 +518,20 @@ class SymmetricBilinearMap:
     def __init__(self, A, values):
         self.A = A
         self.p = A.p
-        self.values = {}
-        for (i, j), vec in values.items():
-            if i > j:
-                i, j = j, i
-            vec = {k: v % A.p for k, v in vec.items() if v % A.p}
-            if vec:
-                self.values[(i, j)] = vec
+        self.values = bilinear_pairs(values, 1, A.p)
 
     def __call__(self, i, j):
-        if i > j:
-            i, j = j, i
-        return self.values.get((i, j), {})
+        return bilinear_get(self.values, 1, self.p, i, j)
 
     def eval_vec(self, u, v):
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                c = a * b % self.p
-                for k, w in self(i, j).items():
-                    y = (out.get(k, 0) + c * w) % self.p
-                    if y:
-                        out[k] = y
-                    else:
-                        out.pop(k, None)
-        return out
+        return bilinear_eval(self.values, 1, self.p, u, v)
 
     def is_zero(self):
         return not self.values
 
     def add(self, other, scale=1):
-        vals = defaultdict(dict)
-        for F, s in ((self, 1), (other, scale)):
-            for key, vec in F.values.items():
-                for k, v in vec.items():
-                    vals[key][k] = (vals[key].get(k, 0) + s * v) % self.p
-        return SymmetricBilinearMap(self.A, dict(vals))
+        return SymmetricBilinearMap(
+            self.A, family_add(self.values, other.values, self.p, scale))
 
     def scale(self, c):
         return SymmetricBilinearMap(
@@ -712,9 +641,9 @@ def star_action(D, F):
         for j in range(i, A.dim):
             v = vec_scale(D(F(i, j)), -1, p)
             for s, c in D.cols.get(i, {}).items():
-                v = vec_add(v, vec_scale(F(s, j), c, p), p)
+                v = vec_add(v, F(s, j), p, c)
             for s, c in D.cols.get(j, {}).items():
-                v = vec_add(v, vec_scale(F(i, s), c, p), p)
+                v = vec_add(v, F(i, s), p, c)
             if v:
                 vals[(i, j)] = v
     return SymmetricBilinearMap(A, vals)
@@ -887,17 +816,21 @@ def harrison_h2_d_invariants(A, D):
     d2, reps = harrison_h2(A)
     if d2 == 0:
         return 0, []
-    cob = Echelon(p)
+    # one echelon of the coboundaries and the rows F_r + e_{top + r}: the
+    # tag columns lie right of every cochain column, so they never pivot,
+    # and D * F reduces to -x at the tags exactly when D * F = sum x_r F_r
+    # modulo coboundaries
+    ech, top = Echelon(p), A.dim ** 3
     for vec in _coboundary_columns(A).values():
-        cob.add(vec)
-    rhos = [cob.reduce(F.flatten()) for F in reps]
+        ech.add(vec)
+    for r, F in enumerate(reps):
+        ech.add({**F.flatten(), top + r: 1})
     action = []  # column r: coordinates of [D * F_r] in the class basis
     for F in reps:
-        gamma = cob.reduce(star_action(D, F).flatten())
-        coords = solve_sparse(dict(enumerate(rhos)), gamma, p)
-        if coords is None:
+        rest = ech.reduce(star_action(D, F).flatten())
+        if any(k < top for k in rest):
             raise AssertionError("star action left the cocycle class space")
-        action.append(coords)
+        action.append({k - top: -v % p for k, v in rest.items()})
     m = SparseFpMatrix.from_columns(dict(enumerate(action)), len(reps), p)
     out = []
     for combo in m.kernel_basis():

@@ -20,8 +20,10 @@ from collections import defaultdict
 from .arith import check_prime, structure_constant_N
 from .commalg import (make_divided_powers, partial_derivation,
                       tensor_derivation, tensor_product)
-from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_table,
-                     circle, solve_sparse, vec_add, vec_scale)
+from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_eval,
+                     bilinear_get, bilinear_pairs, bilinear_table,
+                     bilinear_tensor, circle, family_add, morphism_failure,
+                     solve_sparse, vec_add)
 
 __all__ = [
     "LieAlgebra",
@@ -61,15 +63,10 @@ class LieAlgebra:
         self.name = name
         self.meta = meta or {}
         self.filtration = filtration
-        self.bracket = {}
-        for (i, j), vec in bracket.items():
+        for i, j in bracket:
             if i == j:
                 raise ValueError("diagonal bracket key (%d, %d)" % (i, j))
-            if i > j:
-                i, j, vec = j, i, vec_scale(vec, -1, p)
-            vec = {k: v % p for k, v in vec.items() if v % p}
-            if vec:
-                self.bracket[(i, j)] = vec
+        self.bracket = bilinear_pairs(bracket, -1, p)
         self._rev = None
         self._ad = None
         self._generators = None
@@ -114,27 +111,10 @@ class LieAlgebra:
 
     def bracket_pair(self, i, j):
         """[e_i, e_j] as a sparse vector, any index order."""
-        if i == j:
-            return {}
-        if i < j:
-            return self.bracket.get((i, j), {})
-        return vec_scale(self.bracket.get((j, i), {}), -1, self.p)
+        return bilinear_get(self.bracket, -1, self.p, i, j)
 
     def bracket_vec(self, u, v):
-        out = {}
-        p = self.p
-        for i, a in u.items():
-            for j, b in v.items():
-                if i == j:
-                    continue
-                c = a * b
-                for k, w in self.bracket_pair(i, j).items():
-                    y = (out.get(k, 0) + c * w) % p
-                    if y:
-                        out[k] = y
-                    else:
-                        out.pop(k, None)
-        return out
+        return bilinear_eval(self.bracket, -1, self.p, u, v)
 
     @property
     def rev(self):
@@ -373,25 +353,7 @@ def current_algebra(L, A, check=None):
         "%s(x)%s" % (L.labels[i], A.labels[a])
         for i in range(L.dim) for a in range(dA)
     ]
-    bracket = {}
-    for (i, j), vec in L.bracket.items():
-        for a in range(dA):
-            for b in range(dA):
-                x, y = i * dA + a, j * dA + b
-                prod = A.product(a, b)
-                if not prod:
-                    continue
-                out = {}
-                for k, c in vec.items():
-                    for m, cm in prod.items():
-                        out[k * dA + m] = c * cm % L.p
-                if x > y:
-                    x, y = y, x
-                    out = vec_scale(out, -1, L.p)
-                if out:
-                    prev = bracket.setdefault((x, y), {})
-                    for t, c in out.items():
-                        prev[t] = (prev.get(t, 0) + c) % L.p
+    bracket = bilinear_tensor(L.bracket, A.mult, 1, dA, L.p)
     grading = None
     if L.grading is not None:
         grading = [L.grading[i] for i in range(L.dim) for _ in range(dA)]
@@ -421,9 +383,7 @@ def semidirect_current(L, A, Ds, check=None):
         if not span.add(dict(v)):
             raise ValueError("derivation tails are linearly dependent")
 
-    bracket = {}
-    for key, vec in cur.bracket.items():
-        bracket[key] = dict(vec)
+    bracket = dict(cur.bracket)
     for t, D in enumerate(Ds):
         for i in range(L.dim):
             for a, col in D.cols.items():
@@ -470,25 +430,20 @@ def make_deformed(A, D, name=None):
     W = make_w1(1, p)
     cur = current_algebra(W, A, check=False)
     dA = A.dim
-    bracket = {key: dict(vec) for key, vec in cur.bracket.items()}
     base = (p - 2 + 1) * dA  # index block of e_{p-2} (x) -
+    phi = {}  # on the e_{-1} (x) A block, at indices 0..dA-1
     for a in range(dA):
         for b in range(a + 1, dA):
-            v = vec_add(
-                A.mul({a: 1}, D({b: 1})),
-                vec_scale(A.mul({b: 1}, D({a: 1})), -1, p),
-                p,
-            )
-            out = {base + k: c for k, c in v.items()}
-            if out:
-                key = (0 * dA + a, 0 * dA + b)
-                prev = bracket.setdefault(key, {})
-                for t, c in out.items():
-                    prev[t] = (prev.get(t, 0) + c) % p
+            v = vec_add(A.mul({a: 1}, D({b: 1})), A.mul({b: 1}, D({a: 1})),
+                        p, -1)
+            if v:
+                phi[(a, b)] = {base + k: c for k, c in v.items()}
     L = LieAlgebra(
-        p, cur.labels, bracket, grading=cur.grading, toral=cur.toral,
+        p, cur.labels, family_add(cur.bracket, phi, p),
+        grading=cur.grading, toral=cur.toral,
         name=name or "L(%s,%s)" % (A.name, D.name),
-        meta={"kind": "deformed", "A": A, "D": D, "dims": (W.dim, dA)},
+        meta={"kind": "deformed", "L": W, "A": A, "D": D,
+              "dims": (W.dim, dA)},
         filtration=True, check=False,
     )
     L.check_jacobi()
@@ -497,19 +452,18 @@ def make_deformed(A, D, name=None):
 
 def verify_morphism(f):
     """Check that f is a bijective Lie algebra morphism; returns
-    (ok, witness) where witness names the first failing pair."""
+    (ok, witness) where witness names the first failing pair.  Only the
+    pairs that can fail are visited (linalg.morphism_failure)."""
     L, M = f.source, f.target
     if L.dim != M.dim:
         return False, ("dim", L.dim, M.dim)
     rank = f.rank()
     if rank != L.dim:
         return False, ("rank", rank)
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            lhs = f(L.bracket_pair(i, j))
-            rhs = M.bracket_vec(f({i: 1}), f({j: 1}))
-            if lhs != rhs:
-                return False, (L.labels[i], L.labels[j], lhs, rhs)
+    bad = morphism_failure(f, L.bracket, M.bracket, -1)
+    if bad:
+        i, j, lhs, rhs = bad
+        return False, (L.labels[i], L.labels[j], lhs, rhs)
     return True, None
 
 

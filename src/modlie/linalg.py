@@ -53,6 +53,12 @@ the nonzero entries c e_m of g(e_x, e_y) and the row of m in the table
 of f, so it visits only nonzero terms, and a triple that receives none
 has value 0.  circle folds its terms onto sorted triples for alternating
 maps; commutative associativity folds them in commalg.
+
+Every bilinear map of the package (a bracket, a product, a cocycle) is
+such a pair dict plus its sign, and each operation on one is written
+once: bilinear_pairs normalizes, bilinear_get and bilinear_eval look up
+and evaluate, family_add sums, bilinear_tensor forms P (x) Q, and
+morphism_failure checks f(P(x, y)) = Q(fx, fy) where it can fail.
 """
 
 from collections import defaultdict
@@ -62,7 +68,8 @@ from .arith import inv_mod
 
 __all__ = ["LinearMap", "SparseFpMatrix", "Echelon", "solve_sparse",
            "transpose", "vec_add", "vec_scale", "bilinear_table", "compose",
-           "circle"]
+           "circle", "bilinear_pairs", "family_add", "bilinear_tensor",
+           "morphism_failure"]
 
 # The one default work budget of every budgeted computation (cohomology
 # assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
@@ -77,15 +84,114 @@ def vec_scale(v, c, p):
     return {k: (x * c) % p for k, x in v.items()}
 
 
-def vec_add(u, v, p):
+def vec_add(u, v, p, scale=1):
+    """u + scale v, for reduced u; entries of v enter after u's."""
     w = dict(u)
     for k, x in v.items():
-        y = (w.get(k, 0) + x) % p
+        y = (w.get(k, 0) + scale * x) % p
         if y:
             w[k] = y
         else:
             w.pop(k, None)
     return w
+
+
+def bilinear_pairs(pairs, sign, p):
+    """The pair dict of a bilinear map with f(e_j, e_i) = sign f(e_i, e_j),
+    from any keys: a key i > j becomes (j, i) with its vector times sign,
+    entries are reduced mod p and zero vectors dropped."""
+    out = {}
+    for (i, j), vec in pairs.items():
+        if i > j:
+            i, j, vec = j, i, {k: sign * v for k, v in vec.items()}
+        vec = {k: v % p for k, v in vec.items() if v % p}
+        if vec:
+            out[(i, j)] = vec
+    return out
+
+
+def bilinear_get(pairs, sign, p, i, j):
+    """f(e_i, e_j), any index order, for f given on pairs."""
+    if i <= j:
+        return pairs.get((i, j), {})
+    vec = pairs.get((j, i), {})
+    return vec if sign == 1 else vec_scale(vec, sign, p)
+
+
+def bilinear_eval(pairs, sign, p, u, v):
+    """f(u, v) on sparse vectors, for f given on pairs."""
+    out = {}
+    get = pairs.get
+    for i, a in u.items():
+        for j, b in v.items():
+            if i <= j:
+                w, c = get((i, j)), a * b
+            else:
+                w, c = get((j, i)), sign * a * b
+            if w:
+                for k, x in w.items():
+                    y = (out.get(k, 0) + c * x) % p
+                    if y:
+                        out[k] = y
+                    else:
+                        out.pop(k, None)
+    return out
+
+
+def family_add(f, g, p, scale=1):
+    """f + scale g for reduced families {key: sparse vector}, by vec_add
+    per key; keys of g enter after f's, and empty vectors are dropped."""
+    out = dict(f)
+    for key, vec in g.items():
+        out[key] = vec_add(out.get(key, {}), vec, p, scale)
+    return {key: vec for key, vec in out.items() if vec}
+
+
+def bilinear_tensor(P, Q, sign, dim, p):
+    """P (x) Q on pairs: (e_i (x) e_a, e_j (x) e_b) -> P(e_i, e_j) (x)
+    Q(e_a, e_b), e_i (x) e_a at i * dim + a, for reduced P and Q with
+    Q(e_b, e_a) = sign Q(e_a, e_b) on dim basis vectors.  Keys follow
+    P's, then a, then b; a diagonal key (i, i) of P takes only a <= b."""
+    rows = [[] for _ in range(dim)]  # a -> sorted [(b, Q(e_a, e_b))]
+    for (a, b), vec in Q.items():
+        rows[a].append((b, vec))
+        if a != b:
+            rows[b].append((a, vec_scale(vec, sign, p)))
+    for row in rows:
+        row.sort(key=lambda t: t[0])
+    out = {}
+    for (i, j), pv in P.items():
+        x, y = i * dim, j * dim
+        for a, row in enumerate(rows):
+            for b, qv in row:
+                if i < j or a <= b:
+                    out[(x + a, y + b)] = {k * dim + m: c * d % p
+                                           for k, c in pv.items()
+                                           for m, d in qv.items()}
+    return out
+
+
+def morphism_failure(f, source, target, sign):
+    """The first pair (i, j), i < j for sign -1 and i <= j for +1, at
+    which the linear map f fails to carry source to target (bilinear
+    maps on pairs), as (i, j, f(source(e_i, e_j)), target(fe_i, fe_j)),
+    or None.  Only a pair of source, or one whose images meet a pair of
+    target (found through transpose(f.cols)), can fail."""
+    p, cols = f.p, f.cols
+    users = transpose(cols.items())
+    pairs = set(source)
+    for k, m in target:
+        for i in users.get(k, ()):
+            for j in users.get(m, ()):
+                pairs.add((i, j) if i <= j else (j, i))
+    for i, j in sorted(pairs):
+        if i == j and sign == -1:
+            continue
+        lhs = f(source.get((i, j), {}))
+        rhs = bilinear_eval(target, sign, p, cols.get(i, {}), cols.get(j, {}))
+        if lhs != rhs:
+            return i, j, lhs, rhs
+    return None
 
 
 def bilinear_table(pairs, sign, p):

@@ -87,6 +87,23 @@ def test_verify_all_names_the_overrides_each_claim_ignores(capsys,
         ("dimh1-w1n", {"p": 5, "n": 1})]
 
 
+def test_h2plus_w1_takes_no_m(capsys, monkeypatch):
+    # the paper states the positive part of H^2 for O_1 = O1(1) only
+    rc, out, err = run(capsys, ["verify", "h2plus-w1", "--m", "2",
+                                "--cache-dir", "off"])
+    assert rc == 2
+    assert "claim h2plus-w1 does not take --m" in err
+    assert "rows pass" not in out
+    monkeypatch.setattr(cli, "CLAIMS", {"h2plus-w1": CLAIMS["h2plus-w1"]})
+    rc, out, err = run(capsys, ["verify", "all", "--m", "2",
+                                "--cache-dir", "off", "--output", "json"])
+    assert rc == 0
+    assert err.splitlines() == ["verify: h2plus-w1 ignores --m"]
+    rows = json.loads(out)["claims"]
+    assert [(r["instance"], r["expected"], r["computed"]) for r in rows] == [
+        ({"p": 5, "m": 1}, 1, 1)]
+
+
 def test_verify_table_shows_claim_time_once(capsys):
     rc, out, err = run(capsys, ["verify", "h2-w1-basic",
                                 "--cache-dir", "off"])

@@ -47,7 +47,8 @@ from modlie.commalg import (
     zero_derivation,
 )
 from modlie.arith import inv_mod
-from modlie.linalg import Echelon, SparseFpMatrix, vec_add, vec_scale
+from modlie.linalg import (Echelon, LinearMap, SparseFpMatrix, vec_add,
+                           vec_scale)
 
 P = 5
 
@@ -90,6 +91,73 @@ def test_reduced_poly_products():
     assert A.mul({x1: 1}, {x2: 1}) == {ix[(1, 1)]: 1}
     assert A.mul({ix[(4, 0)]: 1}, {x1: 1}) == {}  # x1^5 = 0
     assert A.mul({ix[(4, 3)]: 1}, {ix[(0, 1)]: 1}) == {ix[(4, 4)]: 1}
+
+
+def dense_is_multiplicative(f):
+    """Reference for is_multiplicative: every pair i <= j of the source
+    basis in order, as the check visited them before it went sparse."""
+    A, B = f.source, f.target
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            if f(A.product(i, j)) != B.mul(f({i: 1}), f({j: 1})):
+                return False, (i, j)
+    return True, None
+
+
+def test_is_multiplicative_names_the_dense_first_failing_pair():
+    f = divided_to_reduced_iso(2, P)
+    O2, O1 = f.source, f.target
+    assert is_multiplicative(f) == dense_is_multiplicative(f) == (True, None)
+    exps = O2.meta["exps"]
+    ix = {e: i for i, e in enumerate(exps)}
+    scaled = dict(f.cols)
+    scaled[ix[(0, 1)]] = {5: 2}  # x2 -> 2 x^5
+    swapped = dict(f.cols)
+    swapped[ix[(1, 0)]], swapped[ix[(2, 0)]] = (f.cols[ix[(2, 0)]],
+                                                f.cols[ix[(1, 0)]])
+    unit_lost = dict(f.cols)
+    del unit_lost[O2.unit]  # 1 -> 0: every product with 1 breaks
+    shifted = {j: {(k + 1) % O1.dim: c for k, c in col.items()}
+               for j, col in f.cols.items()}
+    seen = set()
+    for cols in (scaled, swapped, unit_lost, shifted):
+        g = LinearMap(O2, O1, cols)
+        got = is_multiplicative(g)
+        assert got == dense_is_multiplicative(g)
+        assert not got[0]
+        seen.add(got[1])
+    assert len(seen) == 4
+
+
+def dense_tensor_mult(A, B):
+    """Reference for tensor_product: the loop over every pair x <= y of
+    the A.dim * B.dim layout that built the product table before."""
+    dB, p = B.dim, A.p
+    dim = A.dim * dB
+    mult = {}
+    for x in range(dim):
+        ia, ib = divmod(x, dB)
+        for y in range(x, dim):
+            ja, jb = divmod(y, dB)
+            va, vb = A.product(ia, ja), B.product(ib, jb)
+            out = {ka * dB + kb: ca * cb % p for ka, ca in va.items()
+                   for kb, cb in vb.items()}
+            if out:
+                mult[(x, y)] = out
+    return mult
+
+
+@pytest.mark.parametrize("left, right", [
+    (lambda: make_divided_powers(2, P), lambda: make_divided_powers(1, P)),
+    (lambda: make_divided_powers(1, P), lambda: make_divided_powers(1, P)),
+    (lambda: make_reduced_poly(2, P), lambda: make_divided_powers(1, P)),
+    (lambda: make_divided_powers(1, 7), lambda: make_scalars(7)),
+])
+def test_tensor_product_matches_the_dense_loop(left, right):
+    A, B = left(), right()
+    # the same table, key order included
+    assert list(tensor_product(A, B).mult.items()) == list(
+        dense_tensor_mult(A, B).items())
 
 
 def test_divided_reduced_identification():

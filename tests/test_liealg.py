@@ -35,7 +35,7 @@ from modlie.liealg import (
     semidirect_current,
     verify_morphism,
 )
-from modlie.linalg import Echelon, vec_add, vec_scale
+from modlie.linalg import Echelon, LinearMap, vec_add, vec_scale
 
 P = 5
 
@@ -144,6 +144,83 @@ def test_kuznetsov_identification_tensored():
     assert f.source.dim == f.target.dim == 125
     ok, witness = verify_morphism(f)
     assert ok, witness
+
+
+def dense_verify_morphism(f):
+    """Reference for verify_morphism: every pair i < j of the source
+    basis in order, as the check visited them before it went sparse."""
+    L, M = f.source, f.target
+    if L.dim != M.dim:
+        return False, ("dim", L.dim, M.dim)
+    rank = f.rank()
+    if rank != L.dim:
+        return False, ("rank", rank)
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            lhs = f(L.bracket_pair(i, j))
+            rhs = M.bracket_vec(f({i: 1}), f({j: 1}))
+            if lhs != rhs:
+                return False, (L.labels[i], L.labels[j], lhs, rhs)
+    return True, None
+
+
+@pytest.mark.parametrize("tensored", [False, True])
+def test_verify_morphism_names_the_dense_first_failing_pair(tensored):
+    f = kuznetsov_map(2, P, A=make_divided_powers(1, P) if tensored else None)
+    assert verify_morphism(f) == dense_verify_morphism(f) == (True, None)
+    keys = sorted(f.cols)
+    broken = []
+    for j in (keys[3], keys[-1]):  # one column scaled by 2
+        cols = dict(f.cols)
+        cols[j] = {k: 2 * c for k, c in cols[j].items()}
+        broken.append(cols)
+    for a, b in ((2, 7), (0, 1), (5, len(keys) - 1)):  # two columns swapped
+        cols = dict(f.cols)
+        cols[keys[a]], cols[keys[b]] = cols[keys[b]], cols[keys[a]]
+        broken.append(cols)
+    witnesses = []
+    for cols in broken:
+        g = LinearMap(f.source, f.target, cols)
+        got = verify_morphism(g)
+        # the same pair and the same witness dicts, key order included
+        want = dense_verify_morphism(g)
+        assert repr(got) == repr(want)
+        assert not got[0]
+        witnesses.append(got[1])
+    # tensored, a first failure can have f([e_i, e_j]) = 0: it is found
+    # only from the target side, where the images meet a nonzero bracket
+    assert any(w[2] == {} for w in witnesses) == tensored
+
+
+def dense_current_bracket(L, A):
+    """Reference for current_algebra: the loop over every basis pair of
+    L and every (a, b) of A that built the bracket of L (x) A before."""
+    dA, p = A.dim, L.p
+    bracket = {}
+    for (i, j), vec in L.bracket.items():
+        for a in range(dA):
+            for b in range(dA):
+                prod = A.product(a, b)
+                if prod:
+                    bracket[(i * dA + a, j * dA + b)] = {
+                        k * dA + m: c * cm % p for k, c in vec.items()
+                        for m, cm in prod.items()}
+    return bracket
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_current_algebra_matches_the_dense_loop(p):
+    A = make_divided_powers(1, p)
+    for S in (make_w1(1, p), make_sl2(p)):
+        # the same bracket, key order included: rank and representatives
+        # eliminate rows in an order that follows it
+        L = current_algebra(S, A, check=False)
+        assert list(L.bracket.items()) == list(
+            dense_current_bracket(S, A).items())
+    B = tensor_product(A, make_divided_powers(1, p))
+    L = current_algebra(make_w1(1, p), B, check=False)
+    assert list(L.bracket.items()) == list(
+        dense_current_bracket(make_w1(1, p), B).items())
 
 
 def test_kuznetsov_needs_height_two():

@@ -1,7 +1,8 @@
 """Sparse echelon forms, ranks, kernels, linear maps given by columns,
 and linear solving over F_p, checked against brute force on seeded
 random systems and against a dense Gaussian elimination on
-hypothesis-drawn sparse systems."""
+hypothesis-drawn sparse systems; the bilinear-map operations against
+the dense loops they replaced."""
 
 import random
 from types import SimpleNamespace
@@ -12,6 +13,12 @@ from modlie.linalg import (
     Echelon,
     LinearMap,
     SparseFpMatrix,
+    bilinear_eval,
+    bilinear_get,
+    bilinear_pairs,
+    bilinear_tensor,
+    family_add,
+    morphism_failure,
     solve_sparse,
     vec_add,
     vec_scale,
@@ -219,3 +226,146 @@ def test_echelon_and_kernel_against_dense_oracle(system):
         shuffled.add_row(rows[i])
     assert sorted(shuffled.ech.pivots) == pivots
     assert shuffled.kernel_basis() == want
+
+
+def dense_bracket_vec(pairs, sign, p, u, v):
+    """Reference for bilinear_eval: the loop LieAlgebra.bracket_vec and
+    CommAlgebra.mul ran before, one lookup of f(e_i, e_j) per pair of
+    entries."""
+    out = {}
+    for i, a in u.items():
+        for j, b in v.items():
+            if i == j and sign == -1:
+                continue
+            w = (pairs.get((i, j), {}) if i <= j
+                 else vec_scale(pairs.get((j, i), {}), sign, p))
+            for k, x in w.items():
+                y = (out.get(k, 0) + a * b * x) % p
+                if y:
+                    out[k] = y
+                else:
+                    out.pop(k, None)
+    return out
+
+
+def dense_family_add(f, g, p, scale=1):
+    """Reference for family_add: the loop Cochain.add, Derivation.add
+    and SymmetricBilinearMap.add ran before."""
+    out = {}
+    for h, s in ((f, 1), (g, scale)):
+        for key, vec in h.items():
+            acc = out.setdefault(key, {})
+            for k, v in vec.items():
+                acc[k] = (acc.get(k, 0) + s * v) % p
+    return {key: w for key, vec in out.items()
+            if (w := {k: v for k, v in vec.items() if v})}
+
+
+def dense_tensor(P, Q, sign, dim, p):
+    """Reference for bilinear_tensor: every pair (x, y), x < y, or x <= y
+    for a symmetric result, of the dim(P) * dim layout, keyed in the
+    order of P's pairs and then (a, b), as current_algebra built it."""
+    out = {}
+    for (i, j), pv in P.items():
+        for a in range(dim):
+            for b in range(dim):
+                x, y = i * dim + a, j * dim + b
+                qv = dense_bracket_vec(Q, sign, p, {a: 1}, {b: 1})
+                if x > y or not qv:
+                    continue
+                out[(x, y)] = {k * dim + m: c * d % p for k, c in pv.items()
+                               for m, d in qv.items()}
+    return out
+
+
+def dense_morphism_failure(f, source, target, sign):
+    """Reference for morphism_failure: every pair i < j (i <= j for a
+    symmetric map) in lexicographic order, as verify_morphism and
+    is_multiplicative visited them."""
+    n, p = f.source.dim, f.p
+    for i in range(n):
+        for j in range(i if sign == 1 else i + 1, n):
+            lhs = f(dense_bracket_vec(source, sign, p, {i: 1}, {j: 1}))
+            rhs = dense_bracket_vec(target, sign, p, f({i: 1}), f({j: 1}))
+            if lhs != rhs:
+                return i, j, lhs, rhs
+    return None
+
+
+@st.composite
+def bilinear_maps(draw, p=None, sign=None, n=None):
+    """(p, sign, n, pairs): a bilinear map on n basis vectors given on
+    pairs, i < j for sign -1 and i <= j for +1, with reduced values."""
+    p = p or draw(st.sampled_from([2, 3, 5, 7]))
+    sign = sign or draw(st.sampled_from([-1, 1]))
+    n = n or draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(
+        sorted).map(tuple).filter(lambda ij: sign == 1 or ij[0] < ij[1])
+    vec = st.dictionaries(st.integers(0, n - 1), st.integers(1, p - 1),
+                          min_size=1, max_size=3)
+    return p, sign, n, draw(st.dictionaries(pair, vec, max_size=n * n))
+
+
+def sparse_vectors(n, p):
+    return st.dictionaries(st.integers(0, n - 1), st.integers(1, p - 1),
+                           max_size=n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bilinear_maps(), st.data())
+def test_bilinear_eval_matches_the_dense_loop(drawn, data):
+    p, sign, n, pairs = drawn
+    u = data.draw(sparse_vectors(n, p))
+    v = data.draw(sparse_vectors(n, p))
+    # the same dict, key order included
+    want = dense_bracket_vec(pairs, sign, p, u, v)
+    assert list(bilinear_eval(pairs, sign, p, u, v).items()) == list(
+        want.items())
+    for i in range(n):
+        for j in range(n):
+            got = bilinear_get(pairs, sign, p, i, j)
+            assert got == dense_bracket_vec(pairs, sign, p, {i: 1}, {j: 1})
+    # keys in either order normalize to the pairs, with the sign
+    flipped = {(j, i): vec_scale(vec, sign, p)
+               for (i, j), vec in pairs.items()}
+    assert bilinear_pairs(flipped, sign, p) == pairs
+    assert bilinear_pairs({(i, j): {k: v + p for k, v in vec.items()}
+                           for (i, j), vec in pairs.items()}, sign, p) == pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(bilinear_maps(), st.data())
+def test_family_add_and_tensor_match_the_dense_loops(drawn, data):
+    p, sign, n, pairs = drawn
+    other = data.draw(bilinear_maps(p=p, sign=sign, n=n))[3]
+    scale = data.draw(st.integers(0, p - 1))
+    assert list(family_add(pairs, other, p, scale).items()) == list(
+        dense_family_add(pairs, other, p, scale).items())
+    _, q_sign, m, Q = data.draw(bilinear_maps(p=p))
+    assert list(bilinear_tensor(pairs, Q, q_sign, m, p).items()) == list(
+        dense_tensor(pairs, Q, q_sign, m, p).items())
+
+
+def small_space(n, p):
+    return SimpleNamespace(dim=n, p=p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bilinear_maps(), st.data())
+def test_morphism_failure_matches_the_dense_loop(drawn, data):
+    p, sign, n, target = drawn
+    source = data.draw(bilinear_maps(p=p, sign=sign, n=n))[3]
+    cols = data.draw(st.dictionaries(st.integers(0, n - 1),
+                                     sparse_vectors(n, p), max_size=n))
+    f = LinearMap(small_space(n, p), small_space(n, p), cols)
+    want = dense_morphism_failure(f, source, target, sign)
+    assert morphism_failure(f, source, target, sign) == want
+    # a map that carries source to target: the pushforward of source by
+    # a permutation of the basis
+    perm = data.draw(st.permutations(range(n)))
+    g = LinearMap(small_space(n, p), small_space(n, p),
+                  {i: {perm[i]: 1} for i in range(n)})
+    image = bilinear_pairs({(perm[i], perm[j]): {perm[k]: c for k, c in
+                                                 vec.items()}
+                            for (i, j), vec in source.items()}, sign, p)
+    assert morphism_failure(g, source, image, sign) is None
