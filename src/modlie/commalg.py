@@ -7,9 +7,7 @@ derivations and their invariants/coinvariants, and Hochschild/Harrison
 cohomology computed exactly through sparse ranks of the bar complex.
 
 Every structure-constant table is monomial-sparse: a product of two basis
-elements has at most one nonzero term.  Multidegrees are carried along so
-the Harrison system splits into independent blocks (the Hochschild
-differential preserves the multidegree shift of a cochain).
+elements has at most one nonzero term.
 
 The Hochschild differential is written once, in _stencil: the terms of
 
@@ -85,22 +83,18 @@ class CommAlgebra:
     """Commutative associative unital algebra given by structure constants.
 
     mult is keyed by (i, j) with i <= j; each value is a sparse target
-    vector {k: c}.  degrees, when present, give a multidegree tuple per
-    basis element that the product adds (used only for block decomposition
-    of cohomology computations; correctness never depends on it).  The
-    constructor checks the unit law and associativity, the latter from
-    the nonzero terms of (xy)z alone (linalg.compose), not from every
-    basis triple.
+    vector {k: c}.  The constructor checks the unit law and
+    associativity, the latter from the nonzero terms of (xy)z alone
+    (linalg.compose), not from every basis triple.
     """
 
-    def __init__(self, p, labels, mult, unit, degrees=None, name="algebra", meta=None):
+    def __init__(self, p, labels, mult, unit, name="algebra", meta=None):
         check_prime(p)
         self.p = p
         self.labels = list(labels)
         self.unit = unit
         self.name = name
         self.meta = meta or {}
-        self.degrees = list(degrees) if degrees is not None else None
         self.mult = bilinear_pairs(mult, 1, p)
         self._table = bilinear_table(self.mult, 1, p)
         self._validate()
@@ -155,18 +149,6 @@ class CommAlgebra:
         """The nonzero products of b_m, as pairs (s, b_m * b_s)."""
         return self._table.get(m, ())
 
-    def shift(self, tgt, srcs):
-        """Multidegree of target minus the sum over source indices; the
-        block key of the Harrison system.  Collapses to 0 without degrees."""
-        if self.degrees is None:
-            return 0
-        d = list(self.degrees[tgt])
-        for s in srcs:
-            ds = self.degrees[s]
-            for a in range(len(d)):
-                d[a] -= ds[a]
-        return tuple(d)
-
     def _validate(self):
         n, p = self.dim, self.p
         if not (0 <= self.unit < n):
@@ -198,14 +180,6 @@ class CommAlgebra:
             raise ValueError(
                 "associativity fails on (%s, %s, %s)"
                 % (self.labels[i], self.labels[j], self.labels[k]))
-        if self.degrees is not None:
-            for (i, j), vec in self.mult.items():
-                for k in vec:
-                    if self.shift(k, (i, j)) != self.shift(self.unit, (self.unit, self.unit)):
-                        raise ValueError(
-                            "degrees are not additive on %s * %s"
-                            % (self.labels[i], self.labels[j])
-                        )
 
     def __repr__(self):
         return "<CommAlgebra %s dim=%d p=%d>" % (self.name, self.dim, self.p)
@@ -230,7 +204,6 @@ def make_divided_powers(n, p):
         ["x^%d" % i for i in range(d)],
         mult,
         unit=0,
-        degrees=[(i,) for i in range(d)],
         name="O1(%d)" % n,
         meta={"kind": "divided", "n": n},
     )
@@ -268,7 +241,6 @@ def make_reduced_poly(m, p):
         [_reduced_label(e) for e in exps],
         mult,
         unit=0,
-        degrees=exps,
         name="O_%d" % m,
         meta={"kind": "reduced", "m": m, "exps": exps},
     )
@@ -277,29 +249,25 @@ def make_reduced_poly(m, p):
 def make_scalars(p):
     """The ground field as a one-dimensional algebra."""
     return CommAlgebra(
-        p, ["1"], {(0, 0): {0: 1}}, unit=0, degrees=[()], name="K",
+        p, ["1"], {(0, 0): {0: 1}}, unit=0, name="K",
         meta={"kind": "scalars"},
     )
 
 
 def tensor_product(A, B):
     """A (x) B with basis pairs ordered as i_A * dim(B) + i_B and
-    componentwise multiplication; multidegrees concatenate."""
+    componentwise multiplication."""
     if A.p != B.p:
         raise ValueError("tensor factors live over different primes")
     dB = B.dim
     labels = [
         "%s@%s" % (A.labels[i], B.labels[j]) for i in range(A.dim) for j in range(dB)
     ]
-    degrees = None
-    if A.degrees is not None and B.degrees is not None:
-        degrees = [A.degrees[i] + B.degrees[j] for i in range(A.dim) for j in range(dB)]
     return CommAlgebra(
         A.p,
         labels,
         dict(sorted(bilinear_tensor(A.mult, B.mult, 1, dB, A.p).items())),
         unit=A.unit * dB + B.unit,
-        degrees=degrees,
         name="%s(x)%s" % (A.name, B.name),
         meta={"kind": "tensor", "dims": (A.dim, B.dim), "left": A, "right": B},
     )
@@ -718,79 +686,62 @@ def _coboundary_columns(A):
                      for t, row in _stencil_rows(A, (a, b)).items())
 
 
-def _harrison_pairs(A, firsts=None):
+def _harrison_pairs(A):
     """Yield the pairs (a, c), a < c, whose cocycle equations dF(a, b, c)
     = 0 harrison_h2 assembles and is_harrison_cocycle checks: those with
-    a or c in A.generators, or in firsts when given; firsts =
-    range(A.dim) yields every pair.  The generators decide every
-    equation, the unit's included (module docstring)."""
-    keep = set(A.generators if firsts is None else firsts)
+    a or c in A.generators, which decide every equation, the unit's
+    included (module docstring)."""
+    keep = set(A.generators)
     for a in range(A.dim):
         for c in range(a + 1, A.dim):
             if a in keep or c in keep:
                 yield a, c
 
 
-def _harrison_blocks(A, pairs):
-    """The symmetric cocycle system on the given pairs, split by
-    multidegree shift: per block key, its unknowns (i * dim + j) * dim + t
-    for pair i <= j and target t, their local positions, and a
-    SparseFpMatrix of the rows of dF(a, b, c) = 0 over (a, c) in pairs and
-    every b, inserted shortest first (which keeps pivot rows sparse and
-    changes neither the pivots nor kernel_basis)."""
-    n, p = A.dim, A.p
-    blocks = defaultdict(list)
-    for i in range(n):
-        for j in range(i, n):
-            for t in range(n):
-                blocks[A.shift(t, (i, j))].append((i * n + j) * n + t)
-    local = {key: {u: pos for pos, u in enumerate(unknowns)}
-             for key, unknowns in blocks.items()}
-    rows_per_block = defaultdict(list)
+def _harrison_system(A, pairs):
+    """The symmetric cocycle system on the given pairs: its unknowns
+    (i * dim + j) * dim + t for pair i <= j and target t, their
+    positions, and a SparseFpMatrix of the rows of dF(a, b, c) = 0 over
+    (a, c) in pairs and every b, inserted shortest first (which keeps
+    pivot rows sparse and changes neither the pivots nor kernel_basis)."""
+    n = A.dim
+    unknowns = [(i * n + j) * n + t
+                for i in range(n) for j in range(i, n) for t in range(n)]
+    pos = {u: k for k, u in enumerate(unknowns)}
+    by_len = defaultdict(list)
     for a, c in pairs:
         for b in range(n):
-            for t, row in _stencil_rows(A, (a, b, c), fold=True).items():
-                key = A.shift(t, (a, b, c))
-                loc = local[key]
-                rows_per_block[key].append({loc[k]: v for k, v in row.items()})
-    systems = {}
-    for key, unknowns in blocks.items():
-        m = SparseFpMatrix(len(unknowns), p)
-        for r in sorted(rows_per_block.get(key, ()), key=len):
+            for row in _stencil_rows(A, (a, b, c), fold=True).values():
+                by_len[len(row)].append({pos[k]: v for k, v in row.items()})
+    m = SparseFpMatrix(len(unknowns), A.p)
+    for size in sorted(by_len):
+        for r in by_len.pop(size):  # each length class freed once inserted
             m.add_row(r)
-        systems[key] = m
-    return blocks, local, systems
+    return unknowns, pos, m
 
 
 def harrison_h2(A):
     """Dimension and representative basis of Har^2(A, A): symmetric
-    Hochschild 2-cocycles modulo coboundaries of 1-cochains, solved
-    blockwise per multidegree shift.  Only the equations dF(a, b, c) = 0
-    with a or c in A.generators are assembled (module docstring); every
-    block keeps its kernel, so its pivots, its kernel_basis and the
-    representatives are those of the full system, in the same order."""
-    n, p = A.dim, A.p
-    blocks, local, systems = _harrison_blocks(A, _harrison_pairs(A))
-    image_cols = defaultdict(list)
-    for g, vec in _coboundary_columns(A).items():
-        image_cols[A.shift(g % n, (g // n,))].append(vec)
-    dim_total = 0
+    Hochschild 2-cocycles modulo coboundaries of 1-cochains.  Only the
+    equations dF(a, b, c) = 0 with a or c in A.generators are assembled
+    (module docstring); they keep the kernel, so the pivots, the
+    kernel_basis and the representatives are those of the full system,
+    in the same order.  A kernel vector is a new class when it enlarges
+    the span of the coboundaries and the classes before it."""
+    n = A.dim
+    unknowns, pos, m = _harrison_system(A, _harrison_pairs(A))
+    image = Echelon(A.p)
+    for vec in _coboundary_columns(A).values():
+        image.add({pos[u]: v for u, v in vec.items()})
     reps = []
-    for key, unknowns in blocks.items():
-        kernel = systems[key].kernel_basis()
-        image = Echelon(p)
-        loc = local[key]
-        for vec in image_cols.get(key, ()):
-            image.add({loc[u]: v for u, v in vec.items()})
-        for v in kernel:
-            if image.add(v):
-                dim_total += 1
-                vals = defaultdict(dict)
-                for pos, c in v.items():
-                    pair, t = divmod(unknowns[pos], n)
-                    vals[divmod(pair, n)][t] = c
-                reps.append(SymmetricBilinearMap(A, dict(vals)))
-    return dim_total, reps
+    for v in m.kernel_basis():
+        if image.add(v):
+            vals = defaultdict(dict)
+            for k, c in v.items():
+                pair, t = divmod(unknowns[k], n)
+                vals[divmod(pair, n)][t] = c
+            reps.append(SymmetricBilinearMap(A, dict(vals)))
+    return len(reps), reps
 
 
 def solve_delta1(A, target):

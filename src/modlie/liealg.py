@@ -373,6 +373,8 @@ def semidirect_current(L, A, Ds, check=None):
     current algebra through the A-factor, [x (x) a, 1 (x) d] = x (x) d(a),
     and bracket among themselves by commutator.  The span of Ds must be
     closed under commutators."""
+    for D in Ds:
+        _check_acts_on(D, A)
     cur = current_algebra(L, A, check=False)
     dA = A.dim
     n0 = cur.dim
@@ -418,6 +420,15 @@ def semidirect_current(L, A, Ds, check=None):
     )
 
 
+def _check_acts_on(D, A):
+    """Refuse a derivation D of an algebra other than A; an equal algebra
+    (same p, unit and products) built twice is A."""
+    B = D.A
+    if B is not A and (B.p, B.unit, B.mult) != (A.p, A.unit, A.mult):
+        raise ValueError("derivation %s acts on %s, not on %s"
+                         % (D.name, D.A.name, A.name))
+
+
 def make_deformed(A, D, name=None):
     """The deformed current algebra L(A, D): W1(1) (x) A with the bracket
     augmented by Phi_D on the (e_{-1}, e_{-1}) block,
@@ -426,6 +437,7 @@ def make_deformed(A, D, name=None):
 
     The result carries the W-degree as a filtration, and the Jacobi
     identity is verified exhaustively whatever the dimension."""
+    _check_acts_on(D, A)
     p = A.p
     W = make_w1(1, p)
     cur = current_algebra(W, A, check=False)

@@ -24,14 +24,15 @@ solution solve_sparse returns: with every free unknown 0, the pivot
 unknowns are determined.  Callers may therefore insert rows in whatever
 order keeps elimination cheap.
 
-kernel_basis back-substitutes sparsely.  It builds once an index from
-each column to the pivots whose row holds it, and from each free column
-visits only the pivots that index reaches, largest first from a heap:
-a pivot row holds only columns to its right, so every pivot reached
-from c lies left of c, and when c is popped the entries its row reads
-are final.  The vectors are those of a dense pass over all pivots in
-decreasing order, at a cost set by the fill the kernel touches rather
-than by rank times nullity.
+One sparse back-substitution serves kernel_basis and solve_sparse, whose
+solution is the kernel vector of [columns | -target] at the augmented
+column.  It builds once an index from each column to the pivots whose
+row holds it, and from each free column visits only the pivots that
+index reaches, largest first from a heap: a pivot row holds only
+columns to its right, so every pivot reached from c lies left of c, and
+when c is popped the entries its row reads are final.  The vectors are
+those of a dense pass over all pivots in decreasing order, at a cost set
+by the fill the kernel touches rather than by rank times nullity.
 
 A linear map is given by its columns {j: {k: c}}: column j is the image
 of the j-th source basis vector.  LinearMap applies and flattens such
@@ -99,11 +100,18 @@ def vec_add(u, v, p, scale=1):
 def bilinear_pairs(pairs, sign, p):
     """The pair dict of a bilinear map with f(e_j, e_i) = sign f(e_i, e_j),
     from any keys: a key i > j becomes (j, i) with its vector times sign,
-    entries are reduced mod p and zero vectors dropped."""
+    entries are reduced mod p and zero vectors dropped.  Keys (i, j) and
+    (j, i) that give different values raise ValueError."""
     out = {}
     for (i, j), vec in pairs.items():
         if i > j:
             i, j, vec = j, i, {k: sign * v for k, v in vec.items()}
+            other = pairs.get((i, j))
+            if other is not None and any(
+                    (vec.get(k, 0) - other.get(k, 0)) % p
+                    for k in vec.keys() | other.keys()):
+                raise ValueError("conflicting values for the pair %r"
+                                 % ((i, j),))
         vec = {k: v % p for k, v in vec.items() if v % p}
         if vec:
             out[(i, j)] = vec
@@ -400,45 +408,43 @@ class SparseFpMatrix:
 
     def kernel_basis(self):
         """One kernel vector per non-pivot column, in increasing column
-        order, by sparse back-substitution: the vector of free column f
-        has a 1 at f, and v[c] = -sum(row_c[k] v[k]) at each pivot c.
-        Only pivots whose row holds a column already set can be nonzero,
-        so they are reached through a `users` index (column -> pivots
-        whose row holds it) and taken largest first from a heap.  That is
-        valid because a pivot row only holds columns to the right of its
-        pivot: every pivot pushed while c is handled lies left of c, so
-        when c is popped every v[k] its row reads is final."""
-        p = self.p
+        order (_back_substitute)."""
         pivots = self.ech.pivots
-        users = {}
-        for c, row in pivots.items():
-            for k in row:
-                users.setdefault(k, []).append(c)
-        basis = []
-        for f in range(self.ncols):
-            if f in pivots:
+        return list(_back_substitute(
+            pivots, (f for f in range(self.ncols) if f not in pivots), self.p))
+
+
+def _back_substitute(pivots, frees, p):
+    """Yield, for each free column f of the echelon pivots, its kernel
+    vector: a 1 at f, 0 at every other free column, and v[c] =
+    -sum(row_c[k] v[k]) at each pivot c.  Only pivots whose row holds a
+    column already set can be nonzero, so they are reached through the
+    index `users` and set largest first (module docstring)."""
+    users = {}
+    for c, row in pivots.items():
+        for k in row:
+            users.setdefault(k, []).append(c)
+    for f in frees:
+        v = {f: 1}
+        heap = [-c for c in users.get(f, ())]
+        heapify(heap)
+        last = None
+        while heap:
+            c = -heappop(heap)
+            if c == last:  # pushed more than once; pops come in order
                 continue
-            v = {f: 1}
-            heap = [-c for c in users.get(f, ())]
-            heapify(heap)
-            last = None
-            while heap:
-                c = -heappop(heap)
-                if c == last:  # pushed more than once; pops come in order
-                    continue
-                last = c
-                s = 0
-                for k, val in pivots[c].items():
-                    x = v.get(k)
-                    if x:
-                        s += val * x
-                s = (-s) % p
-                if s:
-                    v[c] = s
-                    for u in users.get(c, ()):
-                        heappush(heap, -u)
-            basis.append(v)
-        return basis
+            last = c
+            s = 0
+            for k, val in pivots[c].items():
+                x = v.get(k)
+                if x:
+                    s += val * x
+            s = (-s) % p
+            if s:
+                v[c] = s
+                for u in users.get(c, ()):
+                    heappush(heap, -u)
+        yield v
 
 
 def solve_sparse(columns, target, p):
@@ -446,27 +452,17 @@ def solve_sparse(columns, target, p):
     or None when target lies outside the span of the columns.  Unknowns
     are the integer column keys; columns and target are sparse vectors
     over one coordinate space."""
-    # augmented column; larger than every unknown, so it is never chosen
-    # as a min-column pivot before the unknowns are exhausted
+    # augmented column -target; larger than every unknown, so it is never
+    # chosen as a min-column pivot before the unknowns are exhausted, and
+    # the kernel vector with a 1 there is (x, 1)
     RHS = max(columns, default=-1) + 1
     rows = transpose(columns.items())
     for k, c in target.items():
-        rows[k][RHS] = c
+        rows[k][RHS] = -c
     ech = Echelon(p)
     for row in rows.values():
         if ech.add(row) and RHS in ech.pivots:
             return None
-    x = {}
-    for c in sorted(ech.pivots, reverse=True):
-        s = 0
-        for k, val in ech.pivots[c].items():
-            if k == RHS:
-                s -= val  # move the constant to the right-hand side
-            else:
-                xv = x.get(k)
-                if xv:
-                    s += val * xv
-        s = (-s) % p
-        if s:
-            x[c] = s
+    (x,) = _back_substitute(ech.pivots, [RHS], p)
+    del x[RHS]
     return x

@@ -254,6 +254,21 @@ def test_non_associative_table_is_rejected():
         CommAlgebra(P, ["1", "a", "b"], mult, 0)
 
 
+def test_conflicting_product_keys_are_refused():
+    A = make_divided_powers(1, P)
+    with pytest.raises(ValueError, match=r"conflicting values for the pair "
+                                         r"\(1, 2\)"):
+        SymmetricBilinearMap(A, {(1, 2): {3: 1}, (2, 1): {3: 2}})
+    # K[a]/(a^2) with 1 * a given twice alike is fine; differently, it
+    # is not
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    assert CommAlgebra(P, ["1", "a"], mult, 0).mult == {
+        (0, 0): {0: 1}, (0, 1): {1: 1}}
+    with pytest.raises(ValueError, match=r"conflicting values for the pair "
+                                         r"\(0, 1\)"):
+        CommAlgebra(P, ["1", "a"], {**mult, (1, 0): {1: 2}}, 0)
+
+
 def test_derivation_guard_and_shift():
     A = make_divided_powers(1, P)
     d = partial_derivation(A)
@@ -343,10 +358,19 @@ def test_harrison_dimensions():
     # dim Har^2(O_m, O_m) = m p^m
     assert harrison_h2(make_divided_powers(1, P))[0] == 5
     assert harrison_h2(make_reduced_poly(1, P))[0] == 5
-    assert harrison_h2(make_reduced_poly(2, P))[0] == 50
     dim, reps = harrison_h2(make_divided_powers(1, P))
     for F in reps:
         assert is_harrison_cocycle(F)
+    # two generators: cocycles, independent modulo the coboundaries
+    A = make_reduced_poly(2, P)
+    dim, reps = harrison_h2(A)
+    assert dim == len(reps) == 50
+    span = Echelon(P)
+    for col in dense_coboundary_columns(A).values():
+        span.add(col)
+    for F in reps:
+        assert is_harrison_cocycle(F)
+        assert span.add(F.flatten())
 
 
 @pytest.mark.slow
@@ -524,23 +548,30 @@ def test_comm_generators_generate_every_builtin(name):
         assert len(list(commalg._harrison_pairs(A))) == 47
 
 
+def _pairs_meeting(firsts):
+    """A stand-in for _harrison_pairs: the pairs (a, c), a < c, with a or
+    c in firsts; firsts = range(A.dim) gives every pair."""
+    keep = set(firsts)
+    return lambda A: ((a, c) for a in range(A.dim)
+                      for c in range(a + 1, A.dim) if a in keep or c in keep)
+
+
 def _harrison_run(A, monkeypatch, firsts=None):
-    """harrison_h2(A) with its rows assembled on _harrison_pairs(A, firsts)
-    (generator pairs when firsts is None), and the block systems it solved."""
-    pairs, blocks = commalg._harrison_pairs, commalg._harrison_blocks
+    """harrison_h2(A) with its rows assembled on _pairs_meeting(firsts)
+    (generator pairs when firsts is None), and the system it solved."""
+    system = commalg._harrison_system
     seen = {}
 
     def record(A, kept):
-        out = blocks(A, kept)
-        seen["systems"] = out[2]
+        seen["system"] = out = system(A, kept)
         return out
 
     with monkeypatch.context() as mp:
-        mp.setattr(commalg, "_harrison_blocks", record)
+        mp.setattr(commalg, "_harrison_system", record)
         if firsts is not None:
-            mp.setattr(commalg, "_harrison_pairs", lambda A: pairs(A, firsts))
+            mp.setattr(commalg, "_harrison_pairs", _pairs_meeting(firsts))
         result = harrison_h2(A)
-    return result, seen["systems"]
+    return result, seen["system"][2]
 
 
 @pytest.mark.parametrize("name", [
@@ -549,15 +580,13 @@ def _harrison_run(A, monkeypatch, firsts=None):
     for name in ALGEBRAS])
 def test_harrison_generator_pairs_match_all_pairs(name, monkeypatch):
     A = ALGEBRAS[name][0]()
-    (dim, reps), systems = _harrison_run(A, monkeypatch)
-    (dim_all, reps_all), systems_all = _harrison_run(
-        A, monkeypatch, range(A.dim))
-    assert systems.keys() == systems_all.keys()
-    for key, m in systems.items():
-        ref = systems_all[key]
-        assert m.rank == ref.rank
-        assert set(m.ech.pivots) == set(ref.ech.pivots)
-        assert m.kernel_basis() == ref.kernel_basis()
+    assert (list(commalg._harrison_pairs(A))
+            == list(_pairs_meeting(A.generators)(A)))
+    (dim, reps), m = _harrison_run(A, monkeypatch)
+    (dim_all, reps_all), ref = _harrison_run(A, monkeypatch, range(A.dim))
+    assert m.rank == ref.rank
+    assert set(m.ech.pivots) == set(ref.ech.pivots)
+    assert m.kernel_basis() == ref.kernel_basis()
     assert dim == dim_all
     assert [F.values for F in reps] == [F.values for F in reps_all]
 
@@ -735,8 +764,8 @@ def dense_derivation_space(A):
 
 def dense_bar_rank(A, k):
     """Reference for the rank of the bar differential C^k -> C^{k+1}: the
-    image of every elementary k-cochain (tau -> s), pushed through an
-    echelon per multidegree block."""
+    image of every elementary k-cochain (tau -> s), pushed through one
+    echelon."""
     n, p = A.dim, A.p
     divisors = defaultdict(list)  # m -> ordered (u, v, c), b_u b_v = c b_m + ..
     for (i, j), vec in A.mult.items():
@@ -744,7 +773,7 @@ def dense_bar_rank(A, k):
             divisors[m].append((i, j, c))
             if i != j:
                 divisors[m].append((j, i, c))
-    echelons = defaultdict(lambda: Echelon(p))
+    ech = Echelon(p)
 
     def coord(tup, t):
         key = 0
@@ -764,8 +793,8 @@ def dense_bar_rank(A, k):
                 rest_l, rest_r = tau[:pos - 1], tau[pos:]
                 for u, v, c in divisors[tau[pos - 1]]:
                     vec[coord(rest_l + (u, v) + rest_r, s)] += (-1) ** pos * c
-            echelons[A.shift(s, tau)].add(dict(vec))
-    return sum(e.rank for e in echelons.values())
+            ech.add(dict(vec))
+    return ech.rank
 
 
 def _derivation_of(A):

@@ -12,7 +12,9 @@ from hypothesis import given, settings, strategies as st
 from modlie.ceco import cohomology_dim, weight_zero_reduce
 from modlie.cli import BUILTINS, _build_algebra
 from modlie.commalg import (
+    dx_derivation,
     make_divided_powers,
+    make_reduced_poly,
     partial_derivation,
     scale_derivation,
     tensor_derivation,
@@ -263,6 +265,31 @@ def test_semidirect_rejects_unclosed_span():
     # [d, x^5 d] = d(x^5) d = x^4 d, outside span{d, x^5 d}
     with pytest.raises(ValueError):
         semidirect_current(W, A, [d, x5d])
+
+
+def test_a_derivation_of_another_algebra_is_refused():
+    A, B = make_divided_powers(1, P), make_divided_powers(2, P)
+    with pytest.raises(ValueError, match=r"acts on O1\(2\), not on O1\(1\)"):
+        make_deformed(A, partial_derivation(B))
+    with pytest.raises(ValueError, match=r"acts on O1\(2\), not on O1\(1\)"):
+        semidirect_current(make_w1(1, P), A, [partial_derivation(B)])
+    # same dimension, other products: K[x]/(x^5) is not O1(1)
+    R = make_reduced_poly(1, P)
+    with pytest.raises(ValueError, match=r"acts on O_1, not on O1\(1\)"):
+        make_deformed(A, dx_derivation(R, 1))
+    # an equal algebra built twice is the same algebra
+    d = partial_derivation(make_divided_powers(1, P))
+    assert make_deformed(A, d).bracket == make_deformed(
+        A, partial_derivation(A)).bracket
+
+
+def test_conflicting_bracket_keys_are_refused():
+    # (1, 0) restates [a, b]; [b, a] = a would make [a, b] = -a
+    with pytest.raises(ValueError, match=r"conflicting values for the pair "
+                                         r"\(0, 1\)"):
+        LieAlgebra(P, ["a", "b"], {(0, 1): {0: 1}, (1, 0): {0: 1}})
+    L = LieAlgebra(P, ["a", "b"], {(0, 1): {0: 1}, (1, 0): {0: -1}})
+    assert L.bracket == {(0, 1): {0: 1}}
 
 
 def test_deformed_current_bracket():

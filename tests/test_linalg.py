@@ -7,6 +7,7 @@ the dense loops they replaced."""
 import random
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlie.linalg import (
@@ -331,6 +332,24 @@ def test_bilinear_eval_matches_the_dense_loop(drawn, data):
     assert bilinear_pairs(flipped, sign, p) == pairs
     assert bilinear_pairs({(i, j): {k: v + p for k, v in vec.items()}
                            for (i, j), vec in pairs.items()}, sign, p) == pairs
+
+
+def test_bilinear_pairs_refuses_conflicting_swapped_keys():
+    # (1, 0) names the pair (0, 1) again; its value must agree, zero
+    # counting as a value
+    for sign, pairs in [(-1, {(0, 1): {0: 1}, (1, 0): {0: 1}}),
+                        (1, {(1, 2): {3: 1}, (2, 1): {3: 2}}),
+                        (1, {(0, 1): {}, (1, 0): {0: 1}}),
+                        (1, {(1, 0): {0: 1}, (0, 1): {0: 1, 2: 3}})]:
+        with pytest.raises(ValueError, match=r"conflicting values for the "
+                                             r"pair \((0, 1|1, 2)\)"):
+            bilinear_pairs(pairs, sign, 5)
+    # consistent duplicates are accepted, in either order, as one key
+    assert bilinear_pairs({(0, 1): {0: 1}, (1, 0): {0: 9}}, -1, 5) == {
+        (0, 1): {0: 1}}
+    assert bilinear_pairs({(1, 0): {0: 2}, (0, 1): {0: 7, 1: 5}}, 1, 5) == {
+        (0, 1): {0: 2}}
+    assert bilinear_pairs({(0, 1): {0: 5}, (1, 0): {}}, 1, 5) == {}
 
 
 @settings(max_examples=100, deadline=None)
