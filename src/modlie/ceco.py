@@ -374,10 +374,11 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     and ValueError is raised when it fails.
 
     With want_reps, also returns cocycle representatives extending the
-    coboundary space.  Raises ValueError when d_{n-1} maps the slice
-    outside itself, since dropping those entries would give a wrong
-    dimension.  Results without representatives are cached under
-    (engine version, algebra hash, module, n, slice descriptor)."""
+    coboundary space (kernel_basis(modulo=image)).  Raises ValueError
+    when d_{n-1} maps the slice outside itself, since dropping those
+    entries would give a wrong dimension.  Results without
+    representatives are cached under (engine version, algebra hash,
+    module, n, slice descriptor)."""
     if not L.jacobi_checked:
         L.check_jacobi()
     desc = slice_.descriptor() if slice_ is not None else None
@@ -452,16 +453,13 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     dim = len(cols) - rank_d - rank_prev
     reps = None
     if want_reps:
-        # the image echelon, its rank read, grows into the span of the
-        # coboundaries and the representatives found so far
-        reps = []
-        for v in mat.kernel_basis():
-            if image.add(v):
-                reps.append(_cochain(L, n, module, cols, v))
+        reps = [_cochain(L, n, module, cols, v)
+                for v in mat.kernel_basis(modulo=image)]
         if len(reps) != dim:
             raise AssertionError("representative count %d != dim %d"
                                  % (len(reps), dim))
-    stats.update(reps_s=lap(), budget_used=counter[0], budget=budget)
+    stats.update(reps_s=lap(), kernel_vectors=len(reps or ()),
+                 budget_used=counter[0], budget=budget)
     if cache is not None and key is not None:
         cache.put(key, {"dim": dim, "ncols": len(cols),
                         "rank_d": rank_d, "rank_prev": rank_prev})

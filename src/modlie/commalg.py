@@ -727,20 +727,20 @@ def harrison_h2(A):
     (module docstring); they keep the kernel, so the pivots, the
     kernel_basis and the representatives are those of the full system,
     in the same order.  A kernel vector is a new class when it enlarges
-    the span of the coboundaries and the classes before it."""
+    the span of the coboundaries and the classes before it, which
+    kernel_basis(modulo=image) finds without computing the others."""
     n = A.dim
     unknowns, pos, m = _harrison_system(A, _harrison_pairs(A))
     image = Echelon(A.p)
     for vec in _coboundary_columns(A).values():
         image.add({pos[u]: v for u, v in vec.items()})
     reps = []
-    for v in m.kernel_basis():
-        if image.add(v):
-            vals = defaultdict(dict)
-            for k, c in v.items():
-                pair, t = divmod(unknowns[k], n)
-                vals[divmod(pair, n)][t] = c
-            reps.append(SymmetricBilinearMap(A, dict(vals)))
+    for v in m.kernel_basis(modulo=image):
+        vals = defaultdict(dict)
+        for k, c in v.items():
+            pair, t = divmod(unknowns[k], n)
+            vals[divmod(pair, n)][t] = c
+        reps.append(SymmetricBilinearMap(A, dict(vals)))
     return len(reps), reps
 
 

@@ -34,6 +34,13 @@ when c is popped the entries its row reads are final.  The vectors are
 those of a dense pass over all pivots in decreasing order, at a cost set
 by the fill the kernel touches rather than by rank times nullity.
 
+kernel_basis(modulo=S), S a span inside the kernel, returns only the
+k_f that the loop "keep k_f if it enlarges S + the k_g kept so far"
+keeps, in the same order, without running it.  Projection onto the
+free columns is injective on the kernel and sends k_g to e_g, so f is
+dropped exactly when some vector of the projected S has its last free
+column at f: the pivots of one echelon of that projection on keys -f.
+
 A linear map is given by its columns {j: {k: c}}: column j is the image
 of the j-th source basis vector.  LinearMap applies and flattens such
 columns, SparseFpMatrix.from_columns takes the rank and kernel of the
@@ -406,12 +413,24 @@ class SparseFpMatrix:
     def nullity(self):
         return self.ncols - self.rank
 
-    def kernel_basis(self):
+    def kernel_basis(self, modulo=None):
         """One kernel vector per non-pivot column, in increasing column
-        order (_back_substitute)."""
-        pivots = self.ech.pivots
-        return list(_back_substitute(
-            pivots, (f for f in range(self.ncols) if f not in pivots), self.p))
+        order (_back_substitute); with modulo, an Echelon whose span lies
+        in the kernel, only those that "keep v if modulo.add(v)" keeps,
+        leaving modulo unchanged (module docstring)."""
+        pivots, p = self.ech.pivots, self.p
+        frees = [f for f in range(self.ncols) if f not in pivots]
+        if modulo is not None:
+            last = Echelon(p)  # min-column on keys -f: pivots are last columns
+            for c, row in modulo.pivots.items():
+                vec = {-k: v for k, v in row.items() if k not in pivots}
+                if c not in pivots:
+                    vec[-c] = 1
+                last.add(vec)
+            if last.rank != modulo.rank:
+                raise ValueError("the modulo span is not in the kernel")
+            frees = [f for f in frees if -f not in last.pivots]
+        return list(_back_substitute(pivots, frees, p))
 
 
 def _back_substitute(pivots, frees, p):

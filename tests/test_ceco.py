@@ -378,6 +378,35 @@ def test_representatives_are_honest(build, weight_zero, dim):
     assert class_span_dim(L, res.reps) == res.dim
 
 
+@pytest.mark.parametrize("name, module, slicing, degrees", [
+    ("w1xo1", "adjoint", "weight", [2]),
+    ("w1_2", "adjoint", "weight", [2]),
+    ("ldef", "adjoint", "weight", [2]),
+    ("sl2", "trivial", None, [1, 2, 3]),
+    ("w1xo1", "adjoint", "degree", [2]),
+], ids=["w1xo1", "w1_2", "ldef", "sl2-trivial", "w1xo1-degree0"])
+def test_representatives_match_the_greedy_loop(name, module, slicing,
+                                               degrees, greedy_kernel_basis):
+    # kernel_basis(modulo=image) keeps the kernel vectors, in their
+    # order, that the greedy loop over all of them keeps; the loop also
+    # checks exactly that every coboundary lies in the kernel of d_n
+    L = ORACLE_ALGEBRAS[name]()
+    slice_ = (None if slicing is None else
+              weight_zero_reduce(L, module) if slicing == "weight" else
+              degree_slice(L, 0, module))
+    fast = [cohomology_dim(L, n, module, slice_=slice_, want_reps=True)
+            for n in degrees]
+    checked = greedy_kernel_basis()
+    slow = [cohomology_dim(L, n, module, slice_=slice_, want_reps=True)
+            for n in degrees]
+    assert checked == [r.rank_prev for r in slow]
+    for a, b in zip(fast, slow):
+        assert a.stats["kernel_vectors"] == len(a.reps) == a.dim == b.dim
+        assert ([list(r.flatten().items()) for r in a.reps]
+                == [list(r.flatten().items()) for r in b.reps])
+    assert sum(r.dim for r in fast) > 0
+
+
 @pytest.mark.parametrize("L", [make_sl2(P), make_w1(1, P)],
                          ids=["sl2", "w1"])
 @pytest.mark.parametrize("module", ["adjoint", "trivial"])

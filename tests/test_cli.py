@@ -234,6 +234,9 @@ def test_cohomology_stats_leave_the_report_alone(capsys, tmp_path):
     assert stats["cached"] is False and stats["ncols"] == doc["ncols"] == 1500
     assert 0 < stats["nnz"] < stats["budget_used"] <= stats["budget"]
     assert 0 < stats["rows"] <= stats["nnz"]
+    # with --dump-reps only the dim H kept kernel vectors are computed
+    assert (stats["kernel_vectors"] == doc["dim"]
+            == len(doc["representatives"]))
     for stage in ("enumerate", "assemble", "rank_d", "rank_prev", "reps"):
         assert stats[stage + "_s"] >= 0
     # a cache hit reports itself, and its report is the same too

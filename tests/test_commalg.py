@@ -373,6 +373,28 @@ def test_harrison_dimensions():
         assert span.add(F.flatten())
 
 
+@pytest.mark.parametrize("make, m, p", [
+    (make_divided_powers, 1, 5),
+    (make_divided_powers, 2, 5),
+    (make_reduced_poly, 2, 5),
+    (make_divided_powers, 1, 7),
+    pytest.param(make_divided_powers, 2, 7, marks=pytest.mark.slow),
+], ids=["O1(1)", "O1(2)", "O_2", "O1(1)-p7", "O1(2)-p7"])
+def test_harrison_representatives_match_the_greedy_loop(make, m, p,
+                                                       greedy_kernel_basis):
+    # kernel_basis(modulo=image) keeps the kernel vectors, in their
+    # order, that the greedy loop over all of them keeps; the loop also
+    # checks exactly that every coboundary is a Harrison cocycle
+    A = make(m, p)
+    dim, fast = harrison_h2(A)
+    checked = greedy_kernel_basis()
+    slow_dim, slow = harrison_h2(A)
+    assert len(checked) == 1 and checked[0] > 0
+    assert dim == slow_dim == len(fast) > 0
+    assert ([list(F.flatten().items()) for F in fast]
+            == [list(F.flatten().items()) for F in slow])
+
+
 @pytest.mark.slow
 def test_harrison_dimension_of_divided_rank_two():
     assert harrison_h2(make_divided_powers(2, P))[0] == 50

@@ -229,6 +229,51 @@ def test_echelon_and_kernel_against_dense_oracle(system):
     assert shuffled.kernel_basis() == want
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_kernel_basis_modulo_against_the_greedy_loop(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(1, 9))
+    row = st.dictionaries(st.integers(0, n - 1), st.integers(1, p - 1),
+                          max_size=4)
+    m = SparseFpMatrix(n, p)
+    for r in data.draw(st.lists(row, max_size=12)):
+        m.add_row(r)
+    full = m.kernel_basis()
+    # a span inside the kernel: random combinations of kernel vectors,
+    # possibly none, the whole kernel, or one combination twice
+    coeffs = st.lists(st.integers(0, p - 1), min_size=len(full),
+                      max_size=len(full))
+    combos = data.draw(st.lists(coeffs, max_size=4))
+    if combos and data.draw(st.booleans()):
+        combos.append(combos[0])
+    if data.draw(st.booleans()):
+        combos += [[int(i == j) for j in range(len(full))]
+                   for i in range(len(full))]
+    E = Echelon(p)
+    for cs in combos:
+        v = {}
+        for c, k in zip(cs, full):
+            v = vec_add(v, k, p, c)
+        E.add(v)
+    before = dict(E.pivots)
+    got = m.kernel_basis(modulo=E)
+    assert E.pivots == before
+    grow = E.copy()
+    assert got == [v for v in full if grow.add(v)]
+    assert len(got) == len(full) - E.rank
+
+
+def test_kernel_basis_refuses_a_span_outside_the_kernel():
+    m = SparseFpMatrix(3, 5)
+    m.add_row({0: 1, 1: 2})  # pivot column 0, free columns 1 and 2
+    E = Echelon(5)
+    E.add({0: 1})  # e_0 is 0 on every free column; no kernel vector is
+    with pytest.raises(ValueError, match="not in the kernel"):
+        m.kernel_basis(modulo=E)
+    assert m.kernel_basis(modulo=Echelon(5)) == m.kernel_basis()
+
+
 def dense_bracket_vec(pairs, sign, p, u, v):
     """Reference for bilinear_eval: the loop LieAlgebra.bracket_vec and
     CommAlgebra.mul ran before, one lookup of f(e_i, e_j) per pair of
