@@ -65,6 +65,7 @@ of the two cochains, not every basis triple.
 """
 
 import itertools
+import math
 import time
 from bisect import bisect_left
 from collections import defaultdict
@@ -369,9 +370,10 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     the module docstring), so the rank, the pivots and the kernel basis
     are those of the whole matrix.  The budget counts the entries that
     are assembled, so a query that exceeded it with every row may now
-    fit.  The restriction is sound only for a Lie algebra, so an
-    algebra whose Jacobi identity is not yet verified is checked first,
-    and ValueError is raised when it fails.
+    fit; one with more tuples in C^n or C^(n-1) than the budget is
+    refused before they are enumerated.  The restriction is sound only
+    for a Lie algebra, so an algebra whose Jacobi identity is not yet
+    verified is checked first, and ValueError is raised when it fails.
 
     With want_reps, also returns cocycle representatives extending the
     coboundary space (kernel_basis(modulo=image)).  Raises ValueError
@@ -391,6 +393,11 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
             return CohomologyResult(hit["dim"], hit["ncols"],
                                     hit["rank_d"], hit["rank_prev"],
                                     stats={"cached": True})
+    for k in (n, n - 1):
+        if k >= 0 and math.comb(L.dim, k) > budget:
+            raise BudgetExceeded(
+                "C^%d has over %d tuples to enumerate; raise the budget"
+                % (k, budget))
     laps = [time.perf_counter()]
 
     def lap():  # seconds since the previous lap

@@ -123,21 +123,17 @@ class CommAlgebra:
         if self._generators is None:
             span, basis, gens = Echelon(self.p), [], []
 
-            def close(todo):
-                while todo:
-                    v = todo.pop()
-                    if span.add(v):
-                        basis.append(v)
-                        todo.extend(w for g in gens
-                                    if (w := self.mul(v, {g: 1})))
+            def step(v):
+                return (w for g in gens if (w := self.mul(v, {g: 1})))
 
-            close([self.unit_vec])
+            span.close([self.unit_vec], step, basis)
             for i in range(self.dim):
                 if span.rank == self.dim:
                     break
                 if not span.member({i: 1}):
                     gens.append(i)
-                    close([w for v in basis if (w := self.mul(v, {i: 1}))])
+                    span.close([w for v in basis if (w := self.mul(v, {i: 1}))],
+                               step, basis)
             self._generators = tuple(gens)
         return self._generators
 
@@ -398,25 +394,18 @@ def tensor_derivation(AB, D, side):
     if AB.meta.get("kind") != "tensor":
         raise ValueError("tensor_derivation needs a tensor-product algebra")
     dA, dB = AB.meta["dims"]
-    cols = {}
-    if side == "left":
-        if D.A.dim != dA:
-            raise ValueError("derivation does not act on the left factor")
-        for x in range(dA * dB):
-            ia, ib = divmod(x, dB)
-            col = {k * dB + ib: v for k, v in D.cols.get(ia, {}).items()}
-            if col:
-                cols[x] = col
-    elif side == "right":
-        if D.A.dim != dB:
-            raise ValueError("derivation does not act on the right factor")
-        for x in range(dA * dB):
-            ia, ib = divmod(x, dB)
-            col = {ia * dB + k: v for k, v in D.cols.get(ib, {}).items()}
-            if col:
-                cols[x] = col
-    else:
+    if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
+    # D's factor has dimension n and stride s in the index a * dB + b
+    n, s = (dA, dB) if side == "left" else (dB, 1)
+    if D.A.dim != n:
+        raise ValueError("derivation does not act on the %s factor" % side)
+    cols = {}
+    for x in range(dA * dB):
+        own = x // s % n
+        col = {x + (k - own) * s: v for k, v in D.cols.get(own, {}).items()}
+        if col:
+            cols[x] = col
     return Derivation(AB, cols, name="%s(x)%s" % (D.name, side))
 
 

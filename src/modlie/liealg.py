@@ -5,17 +5,18 @@ p^n - 2, [e_i, e_j] = N_ij e_{i+j}), sl(2) in the same normalization,
 current algebras L (x) A, semidirect sums with derivation tails, the
 deformed current algebras L(A, D) whose extra bracket term lives on the
 (e_{-1}, e_{-1}) block, and the degree-preserving identification of
-W1(n) with L(O1(n-1), d).  Structure probes (center, derived series,
-ideal closures, weights) are exact sparse computations.  The adjoint
-table ad and the Jacobi check come from the bilinear-map kernel of
-linalg: ad is bilinear_table of the bracket, and the Jacobi sums are
-circle of the bracket with itself.
+W1(n) with L(O1(n-1), d).  Structure probes are exact sparse
+computations; generators, derived series and ideals are spans closed
+by Echelon.close.  The adjoint table ad and the Jacobi check come from
+the bilinear-map kernel of linalg: ad is bilinear_table of the bracket,
+and the Jacobi sums are circle of the bracket with itself.
 """
 
 import hashlib
 import json
 import random
 from collections import defaultdict
+from itertools import combinations
 
 from .arith import check_prime, structure_constant_N
 from .commalg import (make_divided_powers, partial_derivation,
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 JACOBI_EAGER_DIM = 32
+IDEAL_TRIALS = 20
 
 
 class LieAlgebra:
@@ -152,14 +154,23 @@ class LieAlgebra:
             p, ad = self.p, self.ad
             nnz = [len(ad.get(i, ())) for i in range(self.dim)]
             most = sorted(range(self.dim), key=lambda i: (-nnz[i], i))[:1]
+
+            def step(x):
+                # bracket with every vector found so far, so every pair
+                # meets once; a span of all of L is closed already
+                if span.rank < self.dim:
+                    for y in list(found):
+                        if w := self.bracket_vec(x, y):
+                            yield w
+
             gens = []
-            span, basis = Echelon(p), []
+            span, found = Echelon(p), []
             for i in most + sorted(range(self.dim), key=lambda i: (nnz[i], i)):
                 if span.rank == self.dim:
                     break
                 if not span.member({i: 1}):
                     gens.append(i)
-                    _grow_subalgebra(self, span, basis, i)
+                    span.close([{i: 1}], step, found)
             derived = Echelon(p)
             for vec in self.bracket.values():
                 derived.add(vec)
@@ -170,9 +181,9 @@ class LieAlgebra:
                     near.add({h: 1})
                 if not rest or not near.member({g: 1}):
                     continue
-                span, basis = Echelon(p), []
+                span, found = Echelon(p), []
                 for h in rest:
-                    _grow_subalgebra(self, span, basis, h)
+                    span.close([{h: 1}], step, found)
                 if span.rank == self.dim:
                     gens = rest
             self._generators = tuple(gens)
@@ -527,35 +538,20 @@ def center(L):
     return SparseFpMatrix.from_columns(columns, L.dim, L.p).kernel_basis()
 
 
-def _span_of(L, vecs):
-    e = Echelon(L.p)
-    basis = []
-    for v in vecs:
-        if e.add(dict(v)):
-            basis.append(dict(v))
-    return e, basis
-
-
 def derived_series(L, S=None):
     """Dimensions of the derived series of the span of S (the whole
     algebra when S is None), until stable."""
-    if S is None:
-        S = [{i: 1} for i in range(L.dim)]
-    _, basis = _span_of(L, S)
+    def span(vecs):
+        return Echelon(L.p).close(vecs, lambda v: ())
+
+    basis = span(S if S is not None else ({i: 1} for i in range(L.dim)))
     dims = [len(basis)]
     while True:
-        nxt = []
-        e = Echelon(L.p)
-        for x in range(len(basis)):
-            for y in range(x + 1, len(basis)):
-                v = L.bracket_vec(basis[x], basis[y])
-                if v and e.add(v):
-                    nxt.append(v)
-        dims.append(len(nxt))
-        if len(nxt) in (0, dims[-2]):
-            break
-        basis = nxt
-    return dims
+        basis = span(w for x, y in combinations(basis, 2)
+                     if (w := L.bracket_vec(x, y)))
+        dims.append(len(basis))
+        if len(basis) in (0, dims[-2]):
+            return dims
 
 
 def is_solvable(L, S=None):
@@ -563,71 +559,27 @@ def is_solvable(L, S=None):
     return dims[-1] == 0
 
 
-def _grow_subalgebra(L, span, basis, i):
-    """Extend the subalgebra spanned by basis (echelon span) by e_i and
-    close it under brackets: each new vector, when popped, is bracketed
-    with every vector found so far, so every pair meets once; a span
-    that reaches all of L is closed already."""
-    work = [{i: 1}] if span.add({i: 1}) else []
-    basis.extend(work)
-    while work and span.rank < L.dim:
-        x = work.pop()
-        for y in list(basis):
-            w = L.bracket_vec(x, y)
-            if w and span.add(w):
-                basis.append(w)
-                work.append(w)
-
-
-def _ideal_echelon(L, vecs):
-    e = Echelon(L.p)
-    work = []
-    for v in vecs:
-        r = e.reduce(dict(v))
-        if r and e.add(dict(r)):
-            work.append(r)
-    while work:
-        v = work.pop()
-        for j in range(L.dim):
-            w = L.bracket_vec({j: 1}, v)
-            if w:
-                r = e.reduce(w)
-                if r and e.add(dict(r)):
-                    work.append(r)
-    return e
-
-
-def _echelon_rows(e):
-    rows = []
-    for piv, tail in sorted(e.pivots.items()):
-        row = dict(tail)
-        row[piv] = 1
-        rows.append(row)
-    return rows
-
-
 def ideal_generated_by(L, vecs):
     """Basis (echelon rows) of the smallest ideal containing the given
-    vectors, by saturating under brackets with all basis elements."""
-    return _echelon_rows(_ideal_echelon(L, vecs))
+    vectors, the span closed under brackets with every basis element."""
+    ideal = Echelon(L.p)
+    ideal.close(vecs, lambda v: (w for j in range(L.dim)
+                                 if (w := L.bracket_vec({j: 1}, v))))
+    return ideal.rows()
 
 
-def find_proper_ideal(L, trials=20, seed=0):
+def find_proper_ideal(L, seed=0):
     """Look for a proper nonzero ideal: first the ideal generated by each
     basis vector (complete for ideals generated by weight vectors when the
-    basis is weight-homogeneous), then ideals of seeded random vectors.
-    Returns {"generator", "dim", "basis"} or None; a returned ideal is
-    always sound, while None is only "none found"."""
-    candidates = [{i: 1} for i in range(L.dim)]
+    basis is weight-homogeneous), then ideals of IDEAL_TRIALS seeded
+    random vectors.  Returns {"generator", "dim", "basis"} or None; a
+    returned ideal is always sound, while None is only "none found"."""
     rng = random.Random(seed)
-    for _ in range(trials):
-        v = {i: rng.randrange(L.p) for i in range(L.dim)}
-        v = {i: c for i, c in v.items() if c}
-        if v:
-            candidates.append(v)
-    for v in candidates:
-        e = _ideal_echelon(L, [v])
-        if 0 < e.rank < L.dim:
-            return {"generator": v, "dim": e.rank,
-                    "basis": _echelon_rows(e)}
+    candidates = [{i: 1} for i in range(L.dim)] + [
+        {i: c for i in range(L.dim) if (c := rng.randrange(L.p))}
+        for _ in range(IDEAL_TRIALS)]
+    for v in filter(None, candidates):
+        basis = ideal_generated_by(L, [v])
+        if 0 < len(basis) < L.dim:
+            return {"generator": v, "dim": len(basis), "basis": basis}
     return None

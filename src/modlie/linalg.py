@@ -321,6 +321,26 @@ class Echelon:
     def member(self, row):
         return not self.reduce(row)
 
+    def close(self, vecs, step, found=None):
+        """Add vecs, then, for each vector that enlarged the span (last
+        in, first out), the vectors of step(v) one at a time as they are
+        produced.  Returns found, extended by every vector that enlarged
+        the span."""
+        found = [] if found is None else found
+        work, todo = [], vecs
+        while True:
+            for v in todo:
+                if self.add(v):
+                    found.append(v)
+                    work.append(v)
+            if not work:
+                return found
+            todo = step(work.pop())
+
+    def rows(self):
+        """The stored rows with pivot entry 1, sorted by pivot."""
+        return [{c: 1, **tail} for c, tail in sorted(self.pivots.items())]
+
     def copy(self):
         """An echelon of the same span that can grow on its own; pivot
         rows are never mutated, so they are shared."""

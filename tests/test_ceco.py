@@ -500,6 +500,17 @@ def test_budget_is_enforced():
         cohomology_dim(L, 2, budget=10)
 
 
+def test_budget_refuses_before_enumerating(monkeypatch):
+    # C(25, 6) = 177 100 tuples are over a budget of 10^5
+    def enumerate_nothing(*args):
+        raise AssertionError("chain_columns ran on an over-budget query")
+
+    monkeypatch.setattr(ceco, "chain_columns", enumerate_nothing)
+    W = make_w1(2, P)
+    with pytest.raises(BudgetExceeded, match=r"C\^6 has over 100000 tuples"):
+        cohomology_dim(W, 6, slice_=weight_zero_reduce(W), budget=10 ** 5)
+
+
 def test_class_span_budget_is_enforced():
     W = make_w1(1, P)
     f = phi21(W)

@@ -3,6 +3,7 @@ derivation tails, the deformed current algebra, the Kuznetsov
 identification, and the ideal/solvability probes."""
 
 import ast
+import random
 import re
 from unittest import mock
 
@@ -343,6 +344,54 @@ def test_ideals_of_the_current_algebra():
     assert len(ideal_generated_by(L, found["basis"])) == found["dim"]
 
 
+def _dense_ideal_dim(L, vecs):
+    # fixed point of V -> V + [L, V] by dense elimination: each round
+    # brackets every basis element with every vector kept so far, until
+    # a round keeps nothing new
+    n, p = L.dim, L.p
+    kept = []  # (pivot, dense row with 1 there and 0 at earlier pivots)
+
+    def keep(v):
+        row = [v.get(i, 0) % p for i in range(n)]
+        for c, r in kept:
+            row = [(x - row[c] * y) % p for x, y in zip(row, r)]
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is not None:
+            kept.append((c, [x * pow(row[c], -1, p) % p for x in row]))
+
+    for v in vecs:
+        keep(v)
+    size = None
+    while size != len(kept):
+        size = len(kept)
+        for _, r in list(kept):
+            v = {i: x for i, x in enumerate(r) if x}
+            for j in range(n):
+                keep(L.bracket_vec({j: 1}, v))
+    return len(kept)
+
+
+@pytest.mark.parametrize("build", [
+    lambda A: current_algebra(make_w1(1, P), A),
+    lambda A: make_deformed(A, zero_derivation(A)),
+    lambda A: current_algebra(make_sl2(P), A),
+], ids=["w1-x-om", "ldef0", "sl2-x-om"])
+def test_ideal_closure_matches_a_dense_fixed_point(build):
+    L = build(make_divided_powers(1, P))
+    rng = random.Random(7)
+    for trial in range(12):
+        vecs = [{i: rng.randrange(1, P) for i in rng.sample(range(L.dim), k)}
+                for k in rng.choices((1, 2, 3), k=rng.randrange(1, 3))]
+        basis = ideal_generated_by(L, vecs)
+        assert len(basis) == _dense_ideal_dim(L, vecs)
+        span = Echelon(P)
+        for row in basis:
+            assert span.add(row)
+        assert all(span.member(v) for v in vecs)
+        assert all(span.member(L.bracket_vec({j: 1}, row))
+                   for row in basis for j in range(L.dim))
+
+
 def test_simple_algebras_have_no_proper_ideal():
     W = make_w1(1, P)
     assert find_proper_ideal(W) is None
@@ -469,11 +518,27 @@ def _generated_dim(L, gens):
     return ech.rank
 
 
-@pytest.mark.parametrize("name, n", [(b, 1) for b in BUILTINS] + [("w1n", 2)])
-def test_generators_generate_every_builtin(name, n):
-    L = _build_algebra(name, P, n, 1)
+# the generating sets found, pinned since they set the speed of
+# cohomology_dim: (builtin, p, n) -> generators
+GENERATORS = {
+    ("w1n", P, 1): (0, 4), ("sl2", P, 1): (0, 2),
+    ("w1n-x-om", P, 1): (0, 21, 20), ("sl2-x-om", P, 1): (0, 1, 10),
+    ("ldef", P, 1): (0, 24), ("w1-sd", P, 1): (0, 24, 25),
+    ("sl2-sd", P, 1): (15, 4, 14), ("w1n", P, 2): (0, 24),
+    ("w1n-x-om", 7, 1): (0, 43, 42), ("w1n", 7, 2): (0, 48),
+}
+
+
+@pytest.mark.parametrize("name, p, n", [
+    pytest.param(*key, id="%s-%d" % (key[0], key[2])
+                 + ("-p%d" % key[1] if key[1] != P else ""))
+    for key in GENERATORS])
+def test_generators_generate_every_builtin(name, p, n):
+    assert set(BUILTINS) <= {b for b, _, _ in GENERATORS}
+    L = _build_algebra(name, p, n, 1)
     assert L._generators is None  # found on first use, not at construction
     gens = L.generators
+    assert gens == GENERATORS[(name, p, n)]
     assert gens and len(set(gens)) == len(gens)
     assert all(0 <= g < L.dim for g in gens)
     assert _generated_dim(L, gens) == L.dim

@@ -229,6 +229,52 @@ def test_echelon_and_kernel_against_dense_oracle(system):
     assert shuffled.kernel_basis() == want
 
 
+def closure_rank(seeds, maps, n, p):
+    """Rank of the smallest span holding seeds and mapped into itself by
+    every map, by dense elimination repeated until the rank is stable."""
+    rows, rank = list(seeds), -1
+    while True:
+        pivots, rref = dense_rref(rows, n, p)
+        if len(pivots) == rank:
+            return rank
+        rank = len(pivots)
+        rows = [{i: c for i, c in enumerate(r) if c} for r in rref]
+        rows += [f(v) for v in rows for f in maps]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_echelon_close_against_a_naive_fixed_point(data):
+    p = data.draw(st.sampled_from([3, 5, 7]))
+    n = data.draw(st.integers(1, 8))
+    vec = st.dictionaries(st.integers(0, n - 1), st.integers(1, p - 1),
+                          max_size=3)
+    space = SimpleNamespace(dim=n, p=p)
+    maps = [LinearMap(space, space, cols) for cols in data.draw(st.lists(
+        st.dictionaries(st.integers(0, n - 1), vec, max_size=n),
+        min_size=1, max_size=3))]
+
+    def step(v):
+        return (w for f in maps if (w := f(v)))
+
+    # two closures into one echelon, as a generator search grows its span
+    first, second = data.draw(st.lists(vec, max_size=3)), data.draw(
+        st.lists(vec, max_size=3))
+    e = Echelon(p)
+    before = e.close(first, step)
+    assert len(before) == e.rank == closure_rank(first, maps, n, p)
+    found = e.close(second, step, found=[])
+    assert e.rank == closure_rank(first + second, maps, n, p)
+    assert len(found) == e.rank - len(before)
+    assert len(dense_rref(before + found, n, p)[0]) == e.rank
+    assert all(e.member(w) for v in before + found for w in step(v))
+    assert all(e.member(v) for v in first + second)
+    rows = e.rows()
+    assert len(rows) == e.rank
+    assert [min(r) for r in rows] == sorted(e.pivots)
+    assert all(r[min(r)] == 1 and e.member(r) for r in rows)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_kernel_basis_modulo_against_the_greedy_loop(data):
