@@ -71,8 +71,9 @@ from bisect import bisect_left
 from collections import defaultdict
 from operator import itemgetter
 
-from .linalg import (DEFAULT_BUDGET, Echelon, SparseFpMatrix, bilinear_table,
-                     circle, family_add, solve_sparse, transpose, vec_scale)
+from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, SparseFpMatrix,
+                     bilinear_table, circle, family_add, solve_sparse,
+                     transpose, vec_scale)
 
 __all__ = [
     "BudgetExceeded",
@@ -93,10 +94,6 @@ __all__ = [
 # Part of every cache key: bump it whenever the differential or the rank
 # semantics change, so that entries computed by older code are misses.
 ENGINE = 1
-
-
-class BudgetExceeded(RuntimeError):
-    pass
 
 
 def _perm_sign_and_sorted(xs):
@@ -296,6 +293,10 @@ class ComplexSlice:
     def admits(self, T, t):
         return self.grade(T, t) == self.target
 
+    def __str__(self):
+        return ", ".join("%s=%s" % (k, v) for k, v in (
+            ("weight", self.weight), ("degree", self.degree)) if v is not None)
+
     def descriptor(self):
         return {"module": self.module, "weight": self.weight,
                 "degree": self.degree,
@@ -341,21 +342,29 @@ class CohomologyResult:
             self.dim, self.ncols, self.rank_d, self.rank_prev)
 
 
-def _column_images(L, module, cols, budget, counter, gens=None):
-    """Yield the stencil image of each given (tuple, target) column,
-    charging its distinct nonzero entries to counter[0] and raising
-    BudgetExceeded once the count passes budget.  With gens, only the
-    rows whose tuple contains one of those basis indices."""
+def _column_images(L, module, cols, budget, counter, slices, gens=None):
+    """Yield the stencil image of each given (tuple, target) column of the
+    slices, charging its distinct nonzero entries to counter[0] and
+    raising BudgetExceeded once the count passes budget.  With gens, only
+    the rows whose tuple contains one of those basis indices."""
     restrict = _generator_tables(L, gens) if gens is not None else None
     for T, run in itertools.groupby(cols, itemgetter(0)):
         for img in _stencil(L, module, T, [t for _, t in run], restrict):
             counter[0] += len(img)
             if counter[0] > budget:
-                raise BudgetExceeded(
-                    "differential exceeds the %d-entry budget; restrict to "
-                    "a weight slice (weight_zero_reduce) or raise the budget"
-                    % budget)
+                raise _over_budget(L, budget, slices)
             yield img
+
+
+def _over_budget(L, budget, slices):
+    """The BudgetExceeded of a differential: it names the slices, and
+    advises a weight slice only on a whole complex that has one."""
+    named = "; ".join(str(s) for s in slices if s is not None)
+    where = " on the slice " + named if named else ""
+    advice = ("" if named or L.toral is None
+              else "restrict to a weight slice (weight_zero_reduce) or ")
+    return BudgetExceeded("differential%s exceeds the %d-entry budget; "
+                          "%sraise the budget" % (where, budget, advice))
 
 
 def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
@@ -409,7 +418,8 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     counter = [0]
     # rows of d_n keyed by C^{n+1} coordinates, streamed from the images
     rows = transpose(enumerate(
-        _column_images(L, module, cols, budget, counter, L.generators)))
+        _column_images(L, module, cols, budget, counter, [slice_],
+                       L.generators)))
     stats.update(rows=len(rows), nnz=counter[0])
     # columns enter the echelon sparsest first, so min-column pivoting
     # eliminates on sparse columns and pushes fill toward the dense ones;
@@ -489,7 +499,7 @@ def _coboundaries(L, n, module, slices, budget, counter):
     complex), in order, and a lazy generator of their images under d,
     which spans B^n on those slices; assembly is charged to counter."""
     cols = [ct for s in slices for ct in chain_columns(L, n - 1, module, s)]
-    return cols, _column_images(L, module, cols, budget, counter)
+    return cols, _column_images(L, module, cols, budget, counter, slices)
 
 
 def _support_slices(L, module, cochains):
@@ -527,16 +537,17 @@ def coboundary_witness(L, c, budget=DEFAULT_BUDGET):
     return None if sol is None else _cochain(L, 1, c.module, cols, sol)
 
 
-def class_span_dim(L, cocycles, module="adjoint", budget=DEFAULT_BUDGET):
-    """Dimension of the span of the given 2-cocycles in H^2: each input
-    is verified to be closed, then counted against the coboundary space
-    of the weight slices its support touches, whose assembly is charged
-    to the budget like the differential in cohomology_dim."""
+def class_span_dim(L, cocycles, budget=DEFAULT_BUDGET):
+    """Dimension of the span in H^2 of the given 2-cocycles, in one module:
+    each is verified closed, then counted against the coboundary space of
+    the weight slices its support touches, whose assembly is charged to
+    the budget like the differential in cohomology_dim."""
     if not cocycles:
         return 0
+    module = cocycles[0].module
     for c in cocycles:
         if c.n != 2 or c.module != module:
-            raise ValueError("need 2-cochains in the %s module" % module)
+            raise ValueError("need 2-cochains in one module")
         if not ce_differential(c).is_zero():
             raise ValueError("input cochain is not closed")
     span = Echelon(L.p)

@@ -46,15 +46,15 @@ def _report(body):
 
 def _print_table(rows, timing, cached):
     wid = max([len(r["claim"]) for r in rows] + [5])
-    print("%-*s  %-28s  %-14s  %8s" % (wid, "claim", "instance", "status",
-                                       "time"))
+    # a claim's time is shown once, on its first row
+    print("%-*s  %-28s  %-14s  %10s" % (wid, "claim", "instance", "status",
+                                        "claim time"))
     for i, r in enumerate(rows):
         inst = ",".join("%s=%s" % (k, v) for k, v in sorted(
             r["instance"].items()))
         mark = " (cached)" if cached[i] else ""
-        # a claim's time is shown once, on its first row
         dt = "" if timing[i] is None else "%7.2fs" % timing[i]
-        print(("%-*s  %-28s  %-14s  %8s%s"
+        print(("%-*s  %-28s  %-14s  %10s%s"
                % (wid, r["claim"], inst[:28], r["status"], dt,
                   mark)).rstrip())
         if r["status"] == "fail":

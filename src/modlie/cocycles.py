@@ -1,15 +1,15 @@
 """Named 2-cocycle families on W-type algebras, current algebras, and
-their deformations; coefficient-identity checks; and the filtered
-deformation builder.
+their deformations; coefficient-identity checks; and the checks on a
+direction before liealg.deform integrates it.
 
-Each lifted family on a deformed algebra L(A, D) is its plain family on
-W1(1) (x) A plus one correction: Psi_E and Upsilon_F gain a line on the
-block (e_{-1} (x) A) x (e_{-1} (x) A), where the deformation Phi_D
-lives, built by _e_minus_one_block (which is all of Phi_E); Theta loses
-the lambda middle line theta_prime.  The reuse is exact: off that block
-the bracket of L(A, D) on e_i (x) 1, e_j (x) 1 is that of W1(1).
+Each lifted family on L(A, D) is its plain family, built and checked on
+the base W1(1) (x) A that L(A, D) records, plus one correction: Psi_E
+and Upsilon_F gain a line on the block (e_{-1} (x) A)^2 where Phi_D
+lives (liealg.e_minus_one_block; liealg.phi_block is all of Phi_E);
+Theta loses the lambda middle line theta_prime.  The reuse is exact:
+off that block L(A, D) brackets e_i (x) 1, e_j (x) 1 as W1(1) does.
 
-Every family that the theory proves closed is verified closed at
+Every family that the theory proves closed is always verified closed at
 construction time (an exact Chevalley-Eilenberg differential check); a
 failure raises CocycleError carrying a failing tuple, which is the
 primary regression tripwire of the package.
@@ -20,7 +20,8 @@ from fractions import Fraction
 from .arith import binom, inv_mod, lambda_coeff, lambda_table, n_div_p, n_int
 from .ceco import Cochain, ComplexSlice, ce_differential, massey_bracket
 from .commalg import solve_delta1, star_action
-from .liealg import LieAlgebra, make_w1
+from .liealg import (_tensor_layout, deform, e_minus_one_block, make_w1,
+                     phi_block)
 from .linalg import (LinearMap, bilinear_tensor, family_add, vec_add,
                      vec_scale)
 
@@ -62,19 +63,7 @@ def _check_closed(c, family):
     return c
 
 
-def _tensor_layout(L):
-    """(w_dim, a_dim, A) for algebras whose basis is e_i (x) a_j laid out
-    as i*a_dim + j (current algebras over any S, deformed algebras, and
-    semidirect sums; tails beyond w_dim*a_dim are ignored by families
-    that extend by zero)."""
-    meta = L.meta or {}
-    if meta.get("kind") in ("current", "deformed", "semidirect"):
-        w, a = meta["dims"]
-        return w, a, meta["A"]
-    raise ValueError("algebra %s has no tensor-product layout" % L.name)
-
-
-def phi21(W, check=True):
+def phi21(W):
     """The degree -p cocycle on W1(n): (e_i, e_j) -> (N_ij/p) e_{i+j-p}
     for i + j >= p - 1, zero otherwise.  N_ij is divisible by p exactly
     in that range, and the quotient is taken as an integer before
@@ -103,8 +92,7 @@ def phi21(W, check=True):
                 continue
             if c:
                 coeffs[(i + 1, j + 1)] = {e + 1: c}
-    c = Cochain(W, 2, "adjoint", coeffs)
-    return _check_closed(c, "phi21") if check else c
+    return _check_closed(Cochain(W, 2, "adjoint", coeffs), "phi21")
 
 
 def _line(k, avec, dA):
@@ -113,25 +101,25 @@ def _line(k, avec, dA):
     return {k * dA + m: c for m, c in avec.items()}
 
 
-def theta(L, phi_on_s, u, check=True):
+def theta(L, phi_on_s, u):
     """Theta_{phi,u} on S (x) A (tails, if any, get zero):
     (x (x) a, y (x) b) -> phi(x, y) (x) abu."""
     _, dA, A = _tensor_layout(L)
     abu = {key: v for key, ab in A.mult.items() if (v := A.mul(ab, u))}
     c = Cochain(L, 2, "adjoint",
                 bilinear_tensor(phi_on_s.coeffs, abu, 1, dA, L.p))
-    return _check_closed(c, "Theta") if check else c
+    return _check_closed(c, "Theta")
 
 
-def upsilon(L, F, check=True):
+def upsilon(L, F):
     """Upsilon_F on S (x) A: (x (x) a, y (x) b) -> [x,y] (x) F(a,b)."""
     _, dA, _ = _tensor_layout(L)
     c = Cochain(L, 2, "adjoint",
                 bilinear_tensor(L.meta["L"].bracket, F.values, 1, dA, L.p))
-    return _check_closed(c, "Upsilon") if check else c
+    return _check_closed(c, "Upsilon")
 
 
-def psi(L, D, check=True):
+def psi(L, D):
     """Psi_D on W1(n) (x) A (and its extensions by zero):
 
         (e_i (x) a, e_j (x) b) ->
@@ -162,30 +150,17 @@ def psi(L, D, check=True):
                           A.mul({a: 1}, D({b: 1})), p, -c2)
             if vec:
                 coeffs[(x, y)] = _line(m + 1, vec, dA)
-    c = Cochain(L, 2, "adjoint", coeffs)
-    return _check_closed(c, "Psi") if check else c
+    return _check_closed(Cochain(L, 2, "adjoint", coeffs), "Psi")
 
 
-def _e_minus_one_block(L, f):
-    """The 2-cochain (e_{-1} (x) a, e_{-1} (x) b) -> e_top (x) f(a, b),
-    a < b, zero elsewhere; f returns a sparse vector of A.  On L(A, D)
-    this is the block where the deformation Phi_D lives."""
-    w, dA, _ = _tensor_layout(L)
-    return Cochain(L, 2, "adjoint", {
-        (a, b): _line(w - 1, f(a, b), dA)
-        for a in range(dA) for b in range(a + 1, dA)})
-
-
-def phi_big(L, E, check=True):
+def phi_big(L, E):
     """Phi_E on W1(n) (x) A (and extensions by zero): supported on the
-    e_{-1} line, (e_{-1} (x) a, e_{-1} (x) b) -> e_top (x) (aE(b) - bE(a))."""
-    A = _tensor_layout(L)[2]
-    c = _e_minus_one_block(L, lambda a, b: vec_add(
-        A.mul({a: 1}, E({b: 1})), A.mul({b: 1}, E({a: 1})), L.p, -1))
-    return _check_closed(c, "PhiBig") if check else c
+    e_{-1} line, (e_{-1} (x) a, e_{-1} (x) b) -> e_top (x) (aE(b) - bE(a))
+    (liealg.phi_block)."""
+    return _check_closed(Cochain(L, 2, "adjoint", phi_block(L, E)), "PhiBig")
 
 
-def psi_t(W, t, check=True):
+def psi_t(W, t):
     """The positive-degree cocycle on W1(n), n >= 2:
     (e_{-1}, e_{p^t - 1}) -> e_{p^n - 2}, zero elsewhere; 1 <= t <= n-1."""
     meta = W.meta or {}
@@ -198,17 +173,22 @@ def psi_t(W, t, check=True):
         raise ValueError("psi_t needs 1 <= t <= n-1")
     p = W.p
     j = p ** t - 1
-    coeffs = {(0, j + 1): {W.dim - 1: 1}}
-    c = Cochain(W, 2, "adjoint", coeffs)
-    return _check_closed(c, "psi_t") if check else c
+    return _check_closed(
+        Cochain(W, 2, "adjoint", {(0, j + 1): {W.dim - 1: 1}}), "psi_t")
 
 
 def _deformed(Ld, family):
-    """(A, D) of a deformed algebra L(A, D), or ValueError naming family."""
-    meta = Ld.meta or {}
-    if meta.get("kind") != "deformed":
+    """(A, D, base) of L(A, D), or ValueError naming family."""
+    if Ld.meta.get("kind") != "deformed":
         raise ValueError("%s lives on a deformed algebra" % family)
-    return meta["A"], meta["D"]
+    return Ld.meta["A"], Ld.meta["D"], Ld.meta["base"]
+
+
+def _lift(Ld, family, plain, correction):
+    """The plain family, checked on the base of Ld, moved onto Ld plus
+    the correction family; checked closed on Ld."""
+    return _check_closed(Cochain(Ld, 2, "adjoint", family_add(
+        plain.coeffs, correction, Ld.p)), family)
 
 
 def theta_prime(Ld, u=None):
@@ -220,7 +200,7 @@ def theta_prime(Ld, u=None):
 
     on a deformed algebra L(A, D); not closed on its own, so it is
     never checked."""
-    A, D = _deformed(Ld, "theta_prime")
+    A, D, _ = _deformed(Ld, "theta_prime")
     p = Ld.p
     dA = A.dim
     if u is None:
@@ -243,7 +223,7 @@ def theta_prime(Ld, u=None):
     return Cochain(Ld, 2, "adjoint", coeffs)
 
 
-def lifted_theta(Ld, u=None, check=True):
+def lifted_theta(Ld, u=None):
     """Lifted Theta on L(A, D), for u in the kernel of D: Theta_{phi21,u}
     less the middle line theta_prime,
 
@@ -259,17 +239,16 @@ def lifted_theta(Ld, u=None, check=True):
     unchanged: for i < j the bracket of e_i (x) 1 and e_j (x) 1 on
     L(A, D) is that of W1(1), as Phi_D touches only the e_{-1} block.
     """
-    A, D = _deformed(Ld, "lifted_theta")
+    A, D, base = _deformed(Ld, "lifted_theta")
     if u is None:
         u = A.unit_vec
     if D(u):
         raise ValueError("lifted Theta requires D(u) = 0")
-    top = theta(Ld, phi21(make_w1(1, Ld.p), check=False), u, check=False)
-    c = top.add(theta_prime(Ld, u), scale=-1)
-    return _check_closed(c, "LiftedTheta") if check else c
+    return _lift(Ld, "LiftedTheta", theta(base, phi21(make_w1(1, Ld.p)), u),
+                 theta_prime(Ld, u).scale(-1).coeffs)
 
 
-def lifted_upsilon(Ld, F, H=None, check=True):
+def lifted_upsilon(Ld, F, H=None):
     """Lifted Upsilon on L(A, D), for a symmetric Harrison cocycle F
     whose star action is a Hochschild coboundary, D*F = deltaH, with H
     given by sparse columns as solve_delta1 returns it: Upsilon_F plus
@@ -278,7 +257,7 @@ def lifted_upsilon(Ld, F, H=None, check=True):
         (e_{-1} (x) a, e_{-1} (x) b) ->
             e_{p-2} (x) (bH(a) - aH(b) - F(D(a),b) + F(a,D(b))).
     """
-    A, D = _deformed(Ld, "lifted_upsilon")
+    A, D, base = _deformed(Ld, "lifted_upsilon")
     p = Ld.p
     if H is None:
         H = solve_delta1(A, star_action(D, F))
@@ -293,29 +272,28 @@ def lifted_upsilon(Ld, F, H=None, check=True):
                        vec_add(F.eval_vec(ea, D(eb)), F.eval_vec(D(ea), eb),
                                p, -1), p)
 
-    c = upsilon(Ld, F, check=False).add(_e_minus_one_block(Ld, line))
-    return _check_closed(c, "LiftedUpsilon") if check else c
+    return _lift(Ld, "LiftedUpsilon", upsilon(base, F),
+                 e_minus_one_block(Ld, line))
 
 
-def lifted_psi(Ld, E, check=True):
+def lifted_psi(Ld, E):
     """Lifted Psi on L(A, D), for E a derivation commuting with D: Psi_E
     plus the deformation line
 
         (e_{-1} (x) a, e_{-1} (x) b) -> e_{p-2} (x) (E(a)D(b) - E(b)D(a)).
     """
-    A, D = _deformed(Ld, "lifted_psi")
+    A, D, base = _deformed(Ld, "lifted_psi")
     if not D.commutator(E).is_zero():
         raise ValueError("lifted Psi requires [D, E] = 0")
-    c = psi(Ld, E, check=False).add(_e_minus_one_block(
+    return _lift(Ld, "LiftedPsi", psi(base, E), e_minus_one_block(
         Ld, lambda a, b: vec_add(A.mul(E({a: 1}), D({b: 1})),
                                  A.mul(E({b: 1}), D({a: 1})), Ld.p, -1)))
-    return _check_closed(c, "LiftedPsi") if check else c
 
 
-def lifted_phi(Ld, E, check=True):
+def lifted_phi(Ld, E):
     """Lifted Phi on L(A, D) equals Phi_E: no deformation correction."""
-    c = phi_big(Ld, E, check=False)
-    return _check_closed(c, "LiftedPhi") if check else c
+    base = _deformed(Ld, "lifted_phi")[2]
+    return _lift(Ld, "LiftedPhi", phi_big(base, E), {})
 
 
 def _frac_mod(fr, p):
@@ -391,10 +369,11 @@ def lambda_identities_check(p, lam=None):
     return {"p": p, "ok": not violations, "violations": violations}
 
 
-def build_filtered_deformation(L, Phi, name=None):
+def build_filtered_deformation(L, Phi):
     """[,] + Phi for a strictly positive-degree 2-cocycle Phi with
-    [Phi, Phi] = 0: the result is a Lie algebra, carrying L's grading as
-    a filtration.  Jacobi is re-verified exhaustively regardless."""
+    [Phi, Phi] = 0: checks those hypotheses, then liealg.deform builds
+    the Lie algebra, with L's grading as a filtration and Jacobi
+    re-verified exhaustively."""
     if L.grading is None or L.filtration:
         raise ValueError("need an honestly graded base algebra")
     if Phi.L is not L or Phi.n != 2 or Phi.module != "adjoint":
@@ -416,13 +395,5 @@ def build_filtered_deformation(L, Phi, name=None):
         T = min(sq.coeffs)
         raise ValueError(
             "[Phi, Phi] != 0 at %r: obstruction to integrability" % (T,))
-    p = L.p
-    out = LieAlgebra(
-        p, list(L.labels), family_add(L.bracket, Phi.coeffs, p),
-        grading=list(L.grading),
-        toral=L.toral, name=name or (L.name + "+Phi"),
-        meta={"kind": "filtered_deformation", "base": L},
-        filtration=True, check=False,
-    )
-    out.check_jacobi()
-    return out
+    return deform(L, Phi.coeffs, L.name + "+Phi",
+                  {"kind": "filtered_deformation"})

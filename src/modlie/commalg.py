@@ -41,11 +41,11 @@ import itertools
 from collections import defaultdict
 
 from .arith import binom, binom_mod_p, check_prime
-from .linalg import (DEFAULT_BUDGET, Echelon, LinearMap, SparseFpMatrix,
-                     bilinear_eval, bilinear_get, bilinear_pairs,
-                     bilinear_table, bilinear_tensor, compose, family_add,
-                     morphism_failure, solve_sparse, transpose, vec_add,
-                     vec_scale)
+from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, LinearMap,
+                     SparseFpMatrix, bilinear_eval, bilinear_get,
+                     bilinear_pairs, bilinear_table, bilinear_tensor, compose,
+                     family_add, morphism_failure, solve_sparse, transpose,
+                     vec_add, vec_scale)
 
 __all__ = [
     "CommAlgebra",
@@ -302,19 +302,18 @@ class Derivation(LinearMap):
     """Linear operator on a CommAlgebra satisfying the Leibniz rule,
     stored by sparse columns (image of each basis element)."""
 
-    def __init__(self, A, cols, name="D", check=True):
+    def __init__(self, A, cols, name="D"):
         super().__init__(A, A, cols)
         self.A = A
         self.name = name
-        if check:
-            # Leibniz: the Hochschild coboundary vanishes on every i <= j
-            value = lambda args: self.cols.get(args[0], {})
-            for i in range(A.dim):
-                for j in range(i, A.dim):
-                    if _delta_value(A, value, (i, j)):
-                        raise ValueError(
-                            "%s is not a derivation: Leibniz fails on "
-                            "(%s, %s)" % (name, A.labels[i], A.labels[j]))
+        # Leibniz: the Hochschild coboundary vanishes on every i <= j
+        value = lambda args: self.cols.get(args[0], {})
+        for i in range(A.dim):
+            for j in range(i, A.dim):
+                if _delta_value(A, value, (i, j)):
+                    raise ValueError(
+                        "%s is not a derivation: Leibniz fails on (%s, %s)"
+                        % (name, A.labels[i], A.labels[j]))
 
     def is_zero(self):
         return not self.cols
@@ -437,10 +436,9 @@ def d_invariants(A, D):
     return SparseFpMatrix.from_columns(D.cols, A.dim, A.p).kernel_basis()
 
 
-def der_invariants(A, D, ders=None):
+def der_invariants(A, D):
     """Basis of the centralizer of D inside Der(A)."""
-    if ders is None:
-        ders = derivation_space(A)
+    ders = derivation_space(A)
     if not ders:
         return []
     coms = {idx: D.commutator(E).flatten() for idx, E in enumerate(ders)}
@@ -455,11 +453,10 @@ def der_invariants(A, D, ders=None):
     return out
 
 
-def der_coinvariants(A, D, ders=None):
+def der_coinvariants(A, D):
     """Dimension of Der(A)/[D, Der(A)] plus derivations representing a
     basis of the quotient."""
-    if ders is None:
-        ders = derivation_space(A)
+    ders = derivation_space(A)
     image = Echelon(A.p)
     for E in ders:
         image.add(D.commutator(E).flatten())
@@ -489,12 +486,6 @@ class SymmetricBilinearMap:
     def add(self, other, scale=1):
         return SymmetricBilinearMap(
             self.A, family_add(self.values, other.values, self.p, scale))
-
-    def scale(self, c):
-        return SymmetricBilinearMap(
-            self.A,
-            {key: vec_scale(vec, c, self.p) for key, vec in self.values.items()},
-        )
 
     def flatten(self):
         n = self.A.dim
@@ -795,7 +786,7 @@ def hochschild_hn_dim(A, n, budget=DEFAULT_BUDGET):
         raise ValueError("only degrees 0..3 are supported")
     dim, p = A.dim, A.p
     if dim ** (n + 1) > budget:
-        raise ValueError(
+        raise BudgetExceeded(
             "bar complex size %d exceeds budget %d" % (dim ** (n + 1), budget))
 
     def rank(k):

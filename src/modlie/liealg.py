@@ -3,9 +3,10 @@
 Provides the rank-one Zassenhaus algebras W1(n) (basis e_i, -1 <= i <=
 p^n - 2, [e_i, e_j] = N_ij e_{i+j}), sl(2) in the same normalization,
 current algebras L (x) A, semidirect sums with derivation tails, the
-deformed current algebras L(A, D) whose extra bracket term lives on the
-(e_{-1}, e_{-1}) block, and the degree-preserving identification of
-W1(n) with L(O1(n-1), d).  Structure probes are exact sparse
+deformed current algebras L(A, D) whose extra term Phi_D lives on the
+(e_{-1}, e_{-1}) block (phi_block), the degree-preserving identification
+of W1(n) with L(O1(n-1), d), and deform, the one builder of a filtered
+deformation, which records its base.  Structure probes are exact sparse
 computations; generators, derived series and ideals are spans closed
 by Echelon.close.  The adjoint table ad and the Jacobi check come from
 the bilinear-map kernel of linalg: ad is bilinear_table of the bracket,
@@ -33,6 +34,9 @@ __all__ = [
     "current_algebra",
     "semidirect_current",
     "make_deformed",
+    "deform",
+    "e_minus_one_block",
+    "phi_block",
     "kuznetsov_map",
     "verify_morphism",
     "center",
@@ -333,7 +337,6 @@ def make_w1(n, p):
         toral=idx(0),
         name="W1(%d)" % n,
         meta={"kind": "w1", "n": n},
-        check=(p ** n <= JACOBI_EAGER_DIM),
     )
 
 
@@ -440,37 +443,51 @@ def _check_acts_on(D, A):
                          % (D.name, D.A.name, A.name))
 
 
-def make_deformed(A, D, name=None):
-    """The deformed current algebra L(A, D): W1(1) (x) A with the bracket
-    augmented by Phi_D on the (e_{-1}, e_{-1}) block,
+def _tensor_layout(L):
+    """(w_dim, a_dim, A) of an algebra with basis e_i (x) a_j at i*a_dim
+    + j (and maybe tails after), as the constructors record meta["dims"]."""
+    if L.meta.get("kind") in ("current", "deformed", "semidirect"):
+        return (*L.meta["dims"], L.meta["A"])
+    raise ValueError("algebra %s has no tensor-product layout" % L.name)
 
-        {e_{-1} (x) a, e_{-1} (x) b} = e_{p-2} (x) (a D(b) - b D(a)).
 
-    The result carries the W-degree as a filtration, and the Jacobi
-    identity is verified exhaustively whatever the dimension."""
+def e_minus_one_block(L, f):
+    """The family (e_{-1} (x) a, e_{-1} (x) b) -> e_top (x) f(a, b), a < b,
+    on an algebra with a tensor layout; f returns a sparse vector of A.
+    On L(A, D) this is the block where the deformation Phi_D lives."""
+    w, dA, _ = _tensor_layout(L)
+    return {(a, b): {(w - 1) * dA + m: c for m, c in f(a, b).items()}
+            for a in range(dA) for b in range(a + 1, dA)}
+
+
+def phi_block(L, E):
+    """Phi_E for a derivation E of L's A: the block e_minus_one_block
+    with the line aE(b) - bE(a)."""
+    A = _tensor_layout(L)[2]
+    return e_minus_one_block(L, lambda a, b: vec_add(
+        A.mul({a: 1}, E({b: 1})), A.mul({b: 1}, E({a: 1})), A.p, -1))
+
+
+def deform(L, phi, name, meta):
+    """L with bracket [,] + phi, phi a family on L's pairs, its grading a
+    filtration, Jacobi verified exhaustively whatever the dimension, and
+    L recorded in meta["base"]: the one builder of a filtered deformation."""
+    out = LieAlgebra(L.p, L.labels, family_add(L.bracket, phi, L.p),
+                     grading=L.grading, toral=L.toral, name=name,
+                     meta=dict(meta, base=L), filtration=True, check=False)
+    out.check_jacobi()
+    return out
+
+
+def make_deformed(A, D):
+    """L(A, D): W1(1) (x) A deformed by Phi_D on the (e_{-1}, e_{-1})
+    block, {e_{-1} (x) a, e_{-1} (x) b} = e_{p-2} (x) (a D(b) - b D(a))."""
     _check_acts_on(D, A)
-    p = A.p
-    W = make_w1(1, p)
+    W = make_w1(1, A.p)
     cur = current_algebra(W, A, check=False)
-    dA = A.dim
-    base = (p - 2 + 1) * dA  # index block of e_{p-2} (x) -
-    phi = {}  # on the e_{-1} (x) A block, at indices 0..dA-1
-    for a in range(dA):
-        for b in range(a + 1, dA):
-            v = vec_add(A.mul({a: 1}, D({b: 1})), A.mul({b: 1}, D({a: 1})),
-                        p, -1)
-            if v:
-                phi[(a, b)] = {base + k: c for k, c in v.items()}
-    L = LieAlgebra(
-        p, cur.labels, family_add(cur.bracket, phi, p),
-        grading=cur.grading, toral=cur.toral,
-        name=name or "L(%s,%s)" % (A.name, D.name),
-        meta={"kind": "deformed", "L": W, "A": A, "D": D,
-              "dims": (W.dim, dA)},
-        filtration=True, check=False,
-    )
-    L.check_jacobi()
-    return L
+    return deform(cur, phi_block(cur, D), "L(%s,%s)" % (A.name, D.name),
+                  {"kind": "deformed", "L": W, "A": A, "D": D,
+                   "dims": (W.dim, A.dim)})
 
 
 def verify_morphism(f):

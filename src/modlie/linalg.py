@@ -74,15 +74,19 @@ from heapq import heapify, heappop, heappush
 
 from .arith import inv_mod
 
-__all__ = ["LinearMap", "SparseFpMatrix", "Echelon", "solve_sparse",
-           "transpose", "vec_add", "vec_scale", "bilinear_table", "compose",
-           "circle", "bilinear_pairs", "family_add", "bilinear_tensor",
-           "morphism_failure"]
+__all__ = ["BudgetExceeded", "LinearMap", "SparseFpMatrix", "Echelon",
+           "solve_sparse", "transpose", "vec_add", "vec_scale",
+           "bilinear_table", "compose", "circle", "bilinear_pairs",
+           "family_add", "bilinear_tensor", "morphism_failure"]
 
 # The one default work budget of every budgeted computation (cohomology
 # assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
 # here, below both, so that each can import it.
 DEFAULT_BUDGET = 5_000_000
+
+
+class BudgetExceeded(RuntimeError):
+    """A budgeted computation would pass its work budget."""
 
 
 def vec_scale(v, c, p):

@@ -252,6 +252,12 @@ def test_class_span_dimensions():
     assert class_span_dim(W, [f, omega]) == 1
     assert class_span_dim(W, [f, f.scale(2)]) == 1
     assert class_span_dim(W, []) == 0
+    # the module is the cochains' own, and it must be one module
+    exact = ce_differential(Cochain(W, 1, "trivial", {(1,): {0: 1}}))
+    assert not exact.is_zero()
+    assert class_span_dim(W, [exact]) == 0
+    with pytest.raises(ValueError, match="one module"):
+        class_span_dim(W, [f, exact])
 
 
 def test_massey_bracket_symmetry_and_closure():
@@ -440,7 +446,7 @@ ORACLE_MAX_COLS = 2500
 def _rank_and_pivots(L, module, cols, gens=None):
     # the given column order, rows shortest first
     rows = transpose(enumerate(
-        ceco._column_images(L, module, cols, 10 ** 9, [0], gens)))
+        ceco._column_images(L, module, cols, 10 ** 9, [0], [None], gens)))
     ech = Echelon(L.p)
     for row in sorted(rows.values(), key=len):
         ech.add(row)
@@ -509,6 +515,22 @@ def test_budget_refuses_before_enumerating(monkeypatch):
     W = make_w1(2, P)
     with pytest.raises(BudgetExceeded, match=r"C\^6 has over 100000 tuples"):
         cohomology_dim(W, 6, slice_=weight_zero_reduce(W), budget=10 ** 5)
+
+
+def test_budget_message_names_the_slice_or_advises_one():
+    W = make_w1(2, P)
+    with pytest.raises(BudgetExceeded) as sliced:
+        cohomology_dim(W, 2, slice_=weight_zero_reduce(W), budget=500)
+    assert "on the slice weight=0 exceeds" in str(sliced.value)
+    assert "weight_zero_reduce" not in str(sliced.value)
+    with pytest.raises(BudgetExceeded, match=r"restrict to a weight slice "
+                                             r"\(weight_zero_reduce\)"):
+        cohomology_dim(W, 2, budget=500)
+    # without a toral element there is no weight slice to advise
+    L = LieAlgebra(P, W.labels, W.bracket, grading=W.grading)
+    with pytest.raises(BudgetExceeded) as whole:
+        cohomology_dim(L, 2, budget=500)
+    assert "weight" not in str(whole.value)
 
 
 def test_class_span_budget_is_enforced():
@@ -669,7 +691,8 @@ def _check_stencil(L, big):
         if (len(cols) > STENCIL_MAX_COLS) != big:
             continue
         for gens, rs in ((None, None), (L.generators, restrict)):
-            got = ceco._column_images(L, module, cols, 10 ** 9, [0], gens)
+            got = ceco._column_images(L, module, cols, 10 ** 9, [0],
+                                      [slice_], gens)
             for (T, t), img in zip(cols, got):
                 assert list(img.items()) == list(
                     _reference_image(L, module, T, t, rs).items()), \

@@ -6,9 +6,12 @@ import glob
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import modlie
 from modlie import cli
 from modlie.cli import main
 from modlie.claims import CLAIMS
@@ -108,7 +111,8 @@ def test_verify_table_shows_claim_time_once(capsys):
     rc, out, err = run(capsys, ["verify", "h2-w1-basic",
                                 "--cache-dir", "off"])
     assert rc == 0
-    first, second = out.splitlines()[1:3]
+    header, first, second = out.splitlines()[:3]
+    assert header.split()[-2:] == ["claim", "time"]
     # one claim call produced both rows: its time is on the first only
     assert re.search(r"\d+\.\d\ds$", first)
     assert second.rstrip().endswith("pass")
@@ -168,6 +172,29 @@ def test_verify_budget_skip_and_force(capsys):
                                 "--force", "--cache-dir", "off"])
     assert rc == 0
     assert out.strip().splitlines()[-1] == "2/2 rows pass"
+
+
+def test_verify_budget_skip_and_force_on_the_bar_complex(capsys):
+    # the Hochschild bar complex of O1(1) at p = 5 has 5^3 = 125 cochains
+    argv = ["verify", "hochschild-harrison", "--budget", "100",
+            "--cache-dir", "off"]
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert "skipped-budget" in out
+    assert "bar complex size 125 exceeds budget 100" in out
+    rc, out, err = run(capsys, argv + ["--force"])
+    assert rc == 0
+    assert "skipped-budget" not in out
+
+
+def test_python_m_modlie_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(modlie.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "modlie", "verify", "--list"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert [line.split()[0] for line in out.stdout.splitlines()] == list(
+        CLAIMS)
 
 
 def test_verify_json_out_writes_the_report_file(capsys, tmp_path):

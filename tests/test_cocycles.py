@@ -44,11 +44,12 @@ from modlie.commalg import (
     scale_derivation,
     zero_derivation,
 )
-from modlie.linalg import LinearMap, vec_add, vec_scale
+from modlie.linalg import LinearMap, family_add, vec_add, vec_scale
 from modlie.liealg import (
     LieAlgebra,
     current_algebra,
     find_proper_ideal,
+    kuznetsov_map,
     make_deformed,
     make_sl2,
     make_w1,
@@ -348,6 +349,27 @@ def test_filtered_deformation_reproduces_the_deformed_algebra(setup):
     assert out.bracket == Ld.bracket
     assert out.filtration
     assert out.jacobi_checked
+    assert out.meta["base"] is L
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (5, 2), (7, 1)])
+@pytest.mark.parametrize("direction", [partial_derivation, zero_derivation])
+def test_deformed_bracket_is_the_current_bracket_plus_phi(p, m, direction):
+    # key order included: L(A, D) is W1(1) (x) A deformed by Phi_D
+    A = make_divided_powers(m, p)
+    D = direction(A)
+    Ld = make_deformed(A, D)
+    cur = current_algebra(make_w1(1, p), A)
+    want = family_add(cur.bracket, phi_big(cur, D).coeffs, p)
+    assert list(Ld.bracket.items()) == list(want.items())
+    assert Ld.meta["base"].bracket == cur.bracket
+
+
+def test_every_deformation_records_its_base():
+    f = kuznetsov_map(2, P)
+    base = f.target.meta["base"]
+    assert base.meta["kind"] == "current"
+    assert not base.filtration and base.labels == f.target.labels
 
 
 def test_filtered_deformation_with_zero_direction(setup):
