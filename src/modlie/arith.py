@@ -39,12 +39,14 @@ def is_prime(p):
     return True
 
 
-def check_prime(p, minimum=5):
-    # the engine targets odd characteristic > 3; p = 5 must be accepted
+MIN_PRIME = 5  # the engine targets odd characteristic > 3
+
+
+def check_prime(p):
     if not is_prime(p):
         raise ValueError("p = %r is not prime" % (p,))
-    if p < minimum:
-        raise ValueError("p = %r is below the supported minimum %d" % (p, minimum))
+    if p < MIN_PRIME:
+        raise ValueError("p = %r is below the supported minimum %d" % (p, MIN_PRIME))
     return p
 
 

@@ -505,7 +505,11 @@ def _coboundaries(L, n, module, slices, budget, counter):
 def _support_slices(L, module, cochains):
     """The weight slices that the terms of the cochains touch, which hold
     every coboundary that can meet them since d keeps weights; [None],
-    the whole complex, when L has no toral element."""
+    the whole complex, when L has no toral element.  A cochain on an
+    algebra other than L is refused."""
+    for c in cochains:
+        if c.L is not L:
+            raise ValueError("cochain on %s, not on %s" % (c.L.name, L.name))
     if L.toral is None:
         return [None]
     grade = ComplexSlice(L, module, weight=0).grade
@@ -580,17 +584,16 @@ def massey_bracket(phi, psi):
     return Cochain(L, 3, "adjoint", dict(sorted(sums.items())))
 
 
-def h2_positive(L, module="adjoint", budget=DEFAULT_BUDGET, cache=None):
-    """Sum of dim H^2 over the strictly positive degree slices of the
-    Z-grading."""
+def h2_positive(L, budget=DEFAULT_BUDGET, cache=None):
+    """Sum of dim H^2(L; L) over the strictly positive degree slices of
+    the Z-grading."""
     if L.grading is None:
         raise ValueError("h2_positive needs a graded algebra")
     lo, hi = min(L.grading), max(L.grading)
     total = 0
     per_degree = {}
     for d in range(1, hi - 2 * lo + 1):
-        res = cohomology_dim(L, 2, module,
-                             slice_=degree_slice(L, d, module),
+        res = cohomology_dim(L, 2, slice_=degree_slice(L, d),
                              budget=budget, cache=cache)
         if res.dim:
             per_degree[d] = res.dim

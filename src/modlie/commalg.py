@@ -44,8 +44,8 @@ from .arith import binom, binom_mod_p, check_prime
 from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, LinearMap,
                      SparseFpMatrix, bilinear_eval, bilinear_get,
                      bilinear_pairs, bilinear_table, bilinear_tensor, compose,
-                     family_add, morphism_failure, solve_sparse, transpose,
-                     vec_add, vec_scale)
+                     family_add, greedy_generators, morphism_failure,
+                     solve_sparse, transpose, vec_add, vec_scale)
 
 __all__ = [
     "CommAlgebra",
@@ -113,28 +113,15 @@ class CommAlgebra:
     @property
     def generators(self):
         """Basis indices that, together with the unit, generate A as an
-        algebra; found on first use and cached.  Greedy in basis order:
-        an index joins when it lies outside the subalgebra generated so
-        far, which an Echelon holds as a span closed under multiplication
-        by the generators chosen.  harrison_h2 and is_harrison_cocycle
-        keep only the equations whose outer arguments meet a generator;
-        the choice (even a redundant generator) sets their speed, never
+        algebra; found on first use and cached: linalg.greedy_generators
+        under the product, from the unit, in basis order.  harrison_h2
+        and is_harrison_cocycle keep only the equations whose outer
+        arguments meet a generator; the choice sets their speed, never
         their result."""
         if self._generators is None:
-            span, basis, gens = Echelon(self.p), [], []
-
-            def step(v):
-                return (w for g in gens if (w := self.mul(v, {g: 1})))
-
-            span.close([self.unit_vec], step, basis)
-            for i in range(self.dim):
-                if span.rank == self.dim:
-                    break
-                if not span.member({i: 1}):
-                    gens.append(i)
-                    span.close([w for v in basis if (w := self.mul(v, {i: 1}))],
-                               step, basis)
-            self._generators = tuple(gens)
+            self._generators = greedy_generators(
+                self.p, self.dim, range(self.dim),
+                lambda g, v: self.mul({g: 1}, v), [self.unit_vec])
         return self._generators
 
     @property

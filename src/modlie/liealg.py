@@ -7,10 +7,11 @@ deformed current algebras L(A, D) whose extra term Phi_D lives on the
 (e_{-1}, e_{-1}) block (phi_block), the degree-preserving identification
 of W1(n) with L(O1(n-1), d), and deform, the one builder of a filtered
 deformation, which records its base.  Structure probes are exact sparse
-computations; generators, derived series and ideals are spans closed
-by Echelon.close.  The adjoint table ad and the Jacobi check come from
-the bilinear-map kernel of linalg: ad is bilinear_table of the bracket,
-and the Jacobi sums are circle of the bracket with itself.
+computations: generators come from linalg.greedy_generators, and derived
+series and ideals are spans closed by Echelon.close.  The adjoint table
+ad and the Jacobi check come from the bilinear-map kernel of linalg: ad
+is bilinear_table of the bracket, and the Jacobi sums are circle of the
+bracket with itself.
 """
 
 import hashlib
@@ -24,8 +25,8 @@ from .commalg import (make_divided_powers, partial_derivation,
                       tensor_derivation, tensor_product)
 from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_eval,
                      bilinear_get, bilinear_pairs, bilinear_table,
-                     bilinear_tensor, circle, family_add, morphism_failure,
-                     solve_sparse, vec_add)
+                     bilinear_tensor, circle, family_add, greedy_generators,
+                     morphism_failure, solve_sparse, vec_add)
 
 __all__ = [
     "LieAlgebra",
@@ -145,52 +146,22 @@ class LieAlgebra:
     @property
     def generators(self):
         """Basis indices that generate L as a Lie algebra, found on first
-        use and cached.  Greedy: start from the element with the most
-        nonzero brackets, then take, sparsest ad first, every element not
-        yet in the subalgebra generated so far, whose span grows
-        incrementally; finally drop, latest first, each generator that
-        the others already generate.  Only an element of [L, L] +
-        span(rest) can be generated by the rest, so only those are tried
-        and an abelian algebra keeps every index.  cohomology_dim
-        assembles only the rows of d that contain a generator; the
-        choice sets its speed, never its result."""
+        use and cached: linalg.greedy_generators under the bracket with
+        e_g, trying first the element with the most nonzero brackets,
+        then the rest sparsest ad first.  Its closure needs the Jacobi
+        identity, so an algebra not yet checked is checked first, and
+        ValueError is raised when it fails.  cohomology_dim assembles
+        only the rows of d that contain a generator; the choice sets its
+        speed, never its result."""
         if self._generators is None:
-            p, ad = self.p, self.ad
-            nnz = [len(ad.get(i, ())) for i in range(self.dim)]
+            if not self.jacobi_checked:
+                self.check_jacobi()
+            nnz = [len(self.ad.get(i, ())) for i in range(self.dim)]
             most = sorted(range(self.dim), key=lambda i: (-nnz[i], i))[:1]
-
-            def step(x):
-                # bracket with every vector found so far, so every pair
-                # meets once; a span of all of L is closed already
-                if span.rank < self.dim:
-                    for y in list(found):
-                        if w := self.bracket_vec(x, y):
-                            yield w
-
-            gens = []
-            span, found = Echelon(p), []
-            for i in most + sorted(range(self.dim), key=lambda i: (nnz[i], i)):
-                if span.rank == self.dim:
-                    break
-                if not span.member({i: 1}):
-                    gens.append(i)
-                    span.close([{i: 1}], step, found)
-            derived = Echelon(p)
-            for vec in self.bracket.values():
-                derived.add(vec)
-            for g in reversed(gens):
-                rest = [h for h in gens if h != g]
-                near = derived.copy()
-                for h in rest:
-                    near.add({h: 1})
-                if not rest or not near.member({g: 1}):
-                    continue
-                span, found = Echelon(p), []
-                for h in rest:
-                    span.close([{h: 1}], step, found)
-                if span.rank == self.dim:
-                    gens = rest
-            self._generators = tuple(gens)
+            self._generators = greedy_generators(
+                self.p, self.dim,
+                most + sorted(range(self.dim), key=lambda i: (nnz[i], i)),
+                lambda g, v: self.bracket_vec({g: 1}, v))
         return self._generators
 
     def check_jacobi(self):
@@ -382,7 +353,7 @@ def current_algebra(L, A, check=None):
     )
 
 
-def semidirect_current(L, A, Ds, check=None):
+def semidirect_current(L, A, Ds):
     """(L (x) A) + 1 (x) span(Ds): the derivations Ds of A act on the
     current algebra through the A-factor, [x (x) a, 1 (x) d] = x (x) d(a),
     and bracket among themselves by commutator.  The span of Ds must be
@@ -430,7 +401,6 @@ def semidirect_current(L, A, Ds, check=None):
         name="%s+tails" % cur.name,
         meta={"kind": "semidirect", "L": L, "A": A, "Ds": list(Ds),
               "dims": (L.dim, dA), "ntails": nt},
-        check=check,
     )
 
 
@@ -520,29 +490,20 @@ def kuznetsov_map(n, p, A=None):
     W = make_w1(n, p)
     if A is None:
         src = W
-        coeff = partial_derivation(B)
-        tgt = make_deformed(B, coeff)
+        tgt = make_deformed(B, partial_derivation(B))
         dA = 1
-        amb = B.dim
-
-        def pair_index(i, k, a):
-            return (i + 1) * amb + k
     else:
         src = current_algebra(W, A, check=False)
         BA = tensor_product(B, A)
-        coeff = tensor_derivation(BA, partial_derivation(B), "left")
-        tgt = make_deformed(BA, coeff)
+        tgt = make_deformed(
+            BA, tensor_derivation(BA, partial_derivation(B), "left"))
         dA = A.dim
-        amb = BA.dim
-
-        def pair_index(i, k, a):
-            return (i + 1) * amb + (k * dA + a)
     cols = {}
     for s in range(-1, p ** n - 1):
         k = (s + 1) // p
         i = s - p * k
         for a in range(dA):
-            cols[(s + 1) * dA + a] = {pair_index(i, k, a): 1}
+            cols[(s + 1) * dA + a] = {((i + 1) * B.dim + k) * dA + a: 1}
     return LinearMap(src, tgt, cols)
 
 
@@ -578,10 +539,11 @@ def is_solvable(L, S=None):
 
 def ideal_generated_by(L, vecs):
     """Basis (echelon rows) of the smallest ideal containing the given
-    vectors, the span closed under brackets with every basis element."""
+    vectors: their span closed under brackets with L.generators, which
+    suffices (linalg.greedy_generators); ValueError if L fails Jacobi."""
     ideal = Echelon(L.p)
-    ideal.close(vecs, lambda v: (w for j in range(L.dim)
-                                 if (w := L.bracket_vec({j: 1}, v))))
+    ideal.close(vecs, lambda v: (w for g in L.generators
+                                 if (w := L.bracket_vec({g: 1}, v))))
     return ideal.rows()
 
 

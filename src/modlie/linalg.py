@@ -75,9 +75,10 @@ from heapq import heapify, heappop, heappush
 from .arith import inv_mod
 
 __all__ = ["BudgetExceeded", "LinearMap", "SparseFpMatrix", "Echelon",
-           "solve_sparse", "transpose", "vec_add", "vec_scale",
-           "bilinear_table", "compose", "circle", "bilinear_pairs",
-           "family_add", "bilinear_tensor", "morphism_failure"]
+           "greedy_generators", "solve_sparse", "transpose", "vec_add",
+           "vec_scale", "bilinear_table", "compose", "circle",
+           "bilinear_pairs", "family_add", "bilinear_tensor",
+           "morphism_failure"]
 
 # The one default work budget of every budgeted computation (cohomology
 # assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
@@ -351,6 +352,49 @@ class Echelon:
         e = Echelon(self.p)
         e.pivots = dict(self.pivots)
         return e
+
+
+def greedy_generators(p, dim, order, times, base=()):
+    """Basis indices that, with the vectors base, generate all dim
+    coordinates under the product times(g, v) (g an index, v a sparse
+    vector).  Each index of order that lies outside the span generated
+    so far joins; finally, latest first, each one that the others
+    generate is dropped.
+
+    The span generated by a set S is grown by Echelon.close under v ->
+    times(g, v) for the g in S alone.  That is the subalgebra S
+    generates: it is spanned by the right-normed products [s_1, [s_2,
+    .. [s_(k-1), s_k]]] of elements of S (N. Jacobson, Lie Algebras,
+    1962), given the Jacobi identity, and for a commutative associative
+    product with base the unit, by the monomials in S.  A new generator
+    i is seeded with e_i and times(i, v) for every v found so far, since
+    the earlier vectors were multiplied by the earlier generators only.
+    By the same fact, with ad [x, y] = [ad x, ad y], every ad x is a sum
+    of products of the ad g, so a span closed under the generators of a
+    Lie algebra is an ideal."""
+    def grow(span, gens, seeds, found):
+        def step(v):
+            if span.rank < dim:  # a span of everything is closed
+                for g in gens:
+                    if w := times(g, v):
+                        yield w
+        return span.close(seeds, step, found)
+
+    span, gens = Echelon(p), []
+    found = grow(span, gens, list(base), [])
+    for i in order:
+        if span.rank == dim:
+            break
+        if not span.member({i: 1}):
+            gens.append(i)
+            grow(span, gens, [{i: 1}] + [w for v in found
+                                         if (w := times(i, v))], found)
+    for g in reversed(gens):
+        rest = [h for h in gens if h != g]
+        seeds = list(base) + [{h: 1} for h in rest]
+        if len(grow(Echelon(p), rest, seeds, [])) == dim:  # len = rank
+            gens = rest
+    return tuple(gens)
 
 
 def transpose(columns):

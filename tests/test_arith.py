@@ -33,7 +33,7 @@ def test_primality_guards():
     with pytest.raises(ValueError):
         check_prime(4)
     with pytest.raises(ValueError):
-        check_prime(3)  # default minimum is 5
+        check_prime(3)  # below the minimum of 5
 
 
 def test_inverse_mod():

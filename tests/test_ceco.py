@@ -260,6 +260,14 @@ def test_class_span_dimensions():
         class_span_dim(W, [f, exact])
 
 
+def test_cochains_on_another_algebra_are_refused():
+    S, f = make_sl2(P), phi21(make_w1(1, P))
+    with pytest.raises(ValueError, match=r"on W1\(1\), not on sl2"):
+        class_span_dim(S, [f])
+    with pytest.raises(ValueError, match=r"on W1\(1\), not on sl2"):
+        coboundary_witness(S, f)
+
+
 def test_massey_bracket_symmetry_and_closure():
     W = make_w1(1, P)
     rng = random.Random(13)

@@ -570,6 +570,16 @@ def test_comm_generators_generate_every_builtin(name):
         assert len(list(commalg._harrison_pairs(A))) == 47
 
 
+def test_comm_generators_drop_a_redundant_generator():
+    # K[x]/(x^3) with x^2 listed before x: x^2 joins first, then x, which
+    # generates x^2, so x^2 is dropped
+    A = CommAlgebra(P, ["1", "x^2", "x"],
+                    {(0, 0): {0: 1}, (0, 1): {1: 1}, (0, 2): {2: 1},
+                     (2, 2): {1: 1}}, unit=0)
+    assert A.generators == (2,)
+    assert _generated_dim(A, A.generators) == A.dim
+
+
 def _pairs_meeting(firsts):
     """A stand-in for _harrison_pairs: the pairs (a, c), a < c, with a or
     c in firsts; firsts = range(A.dim) gives every pair."""

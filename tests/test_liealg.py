@@ -375,7 +375,8 @@ def _dense_ideal_dim(L, vecs):
     lambda A: current_algebra(make_w1(1, P), A),
     lambda A: make_deformed(A, zero_derivation(A)),
     lambda A: current_algebra(make_sl2(P), A),
-], ids=["w1-x-om", "ldef0", "sl2-x-om"])
+    lambda A: make_deformed(A, partial_derivation(A)),
+], ids=["w1-x-om", "ldef0", "sl2-x-om", "ldef"])
 def test_ideal_closure_matches_a_dense_fixed_point(build):
     L = build(make_divided_powers(1, P))
     rng = random.Random(7)
@@ -550,6 +551,17 @@ def test_generators_generate_every_builtin(name, p, n):
 def test_generators_of_an_abelian_algebra_are_the_whole_basis():
     L = LieAlgebra(P, ["a%d" % i for i in range(40)], {}, check=False)
     assert L.generators == tuple(range(40))
+
+
+def test_generators_and_ideals_refuse_an_algebra_failing_jacobi():
+    # J(a, b, c) = [[a, b], c] + [[b, c], a] + [[c, a], b] = b
+    L = LieAlgebra(P, ["a", "b", "c"],
+                   {(0, 1): {0: 1}, (1, 2): {0: 1}, (0, 2): {1: 1}},
+                   check=False)
+    with pytest.raises(ValueError, match="Jacobi fails"):
+        L.generators
+    with pytest.raises(ValueError, match="Jacobi fails"):
+        ideal_generated_by(L, [{0: 1}])
 
 
 def test_lie_json_round_trip():
