@@ -16,9 +16,7 @@ _bracket_terms computes them once per tuple and every target of T shares
 them; only the module-action terms, which insert one index into T, are
 built per target.  ce_differential sums stencil images, and the sparse
 matrices of d are built column by column from them, charging each
-column's distinct nonzero entries to the work budget.  Ranks come from
-sparse echelon forms into which the rows of d_n, and the image vectors
-of d_{n-1}, go shortest first.
+column's distinct nonzero entries to the work budget.
 
 Of d_n, cohomology_dim keeps only the rows (U, k) whose tuple U holds
 an element of S = L.generators, a set of basis elements generating L as
@@ -38,17 +36,11 @@ of the whole matrix, while weight-zero H^2 of W1(1)(x)O1(1) or W1(2)
 at p = 7 keeps one row in five or in eight.  The image of d_{n-1} is
 always assembled whole.
 
-The columns of C^n are first renumbered sparsest first, by their count
-of stencil terms in the whole d_n (ties in enumeration order), so
-min-column pivoting eliminates on sparse columns and pushes fill toward
-the dense ones, as in the structured Gaussian elimination of LaMacchia
-and Odlyzko.  The count is read off the lengths of L.ad and L.rev: in
-the kept rows alone every column that meets S looks dense, and that
-order gave weight-one H^3 of W1(2) at p = 5 three times the fill.  A
-column order changes no rank and no dimension; the kernel of d_n then
-gets its basis at other free columns, so cohomology_dim's
-representatives are a different basis of the same classes, still
-deterministic, since the order depends only on the algebra's tables.
+d_n is eliminated by linalg.sparsest_first, and the image of d_{n-1}
+goes in shortest first.  A column weighs its count of stencil terms in
+the whole d_n, read off the lengths of L.ad and L.rev: in the kept rows
+alone every column that meets S looks dense, and that order gave
+weight-one H^3 of W1(2) at p = 5 three times the fill.
 When the algebra has a toral basis element the complex splits by
 weight, and with an honest Z-grading it also splits by degree; both
 splittings are exact index bookkeeping, not heuristics, and a slice
@@ -71,8 +63,8 @@ from bisect import bisect_left
 from collections import defaultdict
 from operator import itemgetter
 
-from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, SparseFpMatrix,
-                     bilinear_table, circle, family_add, solve_sparse,
+from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, bilinear_table,
+                     circle, family_add, solve_sparse, sparsest_first,
                      transpose, vec_scale)
 
 __all__ = [
@@ -378,11 +370,11 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     assembled and eliminated; they have the same kernel as all rows (see
     the module docstring), so the rank, the pivots and the kernel basis
     are those of the whole matrix.  The budget counts the entries that
-    are assembled, so a query that exceeded it with every row may now
-    fit; one with more tuples in C^n or C^(n-1) than the budget is
-    refused before they are enumerated.  The restriction is sound only
-    for a Lie algebra, so an algebra whose Jacobi identity is not yet
-    verified is checked first, and ValueError is raised when it fails.
+    are assembled; a query with more tuples in C^n or C^(n-1) than the
+    budget is refused before they are enumerated.  The restriction is
+    sound only for a Lie algebra, so an algebra whose Jacobi identity is
+    not yet verified is checked first, and ValueError is raised when it
+    fails.
 
     With want_reps, also returns cocycle representatives extending the
     coboundary space (kernel_basis(modulo=image)).  Raises ValueError
@@ -421,27 +413,16 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         _column_images(L, module, cols, budget, counter, [slice_],
                        L.generators)))
     stats.update(rows=len(rows), nnz=counter[0])
-    # columns enter the echelon sparsest first, so min-column pivoting
-    # eliminates on sparse columns and pushes fill toward the dense ones;
-    # a column's weight is its count of stencil terms in the whole d_n,
-    # read off the table lengths, since in the kept rows alone every
-    # column that meets the generators looks dense
     ad, rev = L.ad, L.rev
-    weight = [sum(len(rev.get(m, ())) for m in T)
-              + (len(ad.get(t, ())) if module == "adjoint" else 0)
-              for T, t in cols]
-    order = sorted(range(len(cols)), key=lambda i: (weight[i], i))
-    newpos = [0] * len(cols)
-    for i, j in enumerate(order):
-        newpos[j] = i
-    cols = [cols[j] for j in order]
-    mat = SparseFpMatrix(len(cols), L.p)
     stats["assemble_s"] = lap()
-    # shortest rows first keeps pivot rows sparse; popping each row as it
-    # goes in frees it before the next one is reduced
-    for k in sorted(rows, key=lambda k: len(rows[k])):
-        mat.add_row({newpos[j]: v for j, v in rows.pop(k).items()})
+    # a column weighs its stencil terms in the whole d_n (module docstring)
+    order, mat = sparsest_first(
+        {i: sum(len(rev.get(m, ())) for m in T)
+         + (len(ad.get(t, ())) if module == "adjoint" else 0)
+         for i, (T, t) in enumerate(cols)},
+        (rows.pop(k) for k in list(rows)), L.p)
     del rows
+    cols = [cols[j] for j in order]
     rank_d = mat.rank
     stats["rank_d_s"] = lap()
 

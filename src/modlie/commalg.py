@@ -35,6 +35,9 @@ harrison_h2 assembles and is_harrison_cocycle checks only the pairs
 (a, c), a < c, that meet A.generators (_harrison_pairs):
 47 of the 300 pairs of O1(2) at p = 5.  Every kernel, hence every pivot
 set, kernel_basis and representative, is that of the full system.
+
+harrison_h2 and hochschild_hn_dim eliminate by linalg.sparsest_first,
+an unknown F(x_1..x_k)_t weighing the products of x_1..x_k and t.
 """
 
 import itertools
@@ -45,7 +48,8 @@ from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, LinearMap,
                      SparseFpMatrix, bilinear_eval, bilinear_get,
                      bilinear_pairs, bilinear_table, bilinear_tensor, compose,
                      family_add, greedy_generators, morphism_failure,
-                     solve_sparse, transpose, vec_add, vec_scale)
+                     solve_sparse, sparsest_first, transpose, vec_add,
+                     vec_scale)
 
 __all__ = [
     "CommAlgebra",
@@ -293,10 +297,10 @@ class Derivation(LinearMap):
         super().__init__(A, A, cols)
         self.A = A
         self.name = name
-        # Leibniz: the Hochschild coboundary vanishes on every i <= j
+        # Leibniz on the rows of {unit} + A.generators (module docstring)
         value = lambda args: self.cols.get(args[0], {})
-        for i in range(A.dim):
-            for j in range(i, A.dim):
+        for i in (A.unit,) + A.generators:
+            for j in range(A.dim):
                 if _delta_value(A, value, (i, j)):
                     raise ValueError(
                         "%s is not a derivation: Leibniz fails on (%s, %s)"
@@ -402,7 +406,8 @@ def zero_derivation(A):
 def derivation_space(A):
     """Basis of Der(A), the kernel of d^1 on matrix entries: unknown
     (src, tgt) gets column src * dim + tgt.  Only the rows dD(a, b) = 0
-    with a in {unit} + A.generators are assembled (module docstring)."""
+    with a in {unit} + A.generators are assembled (module docstring).
+    Columns keep natural order: tests pin the basis to a dense oracle."""
     n, p = A.dim, A.p
     m = SparseFpMatrix(n * n, p)
     for a in (A.unit,) + A.generators:
@@ -666,25 +671,19 @@ def _harrison_pairs(A):
 
 
 def _harrison_system(A, pairs):
-    """The symmetric cocycle system on the given pairs: its unknowns
-    (i * dim + j) * dim + t for pair i <= j and target t, their
-    positions, and a SparseFpMatrix of the rows of dF(a, b, c) = 0 over
-    (a, c) in pairs and every b, inserted shortest first (which keeps
-    pivot rows sparse and changes neither the pivots nor kernel_basis)."""
+    """The symmetric cocycle system on the given pairs: the unknown
+    (i * dim + j) * dim + t of each column (pair i <= j, target t), their
+    columns, and a SparseFpMatrix of the rows of dF(a, b, c) = 0 over
+    (a, c) in pairs and every b (module docstring): one column order
+    for every set of pairs."""
     n = A.dim
-    unknowns = [(i * n + j) * n + t
-                for i in range(n) for j in range(i, n) for t in range(n)]
-    pos = {u: k for k, u in enumerate(unknowns)}
-    by_len = defaultdict(list)
-    for a, c in pairs:
-        for b in range(n):
-            for row in _stencil_rows(A, (a, b, c), fold=True).values():
-                by_len[len(row)].append({pos[k]: v for k, v in row.items()})
-    m = SparseFpMatrix(len(unknowns), A.p)
-    for size in sorted(by_len):
-        for r in by_len.pop(size):  # each length class freed once inserted
-            m.add_row(r)
-    return unknowns, pos, m
+    w = [len(A.products(i)) for i in range(n)]
+    unknowns, m = sparsest_first(
+        {(i * n + j) * n + t: w[i] + w[j] + w[t]
+         for i in range(n) for j in range(i, n) for t in range(n)},
+        (row for a, c in pairs for b in range(n)
+         for row in _stencil_rows(A, (a, b, c), fold=True).values()), A.p)
+    return unknowns, {u: k for k, u in enumerate(unknowns)}, m
 
 
 def harrison_h2(A):
@@ -692,9 +691,9 @@ def harrison_h2(A):
     Hochschild 2-cocycles modulo coboundaries of 1-cochains.  Only the
     equations dF(a, b, c) = 0 with a or c in A.generators are assembled
     (module docstring); they keep the kernel, so the pivots, the
-    kernel_basis and the representatives are those of the full system,
-    in the same order.  A kernel vector is a new class when it enlarges
-    the span of the coboundaries and the classes before it, which
+    kernel_basis and the representatives are those of the full system.
+    A kernel vector is a new class when it enlarges the span of the
+    coboundaries and the classes before it, which
     kernel_basis(modulo=image) finds without computing the others."""
     n = A.dim
     unknowns, pos, m = _harrison_system(A, _harrison_pairs(A))
@@ -776,12 +775,15 @@ def hochschild_hn_dim(A, n, budget=DEFAULT_BUDGET):
         raise BudgetExceeded(
             "bar complex size %d exceeds budget %d" % (dim ** (n + 1), budget))
 
+    w = [len(A.products(i)) for i in range(dim)]
+
     def rank(k):
-        ech = Echelon(p)
-        for x0 in (A.unit,) + A.generators:
-            for rest in itertools.product(range(dim), repeat=k):
-                for row in _stencil_rows(A, (x0,) + rest).values():
-                    ech.add(row)
-        return ech.rank
+        weight = [0]  # summed over the digits of each unknown
+        for _ in range(k + 1):
+            weight = [x + y for x in weight for y in w]
+        rows = (row for x0 in (A.unit,) + A.generators
+                for rest in itertools.product(range(dim), repeat=k)
+                for row in _stencil_rows(A, (x0,) + rest).values())
+        return sparsest_first(dict(enumerate(weight)), rows, p)[1].rank
 
     return dim ** (n + 1) - rank(n) - (rank(n - 1) if n else 0)

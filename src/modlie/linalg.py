@@ -22,7 +22,13 @@ is exactly one kernel vector with a 1 there and 0 at every other free
 column, so kernel_basis is order-independent as well.  So is the
 solution solve_sparse returns: with every free unknown 0, the pivot
 unknowns are determined.  Callers may therefore insert rows in whatever
-order keeps elimination cheap.
+order keeps elimination cheap: all systems but two (their docstrings
+say why) use sparsest_first, the structured Gaussian elimination of
+LaMacchia and Odlyzko (CRYPTO '90).  Rows go in shortest first, each
+freed once inserted; columns go sparsest first by a weight read off the
+caller's tables, not its rows (ties in key order), so pivots land on
+sparse columns and fill on dense ones.  A column order changes no rank,
+only which columns are free: the kernel gets another basis.
 
 One sparse back-substitution serves kernel_basis and solve_sparse, whose
 solution is the kernel vector of [columns | -target] at the augmented
@@ -75,9 +81,9 @@ from heapq import heapify, heappop, heappush
 from .arith import inv_mod
 
 __all__ = ["BudgetExceeded", "LinearMap", "SparseFpMatrix", "Echelon",
-           "greedy_generators", "solve_sparse", "transpose", "vec_add",
-           "vec_scale", "bilinear_table", "compose", "circle",
-           "bilinear_pairs", "family_add", "bilinear_tensor",
+           "greedy_generators", "sparsest_first", "solve_sparse",
+           "transpose", "vec_add", "vec_scale", "bilinear_table", "compose",
+           "circle", "bilinear_pairs", "family_add", "bilinear_tensor",
            "morphism_failure"]
 
 # The one default work budget of every budgeted computation (cohomology
@@ -346,13 +352,6 @@ class Echelon:
         """The stored rows with pivot entry 1, sorted by pivot."""
         return [{c: 1, **tail} for c, tail in sorted(self.pivots.items())]
 
-    def copy(self):
-        """An echelon of the same span that can grow on its own; pivot
-        rows are never mutated, so they are shared."""
-        e = Echelon(self.p)
-        e.pivots = dict(self.pivots)
-        return e
-
 
 def greedy_generators(p, dim, order, times, base=()):
     """Basis indices that, with the vectors base, generate all dim
@@ -534,11 +533,29 @@ def _back_substitute(pivots, frees, p):
         yield v
 
 
+def sparsest_first(weight, rows, p):
+    """(order, m): the SparseFpMatrix m of rows, sparse rows on the keys
+    of weight {key: weight} re-keyed as they come; order[i] is the key of
+    column i (module docstring)."""
+    order = sorted(weight, key=lambda c: (weight[c], c))
+    del weight  # freed here unless the caller holds it
+    pos = {c: i for i, c in enumerate(order)}
+    rows = [{pos[c]: v for c, v in row.items()} for row in rows]
+    del pos
+    rows.reverse()  # a stable sort, popped, gives ties in arrival order
+    rows.sort(key=len, reverse=True)
+    m = SparseFpMatrix(len(order), p)
+    while rows:
+        m.add_row(rows.pop())
+    return order, m
+
+
 def solve_sparse(columns, target, p):
     """One x with sum_j x_j columns[j] = target, free unknowns set to 0,
     or None when target lies outside the span of the columns.  Unknowns
     are the integer column keys; columns and target are sparse vectors
-    over one coordinate space."""
+    over one coordinate space.  They keep natural order, which fixes the
+    witnesses of solve_delta1 and the lifted families."""
     # augmented column -target; larger than every unknown, so it is never
     # chosen as a min-column pivot before the unknowns are exhausted, and
     # the kernel vector with a 1 there is (x, 1)

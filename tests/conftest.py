@@ -20,12 +20,12 @@ def pytest_collection_modifyitems(config, items):
 def greedy_kernel_basis(monkeypatch):
     """A switch to the loop that SparseFpMatrix.kernel_basis(modulo=E)
     replaced, as its oracle: back-substitute every kernel vector and keep
-    each one that enlarges a copy of E.  Before that it checks exactly
-    that E's span lies in the kernel: a vector lies there iff it is the
-    combination of the kernel basis with its own free coordinates.
-    Calling the fixture installs the loop and returns a list that gets,
-    per call with modulo, the rank of E it checked."""
-    from modlie.linalg import SparseFpMatrix, vec_add
+    each one that enlarges a fresh echelon of E's rows.  Before that it
+    checks exactly that E's span lies in the kernel: a vector lies there
+    iff it is the combination of the kernel basis with its own free
+    coordinates.  Calling the fixture installs the loop and returns a
+    list that gets, per call with modulo, the rank of E it checked."""
+    from modlie.linalg import Echelon, SparseFpMatrix, vec_add
     fast = SparseFpMatrix.kernel_basis
     checked = []
 
@@ -44,7 +44,9 @@ def greedy_kernel_basis(monkeypatch):
                     comb = vec_add(comb, by_free[f], p, x)
             assert comb == s, "a vector of the modulo span is no kernel vector"
         checked.append(modulo.rank)
-        grow = modulo.copy()
+        grow = Echelon(p)  # the span of modulo, grown apart from it
+        for row in modulo.rows():
+            grow.add(row)
         return [v for v in full if grow.add(v)]
 
     def install():

@@ -47,8 +47,8 @@ from modlie.commalg import (
     zero_derivation,
 )
 from modlie.arith import inv_mod
-from modlie.linalg import (Echelon, LinearMap, SparseFpMatrix, vec_add,
-                           vec_scale)
+from modlie.linalg import (Echelon, LinearMap, SparseFpMatrix, family_add,
+                           vec_add, vec_scale)
 
 P = 5
 
@@ -887,3 +887,90 @@ def test_bar_complex_matches_dense_reference(name, k):
     want = (A.dim ** (k + 1) - dense_bar_rank(A, k)
             - (dense_bar_rank(A, k - 1) if k else 0))
     assert hochschild_hn_dim(A, k, budget=10 ** 9) == want
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_leibniz_check_on_generator_rows_matches_all_pairs(name):
+    # Derivation evaluates dD only on the rows (a, b) with a the unit or
+    # a generator; random operators near Der(A), most of them perturbed
+    # in one entry, are refused exactly when some pair i <= j fails
+    A = ALGEBRAS[name][0]()
+    n, p = A.dim, A.p
+    rng = random.Random(name)
+    ders = [E.cols for E in derivation_space(A)]
+    verdicts = set()
+    for _ in range(40):
+        cols = {}
+        for E in rng.sample(ders, min(len(ders), 3)):
+            cols = family_add(cols, E, p, rng.randrange(p))
+        if rng.random() < 0.75:
+            cols = family_add(cols, {rng.randrange(n): {rng.randrange(n): 1}},
+                              p, rng.randrange(1, p))
+        want = not dense_delta1(A, cols).values
+        try:
+            Derivation(A, cols)
+            got = True
+        except ValueError:
+            got = False
+        assert got == want
+        verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _eliminate(A, run, monkeypatch, natural):
+    """run(A) with every commalg.sparsest_first call recorded as (order,
+    rank), and with every weight 0 (natural column order) if natural."""
+    fast, calls = commalg.sparsest_first, []
+
+    def record(weight, rows, p):
+        if natural:
+            weight = dict.fromkeys(weight, 0)
+        order, m = fast(weight, rows, p)
+        calls.append((order, m.rank))
+        return order, m
+
+    with monkeypatch.context() as mp:
+        mp.setattr(commalg, "sparsest_first", record)
+        return run(A), calls
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow)
+    if name in ("O_2", "O1(1)(x)O1(1)") else name
+    for name in ALGEBRAS])
+def test_harrison_column_order_changes_only_the_basis(name, monkeypatch):
+    A = ALGEBRAS[name][0]()
+    (dim, reps), [(order, rank)] = _eliminate(A, harrison_h2, monkeypatch,
+                                              False)
+    (nat_dim, nat), [(nat_order, nat_rank)] = _eliminate(
+        A, harrison_h2, monkeypatch, True)
+    assert nat_order == sorted(order)
+    assert (order != nat_order) == (A.dim > 1)
+    assert dim == nat_dim == len(reps) == len(nat)
+    assert rank == nat_rank
+    for F in reps + nat:
+        assert all(F(i, j) == F(j, i)
+                   for i in range(A.dim) for j in range(A.dim))
+        assert is_harrison_cocycle(F)
+    # each set is independent modulo the coboundaries, and adds nothing
+    # to them and the other set: the same classes
+    for these, others in ((reps, nat), (nat, reps)):
+        span = Echelon(A.p)
+        for col in dense_coboundary_columns(A).values():
+            span.add(col)
+        assert all(span.add(F.flatten()) for F in others)
+        assert not any(span.add(F.flatten()) for F in these)
+
+
+@pytest.mark.parametrize("name,k", [
+    pytest.param(name, k, marks=pytest.mark.slow)
+    if k == 2 and ALGEBRAS[name][0]().dim == 25 else (name, k)
+    for name in ALGEBRAS for k in (0, 1, 2)])
+def test_bar_complex_column_order_changes_no_rank(name, k, monkeypatch):
+    A = ALGEBRAS[name][0]()
+    run = functools.partial(hochschild_hn_dim, n=k, budget=10 ** 9)
+    dim, calls = _eliminate(A, run, monkeypatch, False)
+    nat_dim, nat_calls = _eliminate(A, run, monkeypatch, True)
+    assert dim == nat_dim
+    assert [r for _, r in calls] == [r for _, r in nat_calls]
+    assert [o for o, _ in nat_calls] == [sorted(o) for o, _ in calls]

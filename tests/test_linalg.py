@@ -305,7 +305,9 @@ def test_kernel_basis_modulo_against_the_greedy_loop(data):
     before = dict(E.pivots)
     got = m.kernel_basis(modulo=E)
     assert E.pivots == before
-    grow = E.copy()
+    grow = Echelon(p)  # the span of E, grown apart from it
+    for row in E.rows():
+        grow.add(row)
     assert got == [v for v in full if grow.add(v)]
     assert len(got) == len(full) - E.rank
 
