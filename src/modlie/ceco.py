@@ -40,7 +40,10 @@ d_n is eliminated by linalg.sparsest_first, and the image of d_{n-1}
 goes in shortest first.  A column weighs its count of stencil terms in
 the whole d_n, read off the lengths of L.ad and L.rev: in the kept rows
 alone every column that meets S looks dense, and that order gave
-weight-one H^3 of W1(2) at p = 5 three times the fill.
+weight-one H^3 of W1(2) at p = 5 three times the fill.  Since the
+weights need no row, the column order is fixed before d_n is
+assembled, and the stencil images are keyed by elimination position as
+they are transposed.
 When the algebra has a toral basis element the complex splits by
 weight, and with an honest Z-grading it also splits by degree; both
 splittings are exact index bookkeeping, not heuristics, and a slice
@@ -408,20 +411,22 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     cols = chain_columns(L, n, module, slice_)
     stats = {"cached": False, "enumerate_s": lap(), "ncols": len(cols)}
     counter = [0]
-    # rows of d_n keyed by C^{n+1} coordinates, streamed from the images
-    rows = transpose(enumerate(
-        _column_images(L, module, cols, budget, counter, [slice_],
-                       L.generators)))
-    stats.update(rows=len(rows), nnz=counter[0])
+
+    def assemble(pos):
+        # rows of d_n keyed by C^{n+1} coordinates, streamed from the
+        # images, each entry written at its column's elimination position
+        stats["enumerate_s"] += lap()  # the column order
+        rows = transpose(zip(pos, _column_images(
+            L, module, cols, budget, counter, [slice_], L.generators)))
+        stats.update(rows=len(rows), nnz=counter[0], assemble_s=lap())
+        return rows.values()
+
     ad, rev = L.ad, L.rev
-    stats["assemble_s"] = lap()
     # a column weighs its stencil terms in the whole d_n (module docstring)
     order, mat = sparsest_first(
-        {i: sum(len(rev.get(m, ())) for m in T)
+        [sum(len(rev.get(m, ())) for m in T)
          + (len(ad.get(t, ())) if module == "adjoint" else 0)
-         for i, (T, t) in enumerate(cols)},
-        (rows.pop(k) for k in list(rows)), L.p)
-    del rows
+         for T, t in cols], assemble, L.p)
     cols = [cols[j] for j in order]
     rank_d = mat.rank
     stats["rank_d_s"] = lap()

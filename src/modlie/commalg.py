@@ -103,6 +103,7 @@ class CommAlgebra:
         self._table = bilinear_table(self.mult, 1, p)
         self._validate()
         self._generators = None
+        self._coboundaries = None  # built by _coboundary_columns
 
     @property
     def dim(self):
@@ -515,11 +516,14 @@ def _delta_value(A, F, xs):
     return {t: w % p for t, w in out.items() if w % p}
 
 
-def _stencil_rows(A, xs, fold=False):
+def _stencil_rows(A, xs, col=None, fold=False):
     """dF(xs) = 0 as one scalar row per output coordinate t, keyed by the
-    unknowns (args, s), the e_s coefficient of F(args), flattened to
-    (args in base dim) * dim + s; fold sorts args, for symmetric F."""
+    unknowns (args, s), the e_s coefficient of F(args), flattened to u =
+    (args in base dim) * dim + s, or by col[u] when a column list is
+    given; fold sorts args, for symmetric F."""
     n, p = A.dim, A.p
+    if col is None:
+        col = range(n ** len(xs))
     rows = defaultdict(dict)
     for args, m, c in _stencil(A, xs):
         base = 0
@@ -528,13 +532,14 @@ def _stencil_rows(A, xs, fold=False):
         base *= n
         if m is None:
             for t in range(n):
-                r = rows[t]
-                r[base + t] = r.get(base + t, 0) + c
+                r, k = rows[t], col[base + t]
+                r[k] = r.get(k, 0) + c
             continue
         for s, vec in A.products(m):
+            k = col[base + s]
             for t, w in vec.items():
                 r = rows[t]
-                r[base + s] = r.get(base + s, 0) + c * w
+                r[k] = r.get(k, 0) + c * w
     out = {}
     for t, r in rows.items():
         r = {k: v % p for k, v in r.items() if v % p}
@@ -651,11 +656,15 @@ def basic_harrison_cocycle(m, p, i, variant, A=None):
 def _coboundary_columns(A):
     """dG for every elementary 1-cochain G = (src -> tgt), keyed
     src * dim + tgt, on the flatten() coordinates (i * dim + j) * dim + t
-    of symmetric pairs i <= j: the d^1 rows of all pairs, transposed."""
-    n = A.dim
-    return transpose(((a * n + b) * n + t, row)
-                     for a in range(n) for b in range(a, n)
-                     for t, row in _stencil_rows(A, (a, b)).items())
+    of symmetric pairs i <= j: the d^1 rows of all pairs, transposed.
+    Built on first use and cached on A; every caller only reads it."""
+    if A._coboundaries is None:
+        n = A.dim
+        A._coboundaries = dict(transpose(
+            ((a * n + b) * n + t, row)
+            for a in range(n) for b in range(a, n)
+            for t, row in _stencil_rows(A, (a, b)).items()))
+    return A._coboundaries
 
 
 def _harrison_pairs(A):
@@ -672,18 +681,27 @@ def _harrison_pairs(A):
 
 def _harrison_system(A, pairs):
     """The symmetric cocycle system on the given pairs: the unknown
-    (i * dim + j) * dim + t of each column (pair i <= j, target t), their
-    columns, and a SparseFpMatrix of the rows of dF(a, b, c) = 0 over
-    (a, c) in pairs and every b (module docstring): one column order
-    for every set of pairs."""
+    (i * dim + j) * dim + t of each column (pair i <= j, target t), the
+    column of each unknown (a list over every flattened triple), and a
+    SparseFpMatrix of the rows of dF(a, b, c) = 0 over (a, c) in pairs
+    and every b (module docstring): one column order for every set of
+    pairs."""
     n = A.dim
     w = [len(A.products(i)) for i in range(n)]
-    unknowns, m = sparsest_first(
-        {(i * n + j) * n + t: w[i] + w[j] + w[t]
-         for i in range(n) for j in range(i, n) for t in range(n)},
-        (row for a, c in pairs for b in range(n)
-         for row in _stencil_rows(A, (a, b, c), fold=True).values()), A.p)
-    return unknowns, {u: k for k, u in enumerate(unknowns)}, m
+    triples = [(i, j, t) for i in range(n) for j in range(i, n)
+               for t in range(n)]
+    unknowns = [(i * n + j) * n + t for i, j, t in triples]
+    col = [None] * n ** 3
+
+    def rows(pos):
+        for u, k in zip(unknowns, pos):
+            col[u] = k
+        return (row for a, c in pairs for b in range(n) for row in
+                _stencil_rows(A, (a, b, c), col, fold=True).values())
+
+    order, m = sparsest_first([w[i] + w[j] + w[t] for i, j, t in triples],
+                              rows, A.p)
+    return [unknowns[k] for k in order], col, m
 
 
 def harrison_h2(A):
@@ -696,10 +714,10 @@ def harrison_h2(A):
     coboundaries and the classes before it, which
     kernel_basis(modulo=image) finds without computing the others."""
     n = A.dim
-    unknowns, pos, m = _harrison_system(A, _harrison_pairs(A))
+    unknowns, col, m = _harrison_system(A, _harrison_pairs(A))
     image = Echelon(A.p)
     for vec in _coboundary_columns(A).values():
-        image.add({pos[u]: v for u, v in vec.items()})
+        image.add({col[u]: v for u, v in vec.items()})
     reps = []
     for v in m.kernel_basis(modulo=image):
         vals = defaultdict(dict)
@@ -781,9 +799,10 @@ def hochschild_hn_dim(A, n, budget=DEFAULT_BUDGET):
         weight = [0]  # summed over the digits of each unknown
         for _ in range(k + 1):
             weight = [x + y for x in weight for y in w]
-        rows = (row for x0 in (A.unit,) + A.generators
-                for rest in itertools.product(range(dim), repeat=k)
-                for row in _stencil_rows(A, (x0,) + rest).values())
-        return sparsest_first(dict(enumerate(weight)), rows, p)[1].rank
+        rows = lambda pos: (
+            row for x0 in (A.unit,) + A.generators
+            for rest in itertools.product(range(dim), repeat=k)
+            for row in _stencil_rows(A, (x0,) + rest, pos).values())
+        return sparsest_first(weight, rows, p)[1].rank
 
     return dim ** (n + 1) - rank(n) - (rank(n - 1) if n else 0)

@@ -239,6 +239,8 @@ class LieAlgebra:
             quads = doc["bracket"]
         except (KeyError, TypeError) as exc:
             raise ValueError("algebra document missing field: %s" % exc)
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise ValueError("p must be an integer, not %r" % (p,))
         if not all(isinstance(doc.get(f, []), list)
                    for f in ("basis", "bracket", "grading")):
             raise ValueError("basis, bracket and grading must be lists")

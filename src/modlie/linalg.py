@@ -26,9 +26,12 @@ order keeps elimination cheap: all systems but two (their docstrings
 say why) use sparsest_first, the structured Gaussian elimination of
 LaMacchia and Odlyzko (CRYPTO '90).  Rows go in shortest first, each
 freed once inserted; columns go sparsest first by a weight read off the
-caller's tables, not its rows (ties in key order), so pivots land on
-sparse columns and fill on dense ones.  A column order changes no rank,
-only which columns are free: the kernel gets another basis.
+caller's tables, not its rows (ties in index order), so pivots land on
+sparse columns and fill on dense ones.  The weights depend on the
+columns alone, so the order is fixed before the rows are built, and the
+caller's row builder writes every entry at its column's position.  A
+column order changes no rank, only which columns are free: the kernel
+gets another basis.
 
 One sparse back-substitution serves kernel_basis and solve_sparse, whose
 solution is the kernel vector of [columns | -target] at the augmented
@@ -533,15 +536,17 @@ def _back_substitute(pivots, frees, p):
         yield v
 
 
-def sparsest_first(weight, rows, p):
-    """(order, m): the SparseFpMatrix m of rows, sparse rows on the keys
-    of weight {key: weight} re-keyed as they come; order[i] is the key of
-    column i (module docstring)."""
-    order = sorted(weight, key=lambda c: (weight[c], c))
-    del weight  # freed here unless the caller holds it
-    pos = {c: i for i, c in enumerate(order)}
-    rows = [{pos[c]: v for c, v in row.items()} for row in rows]
-    del pos
+def sparsest_first(weights, build, p):
+    """(order, m): the SparseFpMatrix m of the rows that build(pos)
+    yields, for columns 0..len(weights)-1 of the given weights.  The
+    order is fixed first: order[i] is the column at position i, pos[j]
+    the position of column j, and build writes each entry of column j at
+    pos[j], so no row is re-keyed (module docstring)."""
+    order = sorted(range(len(weights)), key=weights.__getitem__)  # stable
+    pos = [0] * len(order)
+    for i, c in enumerate(order):
+        pos[c] = i
+    rows = list(build(pos))
     rows.reverse()  # a stable sort, popped, gives ties in arrival order
     rows.sort(key=len, reverse=True)
     m = SparseFpMatrix(len(order), p)

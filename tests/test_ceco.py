@@ -32,7 +32,7 @@ from modlie.commalg import make_divided_powers, partial_derivation
 from bisect import bisect_left
 from math import comb
 
-from modlie.linalg import Echelon, transpose, vec_add
+from modlie.linalg import Echelon, SparseFpMatrix, transpose, vec_add
 from modlie.liealg import (
     JACOBI_EAGER_DIM,
     LieAlgebra,
@@ -494,6 +494,47 @@ def test_rows_of_a_non_generating_set_lose_rank():
             if _rank_and_pivots(W, module, cols, (0,))[0]
             < _rank_and_pivots(W, module, cols)[0]]
     assert lost
+
+
+def _rekeyed_reference(L, module, slice_, n, cols):
+    # ranks, dim and representatives with the rows of d_n built on natural
+    # column indices and re-keyed afterwards through the (weight, index)
+    # order, then inserted shortest first, ties in arrival order
+    rows = transpose(enumerate(ceco._column_images(
+        L, module, cols, 10 ** 9, [0], [slice_], L.generators)))
+    weight = [sum(len(L.rev.get(m, ())) for m in T)
+              + (len(L.ad.get(t, ())) if module == "adjoint" else 0)
+              for T, t in cols]
+    order = sorted(range(len(cols)), key=lambda c: (weight[c], c))
+    pos = {c: i for i, c in enumerate(order)}
+    mat = SparseFpMatrix(len(cols), L.p)
+    for row in sorted([{pos[c]: v for c, v in row.items()}
+                       for row in rows.values()], key=len):
+        mat.add_row(row)
+    cols = [cols[j] for j in order]
+    colidx = {ct: i for i, ct in enumerate(cols)}
+    image = Echelon(L.p)
+    _, images = ceco._coboundaries(L, n, module, [slice_], 10 ** 9, [0])
+    for vec in sorted([{colidx[ck]: v for ck, v in img.items()}
+                       for img in images], key=len):
+        image.add(vec)
+    reps = [ceco._cochain(L, n, module, cols, v).coeffs
+            for v in mat.kernel_basis(modulo=image)]
+    return mat.rank, image.rank, len(cols) - mat.rank - image.rank, reps
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_rows_keyed_by_position_match_rekeyed_rows(name):
+    # cohomology_dim keys each entry of d_n by its elimination position as
+    # it is written; the ranks, the dim and the representatives, in order,
+    # are those of rows re-keyed after assembly
+    L = ORACLE_ALGEBRAS[name]()
+    for module, slice_, n, cols in _oracle_cases(L):
+        res = cohomology_dim(L, n, module, slice_=slice_, want_reps=True)
+        assert ((res.rank_d, res.rank_prev, res.dim,
+                 [c.coeffs for c in res.reps])
+                == _rekeyed_reference(L, module, slice_, n, cols)), (
+                    module, n, slice_)
 
 
 def test_non_lie_input_is_rejected():

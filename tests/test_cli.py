@@ -334,8 +334,12 @@ def test_cohomology_bad_inputs(capsys, tmp_path):
     ({"p": 5, "basis": ["a", "b"], "bracket": [[0, 1, 1, 1]],
       "grading": [-1, 1], "filtration": "false"},
      "filtration must be true or false, not 'false'"),
+    ({"p": "5", "basis": ["a", "b"], "bracket": [[0, 1, 1, 1]]},
+     "p must be an integer, not '5'"),
+    ({"p": 5.0, "basis": ["a", "b"], "bracket": [[0, 1, 1, 1]]},
+     "p must be an integer, not 5.0"),
 ], ids=["toral-outside-basis", "entry-not-a-list", "non-lie-dim-33",
-        "filtration-not-a-boolean"])
+        "filtration-not-a-boolean", "p-a-string", "p-a-float"])
 def test_cohomology_rejects_invalid_algebra_file(capsys, tmp_path, doc,
                                                  message):
     path = str(tmp_path / "alg.json")

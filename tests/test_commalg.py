@@ -3,6 +3,7 @@ Hochschild/Harrison layer: frozen dimensions, the basic symmetric
 cocycles, and the digit-wise reading that the literal binomial
 coefficient fails."""
 
+import copy
 import functools
 import inspect
 import itertools
@@ -878,6 +879,28 @@ def test_hochschild_stencil_matches_dense_references(name, monkeypatch):
             == [(F.values, H) for F, H in want[1][1]])
 
 
+def test_coboundary_columns_are_built_once_per_algebra(monkeypatch):
+    # harrison_h2, solve_delta1 and harrison_h2_d_invariants share one
+    # build of the d^1 columns, cached on the algebra, which none of
+    # them changes
+    A = make_divided_powers(2, P)
+    D, F = partial_derivation(A), basic_harrison_cocycle(2, P, 1, "divided")
+    build, builds = commalg.transpose, []
+
+    def spy(columns):
+        builds.append(A)
+        return build(columns)
+
+    monkeypatch.setattr(commalg, "transpose", spy)
+    harrison_h2(A)
+    cached = copy.deepcopy(commalg._coboundary_columns(A))
+    assert cached == dense_coboundary_columns(A)
+    solve_delta1(A, SymmetricBilinearMap(A, F.values))
+    harrison_h2_d_invariants(A, D)
+    assert len(builds) == 1
+    assert commalg._coboundary_columns(A) == cached
+
+
 @pytest.mark.parametrize("name,k", [
     pytest.param(name, k, marks=pytest.mark.slow)
     if k == 2 and ALGEBRAS[name][0]().dim == 25 else (name, k)
@@ -922,10 +945,10 @@ def _eliminate(A, run, monkeypatch, natural):
     rank), and with every weight 0 (natural column order) if natural."""
     fast, calls = commalg.sparsest_first, []
 
-    def record(weight, rows, p):
+    def record(weights, build, p):
         if natural:
-            weight = dict.fromkeys(weight, 0)
-        order, m = fast(weight, rows, p)
+            weights = [0] * len(weights)
+        order, m = fast(weights, build, p)
         calls.append((order, m.rank))
         return order, m
 
