@@ -36,14 +36,15 @@ of the whole matrix, while weight-zero H^2 of W1(1)(x)O1(1) or W1(2)
 at p = 7 keeps one row in five or in eight.  The image of d_{n-1} is
 always assembled whole.
 
-d_n is eliminated by linalg.sparsest_first, and the image of d_{n-1}
-goes in shortest first.  A column weighs its count of stencil terms in
-the whole d_n, read off the lengths of L.ad and L.rev: in the kept rows
-alone every column that meets S looks dense, and that order gave
-weight-one H^3 of W1(2) at p = 5 three times the fill.  Since the
-weights need no row, the column order is fixed before d_n is
-assembled, and the stencil images are keyed by elimination position as
-they are transposed.
+d_n is eliminated by linalg.sparsest_first, after the image B^n of
+d_{n-1}, whose pivot columns are cleared from d_n before it is built:
+d_n kills B^n, so the other columns keep its rank, and its kernel there
+is one cocycle per class of H^n.  A column weighs its count of stencil
+terms in the whole d_n, read off the lengths of L.ad and L.rev: in the
+kept rows alone every column that meets S looks dense, and that order
+gave weight-one H^3 of W1(2) at p = 5 three times the fill.  The column
+order is fixed before d_n is assembled, and the stencil images are
+keyed by elimination position as they are transposed.
 When the algebra has a toral basis element the complex splits by
 weight, and with an honest Z-grading it also splits by degree; both
 splittings are exact index bookkeeping, not heuristics, and a slice
@@ -302,7 +303,13 @@ def chain_columns(L, n, module="adjoint", slice_=None):
     """Enumerate the (tuple, target) columns of C^n, in lexicographic
     tuple order; target 0 stands for the ground field in the trivial
     module.  On a slice each tuple T reads only the bucket of targets its
-    grade asks for, and slice_.admits decides those candidates."""
+    grade asks for, and slice_.admits decides those candidates.  A slice
+    built on another algebra or for the other module is refused."""
+    if slice_ is not None and slice_.L is not L:
+        raise ValueError("slice built on another algebra than %s" % L.name)
+    if slice_ is not None and slice_.module != module:
+        raise ValueError("slice built for the %s module, not the %s one"
+                         % (slice_.module, module))
     if n < 0:
         return []
     targets = range(L.dim) if module == "adjoint" else (0,)
@@ -320,7 +327,7 @@ def chain_columns(L, n, module="adjoint", slice_=None):
 
 class CohomologyResult:
     """dim H^n, its ranks, representatives when asked for, and stats:
-    seconds per stage (enumerate, assemble, rank_d, rank_prev, reps),
+    seconds per stage (enumerate, assemble, rank_prev, rank_d, reps),
     the columns, kept rows and entries of d_n, and the entries charged to
     the budget; a cache hit has only {"cached": True}."""
 
@@ -370,21 +377,19 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         dim H^n = #C^n - rank(d_n) - rank(d_{n-1}).
 
     Only the rows of d_n whose tuple contains one of L.generators are
-    assembled and eliminated; they have the same kernel as all rows (see
-    the module docstring), so the rank, the pivots and the kernel basis
-    are those of the whole matrix.  The budget counts the entries that
-    are assembled; a query with more tuples in C^n or C^(n-1) than the
-    budget is refused before they are enumerated.  The restriction is
-    sound only for a Lie algebra, so an algebra whose Jacobi identity is
-    not yet verified is checked first, and ValueError is raised when it
-    fails.
-
-    With want_reps, also returns cocycle representatives extending the
-    coboundary space (kernel_basis(modulo=image)).  Raises ValueError
-    when d_{n-1} maps the slice outside itself, since dropping those
-    entries would give a wrong dimension.  Results without
-    representatives are cached under (engine version, algebra hash,
-    module, n, slice descriptor)."""
+    assembled, and only on the columns outside the pivot set of the
+    image of d_{n-1}, which is eliminated first: they keep the rank of
+    d_n, and their kernel basis, one cocycle per class, is returned as
+    the representatives with want_reps (module docstring).  The budget
+    counts the entries that are assembled; a query with more tuples in
+    C^n or C^(n-1) than the budget is refused before they are
+    enumerated.  The restriction is sound only for a Lie algebra, so an
+    algebra whose Jacobi identity is not yet verified is checked first,
+    and ValueError is raised when it fails.  So it is when d_{n-1} maps
+    the slice outside itself, since dropping those entries would give a
+    wrong dimension, and on a slice built for another algebra or
+    module (chain_columns).  Results without representatives are cached under (engine
+    version, algebra hash, module, n, slice descriptor)."""
     if not L.jacobi_checked:
         L.check_jacobi()
     desc = slice_.descriptor() if slice_ is not None else None
@@ -409,16 +414,34 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         return laps[-1] - laps[-2]
 
     cols = chain_columns(L, n, module, slice_)
-    stats = {"cached": False, "enumerate_s": lap(), "ncols": len(cols)}
+    ncols = len(cols)
+    colidx = {ct: j for j, ct in enumerate(cols)}
     counter = [0]
+    _, images = _coboundaries(L, n, module, [slice_], budget, counter)
+    stats = {"cached": False, "enumerate_s": lap(), "ncols": ncols}
+
+    def boundary():  # B^n, keyed by C^n column index
+        for img in images:
+            try:
+                yield {colidx[ck]: v for ck, v in img.items()}
+            except KeyError as e:
+                raise ValueError(
+                    "slice is not closed under d: d_%d leaves it at column %r"
+                    % (n - 1, e.args[0])) from None
+        colidx.clear()  # not needed while d_n is built
+        stats["assemble_s"] = lap()
 
     def assemble(pos):
-        # rows of d_n keyed by C^{n+1} coordinates, streamed from the
-        # images, each entry written at its column's elimination position
-        stats["enumerate_s"] += lap()  # the column order
-        rows = transpose(zip(pos, _column_images(
-            L, module, cols, budget, counter, [slice_], L.generators)))
-        stats.update(rows=len(rows), nnz=counter[0], assemble_s=lap())
+        # rows of d_n from the kept columns' images, entries at positions
+        stats["rank_prev_s"] = lap()  # with the column order
+        used = counter[0]
+        rows = transpose(zip(
+            (k for k in pos if k is not None),
+            _column_images(L, module, (ct for ct, k in zip(cols, pos)
+                                       if k is not None),
+                           budget, counter, [slice_], L.generators)))
+        stats.update(rows=len(rows), nnz=counter[0] - used)
+        stats["assemble_s"] += lap()
         return rows.values()
 
     ad, rev = L.ad, L.rev
@@ -426,47 +449,20 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     order, mat = sparsest_first(
         [sum(len(rev.get(m, ())) for m in T)
          + (len(ad.get(t, ())) if module == "adjoint" else 0)
-         for T, t in cols], assemble, L.p)
+         for T, t in cols], boundary(), assemble, L.p)
     cols = [cols[j] for j in order]
-    rank_d = mat.rank
     stats["rank_d_s"] = lap()
-
-    # image vectors of d_{n-1}, re-keyed to C^n column indices
-    colidx = {ct: i for i, ct in enumerate(cols)}
-    _, images = _coboundaries(L, n, module, [slice_], budget, counter)
-    stats["enumerate_s"] += lap()
-    img_vecs = []
-    for img in images:
-        if not img:
-            continue
-        try:
-            img_vecs.append({colidx[ck]: v for ck, v in img.items()})
-        except KeyError as e:
-            raise ValueError(
-                "slice is not closed under d: d_%d leaves it at column %r"
-                % (n - 1, e.args[0])) from None
-    stats["assemble_s"] += lap()
-    image = Echelon(L.p)
-    for vec in sorted(img_vecs, key=len):
-        image.add(vec)
-    del img_vecs
-    rank_prev = image.rank
-    stats["rank_prev_s"] = lap()
-
-    dim = len(cols) - rank_d - rank_prev
     reps = None
     if want_reps:
-        reps = [_cochain(L, n, module, cols, v)
-                for v in mat.kernel_basis(modulo=image)]
-        if len(reps) != dim:
-            raise AssertionError("representative count %d != dim %d"
-                                 % (len(reps), dim))
+        reps = [_cochain(L, n, module, cols, v) for v in mat.kernel_basis()]
     stats.update(reps_s=lap(), kernel_vectors=len(reps or ()),
                  budget_used=counter[0], budget=budget)
+    res = CohomologyResult(mat.nullity, ncols, mat.rank, ncols - len(cols),
+                           reps, stats)
     if cache is not None and key is not None:
-        cache.put(key, {"dim": dim, "ncols": len(cols),
-                        "rank_d": rank_d, "rank_prev": rank_prev})
-    return CohomologyResult(dim, len(cols), rank_d, rank_prev, reps, stats)
+        cache.put(key, {"dim": res.dim, "ncols": ncols,
+                        "rank_d": res.rank_d, "rank_prev": res.rank_prev})
+    return res
 
 
 def weight_zero_reduce(L, module="adjoint"):

@@ -520,7 +520,7 @@ def _stencil_rows(A, xs, col=None, fold=False):
     """dF(xs) = 0 as one scalar row per output coordinate t, keyed by the
     unknowns (args, s), the e_s coefficient of F(args), flattened to u =
     (args in base dim) * dim + s, or by col[u] when a column list is
-    given; fold sorts args, for symmetric F."""
+    given (u skipped if None); fold sorts args, for symmetric F."""
     n, p = A.dim, A.p
     if col is None:
         col = range(n ** len(xs))
@@ -532,11 +532,13 @@ def _stencil_rows(A, xs, col=None, fold=False):
         base *= n
         if m is None:
             for t in range(n):
-                r, k = rows[t], col[base + t]
-                r[k] = r.get(k, 0) + c
+                if (k := col[base + t]) is not None:
+                    r = rows[t]
+                    r[k] = r.get(k, 0) + c
             continue
         for s, vec in A.products(m):
-            k = col[base + s]
+            if (k := col[base + s]) is None:
+                continue
             for t, w in vec.items():
                 r = rows[t]
                 r[k] = r.get(k, 0) + c * w
@@ -681,45 +683,42 @@ def _harrison_pairs(A):
 
 def _harrison_system(A, pairs):
     """The symmetric cocycle system on the given pairs: the unknown
-    (i * dim + j) * dim + t of each column (pair i <= j, target t), the
-    column of each unknown (a list over every flattened triple), and a
-    SparseFpMatrix of the rows of dF(a, b, c) = 0 over (a, c) in pairs
-    and every b (module docstring): one column order for every set of
-    pairs."""
+    (i * dim + j) * dim + t of each kept column (pair i <= j, target t),
+    and a SparseFpMatrix of the rows of dF(a, b, c) = 0 over (a, c) in
+    pairs and every b (module docstring), on the columns that the
+    coboundaries leave: one column order for every set of pairs."""
     n = A.dim
     w = [len(A.products(i)) for i in range(n)]
-    triples = [(i, j, t) for i in range(n) for j in range(i, n)
-               for t in range(n)]
-    unknowns = [(i * n + j) * n + t for i, j, t in triples]
-    col = [None] * n ** 3
+    unknowns = [(i * n + j) * n + t for i in range(n) for j in range(i, n)
+                for t in range(n)]
+    col = [None] * n ** 3  # the column of each unknown, then its position
+    for j, u in enumerate(unknowns):
+        col[u] = j
 
     def rows(pos):
-        for u, k in zip(unknowns, pos):
-            col[u] = k
+        for u in unknowns:
+            col[u] = pos[col[u]]
         return (row for a, c in pairs for b in range(n) for row in
                 _stencil_rows(A, (a, b, c), col, fold=True).values())
 
-    order, m = sparsest_first([w[i] + w[j] + w[t] for i, j, t in triples],
-                              rows, A.p)
-    return [unknowns[k] for k in order], col, m
+    order, m = sparsest_first(
+        [w[u // n // n] + w[u // n % n] + w[u % n] for u in unknowns],
+        ({col[u]: v for u, v in vec.items()}
+         for vec in _coboundary_columns(A).values()), rows, A.p)
+    return [unknowns[j] for j in order], m
 
 
 def harrison_h2(A):
     """Dimension and representative basis of Har^2(A, A): symmetric
     Hochschild 2-cocycles modulo coboundaries of 1-cochains.  Only the
     equations dF(a, b, c) = 0 with a or c in A.generators are assembled
-    (module docstring); they keep the kernel, so the pivots, the
-    kernel_basis and the representatives are those of the full system.
-    A kernel vector is a new class when it enlarges the span of the
-    coboundaries and the classes before it, which
-    kernel_basis(modulo=image) finds without computing the others."""
+    (module docstring); they keep the kernel.  The columns of the pivot
+    set of the coboundaries are cleared first (linalg.sparsest_first),
+    so the kernel_basis of the rest is one cocycle per class."""
     n = A.dim
-    unknowns, col, m = _harrison_system(A, _harrison_pairs(A))
-    image = Echelon(A.p)
-    for vec in _coboundary_columns(A).values():
-        image.add({col[u]: v for u, v in vec.items()})
+    unknowns, m = _harrison_system(A, _harrison_pairs(A))
     reps = []
-    for v in m.kernel_basis(modulo=image):
+    for v in m.kernel_basis():
         vals = defaultdict(dict)
         for k, c in v.items():
             pair, t = divmod(unknowns[k], n)
@@ -803,6 +802,6 @@ def hochschild_hn_dim(A, n, budget=DEFAULT_BUDGET):
             row for x0 in (A.unit,) + A.generators
             for rest in itertools.product(range(dim), repeat=k)
             for row in _stencil_rows(A, (x0,) + rest, pos).values())
-        return sparsest_first(weight, rows, p)[1].rank
+        return sparsest_first(weight, (), rows, p)[1].rank
 
     return dim ** (n + 1) - rank(n) - (rank(n - 1) if n else 0)

@@ -21,6 +21,7 @@ from modlie.linalg import (
     family_add,
     morphism_failure,
     solve_sparse,
+    sparsest_first,
     vec_add,
     vec_scale,
 )
@@ -275,51 +276,74 @@ def test_echelon_close_against_a_naive_fixed_point(data):
     assert all(r[min(r)] == 1 and e.member(r) for r in rows)
 
 
+def dense_kernel(rows, n, p):
+    """A basis of the kernel of the rows, from their dense reduced form."""
+    pivots, rref = dense_rref(rows, n, p)
+    out = []
+    for f in range(n):
+        if f not in pivots:
+            v = {f: 1}
+            for c, r in zip(pivots, rref):
+                if r[f]:
+                    v[c] = -r[f] % p
+            out.append(v)
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
-def test_kernel_basis_modulo_against_the_greedy_loop(data):
-    p = data.draw(st.sampled_from([3, 5, 7]))
+def test_sparsest_first_clears_a_complement_of_the_boundary(data):
+    # B, random combinations of a dense kernel basis of M (possibly none,
+    # the whole kernel, or one combination twice), is cleared first: M
+    # keeps its rank on the other columns, and its kernel there, with B,
+    # spans the dense kernel of M, independently
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
     n = data.draw(st.integers(1, 9))
     row = st.dictionaries(st.integers(0, n - 1), st.integers(1, p - 1),
                           max_size=4)
-    m = SparseFpMatrix(n, p)
-    for r in data.draw(st.lists(row, max_size=12)):
-        m.add_row(r)
-    full = m.kernel_basis()
-    # a span inside the kernel: random combinations of kernel vectors,
-    # possibly none, the whole kernel, or one combination twice
-    coeffs = st.lists(st.integers(0, p - 1), min_size=len(full),
-                      max_size=len(full))
+    rows = data.draw(st.lists(row, max_size=12))
+    weights = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    kernel = dense_kernel(rows, n, p)
+    coeffs = st.lists(st.integers(0, p - 1), min_size=len(kernel),
+                      max_size=len(kernel))
     combos = data.draw(st.lists(coeffs, max_size=4))
     if combos and data.draw(st.booleans()):
         combos.append(combos[0])
     if data.draw(st.booleans()):
-        combos += [[int(i == j) for j in range(len(full))]
-                   for i in range(len(full))]
-    E = Echelon(p)
+        combos += [[int(i == j) for j in range(len(kernel))]
+                   for i in range(len(kernel))]
+    boundary = []
     for cs in combos:
         v = {}
-        for c, k in zip(cs, full):
+        for c, k in zip(cs, kernel):
             v = vec_add(v, k, p, c)
-        E.add(v)
-    before = dict(E.pivots)
-    got = m.kernel_basis(modulo=E)
-    assert E.pivots == before
-    grow = Echelon(p)  # the span of E, grown apart from it
-    for row in E.rows():
-        grow.add(row)
-    assert got == [v for v in full if grow.add(v)]
-    assert len(got) == len(full) - E.rank
+        boundary.append(v)
+    built = []
 
+    def build(pos):
+        built.append(pos)
+        for r in rows:
+            yield {pos[j]: c for j, c in r.items() if pos[j] is not None}
 
-def test_kernel_basis_refuses_a_span_outside_the_kernel():
-    m = SparseFpMatrix(3, 5)
-    m.add_row({0: 1, 1: 2})  # pivot column 0, free columns 1 and 2
-    E = Echelon(5)
-    E.add({0: 1})  # e_0 is 0 on every free column; no kernel vector is
-    with pytest.raises(ValueError, match="not in the kernel"):
-        m.kernel_basis(modulo=E)
-    assert m.kernel_basis(modulo=Echelon(5)) == m.kernel_basis()
+    order, m = sparsest_first(weights, iter(boundary), build, p)
+    (pos,) = built
+    # the cleared columns are the pivots of B with the heaviest column
+    # first, ties in index order; the others go lightest first
+    keyed = sorted(range(n), key=lambda j: (-weights[j], j))
+    cleared = {keyed[c] for c in dense_rref(
+        [{keyed.index(j): c for j, c in v.items()} for v in boundary],
+        n, p)[0]}
+    assert order == sorted(set(range(n)) - cleared,
+                           key=lambda j: (weights[j], j))
+    assert [pos[j] for j in order] == list(range(len(order)))
+    assert all(pos[j] is None for j in cleared)
+    assert m.ncols == len(order) and m.rank == n - len(kernel)
+    got = [{order[i]: c for i, c in v.items()} for v in m.kernel_basis()]
+    assert all(sum(c * v.get(j, 0) for j, c in r.items()) % p == 0
+               for v in got for r in rows)
+    rank_b = len(dense_rref(boundary, n, p)[0])
+    assert len(got) + rank_b == len(kernel)
+    assert len(dense_rref(got + boundary, n, p)[0]) == len(kernel)
 
 
 def dense_bracket_vec(pairs, sign, p, u, v):
