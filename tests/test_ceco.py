@@ -399,11 +399,12 @@ def test_representatives_are_honest(build, weight_zero, dim):
     ("sl2", "trivial", None, [1, 2, 3]),
     ("w1xo1", "adjoint", "degree", [2]),
 ], ids=["w1xo1", "w1_2", "ldef", "sl2-trivial", "w1xo1-degree0"])
-def test_representatives_are_a_basis_of_cocycles_modulo_coboundaries(
-        name, module, slicing, degrees):
-    # every representative is a cocycle on the slice, they are
-    # independent modulo a fresh echelon of B^n, and there are
-    # #C^n - rank(all rows of d_n) - rank(B^n) of them: a basis of Z/B
+def test_representatives_match_the_greedy_loop(name, module, slicing,
+                                               degrees):
+    # the greedy loop over a kernel basis of all of d_n on natural
+    # columns keeps each cocycle that enlarges a fresh echelon of B^n;
+    # the representatives are as many cocycles on the slice, independent
+    # modulo B^n, and each lies in the span of B^n and the kept ones
     L = ORACLE_ALGEBRAS[name]()
     slice_ = (None if slicing is None else
               weight_zero_reduce(L, module) if slicing == "weight" else
@@ -412,18 +413,27 @@ def test_representatives_are_a_basis_of_cocycles_modulo_coboundaries(
     for n in degrees:
         res = cohomology_dim(L, n, module, slice_=slice_, want_reps=True)
         cols = chain_columns(L, n, module, slice_)
+        mat = SparseFpMatrix(len(cols), L.p)
+        for row in sorted(transpose(enumerate(ceco._column_images(
+                L, module, cols, 10 ** 9, [0], [slice_]))).values(), key=len):
+            mat.add_row(row)
         span = Echelon(L.p)
         for img in ceco._coboundaries(L, n, module, [slice_], 10 ** 9,
                                       [0])[1]:
             span.add(img)
-        want = len(cols) - _rank_and_pivots(L, module, cols)[0] - span.rank
+        fresh = Echelon(L.p)
+        for row in span.rows():
+            fresh.add(row)
+        kept = [z for z in ({cols[i]: c for i, c in v.items()}
+                            for v in mat.kernel_basis()) if span.add(z)]
         assert (res.stats["kernel_vectors"] == len(res.reps) == res.dim
-                == want), n
+                == len(kept) == len(cols) - mat.rank - fresh.rank), n
         for rep in res.reps:
             assert rep.n == n and rep.module == module
             assert set(rep.flatten()) <= set(cols)
             assert ce_differential(rep).is_zero()
-            assert span.add(rep.flatten())
+            assert span.member(rep.flatten())
+            assert fresh.add(rep.flatten())
         found += res.dim
     assert found > 0
 

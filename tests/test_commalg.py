@@ -381,21 +381,31 @@ def test_harrison_dimensions():
     (make_divided_powers, 1, 7),
     pytest.param(make_divided_powers, 2, 7, marks=pytest.mark.slow),
 ], ids=["O1(1)", "O1(2)", "O_2", "O1(1)-p7", "O1(2)-p7"])
-def test_harrison_representatives_are_a_basis_of_cocycles_modulo_coboundaries(
-        make, m, p):
-    # m p^m symmetric cocycles, independent modulo a fresh echelon of
-    # the dense coboundary columns: a basis of Z/B
+def test_harrison_representatives_match_the_greedy_loop(make, m, p,
+                                                       monkeypatch):
+    # the greedy loop over a kernel basis of the system with nothing
+    # cleared, all symmetric cocycles, keeps each that enlarges a fresh
+    # echelon of the dense coboundary columns; the representatives are
+    # as many cocycles, independent modulo the coboundaries, and each
+    # lies in the span of the coboundaries and the kept ones
     A = make(m, p)
     dim, reps = harrison_h2(A)
-    assert dim == len(reps) == m * p ** m
-    span = Echelon(p)
+    fast = commalg.sparsest_first
+    monkeypatch.setattr(commalg, "sparsest_first",
+                        lambda weights, boundary, build, p:
+                        fast(weights, (), build, p))
+    span, fresh = Echelon(p), Echelon(p)
     for col in dense_coboundary_columns(A).values():
         span.add(col)
+        fresh.add(col)
+    kept = [Z for Z in harrison_h2(A)[1] if span.add(Z.flatten())]
+    assert dim == len(reps) == len(kept) == m * p ** m
     for F in reps:
         assert all(F(i, j) == F(j, i)
                    for i in range(A.dim) for j in range(A.dim))
         assert is_harrison_cocycle(F)
-        assert span.add(F.flatten())
+        assert span.member(F.flatten())
+        assert fresh.add(F.flatten())
 
 
 @pytest.mark.slow
