@@ -10,31 +10,21 @@ so the kernel of d on 1-cochains with adjoint coefficients is the space
 of derivations.  Cochains are stored on sorted basis tuples.  The
 differential is assembled from one stencil, _stencil: the images of the
 elementary cochains (tuple T, target t), read off the algebra's cached
-bracket tables L.rev and L.ad, visited tuple-major.  The bracket terms
-of T split one of its indices into a pair and do not depend on t, so
-_bracket_terms computes them once per tuple and every target of T shares
-them; only the module-action terms, which insert one index into T, are
-built per target.  ce_differential sums stencil images, and the sparse
-matrices of d are built column by column from them, charging each
-column's distinct nonzero entries to the work budget.
+bracket tables L.rev and L.ad, visited tuple-major: the bracket terms
+of T do not depend on t, so _bracket_terms computes them once for every
+target of T, and only the module-action terms are built per target.
+ce_differential sums stencil images, and the sparse matrices of d are
+built column by column from them, charging each column's distinct
+nonzero entries to the work budget.
 
 Of d_n, cohomology_dim keeps only the rows (U, k) whose tuple U holds
-an element of S = L.generators, a set of basis elements generating L as
-a Lie algebra.  Those rows are the coordinates of i_s(d phi), s in S,
-so their kernel is {phi : i_s d phi = 0 for s in S}.  By the Cartan
-identities of Chevalley and Eilenberg, i_[x,y] = [L_x, i_y] and
-L_x = d i_x + i_x d, so with d^2 = 0 (the Jacobi identity)
-
-    i_[x,y] d phi = L_x i_y d phi - i_y d i_x d phi,
-
-which vanishes when i_x d phi and i_y d phi do.  The z with i_z d phi =
-0 thus form a subalgebra; holding S, it is all of L, and d phi = 0.  So
-the kept rows have exactly the kernel of all rows, on any slice, for
-every n and both modules: the rank, the pivot set (the least columns of
-the row space, which the kernel fixes) and the kernel basis are those
-of the whole matrix, while weight-zero H^2 of W1(1)(x)O1(1) or W1(2)
-at p = 7 keeps one row in five or in eight.  The image of d_{n-1} is
-always assembled whole.
+an element of S = L.generators, and closure_failure sums only those:
+they have the kernel of all rows (linalg.greedy_generators), on any
+slice, for every n and both modules.  So the rank, the pivot set (the
+least columns of the row space, which the kernel fixes) and the kernel
+basis are those of the whole matrix, while weight-zero H^2 of
+W1(1)(x)O1(1) or W1(2) at p = 7 keeps one row in five or in eight.  The
+image of d_{n-1} is always assembled whole.
 
 d_n is eliminated by linalg.sparsest_first, after the image B^n of
 d_{n-1}, whose pivot columns are cleared from d_n before it is built:
@@ -45,6 +35,7 @@ kept rows alone every column that meets S looks dense, and that order
 gave weight-one H^3 of W1(2) at p = 5 three times the fill.  The column
 order is fixed before d_n is assembled, and the stencil images are
 keyed by elimination position as they are transposed.
+
 When the algebra has a toral basis element the complex splits by
 weight, and with an honest Z-grading it also splits by degree; both
 splittings are exact index bookkeeping, not heuristics, and a slice
@@ -54,10 +45,6 @@ its degree), and a column's grade is its target's less its tuple's.  So
 chain_columns buckets the targets by grade once, and each tuple reads
 only the bucket its grade asks for: C^n of a slice costs its own
 columns, not all C(dim, n) dim candidates.
-
-massey_bracket inserts one 2-cochain into the other with linalg.circle,
-the kernel that also checks Jacobi, so it visits only the nonzero values
-of the two cochains, not every basis triple.
 """
 
 import itertools
@@ -75,6 +62,7 @@ __all__ = [
     "BudgetExceeded",
     "Cochain",
     "ce_differential",
+    "closure_failure",
     "ComplexSlice",
     "chain_columns",
     "CohomologyResult",
@@ -165,16 +153,6 @@ class Cochain:
             self.n, self.module, self.L.name, len(self.coeffs))
 
 
-def _generator_tables(L, gens):
-    """(S, ad, rev) for the stencil restricted to the generator set S:
-    L.ad keeping only z in S, and L.rev keeping only pairs that meet S."""
-    S = frozenset(gens)
-    ad = {t: [(z, v) for z, v in row if z in S] for t, row in L.ad.items()}
-    rev = {m: [(ij, c) for ij, c in row if ij[0] in S or ij[1] in S]
-           for m, row in L.rev.items()}
-    return S, ad, rev
-
-
 def _bracket_terms(L, T, restrict):
     """The bracket terms (U, signed c) of the stencil at T, shared by
     every target: a support index m splits into a pair (i, j) with
@@ -203,7 +181,7 @@ def _stencil(L, module, T, targets, restrict=None):
     sending the sorted tuple T to e_t (to 1 in the trivial module, t = 0).
     Module-action terms insert one z into T (sign by position, value
     [e_z, e_t] from L.ad), then T's bracket terms follow at (U, t).  With
-    restrict = (S, ad, rev) from _generator_tables, only U meeting S."""
+    restrict = (S, ad, rev) from L.tables_for, only U meeting S."""
     p, ad = L.p, L.ad
     if restrict is not None and restrict[0].isdisjoint(T):
         ad = restrict[1]
@@ -234,18 +212,34 @@ def _stencil(L, module, T, targets, restrict=None):
         yield img
 
 
-def ce_differential(c):
-    """The Chevalley-Eilenberg differential: the sum of the stencil
-    images of the cochain's elementary terms."""
-    L, module = c.L, c.module
-    p = L.p
+def _image(c, restrict=None):
+    """{U: {k: value}}, the sum of the stencil images of c's terms."""
+    L, p = c.L, c.L.p
     out = defaultdict(dict)
     for T, vec in c.coeffs.items():
-        for a, img in zip(vec.values(), _stencil(L, module, T, vec)):
+        for a, img in zip(vec.values(),
+                          _stencil(L, c.module, T, vec, restrict)):
             for (U, k), v in img.items():
                 row = out[U]
                 row[k] = (row.get(k, 0) + a * v) % p
-    return Cochain(L, c.n + 1, module, out)
+    return out
+
+
+def ce_differential(c):
+    """The Chevalley-Eilenberg differential of c (_image)."""
+    return Cochain(c.L, c.n + 1, c.module, _image(c))
+
+
+def closure_failure(c):
+    """None when d c = 0, else (T, d c at T) for the least T with d c at
+    T nonzero.  Only the rows of d that meet L.generators are summed
+    (module docstring); ce_differential names a failure."""
+    if not any(any(row.values())
+               for row in _image(c, c.L.generator_tables).values()):
+        return None
+    dc = ce_differential(c)
+    T = min(dc.coeffs)
+    return T, dc.coeffs[T]
 
 
 class ComplexSlice:
@@ -344,12 +338,11 @@ class CohomologyResult:
             self.dim, self.ncols, self.rank_d, self.rank_prev)
 
 
-def _column_images(L, module, cols, budget, counter, slices, gens=None):
+def _column_images(L, module, cols, budget, counter, slices, restrict=None):
     """Yield the stencil image of each given (tuple, target) column of the
     slices, charging its distinct nonzero entries to counter[0] and
-    raising BudgetExceeded once the count passes budget.  With gens, only
-    the rows whose tuple contains one of those basis indices."""
-    restrict = _generator_tables(L, gens) if gens is not None else None
+    raising BudgetExceeded once the count passes budget.  With restrict
+    = L.tables_for(S), only the rows whose tuple meets S."""
     for T, run in itertools.groupby(cols, itemgetter(0)):
         for img in _stencil(L, module, T, [t for _, t in run], restrict):
             counter[0] += len(img)
@@ -376,22 +369,19 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
 
         dim H^n = #C^n - rank(d_n) - rank(d_{n-1}).
 
-    Only the rows of d_n whose tuple contains one of L.generators are
-    assembled, and only on the columns outside the pivot set of the
-    image of d_{n-1}, which is eliminated first: they keep the rank of
-    d_n, and their kernel basis, one cocycle per class, is returned as
-    the representatives with want_reps (module docstring).  The budget
-    counts the entries that are assembled; a query with more tuples in
-    C^n or C^(n-1) than the budget is refused before they are
-    enumerated.  The restriction is sound only for a Lie algebra, so an
-    algebra whose Jacobi identity is not yet verified is checked first,
-    and ValueError is raised when it fails.  So it is when d_{n-1} maps
-    the slice outside itself, since dropping those entries would give a
-    wrong dimension, and on a slice built for another algebra or
-    module (chain_columns).  Results without representatives are cached under (engine
-    version, algebra hash, module, n, slice descriptor)."""
+    Only the rows of d_n that meet L.generators are assembled, on the
+    columns outside the pivots of the image of d_{n-1}, eliminated first;
+    their kernel basis, one cocycle per class, is the representatives
+    with want_reps (module docstring).  The budget counts the entries
+    assembled; a query with more tuples in C^n or C^(n-1) is refused
+    before they are enumerated.  ValueError is raised when L fails
+    Jacobi, when d_{n-1} maps the slice outside itself (dropping those
+    entries would give a wrong dimension), and on a slice built for
+    another algebra or module (chain_columns).  Results without
+    representatives are cached under (engine version, algebra hash,
+    module, n, slice descriptor)."""
     if not L.jacobi_checked:
-        L.check_jacobi()
+        L.generators
     desc = slice_.descriptor() if slice_ is not None else None
     key = None
     if cache is not None:
@@ -439,7 +429,7 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
             (k for k in pos if k is not None),
             _column_images(L, module, (ct for ct, k in zip(cols, pos)
                                        if k is not None),
-                           budget, counter, [slice_], L.generators)))
+                           budget, counter, [slice_], L.generator_tables)))
         stats.update(rows=len(rows), nnz=counter[0] - used)
         stats["assemble_s"] += lap()
         return rows.values()
@@ -534,7 +524,7 @@ def class_span_dim(L, cocycles, budget=DEFAULT_BUDGET):
     for c in cocycles:
         if c.n != 2 or c.module != module:
             raise ValueError("need 2-cochains in one module")
-        if not ce_differential(c).is_zero():
+        if closure_failure(c):
             raise ValueError("input cochain is not closed")
     span = Echelon(L.p)
     _, images = _coboundaries(L, 2, module,

@@ -10,15 +10,15 @@ Theta loses the lambda middle line theta_prime.  The reuse is exact:
 off that block L(A, D) brackets e_i (x) 1, e_j (x) 1 as W1(1) does.
 
 Every family that the theory proves closed is always verified closed at
-construction time (an exact Chevalley-Eilenberg differential check); a
-failure raises CocycleError carrying a failing tuple, which is the
-primary regression tripwire of the package.
+construction time (ceco.closure_failure, exact on the rows of d that
+meet L.generators by linalg.greedy_generators); a failure raises
+CocycleError carrying a failing tuple, the primary regression tripwire.
 """
 
 from fractions import Fraction
 
 from .arith import binom, inv_mod, lambda_coeff, lambda_table, n_div_p, n_int
-from .ceco import Cochain, ComplexSlice, ce_differential, massey_bracket
+from .ceco import Cochain, ComplexSlice, closure_failure, massey_bracket
 from .commalg import solve_delta1, star_action
 from .liealg import (_tensor_layout, deform, e_minus_one_block, make_w1,
                      phi_block)
@@ -55,11 +55,10 @@ class CocycleError(ValueError):
 
 
 def _check_closed(c, family):
-    dc = ce_differential(c)
-    if not dc.is_zero():
-        T = min(dc.coeffs)
-        raise CocycleError(family, tuple(c.L.labels[x] for x in T),
-                           dc.coeffs[T])
+    bad = closure_failure(c)
+    if bad:
+        raise CocycleError(family, tuple(c.L.labels[x] for x in bad[0]),
+                           bad[1])
     return c
 
 
@@ -373,16 +372,14 @@ def build_filtered_deformation(L, Phi):
     """[,] + Phi for a strictly positive-degree 2-cocycle Phi with
     [Phi, Phi] = 0: checks those hypotheses, then liealg.deform builds
     the Lie algebra, with L's grading as a filtration and Jacobi
-    re-verified exhaustively."""
+    re-verified."""
     if L.grading is None or L.filtration:
         raise ValueError("need an honestly graded base algebra")
     if Phi.L is not L or Phi.n != 2 or Phi.module != "adjoint":
         raise ValueError("Phi must be an adjoint 2-cochain on L")
-    dPhi = ce_differential(Phi)
-    if not dPhi.is_zero():
-        T = min(dPhi.coeffs)
-        raise CocycleError("filtered deformation direction", T,
-                           dPhi.coeffs[T])
+    bad = closure_failure(Phi)
+    if bad:
+        raise CocycleError("filtered deformation direction", *bad)
     degree = ComplexSlice(L, degree=0).grade
     for T, vec in Phi.coeffs.items():
         for k in vec:

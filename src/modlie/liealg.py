@@ -7,11 +7,8 @@ deformed current algebras L(A, D) whose extra term Phi_D lives on the
 (e_{-1}, e_{-1}) block (phi_block), the degree-preserving identification
 of W1(n) with L(O1(n-1), d), and deform, the one builder of a filtered
 deformation, which records its base.  Structure probes are exact sparse
-computations: generators come from linalg.greedy_generators, and derived
-series and ideals are spans closed by Echelon.close.  The adjoint table
-ad and the Jacobi check come from the bilinear-map kernel of linalg: ad
-is bilinear_table of the bracket, and the Jacobi sums are circle of the
-bracket with itself.
+computations: Jacobi, the center and ideals rest on L.generators
+(linalg.greedy_generators), and spans are closed by Echelon.close.
 """
 
 import hashlib
@@ -76,7 +73,7 @@ class LieAlgebra:
         self.bracket = bilinear_pairs(bracket, -1, p)
         self._rev = None
         self._ad = None
-        self._generators = None
+        self._generators = self._tables = None
         self._weights = None
         if toral is not None and not (
                 isinstance(toral, int) and not isinstance(toral, bool)
@@ -145,36 +142,58 @@ class LieAlgebra:
 
     @property
     def generators(self):
-        """Basis indices that generate L as a Lie algebra, found on first
-        use and cached: linalg.greedy_generators under the bracket with
-        e_g, trying first the element with the most nonzero brackets,
-        then the rest sparsest ad first.  Its closure needs the Jacobi
-        identity, so an algebra not yet checked is checked first, and
-        ValueError is raised when it fails.  cohomology_dim assembles
-        only the rows of d that contain a generator; the choice sets its
-        speed, never its result."""
+        """Basis indices S that generate L, found on first use and cached:
+        linalg.greedy_generators, trying first the element with the most
+        nonzero brackets, then the rest sparsest ad first.  An algebra not
+        yet checked is certified by the Jacobi sums of the triples that
+        meet S; check_jacobi names a failure."""
         if self._generators is None:
-            if not self.jacobi_checked:
-                self.check_jacobi()
-            nnz = [len(self.ad.get(i, ())) for i in range(self.dim)]
+            supp = [{z for z, _ in self.ad.get(i, ())}
+                    for i in range(self.dim)]
+            nnz = [len(s) for s in supp]
             most = sorted(range(self.dim), key=lambda i: (-nnz[i], i))[:1]
-            self._generators = greedy_generators(
+            gens = greedy_generators(
                 self.p, self.dim,
                 most + sorted(range(self.dim), key=lambda i: (nnz[i], i)),
-                lambda g, v: self.bracket_vec({g: 1}, v))
+                lambda g, v: {} if supp[g].isdisjoint(v)
+                else self.bracket_vec({g: 1}, v))
+            tables = self.tables_for(gens)
+            if not self.jacobi_checked:
+                S, ad, _ = tables
+                meet = {ij: v for ij, v in self.bracket.items()
+                        if not S.isdisjoint(ij)}
+                sums = circle(meet, self.ad)
+                circle({ij: v for ij, v in self.bracket.items()
+                        if ij not in meet}, ad, sums)
+                if any(x % self.p for acc in sums.values()
+                       for x in acc.values()):
+                    self.check_jacobi()
+                self.jacobi_checked = True
+            self._generators, self._tables = gens, tables
         return self._generators
+
+    @property
+    def generator_tables(self):
+        """tables_for(generators), cached with them."""
+        self.generators
+        return self._tables
+
+    def tables_for(self, gens):
+        """(S, ad, rev) for S = set(gens): L.ad keeping only z in S, L.rev
+        only the pairs that meet S."""
+        S = frozenset(gens)
+        return (S, {t: [(z, v) for z, v in row if z in S]
+                    for t, row in self.ad.items()},
+                {m: [(ij, c) for ij, c in row if not S.isdisjoint(ij)]
+                 for m, row in self.rev.items()})
 
     def check_jacobi(self):
         """Exhaustive Jacobi check over basis triples; raises on failure.
 
-        The Jacobi sum of i < j < k is [[e_i,e_j],e_k] + [[e_j,e_k],e_i]
-        - [[e_i,e_k],e_j], the circle product of the bracket with itself
-        ([mu, mu] / 2 in the Nijenhuis-Richardson bracket).  linalg.circle
-        builds it from the nonzero structure constants alone, so the
-        check is still exhaustive: a triple that receives no term has sum
-        exactly 0.  On failure it reports the smallest triple with a
-        nonzero sum, the first one a loop over triples in lexicographic
-        order would meet, with that sum."""
+        The Jacobi sums are linalg.circle of the bracket with itself
+        ([mu, mu] / 2 in the Nijenhuis-Richardson bracket), built from the
+        nonzero structure constants: a triple with no term has sum 0.  A
+        failure names the least triple with a nonzero sum, and the sum."""
         p = self.p
         sums = circle(self.bracket, self.ad)
         bad = [key for key, acc in sums.items()
@@ -442,12 +461,12 @@ def phi_block(L, E):
 
 def deform(L, phi, name, meta):
     """L with bracket [,] + phi, phi a family on L's pairs, its grading a
-    filtration, Jacobi verified exhaustively whatever the dimension, and
+    filtration, Jacobi certified whatever the dimension (generators), and
     L recorded in meta["base"]: the one builder of a filtered deformation."""
     out = LieAlgebra(L.p, L.labels, family_add(L.bracket, phi, L.p),
                      grading=L.grading, toral=L.toral, name=name,
                      meta=dict(meta, base=L), filtration=True, check=False)
-    out.check_jacobi()
+    out.generators
     return out
 
 
@@ -510,10 +529,12 @@ def kuznetsov_map(n, p, A=None):
 
 
 def center(L):
-    """Basis of the center: the kernel of x -> ([x, e_j])_j, whose
-    column i holds [e_i, e_j] at (j, k)."""
-    columns = {i: {(j, k): c for j in range(L.dim)
-                   for k, c in L.bracket_pair(i, j).items()}
+    """Basis of the center: the kernel of x -> ([x, e_g])_g over the g in
+    L.generators, whose column i holds [e_i, e_g] at (g, k); a centralizer
+    is a subalgebra (linalg.greedy_generators)."""
+    gens = L.generators
+    columns = {i: {(g, k): c for g in gens
+                   for k, c in L.bracket_pair(i, g).items()}
                for i in range(L.dim)}
     return SparseFpMatrix.from_columns(columns, L.dim, L.p).kernel_basis()
 

@@ -9,12 +9,6 @@ row sits in a column strictly greater than the pivot column, which makes
 back-substitution in decreasing column order valid for kernels and solves.
 All ranks are exact; rank + nullity = number of columns by construction.
 
-Reduction takes the smallest live column from a heap instead of scanning
-the row for its minimum at every step: a column is pushed when it enters
-the row, and a popped column that has cancelled since is skipped.  Since
-pivot tails only reach to the right, the columns come out in increasing
-order, so the residual is the same as with a scan.
-
 The order in which rows are inserted changes the stored pivot rows and
 their fill, but no result: the pivot set is {min(v) : v != 0 in the row
 space}, which depends on the span alone, and for each free column there
@@ -53,14 +47,9 @@ the representatives, and P never fills.  B is keyed heaviest column
 first, so P takes dense columns away; lightest first, the weight-zero
 d_2 of W1(2) at p = 7 eliminated slower than with no clearing.
 
-A linear map is given by its columns {j: {k: c}}: column j is the image
-of the j-th source basis vector.  LinearMap applies and flattens such
-columns, SparseFpMatrix.from_columns takes the rank and kernel of the
-map they give, and solve_sparse finds a preimage; both turn the columns
-into rows with transpose, the one transpose of the package, so no caller
-builds rows by hand.  The rank of
-a map may equally be read off an echelon of its columns, since column
-rank equals row rank.
+A linear map is given by its columns {j: {k: c}} (LinearMap);
+SparseFpMatrix.from_columns and solve_sparse turn them into rows with
+transpose, the one transpose of the package.
 
 A bilinear map f is given on pairs {(i, j): f(e_i, e_j)}, i < j for an
 alternating map and i <= j for a symmetric one; bilinear_table lists it
@@ -360,23 +349,27 @@ class Echelon:
 
 
 def greedy_generators(p, dim, order, times, base=()):
-    """Basis indices that, with the vectors base, generate all dim
+    """Basis indices S that, with the vectors base, generate all dim
     coordinates under the product times(g, v) (g an index, v a sparse
-    vector).  Each index of order that lies outside the span generated
-    so far joins; finally, latest first, each one that the others
-    generate is dropped.
+    vector): each index of order outside the span generated so far
+    joins, then, latest first, each one that the others generate goes.
 
-    The span generated by a set S is grown by Echelon.close under v ->
-    times(g, v) for the g in S alone.  That is the subalgebra S
-    generates: it is spanned by the right-normed products [s_1, [s_2,
-    .. [s_(k-1), s_k]]] of elements of S (N. Jacobson, Lie Algebras,
-    1962), given the Jacobi identity, and for a commutative associative
-    product with base the unit, by the monomials in S.  A new generator
-    i is seeded with e_i and times(i, v) for every v found so far, since
-    the earlier vectors were multiplied by the earlier generators only.
-    By the same fact, with ad [x, y] = [ad x, ad y], every ad x is a sum
-    of products of the ad g, so a span closed under the generators of a
-    Lie algebra is an ideal."""
+    The span V generated by S, the least holding S and base with
+    times(s, V) in V, is grown by Echelon.close without the Jacobi
+    identity.  It is spanned by the monomials in S for a commutative
+    associative product with base the unit, by the right-normed products
+    [s_1, [s_2, .. s_k]] for a Lie bracket (N. Jacobson, Lie Algebras,
+    1962).  As V = L, a subspace holding S and closed under each ad_s is
+    L, and S does the work of the basis in:
+    - Jacobi (LieAlgebra.generators): ad_[s,x] = [ad_s, ad_x] when ad_s
+      is a derivation, so Jacobi on the triples that meet S suffices;
+    - rows of d_n and closure (ceco): with the Cartan identities
+      i_[x,y] = [L_x, i_y], L_x = d i_x + i_x d (Chevalley, Eilenberg),
+      i_[s,z] d phi = L_s i_z d phi - i_z d i_s d phi, so d phi = 0 when
+      its rows (U, k) with U meeting S vanish;
+    - center (liealg.center): a centralizer is a subalgebra, and so is
+      the kernel of a derivation (claims._outer_intersection);
+    - ideals (liealg.ideal_generated_by): ad [s, x] = [ad s, ad x]."""
     def grow(span, gens, seeds, found):
         def step(v):
             if span.rank < dim:  # a span of everything is closed
@@ -385,21 +378,41 @@ def greedy_generators(p, dim, order, times, base=()):
                         yield w
         return span.close(seeds, step, found)
 
-    span, gens = Echelon(p), []
+    def join(span, gens, i, found):  # found was multiplied by gens only
+        gens.append(i)
+        grow(span, gens, [{i: 1}] + [w for v in found
+                                     if (w := times(i, v))], found)
+
+    span, gens, sizes = Echelon(p), [], []
     found = grow(span, gens, list(base), [])
     for i in order:
         if span.rank == dim:
             break
         if not span.member({i: 1}):
-            gens.append(i)
-            grow(span, gens, [{i: 1}] + [w for v in found
-                                         if (w := times(i, v))], found)
-    for g in reversed(gens):
-        rest = [h for h in gens if h != g]
-        seeds = list(base) + [{h: 1} for h in rest]
-        if len(grow(Echelon(p), rest, seeds, [])) == dim:  # len = rank
-            gens = rest
-    return tuple(gens)
+            sizes.append(len(found))  # found[:size] spans what gens grew
+            join(span, gens, i, found)
+
+    def spans(k):  # do gens[:k] and kept generate? grown from gens[:k]
+        span, rest, sub = Echelon(p), gens[:k], found[:sizes[k]]
+        for v in sub:
+            span.add(v)
+        for i in kept:
+            join(span, rest, i, sub)
+        return span.rank == dim
+
+    # latest first, gens[m] goes if gens[:m] and kept generate; with kept
+    # fixed a longer prefix generates more, so gallop to the shortest
+    kept, k = [], len(gens)
+    while k:  # gens[:k] and kept generate
+        lo, hi = k - 1, k
+        while lo >= 0 and spans(lo):
+            lo, hi = max(lo - 2 * (hi - lo), -1), lo
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if spans(mid) else (mid, hi)
+        kept[:0] = gens[hi - 1:hi]  # gens[hi:k] go, gens[hi - 1] stays
+        k = max(hi - 1, 0)
+    return tuple(kept)
 
 
 def transpose(columns):
@@ -497,9 +510,8 @@ class SparseFpMatrix:
 def _back_substitute(pivots, frees, p):
     """Yield, for each free column f of the echelon pivots, its kernel
     vector: a 1 at f, 0 at every other free column, and v[c] =
-    -sum(row_c[k] v[k]) at each pivot c.  Only pivots whose row holds a
-    column already set can be nonzero, so they are reached through the
-    index `users` and set largest first (module docstring)."""
+    -sum(row_c[k] v[k]) at each pivot c, set largest first through the
+    index `users` (module docstring)."""
     users = {}
     for c, row in pivots.items():
         for k in row:

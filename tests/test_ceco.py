@@ -20,6 +20,7 @@ from modlie.ceco import (
     ce_differential,
     chain_columns,
     class_span_dim,
+    closure_failure,
     coboundary_witness,
     cohomology_dim,
     degree_slice,
@@ -27,7 +28,7 @@ from modlie.ceco import (
     massey_bracket,
     weight_zero_reduce,
 )
-from modlie.cocycles import phi21, phi_big
+from modlie.cocycles import CocycleError, _check_closed, phi21, phi_big
 from modlie.commalg import make_divided_powers, partial_derivation
 from bisect import bisect_left
 from math import comb
@@ -471,7 +472,8 @@ ORACLE_MAX_COLS = 2500
 def _rank_and_pivots(L, module, cols, gens=None):
     # the given column order, rows shortest first
     rows = transpose(enumerate(
-        ceco._column_images(L, module, cols, 10 ** 9, [0], [None], gens)))
+        ceco._column_images(L, module, cols, 10 ** 9, [0], [None],
+                            gens and L.tables_for(gens))))
     ech = Echelon(L.p)
     for row in sorted(rows.values(), key=len):
         ech.add(row)
@@ -530,7 +532,7 @@ def _rekeyed_reference(L, module, slice_, n, cols):
         image.add(vec)
     cleared = {k % len(cols) for k in image.pivots}
     rows = transpose(enumerate(ceco._column_images(
-        L, module, cols, 10 ** 9, [0], [slice_], L.generators)))
+        L, module, cols, 10 ** 9, [0], [slice_], L.generator_tables)))
     order = sorted((c for c in range(len(cols)) if c not in cleared),
                    key=lambda c: (weight[c], c))
     pos = {c: i for i, c in enumerate(order)}
@@ -556,6 +558,45 @@ def test_rows_keyed_by_position_match_rekeyed_rows(name):
                  [c.coeffs for c in res.reps])
                 == _rekeyed_reference(L, module, slice_, n, cols)), (
                     module, n, slice_)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_closure_on_generator_rows_matches_the_differential(name):
+    # closure_failure sums only the rows of d that meet L.generators; on
+    # every elementary 1-cochain, on weight-zero cocycles and coboundaries
+    # of degree 1 and 2, and on each of those with one term added, it
+    # finds the failure of the whole differential, and _check_closed
+    # raises it with the same triple
+    L = ORACLE_ALGEBRAS[name]()
+    rng = random.Random(name)
+    found = {True: 0, False: 0}
+    for module in ("adjoint", "trivial"):
+        slice_ = weight_zero_reduce(L, module)
+        cochains = [Cochain(L, 1, module, {T: {t: 1}})
+                    for T, t in chain_columns(L, 1, module)]
+        for n in (1, 2):
+            closed = cohomology_dim(L, n, module, slice_=slice_,
+                                    want_reps=True).reps
+            below = chain_columns(L, n - 1, module, slice_)
+            closed += [ce_differential(Cochain(L, n - 1, module, {
+                T: {t: rng.randrange(1, L.p)}
+                for T, t in rng.sample(below, min(3, len(below)))}))]
+            cols = chain_columns(L, n, module, slice_)
+            cochains += closed + [c.add(Cochain(L, n, module, {T: {t: 1}}))
+                                  for c in closed
+                                  for T, t in [rng.choice(cols)]]
+        for c in cochains:
+            dc = ce_differential(c)
+            want = None if dc.is_zero() else (min(dc.coeffs),
+                                              dc.coeffs[min(dc.coeffs)])
+            assert closure_failure(c) == want, (module, c.coeffs)
+            found[want is None] += 1
+            if want is not None:
+                with pytest.raises(CocycleError) as e:
+                    _check_closed(c, "family")
+                assert e.value.triple == tuple(L.labels[x] for x in want[0])
+                assert e.value.value == want[1]
+    assert found[True] >= 4 and found[False] >= 15, found
 
 
 def test_non_lie_input_is_rejected():
@@ -777,7 +818,7 @@ def _stencil_cases(L):
 def _check_stencil(L, big):
     # every column list in order; every image, key order included, with
     # and without generator rows
-    restrict = ceco._generator_tables(L, L.generators)
+    restrict = L.generator_tables
     compared = 0
     for module, slice_, n in _stencil_cases(L):
         cols = chain_columns(L, n, module, slice_)
@@ -785,13 +826,13 @@ def _check_stencil(L, big):
             (module, n, slice_ and slice_.descriptor())
         if (len(cols) > STENCIL_MAX_COLS) != big:
             continue
-        for gens, rs in ((None, None), (L.generators, restrict)):
+        for rs in (None, restrict):
             got = ceco._column_images(L, module, cols, 10 ** 9, [0],
-                                      [slice_], gens)
+                                      [slice_], rs)
             for (T, t), img in zip(cols, got):
                 assert list(img.items()) == list(
                     _reference_image(L, module, T, t, rs).items()), \
-                    (module, n, T, t, gens)
+                    (module, n, T, t, rs is None)
                 compared += 1
     return compared
 

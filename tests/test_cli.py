@@ -118,6 +118,20 @@ def test_verify_table_shows_claim_time_once(capsys):
     assert second.rstrip().endswith("pass")
 
 
+GOLDEN_VERIFY_ALL = os.path.join(os.path.dirname(__file__), "data",
+                                 "verify_all.json")
+
+
+def test_verify_all_report_matches_the_golden_file(capsys):
+    # every claim's report, byte for byte, less the "git" line: exact
+    # rewrites of the engine may change its speed, never one byte here
+    rc, out, err = run(capsys, ["verify", "all", "--cache-dir", "off",
+                                "--output", "json"])
+    assert rc == 0
+    with open(GOLDEN_VERIFY_ALL) as f:
+        assert re.sub(r'(?m)^  "git": .*\n', "", out) == f.read()
+
+
 def test_verify_json_report_is_deterministic(capsys, tmp_path):
     cdir = str(tmp_path / "cache")
     argv = ["verify", "h2-w1-basic", "--cache-dir", cdir,

@@ -8,7 +8,7 @@ import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from modlie.ceco import cohomology_dim, weight_zero_reduce
 from modlie.cli import BUILTINS, _build_algebra
@@ -27,6 +27,7 @@ from modlie.liealg import (
     LieAlgebra,
     center,
     current_algebra,
+    deform,
     derived_series,
     find_proper_ideal,
     ideal_generated_by,
@@ -38,7 +39,7 @@ from modlie.liealg import (
     semidirect_current,
     verify_morphism,
 )
-from modlie.linalg import Echelon, LinearMap, vec_add, vec_scale
+from modlie.linalg import Echelon, LinearMap, family_add, vec_add, vec_scale
 
 P = 5
 
@@ -118,6 +119,43 @@ def test_center_of_current_scales_with_a():
     assert len(center(H)) == 1
     assert len(center(current_algebra(H, A))) == 5
     assert is_solvable(H)
+
+
+def dense_center(L):
+    """Reference for center: the kernel of x -> ([x, e_j])_j over every j,
+    by dense Gauss-Jordan elimination, one vector per free column."""
+    n, p = L.dim, L.p
+    rows = [[L.bracket_pair(i, j).get(k, 0) % p for i in range(n)]
+            for j in range(n) for k in range(n)]
+    rref = []  # (pivot column, reduced row)
+    for row in rows:
+        for c, r in rref:
+            row = [(x - row[c] * y) % p for x, y in zip(row, r)]
+        c = next((c for c in range(n) if row[c]), None)
+        if c is None:
+            continue
+        row = [x * pow(row[c], -1, p) % p for x in row]
+        rref = [(d, [(x - r[c] * y) % p for x, y in zip(r, row)])
+                for d, r in rref] + [(c, row)]
+    pivots = dict(rref)
+    return [{i: v for i, v in ((f, 1), *((c, -r[f] % p)
+                                          for c, r in sorted(pivots.items())))
+             if v}
+            for f in range(n) if f not in pivots]
+
+
+@pytest.mark.parametrize("name", BUILTINS + ("heis-x-om",))
+def test_center_matches_a_dense_kernel(name):
+    # center brackets with the generators only, since a centralizer is a
+    # subalgebra; the dense kernel brackets with every basis element
+    if name == "heis-x-om":
+        H = LieAlgebra(P, ["x", "y", "z"], {(0, 1): {2: 1}}, name="heis")
+        L = current_algebra(H, make_divided_powers(1, P))
+    else:
+        L = _build_algebra(name, P, 1, 1)
+    want = dense_center(L)
+    assert center(L) == want
+    assert len(want) == (5 if name == "heis-x-om" else 0)
 
 
 def test_positive_part_of_w1_is_solvable():
@@ -461,6 +499,11 @@ def assert_jacobi_checks_agree(L):
     want = jacobi_verdict(dense_check_jacobi, L)
     assert jacobi_verdict(LieAlgebra.check_jacobi, L) == want
     assert L.jacobi_checked == (want is None)
+    # the certificate on the generators, through deform of the abelian
+    # algebra on L's basis
+    base = LieAlgebra(L.p, L.labels, {}, check=False)
+    assert jacobi_verdict(lambda B: deform(B, L.bracket, "L", {}),
+                          base) == want
     return want
 
 
@@ -477,13 +520,21 @@ def sparse_brackets(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(sparse_brackets())
+# Jacobi fails on one triple, which misses every generator but the last:
+# the certificate needs them all
+@example((5, 4, {(0, 2): {1: 2}, (0, 3): {2: 2}, (1, 2): {1: 1},
+                 (2, 3): {0: 3}}))
+@example((5, 5, {(0, 1): {4: 1}, (1, 2): {3: 3}, (1, 3): {0: 2},
+                 (2, 3): {1: 2}}))
+@example((5, 4, {(0, 1): {3: 2}, (0, 2): {2: 1}, (0, 3): {2: 1},
+                 (1, 3): {0: 3}}))
 def test_sparse_jacobi_matches_dense_reference(drawn):
     p, n, bracket = drawn
     # check_jacobi is arithmetic mod p alone; the constructor's floor of
     # p >= 5 is lifted so that p = 2 (where -1 = 1) and p = 3 are covered
     with mock.patch("modlie.liealg.check_prime", lambda p: p):
         L = LieAlgebra(p, ["x%d" % i for i in range(n)], bracket, check=False)
-    assert_jacobi_checks_agree(L)
+        assert_jacobi_checks_agree(L)
 
 
 def test_sparse_jacobi_matches_dense_reference_on_flipped_constants():
@@ -498,6 +549,24 @@ def test_sparse_jacobi_matches_dense_reference_on_flipped_constants():
         bracket[key][k] = -bracket[key][k] % P
         L = LieAlgebra(P, C.labels, bracket, check=False)
         failures += assert_jacobi_checks_agree(L) is not None
+    assert failures > 0
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_jacobi_certificate_matches_dense_reference_on_flipped_builtins(name):
+    # deform flips one structure constant c to -c; its certificate on the
+    # generators gives the verdict and the message of the dense loop
+    L = _build_algebra(name, P, 1, 1)
+    entries = [(key, k) for key, vec in sorted(L.bracket.items())
+               for k in sorted(vec)]
+    failures = 0
+    for key, k in entries[::max(1, len(entries) // 6)]:
+        flip = {key: {k: -2 * L.bracket[key][k]}}
+        M = LieAlgebra(P, L.labels, family_add(L.bracket, flip, P),
+                       check=False)
+        want = jacobi_verdict(dense_check_jacobi, M)
+        assert jacobi_verdict(lambda B: deform(B, flip, "M", {}), L) == want
+        failures += want is not None
     assert failures > 0
 
 
@@ -537,7 +606,8 @@ GENERATORS = {
 def test_generators_generate_every_builtin(name, p, n):
     assert set(BUILTINS) <= {b for b, _, _ in GENERATORS}
     L = _build_algebra(name, p, n, 1)
-    assert L._generators is None  # found on first use, not at construction
+    # found on first use, but a deformation certifies Jacobi with them
+    assert (L._generators is None) == (name != "ldef")
     gens = L.generators
     assert gens == GENERATORS[(name, p, n)]
     assert gens and len(set(gens)) == len(gens)
