@@ -43,8 +43,8 @@ that d would leave is an error rather than a truncation.  A ComplexSlice
 holds the grade of each basis element as data (its weight mod p and/or
 its degree), and a column's grade is its target's less its tuple's.  So
 chain_columns buckets the targets by grade once, and each tuple reads
-only the bucket its grade asks for: C^n of a slice costs its own
-columns, not all C(dim, n) dim candidates.
+the bucket its grade asks for, which is exactly its columns: enumeration
+costs one grade per tuple and one per target, not one per candidate.
 """
 
 import itertools
@@ -246,8 +246,7 @@ class ComplexSlice:
     """Restriction of the cochain complex to one weight class (mod p,
     via the toral element) and/or one exact integer degree (via the
     Z-grading; refused on merely filtered algebras, where degrees are
-    not additive).  Grades of basis elements are data; a subclass may
-    narrow admits, not widen it."""
+    not additive).  Grades of basis elements are data."""
 
     def __init__(self, L, module="adjoint", weight=None, degree=None):
         if weight is not None and L.toral is None:
@@ -280,9 +279,6 @@ class ComplexSlice:
             out.append(s % m if m else s)
         return tuple(out)
 
-    def admits(self, T, t):
-        return self.grade(T, t) == self.target
-
     def __str__(self):
         return ", ".join("%s=%s" % (k, v) for k, v in (
             ("weight", self.weight), ("degree", self.degree)) if v is not None)
@@ -296,9 +292,9 @@ class ComplexSlice:
 def chain_columns(L, n, module="adjoint", slice_=None):
     """Enumerate the (tuple, target) columns of C^n, in lexicographic
     tuple order; target 0 stands for the ground field in the trivial
-    module.  On a slice each tuple T reads only the bucket of targets its
-    grade asks for, and slice_.admits decides those candidates.  A slice
-    built on another algebra or for the other module is refused."""
+    module.  On a slice each tuple T reads the bucket of targets its grade
+    asks for.  A slice built on another algebra or for the other module
+    is refused."""
     if slice_ is not None and slice_.L is not L:
         raise ValueError("slice built on another algebra than %s" % L.name)
     if slice_ is not None and slice_.module != module:
@@ -315,8 +311,7 @@ def chain_columns(L, n, module="adjoint", slice_=None):
         need = zip(slice_.target, slice_.grade((), t), slice_._coords)
         buckets[tuple((w - x) % m if m else w - x
                       for w, x, (_, m) in need)].append(t)
-    return [(T, t) for T in tuples for t in buckets.get(slice_.grade(T), ())
-            if slice_.admits(T, t)]
+    return [(T, t) for T in tuples for t in buckets.get(slice_.grade(T), ())]
 
 
 class CohomologyResult:
@@ -434,12 +429,15 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         stats["assemble_s"] += lap()
         return rows.values()
 
-    ad, rev = L.ad, L.rev
     # a column weighs its stencil terms in the whole d_n (module docstring)
-    order, mat = sparsest_first(
-        [sum(len(rev.get(m, ())) for m in T)
-         + (len(ad.get(t, ())) if module == "adjoint" else 0)
-         for T, t in cols], boundary(), assemble, L.p)
+    wrev = [len(L.rev.get(m, ())) for m in range(L.dim)]
+    wad = [len(L.ad.get(t, ())) if module == "adjoint" else 0
+           for t in range(L.dim)]
+    weights = []
+    for T, run in itertools.groupby(cols, itemgetter(0)):
+        w = sum(wrev[m] for m in T)
+        weights += [w + wad[t] for _, t in run]
+    order, mat = sparsest_first(weights, boundary(), assemble, L.p)
     cols = [cols[j] for j in order]
     stats["rank_d_s"] = lap()
     reps = None

@@ -654,10 +654,11 @@ def test_class_span_budget_is_enforced():
 
 class DropsToral(ComplexSlice):
     """A slice not closed under d: it leaves out every column whose
-    tuple holds e_0, though d_1 maps e_j^* onto such columns."""
+    tuple holds e_0, though d_1 maps e_j^* onto such columns.  Such a
+    tuple asks for a grade that no bucket of targets has."""
 
-    def admits(self, T, t):
-        return 0 not in T
+    def grade(self, T, t=None):
+        return ("dropped",) if 0 in T else super().grade(T, t)
 
 
 def test_leaking_slice_raises():
@@ -869,14 +870,15 @@ def test_ce_differential_sums_reference_images(name):
     assert nonzero >= 4
 
 
-def test_enumeration_asks_admits_once_per_column(monkeypatch):
-    # a tuple reads only its grade's bucket of targets, so admits is
-    # asked about the 1 500 columns, not all C(25, 2) * 25 candidates
+def test_enumeration_asks_one_grade_per_tuple_and_target(monkeypatch):
+    # the bucket a tuple reads holds exactly its columns, so a grade is
+    # asked once per target and once per tuple (300 + 25), never per
+    # column of the 1 500, nor of all C(25, 2) * 25 candidates
     W = make_w1(2, P)
     calls = []
-    admits = ComplexSlice.admits
-    monkeypatch.setattr(ComplexSlice, "admits", lambda self, T, t: (
-        calls.append((T, t)) or admits(self, T, t)))
+    grade = ComplexSlice.grade
+    monkeypatch.setattr(ComplexSlice, "grade", lambda self, T, t=None: (
+        calls.append((T, t)) or grade(self, T, t)))
     cols = chain_columns(W, 2, slice_=weight_zero_reduce(W))
     assert len(cols) == 1500 < comb(W.dim, 2) * W.dim == 7500
-    assert calls == cols
+    assert len(calls) == comb(W.dim, 2) + W.dim == 325
