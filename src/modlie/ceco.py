@@ -36,6 +36,10 @@ gave weight-one H^3 of W1(2) at p = 5 three times the fill.  The column
 order is fixed before d_n is assembled, and the stencil images are
 keyed by elimination position as they are transposed.
 
+class_span_dim and coboundary_witness work modulo B^n in any degree
+n >= 1 (_boundaries), so Massey brackets are classed in H^3 as 2-cocycles
+are in H^2.
+
 When the algebra has a toral basis element the complex splits by
 weight, and with an honest Z-grading it also splits by degree; both
 splittings are exact index bookkeeping, not heuristics, and a slice
@@ -97,14 +101,19 @@ def _perm_sign_and_sorted(xs):
     return sign, tuple(xs)
 
 
+def _check_module(module):
+    if module not in ("adjoint", "trivial"):
+        raise ValueError("module must be 'adjoint' or 'trivial', not %r"
+                         % (module,))
+
+
 class Cochain:
     """Alternating n-cochain on L with values in the adjoint or trivial
     module, stored as {sorted basis tuple: sparse target vector}; the
     trivial module uses the single target key 0."""
 
     def __init__(self, L, n, module, coeffs=None):
-        if module not in ("adjoint", "trivial"):
-            raise ValueError("module must be 'adjoint' or 'trivial'")
+        _check_module(module)
         self.L = L
         self.n = n
         self.module = module
@@ -249,6 +258,7 @@ class ComplexSlice:
     not additive).  Grades of basis elements are data."""
 
     def __init__(self, L, module="adjoint", weight=None, degree=None):
+        _check_module(module)
         if weight is not None and L.toral is None:
             raise ValueError("weight slice needs a toral element")
         if degree is not None:
@@ -369,12 +379,13 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     their kernel basis, one cocycle per class, is the representatives
     with want_reps (module docstring).  The budget counts the entries
     assembled; a query with more tuples in C^n or C^(n-1) is refused
-    before they are enumerated.  ValueError is raised when L fails
-    Jacobi, when d_{n-1} maps the slice outside itself (dropping those
-    entries would give a wrong dimension), and on a slice built for
-    another algebra or module (chain_columns).  Results without
-    representatives are cached under (engine version, algebra hash,
-    module, n, slice descriptor)."""
+    before they are enumerated.  ValueError is raised on an unknown
+    module, before the cache is read, when L fails Jacobi, when d_{n-1}
+    maps the slice outside itself (dropping those entries would give a
+    wrong dimension), and on a slice built for another algebra or module
+    (chain_columns).  Results without representatives are cached under
+    (engine version, algebra hash, module, n, slice descriptor)."""
+    _check_module(module)
     if not L.jacobi_checked:
         L.generators
     desc = slice_.descriptor() if slice_ is not None else None
@@ -472,20 +483,26 @@ def _coboundaries(L, n, module, slices, budget, counter):
     return cols, _column_images(L, module, cols, budget, counter, slices)
 
 
-def _support_slices(L, module, cochains):
-    """The weight slices that the terms of the cochains touch, which hold
-    every coboundary that can meet them since d keeps weights; [None],
-    the whole complex, when L has no toral element.  A cochain on an
-    algebra other than L is refused."""
+def _boundaries(L, cochains, budget):
+    """_coboundaries on the weight slices that the n-cochains touch (the
+    whole complex when L has no toral element): d keeps weights, so they
+    hold every coboundary that can meet the cochains.  Cochains on another
+    algebra than L, of mixed degree or module, or with n < 1 are refused."""
+    n, module = cochains[0].n, cochains[0].module
     for c in cochains:
         if c.L is not L:
             raise ValueError("cochain on %s, not on %s" % (c.L.name, L.name))
-    if L.toral is None:
-        return [None]
-    grade = ComplexSlice(L, module, weight=0).grade
-    weights = {grade(T, k)[0] for c in cochains
-               for T, vec in c.coeffs.items() for k in vec}
-    return [ComplexSlice(L, module, weight=w) for w in sorted(weights)]
+        if c.n != n or c.module != module:
+            raise ValueError("need cochains of one degree in one module")
+    if n < 1:
+        raise ValueError("need cochains of degree at least 1, not %d" % n)
+    slices = [None]
+    if L.toral is not None:
+        grade = ComplexSlice(L, module, weight=0).grade
+        weights = {grade(T, k)[0] for c in cochains
+                   for T, vec in c.coeffs.items() for k in vec}
+        slices = [ComplexSlice(L, module, weight=w) for w in sorted(weights)]
+    return _coboundaries(L, n, module, slices, budget, [0])
 
 
 def _cochain(L, n, module, cols, vec):
@@ -498,36 +515,24 @@ def _cochain(L, n, module, cols, vec):
 
 
 def coboundary_witness(L, c, budget=DEFAULT_BUDGET):
-    """Solve d(psi) = c for a 1-cochain psi in c's module; returns the
-    witness Cochain or None when c is not a coboundary.  The search
-    space is cut to the weight slices that c's support touches when a
-    toral element is available."""
-    if c.n != 2:
-        raise ValueError("coboundary_witness expects a 2-cochain")
-    cols, images = _coboundaries(L, 2, c.module,
-                                 _support_slices(L, c.module, [c]),
-                                 budget, [0])
+    """Solve d(psi) = c for an n-cochain c, n >= 1, on the slices of
+    _boundaries; returns the witness, an (n-1)-cochain in c's module, or
+    None when c is not a coboundary."""
+    cols, images = _boundaries(L, [c], budget)
     sol = solve_sparse(dict(enumerate(images)), c.flatten(), L.p)
-    return None if sol is None else _cochain(L, 1, c.module, cols, sol)
+    return None if sol is None else _cochain(L, c.n - 1, c.module, cols, sol)
 
 
 def class_span_dim(L, cocycles, budget=DEFAULT_BUDGET):
-    """Dimension of the span in H^2 of the given 2-cocycles, in one module:
-    each is verified closed, then counted against the coboundary space of
-    the weight slices its support touches, whose assembly is charged to
-    the budget like the differential in cohomology_dim."""
+    """Dimension of the span in H^n of the given n-cocycles, of one
+    degree n >= 1 and one module: each is verified closed, then counted
+    modulo B^n on the weight slices their supports touch (_boundaries)."""
     if not cocycles:
         return 0
-    module = cocycles[0].module
-    for c in cocycles:
-        if c.n != 2 or c.module != module:
-            raise ValueError("need 2-cochains in one module")
-        if closure_failure(c):
-            raise ValueError("input cochain is not closed")
+    _, images = _boundaries(L, cocycles, budget)
+    if any(closure_failure(c) for c in cocycles):
+        raise ValueError("input cochain is not closed")
     span = Echelon(L.p)
-    _, images = _coboundaries(L, 2, module,
-                              _support_slices(L, module, cocycles),
-                              budget, [0])
     for img in images:
         span.add(img)
     return sum(1 for c in cocycles if span.add(c.flatten()))

@@ -273,8 +273,6 @@ def _add_common(sp):
     sp.add_argument("--n", type=height, default=None, help="W-height n")
     sp.add_argument("--m", type=height, default=None,
                     help="divided-power height m")
-    sp.add_argument("--seed", type=int, default=0,
-                    help="seed for randomized probes")
     sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                     help="work budget for cohomology assembly")
     sp.add_argument("--output", choices=("json", "table"), default="table")
@@ -296,6 +294,8 @@ def main(argv=None):
                    help="retry a budget-exceeded claim without a budget")
     v.add_argument("--json-out", default=None,
                    help="also write the JSON report to this path")
+    v.add_argument("--seed", type=int, default=0,
+                   help="seed for randomized probes")
     _add_common(v)
     v.set_defaults(func=cmd_verify)
 

@@ -414,7 +414,7 @@ def derivation_space(A):
     for a in (A.unit,) + A.generators:
         for b in range(n):
             for row in _stencil_rows(A, (a, b)).values():
-                m.add_row(row)
+                m.add(row)
     ders = []
     for v in m.kernel_basis():
         cols = defaultdict(dict)

@@ -47,9 +47,11 @@ the representatives, and P never fills.  B is keyed heaviest column
 first, so P takes dense columns away; lightest first, the weight-zero
 d_2 of W1(2) at p = 7 eliminated slower than with no clearing.
 
-A linear map is given by its columns {j: {k: c}} (LinearMap);
-SparseFpMatrix.from_columns and solve_sparse turn them into rows with
-transpose, the one transpose of the package.
+A linear map is given by its columns {j: {k: c}} (LinearMap).
+SparseFpMatrix is the Echelon that also knows its column count, so it
+has a kernel_basis and a nullity; its from_columns turns columns into
+rows with transpose, the one transpose of the package, and solve_sparse
+builds its augmented system [columns | -target] through from_columns.
 
 A bilinear map f is given on pairs {(i, j): f(e_i, e_j)}, i < j for an
 alternating map and i <= j for a symmetric one; bilinear_table lists it
@@ -469,15 +471,14 @@ class LinearMap:
         return self.source.dim == self.target.dim == self.rank()
 
 
-class SparseFpMatrix:
-    """Sparse matrix understood as a linear system on `ncols` unknowns,
-    built row by row or, by from_columns, from the columns of a linear
-    map; used for exact rank and kernel computations."""
+class SparseFpMatrix(Echelon):
+    """An Echelon that also knows its column count: a linear system on
+    ncols unknowns, built row by row (add) or, by from_columns, from the
+    columns of a linear map; used for exact rank and kernel computations."""
 
     def __init__(self, ncols, p):
+        super().__init__(p)
         self.ncols = ncols
-        self.p = p
-        self.ech = Echelon(p)
 
     @classmethod
     def from_columns(cls, columns, ncols, p):
@@ -485,15 +486,8 @@ class SparseFpMatrix:
         (absent columns are zero): its kernel is that of the map."""
         m = cls(ncols, p)
         for row in transpose(columns.items()).values():
-            m.add_row(row)
+            m.add(row)
         return m
-
-    def add_row(self, row):
-        return self.ech.add(row)
-
-    @property
-    def rank(self):
-        return self.ech.rank
 
     @property
     def nullity(self):
@@ -502,7 +496,7 @@ class SparseFpMatrix:
     def kernel_basis(self):
         """One kernel vector per non-pivot column, in increasing column
         order (_back_substitute)."""
-        pivots = self.ech.pivots
+        pivots = self.pivots
         frees = [f for f in range(self.ncols) if f not in pivots]
         return list(_back_substitute(pivots, frees, self.p))
 
@@ -557,9 +551,7 @@ def sparsest_first(weights, boundary, build, p):
     pos = [None] * n
     for i, c in enumerate(order):
         pos[c] = i
-    m = SparseFpMatrix(len(order), p)
-    _shortest_first(build(pos), m.ech)
-    return order, m
+    return order, _shortest_first(build(pos), SparseFpMatrix(len(order), p))
 
 
 def _shortest_first(rows, ech):
@@ -582,13 +574,10 @@ def solve_sparse(columns, target, p):
     # chosen as a min-column pivot before the unknowns are exhausted, and
     # the kernel vector with a 1 there is (x, 1)
     RHS = max(columns, default=-1) + 1
-    rows = transpose(columns.items())
-    for k, c in target.items():
-        rows[k][RHS] = -c
-    ech = Echelon(p)
-    for row in rows.values():
-        if ech.add(row) and RHS in ech.pivots:
-            return None
-    (x,) = _back_substitute(ech.pivots, [RHS], p)
+    m = SparseFpMatrix.from_columns(
+        {**columns, RHS: {k: -c for k, c in target.items()}}, RHS + 1, p)
+    if RHS in m.pivots:
+        return None
+    (x,) = _back_substitute(m.pivots, [RHS], p)
     del x[RHS]
     return x

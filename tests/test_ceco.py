@@ -269,6 +269,62 @@ def test_cochains_on_another_algebra_are_refused():
         coboundary_witness(S, f)
 
 
+@pytest.mark.parametrize("build, dim", [
+    (lambda: make_w1(1, P), 2),
+    (lambda: current_algebra(make_w1(1, P), make_divided_powers(1, P)), 45),
+], ids=["w1", "w1xo1"])
+def test_h3_representatives_span_h3(build, dim):
+    L = build()
+    res = cohomology_dim(L, 3, slice_=weight_zero_reduce(L), want_reps=True)
+    assert len(res.reps) == res.dim == dim
+    assert class_span_dim(L, res.reps) == dim
+    assert coboundary_witness(L, res.reps[0]) is None
+
+
+def test_coboundary_witness_in_degree_3():
+    W = make_w1(1, P)
+    c = ce_differential(random_cochain(W, 2, "adjoint", random.Random(3)))
+    assert c.n == 3 and not c.is_zero()
+    w = coboundary_witness(W, c)
+    assert w is not None and w.n == 2
+    assert ce_differential(w).flatten() == c.flatten()
+    assert class_span_dim(W, [c]) == 0
+
+
+def test_mixed_degrees_and_zero_cochains_are_refused():
+    W = make_w1(1, P)
+    f = phi21(W)
+    c = ce_differential(random_cochain(W, 2, "adjoint", random.Random(3)))
+    with pytest.raises(ValueError, match="one degree"):
+        class_span_dim(W, [f, c])
+    zero = Cochain(W, 0, "adjoint", {(): {0: 1}})
+    with pytest.raises(ValueError, match="degree at least 1, not 0"):
+        coboundary_witness(W, zero)
+    with pytest.raises(ValueError, match="degree at least 1, not 0"):
+        class_span_dim(W, [zero])
+
+
+def test_misspelled_module_is_refused(tmp_path):
+    # read as the trivial module it gave dim H^1 = 0; the adjoint one is 1
+    W = make_w1(2, P)
+    assert cohomology_dim(W, 1).dim == 1
+    with pytest.raises(ValueError, match="not 'adjiont'"):
+        cohomology_dim(W, 1, module="adjiont")
+    with pytest.raises(ValueError, match="not 'adjiont'"):
+        ComplexSlice(W, "adjiont")
+    with pytest.raises(ValueError, match="not 'adjiont'"):
+        Cochain(W, 1, "adjiont")
+    # an entry stored under the misspelled module is never served
+    cache = DiskCache(str(tmp_path))
+    cache.put({"engine": ceco.ENGINE, "algebra": W.hash_key(),
+               "module": "adjiont", "n": 1, "slice": None,
+               "kind": "cohomology"},
+              {"dim": 0, "ncols": 625, "rank_d": 600, "rank_prev": 25})
+    with pytest.raises(ValueError, match="not 'adjiont'"):
+        cohomology_dim(W, 1, module="adjiont", cache=cache)
+    assert cache.hits == 0
+
+
 def test_massey_bracket_symmetry_and_closure():
     W = make_w1(1, P)
     rng = random.Random(13)
@@ -417,7 +473,7 @@ def test_representatives_match_the_greedy_loop(name, module, slicing,
         mat = SparseFpMatrix(len(cols), L.p)
         for row in sorted(transpose(enumerate(ceco._column_images(
                 L, module, cols, 10 ** 9, [0], [slice_]))).values(), key=len):
-            mat.add_row(row)
+            mat.add(row)
         span = Echelon(L.p)
         for img in ceco._coboundaries(L, n, module, [slice_], 10 ** 9,
                                       [0])[1]:
@@ -539,7 +595,7 @@ def _rekeyed_reference(L, module, slice_, n, cols):
     mat = SparseFpMatrix(len(order), L.p)
     for row in sorted([{pos[c]: v for c, v in row.items() if c in pos}
                        for row in rows.values()], key=len):
-        mat.add_row(row)
+        mat.add(row)
     cols = [cols[j] for j in order]
     reps = [ceco._cochain(L, n, module, cols, v).coeffs
             for v in mat.kernel_basis()]

@@ -385,6 +385,14 @@ def test_height_below_one_names_its_option(capsys, option, algebra):
     assert "argument %s: must be >= 1, got 0" % option in err
 
 
+def test_cohomology_takes_no_seed(capsys):
+    # only verify has randomized probes; cohomology would ignore a seed
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "w1n", "--seed", "3", "--cache-dir", "off"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
 def test_degree_slice_refused_on_filtered_builtin(capsys):
     rc, out, err = run(capsys, ["cohomology", "ldef", "--degree-slice", "5",
                                 "--cache-dir", "off"])

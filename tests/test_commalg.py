@@ -630,7 +630,7 @@ def test_harrison_generator_pairs_match_all_pairs(name, monkeypatch):
     (dim, reps), m = _harrison_run(A, monkeypatch)
     (dim_all, reps_all), ref = _harrison_run(A, monkeypatch, range(A.dim))
     assert m.rank == ref.rank
-    assert set(m.ech.pivots) == set(ref.ech.pivots)
+    assert set(m.pivots) == set(ref.pivots)
     assert m.kernel_basis() == ref.kernel_basis()
     assert dim == dim_all
     assert [F.values for F in reps] == [F.values for F in reps_all]
@@ -797,7 +797,7 @@ def dense_derivation_space(A):
                 for t, c in A.product(j, s).items():
                     rows[t][i * n + s] -= c
             for r in rows.values():
-                m.add_row(dict(r))
+                m.add(dict(r))
     ders = []
     for v in m.kernel_basis():
         cols = defaultdict(dict)

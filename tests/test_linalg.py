@@ -99,7 +99,7 @@ def test_rank_against_dense_elimination():
         rows = [random_row(rng, n, p) for _ in range(rng.randrange(1, 8))]
         m = SparseFpMatrix(n, p)
         for r in rows:
-            m.add_row(r)
+            m.add(r)
         rank = len(dense_rref(rows, n, p)[0])
         assert m.rank == rank
         assert m.nullity == n - rank
@@ -112,7 +112,7 @@ def test_kernel_basis_spans_the_kernel():
     rows = [random_row(rng, n, p) for _ in range(3)]
     m = SparseFpMatrix(n, p)
     for r in rows:
-        m.add_row(r)
+        m.add(r)
     basis = m.kernel_basis()
     assert len(basis) == m.nullity
     for v in basis:
@@ -184,10 +184,10 @@ def test_echelon_and_kernel_against_dense_oracle(system):
     pivots, rref = dense_rref(rows, n, p)
     m = SparseFpMatrix(n, p)
     for r in rows:
-        m.add_row(r)
+        m.add(r)
     assert m.rank == len(pivots)
     # min-column pivoting picks the leading columns of the reduced form
-    assert sorted(m.ech.pivots) == pivots
+    assert sorted(m.pivots) == pivots
     # the kernel vector of free column f is the unique one with a 1 at f
     # and 0 at every other free column
     free = [c for c in range(n) if c not in pivots]
@@ -201,10 +201,10 @@ def test_echelon_and_kernel_against_dense_oracle(system):
     assert m.kernel_basis() == want
     # membership agrees with the dense rank of the extended system
     in_span = len(dense_rref(rows + [probe], n, p)[0]) == len(pivots)
-    assert m.ech.member(probe) == in_span
+    assert m.member(probe) == in_span
     # the same map given by its columns: x -> (r . x) over the rows r
     by_cols = SparseFpMatrix.from_columns(columns_of(rows, n), n, p)
-    assert sorted(by_cols.ech.pivots) == pivots
+    assert sorted(by_cols.pivots) == pivots
     assert by_cols.kernel_basis() == want
     f = LinearMap(SimpleNamespace(dim=n, p=p),
                   SimpleNamespace(dim=len(rows), p=p), columns_of(rows, n))
@@ -225,8 +225,8 @@ def test_echelon_and_kernel_against_dense_oracle(system):
     # the insertion order changes neither the pivot set nor the kernel
     shuffled = SparseFpMatrix(n, p)
     for i in order:
-        shuffled.add_row(rows[i])
-    assert sorted(shuffled.ech.pivots) == pivots
+        shuffled.add(rows[i])
+    assert sorted(shuffled.pivots) == pivots
     assert shuffled.kernel_basis() == want
 
 
