@@ -110,7 +110,8 @@ def _check_module(module):
 class Cochain:
     """Alternating n-cochain on L with values in the adjoint or trivial
     module, stored as {sorted basis tuple: sparse target vector}; the
-    trivial module uses the single target key 0."""
+    trivial module uses the single target key 0.  Keys and targets
+    outside those of L and the module are refused."""
 
     def __init__(self, L, n, module, coeffs=None):
         _check_module(module)
@@ -118,12 +119,18 @@ class Cochain:
         self.n = n
         self.module = module
         self.coeffs = {}
+        basis = range(L.dim)
+        targets = basis if module == "adjoint" else range(1)
         for T, vec in (coeffs or {}).items():
             T = tuple(T)
             if list(T) != sorted(set(T)):
                 raise ValueError("cochain key %r is not a sorted tuple" % (T,))
             if len(T) != n:
                 raise ValueError("cochain key %r has wrong arity" % (T,))
+            if T and not (T[0] in basis and T[-1] in basis) or not all(
+                    map(targets.__contains__, vec)):
+                raise ValueError("cochain entry %r: %r leaves the basis of %s "
+                                 "or its %s module" % (T, vec, L.name, module))
             vec = {k: v % L.p for k, v in vec.items() if v % L.p}
             if vec:
                 self.coeffs[T] = vec
@@ -235,7 +242,9 @@ def _image(c, restrict=None):
 
 
 def ce_differential(c):
-    """The Chevalley-Eilenberg differential of c (_image)."""
+    """The Chevalley-Eilenberg differential of c (_image); ValueError if
+    c.L fails Jacobi."""
+    c.L.generators
     return Cochain(c.L, c.n + 1, c.module, _image(c))
 
 
@@ -386,8 +395,7 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     (chain_columns).  Results without representatives are cached under
     (engine version, algebra hash, module, n, slice descriptor)."""
     _check_module(module)
-    if not L.jacobi_checked:
-        L.generators
+    L.generators
     desc = slice_.descriptor() if slice_ is not None else None
     key = None
     if cache is not None:
@@ -487,7 +495,8 @@ def _boundaries(L, cochains, budget):
     """_coboundaries on the weight slices that the n-cochains touch (the
     whole complex when L has no toral element): d keeps weights, so they
     hold every coboundary that can meet the cochains.  Cochains on another
-    algebra than L, of mixed degree or module, or with n < 1 are refused."""
+    algebra than L, of mixed degree or module, or with n < 1 are refused,
+    and so is an L that fails Jacobi."""
     n, module = cochains[0].n, cochains[0].module
     for c in cochains:
         if c.L is not L:
@@ -496,6 +505,7 @@ def _boundaries(L, cochains, budget):
             raise ValueError("need cochains of one degree in one module")
     if n < 1:
         raise ValueError("need cochains of degree at least 1, not %d" % n)
+    L.generators
     slices = [None]
     if L.toral is not None:
         grade = ComplexSlice(L, module, weight=0).grade

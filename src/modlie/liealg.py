@@ -8,7 +8,8 @@ deformed current algebras L(A, D) whose extra term Phi_D lives on the
 of W1(n) with L(O1(n-1), d), and deform, the one builder of a filtered
 deformation, which records its base.  Structure probes are exact sparse
 computations: Jacobi, the center and ideals rest on L.generators
-(linalg.greedy_generators), and spans are closed by Echelon.close.
+(linalg.greedy_generators), which every probe needing Jacobi reads
+first, at any dimension; spans are closed by Echelon.close.
 """
 
 import hashlib
@@ -44,12 +45,12 @@ __all__ = [
     "find_proper_ideal",
 ]
 
-JACOBI_EAGER_DIM = 32
 IDEAL_TRIALS = 20
 
 
 class LieAlgebra:
-    """Lie algebra from sparse structure constants on ordered pairs i < j.
+    """Lie algebra from integer structure constants on pairs of basis
+    indices, stored on i < j; shape is checked here, Jacobi by generators.
 
     grading, when present, is one integer degree per basis element; the
     bracket must be degree-additive, or degree-nondecreasing when the
@@ -58,7 +59,7 @@ class LieAlgebra:
     """
 
     def __init__(self, p, labels, bracket, grading=None, toral=None,
-                 name="L", meta=None, filtration=False, check=None):
+                 name="L", meta=None, filtration=False):
         check_prime(p)
         self.p = p
         self.labels = list(labels)
@@ -67,25 +68,28 @@ class LieAlgebra:
         self.name = name
         self.meta = meta or {}
         self.filtration = filtration
-        for i, j in bracket:
-            if i == j:
-                raise ValueError("diagonal bracket key (%d, %d)" % (i, j))
+        ok = range(self.dim)
+        for (i, j), vec in bracket.items():
+            if type(i) is type(j) is int and i in ok and j in ok:
+                for k, v in vec.items():
+                    if not (type(k) is type(v) is int and k in ok) or (
+                            i == j and v % p):
+                        break
+                else:
+                    continue
+            raise ValueError("bracket entry [%r, %r] = %r needs basis "
+                             "indices in 0..%d, integer values, zero if "
+                             "diagonal" % (i, j, vec, self.dim - 1))
         self.bracket = bilinear_pairs(bracket, -1, p)
         self._rev = None
         self._ad = None
         self._generators = self._tables = None
         self._weights = None
-        if toral is not None and not (
-                isinstance(toral, int) and not isinstance(toral, bool)
-                and 0 <= toral < self.dim):
+        if toral is not None and not (type(toral) is int and toral in ok):
             raise ValueError("toral %r is not a basis index in 0..%d"
                              % (toral, self.dim - 1))
         self._validate_grading()
-        if check is None:
-            check = self.dim <= JACOBI_EAGER_DIM
         self.jacobi_checked = False
-        if check:
-            self.check_jacobi()
 
     @property
     def dim(self):
@@ -144,9 +148,9 @@ class LieAlgebra:
     def generators(self):
         """Basis indices S that generate L, found on first use and cached:
         linalg.greedy_generators, trying first the element with the most
-        nonzero brackets, then the rest sparsest ad first.  An algebra not
-        yet checked is certified by the Jacobi sums of the triples that
-        meet S; check_jacobi names a failure."""
+        nonzero brackets, then the rest sparsest ad first.  The one Jacobi
+        gate: the Jacobi sums of the triples that meet S certify L, and
+        check_jacobi names a failure."""
         if self._generators is None:
             supp = [{z for z, _ in self.ad.get(i, ())}
                     for i in range(self.dim)]
@@ -260,6 +264,7 @@ class LieAlgebra:
             raise ValueError("algebra document missing field: %s" % exc)
         if not isinstance(p, int) or isinstance(p, bool):
             raise ValueError("p must be an integer, not %r" % (p,))
+        check_prime(p)
         if not all(isinstance(doc.get(f, []), list)
                    for f in ("basis", "bracket", "grading")):
             raise ValueError("basis, bracket and grading must be lists")
@@ -269,33 +274,23 @@ class LieAlgebra:
                              % (doc["dim"], dim))
         bracket = defaultdict(dict)
         for entry in quads:
-            if not isinstance(entry, list) or len(entry) != 4:
-                raise ValueError(
-                    "bad bracket entry %r (need [i, j, k, value])" % (entry,))
+            if not (isinstance(entry, list) and len(entry) == 4
+                    and all(isinstance(x, int) for x in entry)):
+                raise ValueError("bad bracket entry %r (need [i, j, k, "
+                                 "value], integers)" % (entry,))
             i, j, k, v = entry
-            if not all(isinstance(x, int) and 0 <= x < dim
-                       for x in (i, j, k)):
-                raise ValueError("bracket entry %r needs basis indices in "
-                                 "0..%d" % (entry, dim - 1))
-            if not isinstance(v, int):
-                raise ValueError("bracket entry %r needs an integer value"
+            key, val = ((i, j), v % p) if i <= j else ((j, i), -v % p)
+            if bracket[key].setdefault(k, val) != val:
+                raise ValueError("conflicting bracket entries for %r"
                                  % (entry,))
-            if i == j:
-                if v % p:
-                    raise ValueError("nonzero diagonal bracket entry %r" % (entry,))
-                continue
-            key, val = ((i, j), v) if i < j else ((j, i), -v)
-            prev = bracket[key].get(k)
-            if prev is not None and prev != val % p:
-                raise ValueError("conflicting bracket entries for %r" % (entry,))
-            bracket[key][k] = val % p
         filtration = doc.get("filtration", False)
         if not isinstance(filtration, bool):
             raise ValueError("filtration must be true or false, not %r"
                              % (filtration,))
-        return cls(p, labels, dict(bracket), grading=doc.get("grading"),
-                   toral=doc.get("toral"), name=name,
-                   filtration=filtration, check=True)
+        L = cls(p, labels, dict(bracket), grading=doc.get("grading"),
+                toral=doc.get("toral"), name=name, filtration=filtration)
+        L.generators  # outside input: certify Jacobi before it is used
+        return L
 
     def hash_key(self):
         blob = json.dumps(self.to_json(), sort_keys=True).encode()
@@ -348,7 +343,7 @@ def make_sl2(p):
     )
 
 
-def current_algebra(L, A, check=None):
+def current_algebra(L, A):
     """L (x) A with bracket [x (x) a, y (x) b] = [x, y] (x) ab; basis pair
     (i, a) sits at index i * dim(A) + a.  The grading is inherited from L
     alone, which is the grading all the positive-part computations use."""
@@ -370,7 +365,6 @@ def current_algebra(L, A, check=None):
         L.p, labels, bracket, grading=grading, toral=toral,
         name="%s(x)%s" % (L.name, A.name),
         meta={"kind": "current", "L": L, "A": A, "dims": (L.dim, dA)},
-        check=check,
     )
 
 
@@ -381,7 +375,7 @@ def semidirect_current(L, A, Ds):
     closed under commutators."""
     for D in Ds:
         _check_acts_on(D, A)
-    cur = current_algebra(L, A, check=False)
+    cur = current_algebra(L, A)
     dA = A.dim
     n0 = cur.dim
     nt = len(Ds)
@@ -461,11 +455,11 @@ def phi_block(L, E):
 
 def deform(L, phi, name, meta):
     """L with bracket [,] + phi, phi a family on L's pairs, its grading a
-    filtration, Jacobi certified whatever the dimension (generators), and
+    filtration, Jacobi certified at once (generators), and
     L recorded in meta["base"]: the one builder of a filtered deformation."""
     out = LieAlgebra(L.p, L.labels, family_add(L.bracket, phi, L.p),
                      grading=L.grading, toral=L.toral, name=name,
-                     meta=dict(meta, base=L), filtration=True, check=False)
+                     meta=dict(meta, base=L), filtration=True)
     out.generators
     return out
 
@@ -475,7 +469,7 @@ def make_deformed(A, D):
     block, {e_{-1} (x) a, e_{-1} (x) b} = e_{p-2} (x) (a D(b) - b D(a))."""
     _check_acts_on(D, A)
     W = make_w1(1, A.p)
-    cur = current_algebra(W, A, check=False)
+    cur = current_algebra(W, A)
     return deform(cur, phi_block(cur, D), "L(%s,%s)" % (A.name, D.name),
                   {"kind": "deformed", "L": W, "A": A, "D": D,
                    "dims": (W.dim, A.dim)})
@@ -484,8 +478,10 @@ def make_deformed(A, D):
 def verify_morphism(f):
     """Check that f is a bijective Lie algebra morphism; returns
     (ok, witness) where witness names the first failing pair.  Only the
-    pairs that can fail are visited (linalg.morphism_failure)."""
+    pairs that can fail are visited (linalg.morphism_failure).  Only the
+    target is certified: Jacobi carries over to L through f."""
     L, M = f.source, f.target
+    M.generators
     if L.dim != M.dim:
         return False, ("dim", L.dim, M.dim)
     rank = f.rank()
@@ -514,7 +510,7 @@ def kuznetsov_map(n, p, A=None):
         tgt = make_deformed(B, partial_derivation(B))
         dA = 1
     else:
-        src = current_algebra(W, A, check=False)
+        src = current_algebra(W, A)
         BA = tensor_product(B, A)
         tgt = make_deformed(
             BA, tensor_derivation(BA, partial_derivation(B), "left"))
@@ -541,10 +537,11 @@ def center(L):
 
 def derived_series(L, S=None):
     """Dimensions of the derived series of the span of S (the whole
-    algebra when S is None), until stable."""
+    algebra when S is None), until stable; ValueError if L fails Jacobi."""
     def span(vecs):
         return Echelon(L.p).close(vecs, lambda v: ())
 
+    L.generators
     basis = span(S if S is not None else ({i: 1} for i in range(L.dim)))
     dims = [len(basis)]
     while True:

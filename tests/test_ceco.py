@@ -35,7 +35,6 @@ from math import comb
 
 from modlie.linalg import Echelon, SparseFpMatrix, transpose, vec_add
 from modlie.liealg import (
-    JACOBI_EAGER_DIM,
     LieAlgebra,
     current_algebra,
     make_deformed,
@@ -302,6 +301,25 @@ def test_mixed_degrees_and_zero_cochains_are_refused():
         coboundary_witness(W, zero)
     with pytest.raises(ValueError, match="degree at least 1, not 0"):
         class_span_dim(W, [zero])
+
+
+@pytest.mark.parametrize("module, coeffs", [
+    ("trivial", {(3, 4): {3: 1}}),
+    ("adjoint", {(0, 9): {1: 1}}),
+    ("adjoint", {(-1, 1): {1: 1}}),
+    ("adjoint", {(0, 1): {9: 1}}),
+    ("adjoint", {(0, 1): {-1: 1}}),
+], ids=["trivial-target-3", "key-9", "key-minus-1", "target-9",
+        "target-minus-1"])
+def test_cochain_entries_outside_the_module_are_refused(module, coeffs):
+    # read as the trivial target 0, (3, 4) -> 3 counted as a second class
+    # of the one-dimensional H^2(W1(1); K)
+    W = make_w1(1, P)
+    c0 = Cochain(W, 2, "trivial", {(3, 4): {0: 1}})
+    assert class_span_dim(W, [c0]) == cohomology_dim(
+        W, 2, module="trivial").dim == 1
+    with pytest.raises(ValueError, match="leaves the basis of W1"):
+        Cochain(W, 2, module, coeffs)
 
 
 def test_misspelled_module_is_refused(tmp_path):
@@ -657,9 +675,9 @@ def test_closure_on_generator_rows_matches_the_differential(name):
 
 def test_non_lie_input_is_rejected():
     # [[a,b],c] + [[b,c],a] + [[c,a],b] = [a,c] + [b,c] = c; the padding
-    # takes dim past the eager Jacobi check of the constructor
-    labels = ["x%d" % i for i in range(JACOBI_EAGER_DIM + 1)]
-    L = LieAlgebra(P, labels, {(0, 1): {0: 1}, (0, 2): {2: 1}}, check=False)
+    # takes dim to 33, as no dimension lets a non-Lie bracket through
+    labels = ["x%d" % i for i in range(33)]
+    L = LieAlgebra(P, labels, {(0, 1): {0: 1}, (0, 2): {2: 1}})
     assert not L.jacobi_checked
     with pytest.raises(ValueError, match=r"Jacobi fails on \(x0, x1, x2\)"):
         cohomology_dim(L, 2)

@@ -352,8 +352,14 @@ def test_cohomology_bad_inputs(capsys, tmp_path):
      "p must be an integer, not '5'"),
     ({"p": 5.0, "basis": ["a", "b"], "bracket": [[0, 1, 1, 1]]},
      "p must be an integer, not 5.0"),
+    ({"p": 0, "basis": ["a", "b"], "bracket": [[0, 1, 1, 1]]},
+     "p = 0 is not prime"),
+    ({"p": 5, "basis": ["a", "b", "c"], "bracket": [[0, 1, 0, 1],
+                                                     [0, 2, 2, 1]]},
+     "Jacobi fails on (a, b, c)"),
 ], ids=["toral-outside-basis", "entry-not-a-list", "non-lie-dim-33",
-        "filtration-not-a-boolean", "p-a-string", "p-a-float"])
+        "filtration-not-a-boolean", "p-a-string", "p-a-float", "p-zero",
+        "non-lie-dim-3"])
 def test_cohomology_rejects_invalid_algebra_file(capsys, tmp_path, doc,
                                                  message):
     path = str(tmp_path / "alg.json")

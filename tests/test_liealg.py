@@ -10,7 +10,8 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from modlie.ceco import cohomology_dim, weight_zero_reduce
+from modlie.ceco import (Cochain, ce_differential, coboundary_witness,
+                         cohomology_dim, weight_zero_reduce)
 from modlie.cli import BUILTINS, _build_algebra
 from modlie.commalg import (
     dx_derivation,
@@ -23,7 +24,6 @@ from modlie.commalg import (
     zero_derivation,
 )
 from modlie.liealg import (
-    JACOBI_EAGER_DIM,
     LieAlgebra,
     center,
     current_algebra,
@@ -57,6 +57,9 @@ def test_w1_structure():
     assert W.bracket_pair(3, 4) == {}  # e_2, e_3 -> degree 5 out of range
     assert W.toral == 1
     assert W.grading == [-1, 0, 1, 2, 3]
+    # Jacobi is certified on first use of the generators, not when built
+    assert not W.jacobi_checked
+    W.generators
     assert W.jacobi_checked
 
 
@@ -255,11 +258,11 @@ def test_current_algebra_matches_the_dense_loop(p):
     for S in (make_w1(1, p), make_sl2(p)):
         # the same bracket, key order included: rank and representatives
         # eliminate rows in an order that follows it
-        L = current_algebra(S, A, check=False)
+        L = current_algebra(S, A)
         assert list(L.bracket.items()) == list(
             dense_current_bracket(S, A).items())
     B = tensor_product(A, make_divided_powers(1, p))
-    L = current_algebra(make_w1(1, p), B, check=False)
+    L = current_algebra(make_w1(1, p), B)
     assert list(L.bracket.items()) == list(
         dense_current_bracket(make_w1(1, p), B).items())
 
@@ -456,11 +459,42 @@ def test_gradings_are_validated():
         LieAlgebra(P, ["a"], {(0, 0): {0: 1}})
 
 
+def non_lie_algebra(labels):
+    # J(a,b,c) = [[a,b],c] + [[b,c],a] + [[c,a],b] = [a,c] + 0 + [b,c] = c;
+    # any further labels are central padding
+    return LieAlgebra(P, labels, {(0, 1): {0: 1}, (0, 2): {2: 1}})
+
+
+def identity_map(L):
+    return LinearMap(L, L, {i: {i: 1} for i in range(L.dim)})
+
+
+# the probes that need Jacobi, each of which must refuse a non-Lie bracket
+NON_LIE_PROBES = {
+    "derived_series": derived_series,
+    "is_solvable": is_solvable,
+    "verify_morphism": lambda L: verify_morphism(identity_map(L)),
+    "ce_differential": lambda L: ce_differential(
+        Cochain(L, 1, "adjoint", {(0,): {1: 1}})),
+    "coboundary_witness": lambda L: coboundary_witness(
+        L, Cochain(L, 1, "adjoint", {(0,): {1: 1}})),
+}
+
+
 def test_jacobi_failure_is_caught():
-    # J(a,b,c) = [[a,b],c] + [[b,c],a] + [[c,a],b] = [a,c] + 0 + [b,c] = c
-    with pytest.raises(ValueError):
-        LieAlgebra(P, ["a", "b", "c"],
-                   {(0, 1): {0: 1}, (0, 2): {2: 1}})
+    # the constructor checks shape only; every probe refuses the bracket
+    L = non_lie_algebra(["a", "b", "c"])
+    for probe in NON_LIE_PROBES.values():
+        with pytest.raises(ValueError, match=r"Jacobi fails on \(a, b, c\)"):
+            probe(L)
+    assert not L.jacobi_checked
+
+
+@pytest.mark.parametrize("probe", NON_LIE_PROBES)
+def test_probes_refuse_a_non_lie_algebra_of_dim_33(probe):
+    L = non_lie_algebra(["x%d" % i for i in range(33)])
+    with pytest.raises(ValueError, match=r"Jacobi fails on \(x0, x1, x2\)"):
+        NON_LIE_PROBES[probe](L)
 
 
 def dense_check_jacobi(L):
@@ -501,7 +535,7 @@ def assert_jacobi_checks_agree(L):
     assert L.jacobi_checked == (want is None)
     # the certificate on the generators, through deform of the abelian
     # algebra on L's basis
-    base = LieAlgebra(L.p, L.labels, {}, check=False)
+    base = LieAlgebra(L.p, L.labels, {})
     assert jacobi_verdict(lambda B: deform(B, L.bracket, "L", {}),
                           base) == want
     return want
@@ -533,7 +567,7 @@ def test_sparse_jacobi_matches_dense_reference(drawn):
     # check_jacobi is arithmetic mod p alone; the constructor's floor of
     # p >= 5 is lifted so that p = 2 (where -1 = 1) and p = 3 are covered
     with mock.patch("modlie.liealg.check_prime", lambda p: p):
-        L = LieAlgebra(p, ["x%d" % i for i in range(n)], bracket, check=False)
+        L = LieAlgebra(p, ["x%d" % i for i in range(n)], bracket)
         assert_jacobi_checks_agree(L)
 
 
@@ -547,7 +581,7 @@ def test_sparse_jacobi_matches_dense_reference_on_flipped_constants():
     for key, k in entries[::7]:
         bracket = {kk: dict(vec) for kk, vec in C.bracket.items()}
         bracket[key][k] = -bracket[key][k] % P
-        L = LieAlgebra(P, C.labels, bracket, check=False)
+        L = LieAlgebra(P, C.labels, bracket)
         failures += assert_jacobi_checks_agree(L) is not None
     assert failures > 0
 
@@ -562,8 +596,7 @@ def test_jacobi_certificate_matches_dense_reference_on_flipped_builtins(name):
     failures = 0
     for key, k in entries[::max(1, len(entries) // 6)]:
         flip = {key: {k: -2 * L.bracket[key][k]}}
-        M = LieAlgebra(P, L.labels, family_add(L.bracket, flip, P),
-                       check=False)
+        M = LieAlgebra(P, L.labels, family_add(L.bracket, flip, P))
         want = jacobi_verdict(dense_check_jacobi, M)
         assert jacobi_verdict(lambda B: deform(B, flip, "M", {}), L) == want
         failures += want is not None
@@ -619,15 +652,14 @@ def test_generators_generate_every_builtin(name, p, n):
 
 
 def test_generators_of_an_abelian_algebra_are_the_whole_basis():
-    L = LieAlgebra(P, ["a%d" % i for i in range(40)], {}, check=False)
+    L = LieAlgebra(P, ["a%d" % i for i in range(40)], {})
     assert L.generators == tuple(range(40))
 
 
 def test_generators_and_ideals_refuse_an_algebra_failing_jacobi():
     # J(a, b, c) = [[a, b], c] + [[b, c], a] + [[c, a], b] = b
     L = LieAlgebra(P, ["a", "b", "c"],
-                   {(0, 1): {0: 1}, (1, 2): {0: 1}, (0, 2): {1: 1}},
-                   check=False)
+                   {(0, 1): {0: 1}, (1, 2): {0: 1}, (0, 2): {1: 1}})
     with pytest.raises(ValueError, match="Jacobi fails"):
         L.generators
     with pytest.raises(ValueError, match="Jacobi fails"):
@@ -696,6 +728,28 @@ def test_toral_must_be_a_basis_index(toral):
         LieAlgebra(P, ["a", "b"], {}, toral=toral)
 
 
+@pytest.mark.parametrize("bracket", [
+    {(0, 1): {7: 1}}, {(0, 7): {}}, {(-1, 1): {0: 1}}, {(True, 2): {0: 1}},
+    {(0, 1): {"c": 1}}, {(0, 1): {2: 1.5}}, {(0, 1): {2: True}},
+    {(1, 1): {0: 1}},
+], ids=["target-7", "key-7", "key-minus-1", "bool-key", "str-target",
+        "float-value", "bool-value", "diagonal"])
+def test_bracket_entries_need_basis_indices_and_integer_values(bracket):
+    with pytest.raises(ValueError, match="needs basis indices in 0..2, "
+                       "integer values, zero if diagonal"):
+        LieAlgebra(P, ["a", "b", "c"], bracket)
+
+
+def test_zero_diagonal_bracket_entry_is_dropped_but_needs_its_index():
+    assert LieAlgebra(P, ["a", "b", "c"], {(1, 1): {0: P}}).bracket == {}
+    doc = {"p": P, "basis": ["a", "b", "c"], "bracket": [[1, 1, 0, 0]]}
+    assert LieAlgebra.from_json(doc).bracket == {}
+    with pytest.raises(ValueError, match="basis indices"):
+        LieAlgebra.from_json(dict(doc, bracket=[[7, 7, 0, 0]]))
+    with pytest.raises(ValueError, match="zero if diagonal"):
+        LieAlgebra.from_json(dict(doc, bracket=[[1, 1, 0, 1]]))
+
+
 def test_from_json_rejects_bracket_entry_that_is_not_a_list():
     doc = {"p": P, "basis": ["a", "b"], "bracket": [5]}
     with pytest.raises(ValueError, match="bad bracket entry 5"):
@@ -712,8 +766,8 @@ def test_grading_needs_one_degree_per_basis_element():
 
 def test_from_json_checks_jacobi_at_every_dimension():
     # [[a,b],c] + [[b,c],a] + [[c,a],b] = [a,c] + [b,c] = c; central
-    # padding takes dim past the constructors' eager-check threshold
-    doc = {"p": P, "basis": ["x%d" % i for i in range(JACOBI_EAGER_DIM + 1)],
+    # padding takes dim to 33
+    doc = {"p": P, "basis": ["x%d" % i for i in range(33)],
            "bracket": [[0, 1, 0, 1], [0, 2, 2, 1]]}
     with pytest.raises(ValueError, match=r"Jacobi fails on \(x0, x1, x2\)"):
         LieAlgebra.from_json(doc)
