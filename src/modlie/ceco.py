@@ -56,7 +56,7 @@ import math
 import time
 from bisect import bisect_left
 from collections import defaultdict
-from operator import itemgetter
+from operator import index, itemgetter
 
 from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, bilinear_table,
                      circle, family_add, solve_sparse, sparsest_first,
@@ -122,13 +122,18 @@ class Cochain:
         basis = range(L.dim)
         targets = basis if module == "adjoint" else range(1)
         for T, vec in (coeffs or {}).items():
-            T = tuple(T)
+            # range membership takes a float equal to an index, so every
+            # index and target passes operator.index, which refuses one
+            try:
+                T = tuple(map(index, T))
+                ok = all(map(targets.__contains__, map(index, vec)))
+            except TypeError:
+                T, ok = tuple(T), False
             if list(T) != sorted(set(T)):
                 raise ValueError("cochain key %r is not a sorted tuple" % (T,))
             if len(T) != n:
                 raise ValueError("cochain key %r has wrong arity" % (T,))
-            if T and not (T[0] in basis and T[-1] in basis) or not all(
-                    map(targets.__contains__, vec)):
+            if not ok or T and not (T[0] in basis and T[-1] in basis):
                 raise ValueError("cochain entry %r: %r leaves the basis of %s "
                                  "or its %s module" % (T, vec, L.name, module))
             vec = {k: v % L.p for k, v in vec.items() if v % L.p}
@@ -543,8 +548,7 @@ def class_span_dim(L, cocycles, budget=DEFAULT_BUDGET):
     if any(closure_failure(c) for c in cocycles):
         raise ValueError("input cochain is not closed")
     span = Echelon(L.p)
-    for img in images:
-        span.add(img)
+    span.extend(images)
     return sum(1 for c in cocycles if span.add(c.flatten()))
 
 

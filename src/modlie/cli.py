@@ -258,9 +258,10 @@ def cmd_cache(args):
     return 0
 
 
-def height(text):
-    """argparse type of --n and --m: an integer >= 1, so that the error
-    names the option rather than a constructor's own parameter."""
+def at_least_one(text):
+    """argparse type of --n, --m and --budget: an integer >= 1, so that
+    the error names the option rather than a constructor's own parameter
+    or a budget that no work fits."""
     h = int(text)
     if h < 1:
         raise argparse.ArgumentTypeError("must be >= 1, got %d" % h)
@@ -270,10 +271,10 @@ def height(text):
 def _add_common(sp):
     sp.add_argument("--p", type=int, default=None,
                     help="characteristic (prime)")
-    sp.add_argument("--n", type=height, default=None, help="W-height n")
-    sp.add_argument("--m", type=height, default=None,
+    sp.add_argument("--n", type=at_least_one, default=None, help="W-height n")
+    sp.add_argument("--m", type=at_least_one, default=None,
                     help="divided-power height m")
-    sp.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    sp.add_argument("--budget", type=at_least_one, default=DEFAULT_BUDGET,
                     help="work budget for cohomology assembly")
     sp.add_argument("--output", choices=("json", "table"), default="table")
     sp.add_argument("--cache-dir", default=None,

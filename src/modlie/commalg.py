@@ -411,10 +411,8 @@ def derivation_space(A):
     Columns keep natural order: tests pin the basis to a dense oracle."""
     n, p = A.dim, A.p
     m = SparseFpMatrix(n * n, p)
-    for a in (A.unit,) + A.generators:
-        for b in range(n):
-            for row in _stencil_rows(A, (a, b)).values():
-                m.add(row)
+    m.extend(row for a in (A.unit,) + A.generators for b in range(n)
+             for row in _stencil_rows(A, (a, b)).values())
     ders = []
     for v in m.kernel_basis():
         cols = defaultdict(dict)

@@ -27,6 +27,13 @@ caller's row builder writes every entry at its column's position.  A
 column order changes no rank, only which columns are free: the kernel
 gets another basis.
 
+One loop, _residual, reduces a row against the pivots, consuming it:
+entries may be any integers, and each is reduced mod p as it leaves for
+the residual.  reduce, add and member hand it a copy, so their argument
+is left alone; extend hands it the caller's rows themselves, for rows
+built only to be inserted (the systems of sparsest_first and
+from_columns), so that they go in without a normalising copy.
+
 One sparse back-substitution serves kernel_basis and solve_sparse, whose
 solution is the kernel vector of [columns | -target] at the augmented
 column.  It builds once an index from each column to the pivots whose
@@ -74,8 +81,6 @@ morphism_failure checks f(P(x, y)) = Q(fx, fy) where it can fail.
 
 from collections import defaultdict
 from heapq import heapify, heappop, heappush
-
-from .arith import inv_mod
 
 __all__ = ["BudgetExceeded", "LinearMap", "SparseFpMatrix", "Echelon",
            "greedy_generators", "sparsest_first", "solve_sparse",
@@ -285,9 +290,32 @@ class Echelon:
         """Canonical residual of row modulo the stored pivot rows: every
         pivot column gets eliminated, so against a fixed echelon this is a
         linear projection and residuals of equivalent vectors coincide."""
+        return self._residual(dict(row))
+
+    def add(self, row):
+        """Insert a row; True iff it enlarged the span."""
+        row = self._residual(dict(row))
+        if row:
+            self._store(row)
+            return True
+        return False
+
+    def member(self, row):
+        return not self._residual(dict(row))
+
+    def extend(self, rows):
+        """Insert rows the caller gives up: each is consumed, left empty,
+        with no copy made (module docstring)."""
+        residual, store = self._residual, self._store
+        for row in rows:
+            if row := residual(row):
+                store(row)
+
+    def _residual(self, row):
+        """The residual of reduce, consuming row, whose entries may be any
+        integers: an entry is reduced mod p as it is emitted."""
         p = self.p
         pivots = self.pivots
-        row = {k: v % p for k, v in row.items() if v % p}
         # every live column of `row` is in the heap; a popped column that
         # cancelled since it was pushed is simply skipped
         heap = list(row)
@@ -300,7 +328,9 @@ class Echelon:
                 continue
             piv = pivots.get(c)
             if piv is None:
-                out[c] = f
+                f %= p
+                if f:
+                    out[c] = f
                 continue
             # pivot tails only hold columns > c, so they land back in `row`
             for k, v in piv.items():
@@ -316,18 +346,13 @@ class Echelon:
                         del row[k]
         return out
 
-    def add(self, row):
-        """Insert a row; True iff it enlarged the span."""
-        row = self.reduce(row)
-        if not row:
-            return False
-        c = next(iter(row))  # reduce() emits columns in increasing order
-        f = inv_mod(row.pop(c), self.p)
-        self.pivots[c] = {k: (v * f) % self.p for k, v in row.items()}
-        return True
-
-    def member(self, row):
-        return not self.reduce(row)
+    def _store(self, residual):
+        """Store a nonzero residual as a pivot row: its leading column, the
+        first emitted, is the pivot, and the tail is scaled to make it 1."""
+        p = self.p
+        c = next(iter(residual))
+        f = pow(residual.pop(c), -1, p)
+        self.pivots[c] = {k: (v * f) % p for k, v in residual.items()}
 
     def close(self, vecs, step, found=None):
         """Add vecs, then, for each vector that enlarged the span (last
@@ -485,8 +510,7 @@ class SparseFpMatrix(Echelon):
         """The system on ncols unknowns whose j-th column is columns[j]
         (absent columns are zero): its kernel is that of the map."""
         m = cls(ncols, p)
-        for row in transpose(columns.items()).values():
-            m.add(row)
+        m.extend(transpose(columns.items()).values())
         return m
 
     @property
@@ -555,12 +579,11 @@ def sparsest_first(weights, boundary, build, p):
 
 
 def _shortest_first(rows, ech):
-    """ech, with the rows added shortest first (ties in arrival order),
-    each dropped once added."""
+    """ech, with the rows inserted shortest first (ties in arrival order)
+    by extend, each dropped once inserted."""
     rows = sorted(rows, key=len)
     rows.reverse()
-    while rows:
-        ech.add(rows.pop())
+    ech.extend(rows.pop() for _ in range(len(rows)))
     return ech
 
 

@@ -11,7 +11,7 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from modlie import ceco
+from modlie import ceco, linalg
 from modlie.cache import DiskCache
 from modlie.ceco import (
     BudgetExceeded,
@@ -309,17 +309,54 @@ def test_mixed_degrees_and_zero_cochains_are_refused():
     ("adjoint", {(-1, 1): {1: 1}}),
     ("adjoint", {(0, 1): {9: 1}}),
     ("adjoint", {(0, 1): {-1: 1}}),
+    ("adjoint", {(0, 2.5, 4): {1: 1}}),
+    ("trivial", {(3.0, 4): {0: 1}}),
+    ("adjoint", {(0, 1): {2.0: 1}}),
 ], ids=["trivial-target-3", "key-9", "key-minus-1", "target-9",
-        "target-minus-1"])
+        "target-minus-1", "key-2.5", "key-3.0", "target-2.0"])
 def test_cochain_entries_outside_the_module_are_refused(module, coeffs):
     # read as the trivial target 0, (3, 4) -> 3 counted as a second class
-    # of the one-dimensional H^2(W1(1); K)
+    # of the one-dimensional H^2(W1(1); K); range membership took a float
+    # equal to an index, so (0, 2.5, 4) gave d a 4-cochain of 4 terms and
+    # the other floats broke class_span_dim with a TypeError
     W = make_w1(1, P)
     c0 = Cochain(W, 2, "trivial", {(3, 4): {0: 1}})
     assert class_span_dim(W, [c0]) == cohomology_dim(
         W, 2, module="trivial").dim == 1
+    (T,) = coeffs
     with pytest.raises(ValueError, match="leaves the basis of W1"):
-        Cochain(W, 2, module, coeffs)
+        Cochain(W, len(T), module, coeffs)
+
+
+def test_weight_zero_d2_through_extend_matches_add(monkeypatch):
+    # the real weight-zero d_2 of W1(1) (x) O1(1) at p = 5, eliminated by
+    # sparsest_first through extend and again with every row through add
+    L = current_algebra(make_w1(1, P), make_divided_powers(1, P))
+    runs = []
+
+    def record(*args):
+        order, m = linalg.sparsest_first(*args)
+        runs.append(m)
+        return order, m
+
+    def by_add(rows, ech):
+        rows = sorted(rows, key=len)
+        rows.reverse()
+        while rows:
+            ech.add(rows.pop())
+        return ech
+
+    for patch in (False, True):
+        with monkeypatch.context() as mp:
+            mp.setattr(ceco, "sparsest_first", record)
+            if patch:
+                mp.setattr(linalg, "_shortest_first", by_add)
+            cohomology_dim(L, 2, slice_=weight_zero_reduce(L))
+    extended, added = runs
+    assert extended.rank > 0
+    assert ([(c, list(t.items())) for c, t in extended.pivots.items()]
+            == [(c, list(t.items())) for c, t in added.pivots.items()])
+    assert extended.kernel_basis() == added.kernel_basis()
 
 
 def test_misspelled_module_is_refused(tmp_path):

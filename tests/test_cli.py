@@ -391,6 +391,19 @@ def test_height_below_one_names_its_option(capsys, option, algebra):
     assert "argument %s: must be >= 1, got 0" % option in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "w1n", "--budget", "-5"],
+    ["verify", "h2-w1-basic", "--budget", "0"]])
+def test_budget_below_one_is_refused(capsys, argv):
+    # -5 used to reach the enumeration ("C^2 has over -5 tuples") and 0
+    # to skip every claim row as over budget, both with exit code 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--cache-dir", "off"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --budget: must be >= 1, got %s" % argv[-1] in err
+
+
 def test_cohomology_takes_no_seed(capsys):
     # only verify has randomized probes; cohomology would ignore a seed
     with pytest.raises(SystemExit) as exc:

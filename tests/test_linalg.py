@@ -5,6 +5,7 @@ hypothesis-drawn sparse systems; the bilinear-map operations against
 the dense loops they replaced."""
 
 import random
+from heapq import heapify, heappop, heappush
 from types import SimpleNamespace
 
 import pytest
@@ -228,6 +229,87 @@ def test_echelon_and_kernel_against_dense_oracle(system):
         shuffled.add(rows[i])
     assert sorted(shuffled.pivots) == pivots
     assert shuffled.kernel_basis() == want
+
+
+def normalising_pivots(rows, p):
+    """The pivots of an Echelon filled by add before rows were inserted
+    without a copy: each row was first rebuilt with its entries reduced
+    and its zeros dropped, then reduced against the pivots by the same
+    heap loop; the reference extend and add must match."""
+    pivots = {}
+    for row in rows:
+        row = {k: v % p for k, v in row.items() if v % p}
+        heap = list(row)
+        heapify(heap)
+        out = {}
+        while heap:
+            c = heappop(heap)
+            f = row.pop(c, None)
+            if f is None:
+                continue
+            piv = pivots.get(c)
+            if piv is None:
+                out[c] = f
+                continue
+            for k, v in piv.items():
+                y = row.get(k)
+                if y is None:
+                    row[k] = (-f * v) % p
+                    heappush(heap, k)
+                else:
+                    y = (y - f * v) % p
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+        if out:
+            c = next(iter(out))
+            f = pow(out.pop(c), -1, p)
+            pivots[c] = {k: (v * f) % p for k, v in out.items()}
+    return pivots
+
+
+def layout(pivots):
+    """Pivots as nested item lists: equal layouts have the same pivots in
+    the same insertion order, each tail with its keys in the same order."""
+    return [(c, list(tail.items())) for c, tail in pivots.items()]
+
+
+@st.composite
+def unreduced_systems(draw):
+    """Rows over F_3, F_5 or F_7 whose entries run over -2p..2p, so they
+    hold zeros, multiples of p and unreduced residues."""
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 9))
+    row = st.dictionaries(st.integers(0, n - 1), st.integers(-2 * p, 2 * p),
+                          max_size=5)
+    return p, n, draw(st.lists(row, max_size=12)), draw(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unreduced_systems())
+def test_extend_matches_add_and_the_normalising_loop(system):
+    p, n, rows, probe = system
+    want = layout(normalising_pivots(rows, p))
+    by_add = Echelon(p)
+    for r in rows:
+        saved = dict(r)
+        by_add.add(r)
+        assert r == saved
+    copies = [dict(r) for r in rows]
+    by_extend = Echelon(p)
+    by_extend.extend(copies)
+    assert layout(by_add.pivots) == layout(by_extend.pivots) == want
+    assert by_extend.rank == len(dense_rref(rows, n, p)[0])
+    # extend consumes the rows it was given; reduce and member copy theirs
+    assert not any(copies)
+    saved = dict(probe)
+    residual = by_add.reduce(probe)
+    assert probe == saved
+    assert by_add.member(probe) == (not residual)
+    assert probe == saved
+    assert all(0 < v < p for v in residual.values())
+    assert list(residual) == sorted(residual)
 
 
 def closure_rank(seeds, maps, n, p):
