@@ -17,22 +17,33 @@ ce_differential sums stencil images, and the sparse matrices of d are
 built column by column from them, charging each column's distinct
 nonzero entries to the work budget.
 
-Of d_n, cohomology_dim keeps only the rows (U, k) whose tuple U holds
-an element of S = L.generators, and closure_failure sums only those:
-they have the kernel of all rows (linalg.greedy_generators), on any
-slice, for every n and both modules.  So the rank, the pivot set (the
-least columns of the row space, which the kernel fixes) and the kernel
-basis are those of the whole matrix, while weight-zero H^2 of
-W1(1)(x)O1(1) or W1(2) at p = 7 keeps one row in five or in eight.  The
-image of d_{n-1} is always assembled whole.
+A closed cochain whose coordinates (U, k) with U meeting S =
+L.generators all vanish is zero (linalg.greedy_generators), on any
+slice, for every n and both modules.  The lemma is used three times:
+- of d_n, cohomology_dim keeps only the rows (U, k) whose tuple U holds
+  an element of S, and closure_failure sums only those: they have the
+  kernel of all rows.  So the rank, the pivot set (the least columns of
+  the row space, which the kernel fixes) and the kernel basis are those
+  of the whole matrix, while weight-zero H^2 of W1(1)(x)O1(1) or W1(2)
+  at p = 7 keeps one row in five or in eight;
+- B^n is a space of closed cochains, so its projection onto the
+  columns (T, t) with T meeting S is injective.  cohomology_dim still
+  assembles the image of d_{n-1} whole, so that every entry is checked
+  against the slice, but eliminates only that projection;
+- class_span_dim and coboundary_witness assemble B^n on those
+  coordinates alone (L.generator_tables), and project their closed
+  cochains there, so every span and every witness is exact.
 
-d_n is eliminated by linalg.sparsest_first, after the image B^n of
-d_{n-1}, whose pivot columns are cleared from d_n before it is built:
-d_n kills B^n, so the other columns keep its rank, and its kernel there
-is one cocycle per class of H^n.  A column weighs its count of stencil
-terms in the whole d_n, read off the lengths of L.ad and L.rev: in the
-kept rows alone every column that meets S looks dense, and that order
-gave weight-one H^3 of W1(2) at p = 5 three times the fill.  The column
+d_n is eliminated by linalg.sparsest_first, after the projection of
+B^n, whose pivot columns P are cleared from d_n before it is built: B^n
+maps onto the coordinates P bijectively and d_n kills it, so the other
+columns keep the rank of d_n, and its kernel there is one cocycle per
+class of H^n.  On weight-zero H^2 at p = 7 the projection holds 1 149 of
+the 8 232 entries of B^n for W1(1)(x)O1(1), and 899 of 8 517 for W1(2),
+and P lies where the kept rows are dense.  A column weighs its count of
+stencil terms in the whole d_n, read off the lengths of L.ad and L.rev:
+in the kept rows alone every column that meets S looks dense, and that
+order gave weight-one H^3 of W1(2) at p = 5 three times the fill.  The column
 order is fixed before d_n is assembled, and the stencil images are
 keyed by elimination position as they are transposed.
 
@@ -341,8 +352,9 @@ def chain_columns(L, n, module="adjoint", slice_=None):
 class CohomologyResult:
     """dim H^n, its ranks, representatives when asked for, and stats:
     seconds per stage (enumerate, assemble, rank_prev, rank_d, reps),
-    the columns, kept rows and entries of d_n, and the entries charged to
-    the budget; a cache hit has only {"cached": True}."""
+    the columns, kept rows and entries of d_n, the entries of B^n
+    eliminated (nnz_prev, its projection), and the entries charged to the
+    budget; a cache hit has only {"cached": True}."""
 
     def __init__(self, dim, ncols, rank_d, rank_prev, reps=None, stats=None):
         self.dim = dim
@@ -388,17 +400,19 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
 
         dim H^n = #C^n - rank(d_n) - rank(d_{n-1}).
 
-    Only the rows of d_n that meet L.generators are assembled, on the
-    columns outside the pivots of the image of d_{n-1}, eliminated first;
-    their kernel basis, one cocycle per class, is the representatives
-    with want_reps (module docstring).  The budget counts the entries
-    assembled; a query with more tuples in C^n or C^(n-1) is refused
-    before they are enumerated.  ValueError is raised on an unknown
-    module, before the cache is read, when L fails Jacobi, when d_{n-1}
-    maps the slice outside itself (dropping those entries would give a
-    wrong dimension), and on a slice built for another algebra or module
-    (chain_columns).  Results without representatives are cached under
-    (engine version, algebra hash, module, n, slice descriptor)."""
+    The image of d_{n-1} is assembled whole and each entry looked up on
+    the slice; its projection onto the columns whose tuple meets
+    L.generators is eliminated first.  Only the rows of d_n that meet
+    L.generators are assembled, on the columns outside the pivots of that
+    projection; their kernel basis, one cocycle per class, is the
+    representatives with want_reps (module docstring).  The budget counts
+    the entries assembled; a query with more tuples in C^n or C^(n-1) is
+    refused before they are enumerated.  ValueError is raised on an
+    unknown module, before the cache is read, when L fails Jacobi, when
+    d_{n-1} maps the slice outside itself (dropping those entries would
+    give a wrong dimension), and on a slice built for another algebra or
+    module (chain_columns).  Results without representatives are cached
+    under (engine version, algebra hash, module, n, slice descriptor)."""
     _check_module(module)
     L.generators
     desc = slice_.descriptor() if slice_ is not None else None
@@ -424,21 +438,29 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
 
     cols = chain_columns(L, n, module, slice_)
     ncols = len(cols)
-    colidx = {ct: j for j, ct in enumerate(cols)}
+    # every column has an entry, so a leak is a KeyError; a column whose
+    # tuple misses S maps to None, as B^n is eliminated on the others
+    S = L.generator_tables[0]
+    colidx = {ct: None if S.isdisjoint(ct[0]) else j
+              for j, ct in enumerate(cols)}
     counter = [0]
     _, images = _coboundaries(L, n, module, [slice_], budget, counter)
     stats = {"cached": False, "enumerate_s": lap(), "ncols": ncols}
 
-    def boundary():  # B^n, keyed by C^n column index
+    def boundary():  # B^n on the columns meeting S, by C^n column index
+        nnz = 0
         for img in images:
             try:
-                yield {colidx[ck]: v for ck, v in img.items()}
+                vec = {j: v for ck, v in img.items()
+                       if (j := colidx[ck]) is not None}
             except KeyError as e:
                 raise ValueError(
                     "slice is not closed under d: d_%d leaves it at column %r"
                     % (n - 1, e.args[0])) from None
+            nnz += len(vec)
+            yield vec
         colidx.clear()  # not needed while d_n is built
-        stats["assemble_s"] = lap()
+        stats.update(assemble_s=lap(), nnz_prev=nnz)
 
     def assemble(pos):
         # rows of d_n from the kept columns' images, entries at positions
@@ -488,20 +510,24 @@ def degree_slice(L, d, module="adjoint"):
     return ComplexSlice(L, module, degree=d)
 
 
-def _coboundaries(L, n, module, slices, budget, counter):
+def _coboundaries(L, n, module, slices, budget, counter, restrict=None):
     """The columns of C^{n-1} on the given slices (None for the whole
     complex), in order, and a lazy generator of their images under d,
-    which spans B^n on those slices; assembly is charged to counter."""
+    which spans B^n on those slices; assembly is charged to counter.
+    With restrict = L.tables_for(S), only the rows whose tuple meets S."""
     cols = [ct for s in slices for ct in chain_columns(L, n - 1, module, s)]
-    return cols, _column_images(L, module, cols, budget, counter, slices)
+    return cols, _column_images(L, module, cols, budget, counter, slices,
+                                restrict)
 
 
 def _boundaries(L, cochains, budget):
     """_coboundaries on the weight slices that the n-cochains touch (the
-    whole complex when L has no toral element): d keeps weights, so they
-    hold every coboundary that can meet the cochains.  Cochains on another
-    algebra than L, of mixed degree or module, or with n < 1 are refused,
-    and so is an L that fails Jacobi."""
+    whole complex when L has no toral element), on the rows whose tuple
+    meets L.generators: d keeps weights, so they hold every coboundary
+    that can meet the cochains, and the projection onto those rows is
+    injective on closed cochains (module docstring); compare them through
+    _projection.  Cochains on another algebra than L, of mixed degree or
+    module, or with n < 1 are refused, and so is an L that fails Jacobi."""
     n, module = cochains[0].n, cochains[0].module
     for c in cochains:
         if c.L is not L:
@@ -510,14 +536,22 @@ def _boundaries(L, cochains, budget):
             raise ValueError("need cochains of one degree in one module")
     if n < 1:
         raise ValueError("need cochains of degree at least 1, not %d" % n)
-    L.generators
     slices = [None]
     if L.toral is not None:
         grade = ComplexSlice(L, module, weight=0).grade
         weights = {grade(T, k)[0] for c in cochains
                    for T, vec in c.coeffs.items() for k in vec}
         slices = [ComplexSlice(L, module, weight=w) for w in sorted(weights)]
-    return _coboundaries(L, n, module, slices, budget, [0])
+    return _coboundaries(L, n, module, slices, budget, [0],
+                         L.generator_tables)
+
+
+def _projection(c):
+    """The flattened coordinates (T, k) of c with T meeting L.generators,
+    on which _boundaries assembles B^n."""
+    S = c.L.generator_tables[0]
+    return {(T, k): v for T, vec in c.coeffs.items()
+            if not S.isdisjoint(T) for k, v in vec.items()}
 
 
 def _cochain(L, n, module, cols, vec):
@@ -532,16 +566,24 @@ def _cochain(L, n, module, cols, vec):
 def coboundary_witness(L, c, budget=DEFAULT_BUDGET):
     """Solve d(psi) = c for an n-cochain c, n >= 1, on the slices of
     _boundaries; returns the witness, an (n-1)-cochain in c's module, or
-    None when c is not a coboundary."""
+    None when c is not a coboundary.  A c that closure_failure flags is
+    none; a closed c is solved for on the coordinates of _boundaries,
+    where d(psi) - c is closed, so the system has the solutions of the
+    whole one and gives the same witness.  The budget counts the entries
+    assembled there."""
     cols, images = _boundaries(L, [c], budget)
-    sol = solve_sparse(dict(enumerate(images)), c.flatten(), L.p)
+    if closure_failure(c):
+        return None
+    sol = solve_sparse(dict(enumerate(images)), _projection(c), L.p)
     return None if sol is None else _cochain(L, c.n - 1, c.module, cols, sol)
 
 
 def class_span_dim(L, cocycles, budget=DEFAULT_BUDGET):
     """Dimension of the span in H^n of the given n-cocycles, of one
     degree n >= 1 and one module: each is verified closed, then counted
-    modulo B^n on the weight slices their supports touch (_boundaries)."""
+    modulo B^n on the weight slices their supports touch, all projected
+    onto the coordinates of _boundaries, which keeps the span's rank.
+    The budget counts the entries assembled there."""
     if not cocycles:
         return 0
     _, images = _boundaries(L, cocycles, budget)
@@ -549,7 +591,7 @@ def class_span_dim(L, cocycles, budget=DEFAULT_BUDGET):
         raise ValueError("input cochain is not closed")
     span = Echelon(L.p)
     span.extend(images)
-    return sum(1 for c in cocycles if span.add(c.flatten()))
+    return sum(1 for c in cocycles if span.add(_projection(c)))
 
 
 def massey_bracket(phi, psi):

@@ -434,7 +434,8 @@ _register(
     "massey-certificates",
     "[Phi_d, Phi_d] = 0 on W_1(1) (x) O_1; the positive cocycles of the "
     "semidirect sum at (p, n, m) pairwise Massey-commute, so their sum "
-    "integrates to a filtered Lie bracket (exhaustive Jacobi)",
+    "integrates to a filtered Lie bracket (Jacobi certified through its "
+    "generators)",
     ("p", "n", "m"), [{"p": 5, "n": 2, "m": 1}], _massey)
 _register(
     "simplicity-suite",

@@ -283,12 +283,14 @@ def _add_common(sp):
 
 
 def main(argv=None):
+    # no prefix matching: --degree would be read as --degree-slice
     ap = argparse.ArgumentParser(
-        prog="modlie",
+        prog="modlie", allow_abbrev=False,
         description="exact cohomology of modular Lie algebras over F_p")
     sub = ap.add_subparsers(dest="command")
 
-    v = sub.add_parser("verify", help="run verification claims")
+    v = sub.add_parser("verify", help="run verification claims",
+                       allow_abbrev=False)
     v.add_argument("claim", nargs="?", help="claim id or 'all'")
     v.add_argument("--list", action="store_true", help="list claim ids")
     v.add_argument("--force", action="store_true",
@@ -300,7 +302,8 @@ def main(argv=None):
     _add_common(v)
     v.set_defaults(func=cmd_verify)
 
-    c = sub.add_parser("cohomology", help="compute one cohomology dimension")
+    c = sub.add_parser("cohomology", help="compute one cohomology dimension",
+                       allow_abbrev=False)
     c.add_argument("algebra",
                    help="builtin (%s) or algebra .json file"
                         % ", ".join(BUILTINS))
@@ -319,7 +322,8 @@ def main(argv=None):
     _add_common(c)
     c.set_defaults(func=cmd_cohomology)
 
-    g = sub.add_parser("cache", help="manage the result cache")
+    g = sub.add_parser("cache", help="manage the result cache",
+                       allow_abbrev=False)
     g.add_argument("action", choices=("list", "clear", "path"))
     g.add_argument("--cache-dir", default=None)
     g.set_defaults(func=cmd_cache)

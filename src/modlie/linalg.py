@@ -45,14 +45,18 @@ those of a dense pass over all pivots in decreasing order, at a cost set
 by the fill the kernel touches rather than by rank times nullity.
 
 A complex needs the kernel only modulo a space B inside it.  If P is
-the pivot set of an echelon of B, the other columns span a complement
-of B, so a map that kills B keeps its rank on them, and its kernel there
-meets each class of Z / B once.  So sparsest_first eliminates B first
-and clears the columns of P (C. Chen and M. Kerber, "Persistent
-homology computation with a twist", EuroCG 2011): kernel_basis gives
-the representatives, and P never fills.  B is keyed heaviest column
-first, so P takes dense columns away; lightest first, the weight-zero
-d_2 of W1(2) at p = 7 eliminated slower than with no clearing.
+the pivot set of an echelon of B, B maps onto the coordinates P
+bijectively, so the other columns span a complement of B, a map that
+kills B keeps its rank on them, and its kernel there meets each class
+of Z / B once.  The same holds for the pivot set of any projection of B
+onto some coordinates that is injective on B, which is cheaper to
+eliminate (ceco projects B^n onto the tuples meeting the generators).
+So sparsest_first eliminates B first and clears the columns of P (C.
+Chen and M. Kerber, "Persistent homology computation with a twist",
+EuroCG 2011): kernel_basis gives the representatives, and P never
+fills.  B is keyed heaviest column first, so P takes dense columns away;
+lightest first, the weight-zero d_2 of W1(2) at p = 7 eliminated slower
+than with no clearing.
 
 A linear map is given by its columns {j: {k: c}} (LinearMap).
 SparseFpMatrix is the Echelon that also knows its column count, so it
@@ -390,10 +394,13 @@ def greedy_generators(p, dim, order, times, base=()):
     L, and S does the work of the basis in:
     - Jacobi (LieAlgebra.generators): ad_[s,x] = [ad_s, ad_x] when ad_s
       is a derivation, so Jacobi on the triples that meet S suffices;
-    - rows of d_n and closure (ceco): with the Cartan identities
-      i_[x,y] = [L_x, i_y], L_x = d i_x + i_x d (Chevalley, Eilenberg),
-      i_[s,z] d phi = L_s i_z d phi - i_z d i_s d phi, so d phi = 0 when
-      its rows (U, k) with U meeting S vanish;
+    - rows of d_n, closure and boundaries (ceco): with the Cartan
+      identities i_[x,y] = [L_x, i_y], L_x = d i_x + i_x d (Chevalley,
+      Eilenberg), a closed cochain psi has i_[s,z] psi = L_s i_z psi -
+      i_z d i_s psi, so psi = 0 when its coordinates (U, k) with U
+      meeting S vanish.  With psi = d phi, d phi = 0 when those rows of
+      d phi vanish; with psi in B^n, B^n projects onto those
+      coordinates injectively;
     - center (liealg.center): a centralizer is a subalgebra, and so is
       the kernel of a derivation (claims._outer_intersection);
     - ideals (liealg.ideal_generated_by): ad [s, x] = [ad s, ad x]."""
@@ -560,8 +567,9 @@ def _back_substitute(pivots, frees, p):
 def sparsest_first(weights, boundary, build, p):
     """(order, m): the SparseFpMatrix m of the rows that build(pos)
     yields, on the columns 0..len(weights)-1 less the pivot set P of the
-    boundary, vectors spanning a space B that the rows kill, keyed
-    heaviest column first (module docstring).  order[i] is the column at
+    boundary, keyed heaviest column first: vectors spanning a space B
+    that the rows kill, or a projection of B that is injective on it
+    (module docstring).  order[i] is the column at
     position i, pos[j] the position of column j (None for j in P), and
     build writes each entry of column j at pos[j] and skips P.  So
     len(order) = len(weights) - rank B, and m.kernel_basis() has one

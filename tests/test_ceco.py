@@ -629,17 +629,25 @@ def test_rows_of_a_non_generating_set_lose_rank():
 def _rekeyed_reference(L, module, slice_, n, cols):
     # ranks, dim and representatives with the image of d_{n-1} and the
     # rows of d_n built on natural column indices and re-keyed afterwards:
-    # the image through the heaviest-first keys, its pivot columns
+    # the image through the heaviest-first keys, its entries on tuples
+    # missing L.generators dropped before elimination, its pivot columns
     # dropped from d_n, the other columns through the (weight, index)
-    # order; each inserted shortest first, ties in arrival order
+    # order; each inserted shortest first, ties in arrival order.  The
+    # rank of d_{n-1} comes from an echelon of the whole image, so that
+    # the projection's rank is checked, not taken on trust
     weight = [sum(len(L.rev.get(m, ())) for m in T)
               + (len(L.ad.get(t, ())) if module == "adjoint" else 0)
               for T, t in cols]
     top, colidx = max(weight, default=0), {ct: i for i, ct in enumerate(cols)}
-    image = Echelon(L.p)
+    whole, image = Echelon(L.p), Echelon(L.p)
+    S = set(L.generators)
     _, images = ceco._coboundaries(L, n, module, [slice_], 10 ** 9, [0])
-    for vec in sorted([{(top - weight[colidx[ck]]) * len(cols) + colidx[ck]: v
-                        for ck, v in img.items()} for img in images], key=len):
+    images = [{colidx[ck]: v for ck, v in img.items()} for img in images]
+    for vec in images:
+        whole.add(vec)
+    for vec in sorted([{(top - weight[j]) * len(cols) + j: v
+                        for j, v in img.items() if S.intersection(cols[j][0])}
+                       for img in images], key=len):
         image.add(vec)
     cleared = {k % len(cols) for k in image.pivots}
     rows = transpose(enumerate(ceco._column_images(
@@ -654,7 +662,134 @@ def _rekeyed_reference(L, module, slice_, n, cols):
     cols = [cols[j] for j in order]
     reps = [ceco._cochain(L, n, module, cols, v).coeffs
             for v in mat.kernel_basis()]
-    return mat.rank, image.rank, mat.nullity, reps
+    return mat.rank, whole.rank, mat.nullity, reps
+
+
+def _dense_rank(rows, ncols, p):
+    # rank over F_p of the sparse rows by dense elimination in numpy
+    np = pytest.importorskip("numpy")
+    mat = np.zeros((len(rows), ncols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            mat[i, j] = v % p
+    rank = 0
+    for c in range(ncols):
+        live = np.flatnonzero(mat[rank:, c])
+        if not live.size:
+            continue
+        mat[[rank, rank + live[0]]] = mat[[rank + live[0], rank]]
+        mat[rank] = mat[rank] * pow(int(mat[rank, c]), -1, p) % p
+        below = rank + live[1:]  # the other rows live at c, after the swap
+        mat[below] = (mat[below] - np.outer(mat[below, c], mat[rank])) % p
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def _boundary_ranks(L, module, slice_, n, cols, gens):
+    # dense ranks of B^n whole and of its projection onto the columns
+    # whose tuple meets gens, and the rows of B^n on natural indices
+    colidx = {ct: i for i, ct in enumerate(cols)}
+    _, images = ceco._coboundaries(L, n, module, [slice_], 10 ** 9, [0])
+    rows = [{colidx[ck]: v for ck, v in img.items()} for img in images]
+    kept = {i for i, (T, _) in enumerate(cols) if set(gens).intersection(T)}
+    return (_dense_rank(rows, len(cols), L.p),
+            _dense_rank([{j: v for j, v in row.items() if j in kept}
+                         for row in rows], len(cols), L.p), rows)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_projected_boundaries_keep_their_rank_and_clear_bijectively(
+        name, monkeypatch):
+    # B^n and its projection onto the tuples meeting L.generators have one
+    # dense rank, and B^n maps onto the columns that cohomology_dim clears
+    # (those missing from its elimination order) bijectively
+    L = ORACLE_ALGEBRAS[name]()
+    orders = []
+
+    def record(*args):
+        order, m = linalg.sparsest_first(*args)
+        orders.append(order)
+        return order, m
+
+    monkeypatch.setattr(ceco, "sparsest_first", record)
+    cases = 0
+    for module, slice_, n, cols in _oracle_cases(L):
+        whole, projected, rows = _boundary_ranks(L, module, slice_, n, cols,
+                                                 L.generators)
+        res = cohomology_dim(L, n, module, slice_=slice_)
+        cleared = sorted(set(range(len(cols))) - set(orders.pop()))
+        assert whole == projected == res.rank_prev == len(cleared), (
+            module, n, slice_)
+        at = {j: i for i, j in enumerate(cleared)}
+        assert _dense_rank([{at[j]: v for j, v in row.items() if j in at}
+                            for row in rows], len(cleared), L.p) == whole
+        cases += whole > 0
+    assert cases >= 5
+
+
+def test_projection_onto_a_non_generating_set_loses_rank():
+    # e_-1 alone generates only its own line, so some B^n projects onto
+    # the tuples holding it with a kernel
+    W = make_w1(1, P)
+    lost = []
+    for module, slice_, n, cols in _oracle_cases(W):
+        whole, projected, _ = _boundary_ranks(W, module, slice_, n, cols, (0,))
+        if projected < whole:
+            lost.append((module, n))
+    assert lost
+
+
+def _whole_witness(L, c):
+    # the witness solve_sparse finds on the whole images of the weight
+    # slices c touches, against the whole c
+    slices = [None]
+    if L.toral is not None:
+        grade = ComplexSlice(L, c.module, weight=0).grade
+        slices = [ComplexSlice(L, c.module, weight=w) for w in sorted(
+            {grade(T, k)[0] for T, vec in c.coeffs.items() for k in vec})]
+    cols, images = ceco._coboundaries(L, c.n, c.module, slices, 10 ** 9, [0])
+    sol = linalg.solve_sparse(dict(enumerate(images)), c.flatten(), L.p)
+    return None if sol is None else ceco._cochain(L, c.n - 1, c.module,
+                                                   cols, sol)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_witness_on_projected_boundaries_is_the_whole_systems(name):
+    # on random coboundaries of degree 1 to 3, on one weight slice or two,
+    # coboundary_witness returns the witness of the whole system, term for
+    # term; with one term added, a coboundary is not closed, and is none
+    L = ORACLE_ALGEBRAS[name]()
+    rng = random.Random(name)
+    found = refused = 0
+    for module in ("adjoint", "trivial"):
+        for n in (1, 2, 3):
+            if module == "adjoint" and n == 3 and L.dim > 5:
+                continue  # the whole system takes seconds here
+            weights = [0, rng.randrange(L.p)] if L.toral is not None else [0]
+            below = [ct for w in sorted(set(weights)) for ct in chain_columns(
+                L, n - 1, module, None if L.toral is None
+                else ComplexSlice(L, module, weight=w))]
+            for _ in range(3):
+                psi = Cochain(L, n - 1, module, {
+                    T: {t: rng.randrange(1, L.p)}
+                    for T, t in rng.sample(below, min(4, len(below)))})
+                c = ce_differential(psi)
+                if c.is_zero():
+                    continue
+                w = coboundary_witness(L, c)
+                assert w is not None
+                assert w.coeffs == _whole_witness(L, c).coeffs, (module, n)
+                assert ce_differential(w).flatten() == c.flatten()
+                T, t = rng.choice(chain_columns(L, n, module))
+                bad = c.add(Cochain(L, n, module, {T: {t: 1}}))
+                if closure_failure(bad):
+                    assert coboundary_witness(L, bad) is None
+                    assert _whole_witness(L, bad) is None
+                    refused += 1
+                found += 1
+    assert found >= 12 and refused >= 4, (found, refused)
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
@@ -772,10 +907,30 @@ class DropsToral(ComplexSlice):
         return ("dropped",) if 0 in T else super().grade(T, t)
 
 
+class DropsNonGenerator(ComplexSlice):
+    """A slice not closed under d that leaves out only tuples missing
+    L.generators: those holding x and no generator.  B^n is eliminated on
+    the other tuples, so only a lookup of every entry sees the leak."""
+
+    def __init__(self, L, x):
+        super().__init__(L, weight=0)
+        self.x = x
+
+    def grade(self, T, t=None):
+        if self.x in T and self.L.generator_tables[0].isdisjoint(T):
+            return ("dropped",)
+        return super().grade(T, t)
+
+
 def test_leaking_slice_raises():
     W = make_w1(1, P)
     with pytest.raises(ValueError, match="not closed under d"):
         cohomology_dim(W, 2, slice_=DropsToral(W))
+    # DropsToral drops tuples holding e_-1, a generator; this slice drops
+    # only tuples that B^n is not eliminated on, yet d_1 reaches them
+    assert 2 not in W.generators
+    with pytest.raises(ValueError, match="not closed under d"):
+        cohomology_dim(W, 2, slice_=DropsNonGenerator(W, 2))
 
 
 def test_slice_for_the_other_module_is_refused():

@@ -412,6 +412,19 @@ def test_cohomology_takes_no_seed(capsys):
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["cohomology", "w1n", "--n", "1", "--degree", "2"], "--degree"),
+    (["cohomology", "w1n", "--weight", "off"], "--weight"),
+    (["verify", "h2-w1-basic", "--json", "report.json"], "--json")])
+def test_abbreviated_options_are_refused(capsys, argv, option):
+    # read as a prefix, --degree 2 was --degree-slice 2: the empty degree-2
+    # slice printed 0 with exit code 0, where H^2 (--deg 2) is 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--p", "5", "--cache-dir", "off"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s" % option in capsys.readouterr().err
+
+
 def test_degree_slice_refused_on_filtered_builtin(capsys):
     rc, out, err = run(capsys, ["cohomology", "ldef", "--degree-slice", "5",
                                 "--cache-dir", "off"])
