@@ -31,7 +31,7 @@ def canonical_key(obj):
 
 class DiskCache:
     """One JSON file per entry under a cache directory; atomic writes;
-    corrupted entries are discarded with a warning and recomputed."""
+    entries that are corrupted or fail valid are dropped with a warning."""
 
     def __init__(self, path=None):
         self.path = path or default_cache_dir()
@@ -42,12 +42,14 @@ class DiskCache:
     def _file(self, key_obj):
         return os.path.join(self.path, canonical_key(key_obj) + ".json")
 
-    def get(self, key_obj):
+    def get(self, key_obj, valid=None):
         fn = self._file(key_obj)
         try:
             with open(fn, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
             value = doc["value"]
+            if valid is not None and not valid(value):
+                raise ValueError("inconsistent value %r" % (value,))
         except FileNotFoundError:
             self.misses += 1
             return None

@@ -19,7 +19,7 @@ nonzero entries to the work budget.
 
 A closed cochain whose coordinates (U, k) with U meeting S =
 L.generators all vanish is zero (linalg.greedy_generators), on any
-slice, for every n and both modules.  The lemma is used three times:
+slice, for every n and both modules.  The lemma is used twice:
 - of d_n, cohomology_dim keeps only the rows (U, k) whose tuple U holds
   an element of S, and closure_failure sums only those: they have the
   kernel of all rows.  So the rank, the pivot set (the least columns of
@@ -27,12 +27,11 @@ slice, for every n and both modules.  The lemma is used three times:
   of the whole matrix, while weight-zero H^2 of W1(1)(x)O1(1) or W1(2)
   at p = 7 keeps one row in five or in eight;
 - B^n is a space of closed cochains, so its projection onto the
-  columns (T, t) with T meeting S is injective.  cohomology_dim still
-  assembles the image of d_{n-1} whole, so that every entry is checked
-  against the slice, but eliminates only that projection;
-- class_span_dim and coboundary_witness assemble B^n on those
-  coordinates alone (L.generator_tables), and project their closed
-  cochains there, so every span and every witness is exact.
+  columns (T, t) with T meeting S is injective.  _coboundaries assembles
+  B^n on those coordinates alone (L.generator_tables), for
+  cohomology_dim, and for class_span_dim and coboundary_witness, which
+  project their closed cochains there: every span and witness is exact,
+  in any degree n >= 1 (Massey brackets are classed in H^3).
 
 d_n is eliminated by linalg.sparsest_first, after the projection of
 B^n, whose pivot columns P are cleared from d_n before it is built: B^n
@@ -47,16 +46,14 @@ order gave weight-one H^3 of W1(2) at p = 5 three times the fill.  The column
 order is fixed before d_n is assembled, and the stencil images are
 keyed by elimination position as they are transposed.
 
-class_span_dim and coboundary_witness work modulo B^n in any degree
-n >= 1 (_boundaries), so Massey brackets are classed in H^3 as 2-cocycles
-are in H^2.
-
 When the algebra has a toral basis element the complex splits by
 weight, and with an honest Z-grading it also splits by degree; both
 splittings are exact index bookkeeping, not heuristics, and a slice
 that d would leave is an error rather than a truncation.  A ComplexSlice
 holds the grade of each basis element as data (its weight mod p and/or
-its degree), and a column's grade is its target's less its tuple's.  So
+its degree), and a column's grade is its target's less its tuple's.  It
+refuses grades that some bracket term does not add up to, and additive
+grades keep d on the slice for both modules and every n.  So
 chain_columns buckets the targets by grade once, and each tuple reads
 the bucket its grade asks for, which is exactly its columns: enumeration
 costs one grade per tuple and one per target, not one per candidate.
@@ -280,7 +277,8 @@ class ComplexSlice:
     """Restriction of the cochain complex to one weight class (mod p,
     via the toral element) and/or one exact integer degree (via the
     Z-grading; refused on merely filtered algebras, where degrees are
-    not additive).  Grades of basis elements are data."""
+    not additive).  Grades of basis elements are data; a grade that some
+    bracket term does not add up to is refused ("not closed under d")."""
 
     def __init__(self, L, module="adjoint", weight=None, degree=None):
         _check_module(module)
@@ -300,6 +298,17 @@ class ComplexSlice:
         self._coords = [(L.weights, L.p)] if weight is not None else []
         if degree is not None:
             self._coords.append((L.grading, 0))
+        L.generators  # a non-Lie bracket is named before its grades
+        names = ("weight", "degree")[weight is None:]
+        for (g, m), name in zip(self._coords, names):
+            for (i, j), vec in L.bracket.items():
+                for k in vec:
+                    d = g[i] + g[j] - g[k]
+                    if d % m if m else d:
+                        raise ValueError(
+                            "slice is not closed under d: the %s of [%s, %s] "
+                            "is not that of its term %s" % (
+                                name, L.labels[i], L.labels[j], L.labels[k]))
         self.target = tuple(x for x in (self.weight, degree) if x is not None)
 
     def grade(self, T, t=None):
@@ -369,11 +378,22 @@ class CohomologyResult:
             self.dim, self.ncols, self.rank_d, self.rank_prev)
 
 
-def _column_images(L, module, cols, budget, counter, slices, restrict=None):
+_FIELDS = ("dim", "ncols", "rank_d", "rank_prev")  # of a cached value
+
+
+def _consistent(value):
+    """A cached value: four ints >= 0 with dim = ncols - rank_d - rank_prev."""
+    f = [value.get(k) for k in _FIELDS] if type(value) is dict else [None]
+    return (all(type(x) is int and x >= 0 for x in f)
+            and f[0] == f[1] - f[2] - f[3])
+
+
+def _column_images(L, module, cols, budget, counter, slices):
     """Yield the stencil image of each given (tuple, target) column of the
-    slices, charging its distinct nonzero entries to counter[0] and
-    raising BudgetExceeded once the count passes budget.  With restrict
-    = L.tables_for(S), only the rows whose tuple meets S."""
+    slices on the rows whose tuple meets L.generators, charging its
+    distinct nonzero entries to counter[0] and raising BudgetExceeded
+    once the count passes budget."""
+    restrict = L.generator_tables
     for T, run in itertools.groupby(cols, itemgetter(0)):
         for img in _stencil(L, module, T, [t for _, t in run], restrict):
             counter[0] += len(img)
@@ -400,30 +420,26 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
 
         dim H^n = #C^n - rank(d_n) - rank(d_{n-1}).
 
-    The image of d_{n-1} is assembled whole and each entry looked up on
-    the slice; its projection onto the columns whose tuple meets
-    L.generators is eliminated first.  Only the rows of d_n that meet
-    L.generators are assembled, on the columns outside the pivots of that
-    projection; their kernel basis, one cocycle per class, is the
-    representatives with want_reps (module docstring).  The budget counts
-    the entries assembled; a query with more tuples in C^n or C^(n-1) is
-    refused before they are enumerated.  ValueError is raised on an
-    unknown module, before the cache is read, when L fails Jacobi, when
-    d_{n-1} maps the slice outside itself (dropping those entries would
-    give a wrong dimension), and on a slice built for another algebra or
-    module (chain_columns).  Results without representatives are cached
-    under (engine version, algebra hash, module, n, slice descriptor)."""
+    B^n and the rows of d_n are assembled only on the tuples that meet
+    L.generators (_coboundaries, module docstring).  B^n is eliminated
+    first, and d_n on the columns outside its pivots; their kernel basis,
+    one cocycle per class, is the representatives with want_reps.  The
+    budget counts the entries assembled; a query with more tuples in C^n
+    or C^(n-1) is refused before they are enumerated.  ValueError is
+    raised on an unknown module, before the cache is read, when L fails
+    Jacobi, and on a slice built for another algebra or module
+    (chain_columns); a slice that d leaves is refused when it is built.
+    Results without representatives are cached under (engine version,
+    algebra hash, module, n, slice descriptor), checked when read."""
     _check_module(module)
     L.generators
     desc = slice_.descriptor() if slice_ is not None else None
-    key = None
     if cache is not None:
         key = {"engine": ENGINE, "algebra": L.hash_key(), "module": module,
                "n": n, "slice": desc, "kind": "cohomology"}
-        hit = cache.get(key)
+        hit = cache.get(key, _consistent)
         if hit is not None and not want_reps:
-            return CohomologyResult(hit["dim"], hit["ncols"],
-                                    hit["rank_d"], hit["rank_prev"],
+            return CohomologyResult(*map(hit.get, _FIELDS),
                                     stats={"cached": True})
     for k in (n, n - 1):
         if k >= 0 and math.comb(L.dim, k) > budget:
@@ -438,29 +454,17 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
 
     cols = chain_columns(L, n, module, slice_)
     ncols = len(cols)
-    # every column has an entry, so a leak is a KeyError; a column whose
-    # tuple misses S maps to None, as B^n is eliminated on the others
-    S = L.generator_tables[0]
-    colidx = {ct: None if S.isdisjoint(ct[0]) else j
-              for j, ct in enumerate(cols)}
+    S = L.generator_tables[0]  # B^n is assembled on the tuples meeting S
+    colidx = {ct: j for j, ct in enumerate(cols) if not S.isdisjoint(ct[0])}
     counter = [0]
     _, images = _coboundaries(L, n, module, [slice_], budget, counter)
     stats = {"cached": False, "enumerate_s": lap(), "ncols": ncols}
 
-    def boundary():  # B^n on the columns meeting S, by C^n column index
-        nnz = 0
+    def boundary():  # B^n by C^n column index
         for img in images:
-            try:
-                vec = {j: v for ck, v in img.items()
-                       if (j := colidx[ck]) is not None}
-            except KeyError as e:
-                raise ValueError(
-                    "slice is not closed under d: d_%d leaves it at column %r"
-                    % (n - 1, e.args[0])) from None
-            nnz += len(vec)
-            yield vec
+            yield {colidx[ck]: v for ck, v in img.items()}
         colidx.clear()  # not needed while d_n is built
-        stats.update(assemble_s=lap(), nnz_prev=nnz)
+        stats.update(assemble_s=lap(), nnz_prev=counter[0])
 
     def assemble(pos):
         # rows of d_n from the kept columns' images, entries at positions
@@ -470,7 +474,7 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
             (k for k in pos if k is not None),
             _column_images(L, module, (ct for ct, k in zip(cols, pos)
                                        if k is not None),
-                           budget, counter, [slice_], L.generator_tables)))
+                           budget, counter, [slice_])))
         stats.update(rows=len(rows), nnz=counter[0] - used)
         stats["assemble_s"] += lap()
         return rows.values()
@@ -493,9 +497,8 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
                  budget_used=counter[0], budget=budget)
     res = CohomologyResult(mat.nullity, ncols, mat.rank, ncols - len(cols),
                            reps, stats)
-    if cache is not None and key is not None:
-        cache.put(key, {"dim": res.dim, "ncols": ncols,
-                        "rank_d": res.rank_d, "rank_prev": res.rank_prev})
+    if cache is not None:
+        cache.put(key, {k: getattr(res, k) for k in _FIELDS})
     return res
 
 
@@ -510,24 +513,22 @@ def degree_slice(L, d, module="adjoint"):
     return ComplexSlice(L, module, degree=d)
 
 
-def _coboundaries(L, n, module, slices, budget, counter, restrict=None):
+def _coboundaries(L, n, module, slices, budget, counter):
     """The columns of C^{n-1} on the given slices (None for the whole
-    complex), in order, and a lazy generator of their images under d,
-    which spans B^n on those slices; assembly is charged to counter.
-    With restrict = L.tables_for(S), only the rows whose tuple meets S."""
+    complex), in order, and a lazy generator of their images under d on
+    the rows whose tuple meets L.generators: the projection of B^n on
+    those slices there.  Assembly is charged to counter."""
     cols = [ct for s in slices for ct in chain_columns(L, n - 1, module, s)]
-    return cols, _column_images(L, module, cols, budget, counter, slices,
-                                restrict)
+    return cols, _column_images(L, module, cols, budget, counter, slices)
 
 
 def _boundaries(L, cochains, budget):
     """_coboundaries on the weight slices that the n-cochains touch (the
-    whole complex when L has no toral element), on the rows whose tuple
-    meets L.generators: d keeps weights, so they hold every coboundary
-    that can meet the cochains, and the projection onto those rows is
-    injective on closed cochains (module docstring); compare them through
-    _projection.  Cochains on another algebra than L, of mixed degree or
-    module, or with n < 1 are refused, and so is an L that fails Jacobi."""
+    whole complex when L has no toral element): d keeps weights, so they
+    hold every coboundary that can meet the cochains; compare them
+    through _projection.  Cochains on another algebra than L, of mixed
+    degree or module, or with n < 1 are refused, and so is an L that
+    fails Jacobi."""
     n, module = cochains[0].n, cochains[0].module
     for c in cochains:
         if c.L is not L:
@@ -542,8 +543,7 @@ def _boundaries(L, cochains, budget):
         weights = {grade(T, k)[0] for c in cochains
                    for T, vec in c.coeffs.items() for k in vec}
         slices = [ComplexSlice(L, module, weight=w) for w in sorted(weights)]
-    return _coboundaries(L, n, module, slices, budget, [0],
-                         L.generator_tables)
+    return _coboundaries(L, n, module, slices, budget, [0])
 
 
 def _projection(c):
@@ -621,12 +621,10 @@ def h2_positive(L, budget=DEFAULT_BUDGET, cache=None):
     if L.grading is None:
         raise ValueError("h2_positive needs a graded algebra")
     lo, hi = min(L.grading), max(L.grading)
-    total = 0
     per_degree = {}
     for d in range(1, hi - 2 * lo + 1):
         res = cohomology_dim(L, 2, slice_=degree_slice(L, d),
                              budget=budget, cache=cache)
         if res.dim:
             per_degree[d] = res.dim
-        total += res.dim
-    return total, per_degree
+    return sum(per_degree.values()), per_degree

@@ -99,7 +99,7 @@ class LieAlgebra:
         if self.grading is None:
             return
         if len(self.grading) != self.dim or not all(
-                isinstance(g, int) for g in self.grading):
+                type(g) is int for g in self.grading):
             raise ValueError("grading must be %d integer degrees, one per "
                              "basis element, not %r" % (self.dim, self.grading))
         for (i, j), vec in self.bracket.items():

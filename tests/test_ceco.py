@@ -7,6 +7,7 @@ import json
 import os
 import random
 from collections import defaultdict
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -526,12 +527,11 @@ def test_representatives_match_the_greedy_loop(name, module, slicing,
         res = cohomology_dim(L, n, module, slice_=slice_, want_reps=True)
         cols = chain_columns(L, n, module, slice_)
         mat = SparseFpMatrix(len(cols), L.p)
-        for row in sorted(transpose(enumerate(ceco._column_images(
-                L, module, cols, 10 ** 9, [0], [slice_]))).values(), key=len):
+        for row in sorted(transpose(enumerate(_images(
+                L, module, cols))).values(), key=len):
             mat.add(row)
         span = Echelon(L.p)
-        for img in ceco._coboundaries(L, n, module, [slice_], 10 ** 9,
-                                      [0])[1]:
+        for img in _whole_boundaries(L, n, module, [slice_])[1]:
             span.add(img)
         fresh = Echelon(L.p)
         for row in span.rows():
@@ -580,11 +580,23 @@ ORACLE_ALGEBRAS = {
 ORACLE_MAX_COLS = 2500
 
 
+def _images(L, module, cols, restrict=None):
+    # the stencil image of each column in order, on every row or, with
+    # restrict = L.tables_for(gens), on the rows whose tuple meets gens
+    for T, run in itertools.groupby(cols, itemgetter(0)):
+        yield from ceco._stencil(L, module, T, [t for _, t in run], restrict)
+
+
+def _whole_boundaries(L, n, module, slices):
+    # the columns of C^{n-1} on the slices and their whole images, B^n
+    cols = [ct for s in slices for ct in chain_columns(L, n - 1, module, s)]
+    return cols, list(_images(L, module, cols))
+
+
 def _rank_and_pivots(L, module, cols, gens=None):
     # the given column order, rows shortest first
     rows = transpose(enumerate(
-        ceco._column_images(L, module, cols, 10 ** 9, [0], [None],
-                            gens and L.tables_for(gens))))
+        _images(L, module, cols, gens and L.tables_for(gens))))
     ech = Echelon(L.p)
     for row in sorted(rows.values(), key=len):
         ech.add(row)
@@ -641,7 +653,7 @@ def _rekeyed_reference(L, module, slice_, n, cols):
     top, colidx = max(weight, default=0), {ct: i for i, ct in enumerate(cols)}
     whole, image = Echelon(L.p), Echelon(L.p)
     S = set(L.generators)
-    _, images = ceco._coboundaries(L, n, module, [slice_], 10 ** 9, [0])
+    _, images = _whole_boundaries(L, n, module, [slice_])
     images = [{colidx[ck]: v for ck, v in img.items()} for img in images]
     for vec in images:
         whole.add(vec)
@@ -650,8 +662,7 @@ def _rekeyed_reference(L, module, slice_, n, cols):
                        for img in images], key=len):
         image.add(vec)
     cleared = {k % len(cols) for k in image.pivots}
-    rows = transpose(enumerate(ceco._column_images(
-        L, module, cols, 10 ** 9, [0], [slice_], L.generator_tables)))
+    rows = transpose(enumerate(_images(L, module, cols, L.generator_tables)))
     order = sorted((c for c in range(len(cols)) if c not in cleared),
                    key=lambda c: (weight[c], c))
     pos = {c: i for i, c in enumerate(order)}
@@ -691,7 +702,7 @@ def _boundary_ranks(L, module, slice_, n, cols, gens):
     # dense ranks of B^n whole and of its projection onto the columns
     # whose tuple meets gens, and the rows of B^n on natural indices
     colidx = {ct: i for i, ct in enumerate(cols)}
-    _, images = ceco._coboundaries(L, n, module, [slice_], 10 ** 9, [0])
+    _, images = _whole_boundaries(L, n, module, [slice_])
     rows = [{colidx[ck]: v for ck, v in img.items()} for img in images]
     kept = {i for i, (T, _) in enumerate(cols) if set(gens).intersection(T)}
     return (_dense_rank(rows, len(cols), L.p),
@@ -749,7 +760,7 @@ def _whole_witness(L, c):
         grade = ComplexSlice(L, c.module, weight=0).grade
         slices = [ComplexSlice(L, c.module, weight=w) for w in sorted(
             {grade(T, k)[0] for T, vec in c.coeffs.items() for k in vec})]
-    cols, images = ceco._coboundaries(L, c.n, c.module, slices, 10 ** 9, [0])
+    cols, images = _whole_boundaries(L, c.n, c.module, slices)
     sol = linalg.solve_sparse(dict(enumerate(images)), c.flatten(), L.p)
     return None if sol is None else ceco._cochain(L, c.n - 1, c.module,
                                                    cols, sol)
@@ -898,39 +909,47 @@ def test_class_span_budget_is_enforced():
         class_span_dim(W, [f], budget=1)
 
 
-class DropsToral(ComplexSlice):
-    """A slice not closed under d: it leaves out every column whose
-    tuple holds e_0, though d_1 maps e_j^* onto such columns.  Such a
-    tuple asks for a grade that no bucket of targets has."""
-
-    def grade(self, T, t=None):
-        return ("dropped",) if 0 in T else super().grade(T, t)
-
-
-class DropsNonGenerator(ComplexSlice):
-    """A slice not closed under d that leaves out only tuples missing
-    L.generators: those holding x and no generator.  B^n is eliminated on
-    the other tuples, so only a lookup of every entry sees the leak."""
-
-    def __init__(self, L, x):
-        super().__init__(L, weight=0)
-        self.x = x
-
-    def grade(self, T, t=None):
-        if self.x in T and self.L.generator_tables[0].isdisjoint(T):
-            return ("dropped",)
-        return super().grade(T, t)
-
-
 def test_leaking_slice_raises():
-    W = make_w1(1, P)
-    with pytest.raises(ValueError, match="not closed under d"):
-        cohomology_dim(W, 2, slice_=DropsToral(W))
-    # DropsToral drops tuples holding e_-1, a generator; this slice drops
-    # only tuples that B^n is not eliminated on, yet d_1 reaches them
-    assert 2 not in W.generators
-    with pytest.raises(ValueError, match="not closed under d"):
-        cohomology_dim(W, 2, slice_=DropsNonGenerator(W, 2))
+    # a weight that some bracket term [e_i, e_j] -> e_x does not add up to
+    # lets d leave the slice, which is refused when it is built: on e_-1,
+    # a generator, and on e_1, which is none (the weights of W are kept)
+    for x in (0, 2):
+        W = make_w1(1, P)
+        assert (x in W.generators) == (x == 0)
+        W._weights = [w + (k == x) for k, w in enumerate(W.weights)]
+        with pytest.raises(ValueError, match="not closed under d: the weight"):
+            weight_zero_reduce(W)
+        W._weights = None
+        weight_zero_reduce(W)
+
+
+def test_non_lie_bracket_is_named_before_a_slice_is_checked():
+    # [x, y] = x breaks Jacobi and the additivity of the weights of h
+    L = LieAlgebra(P, ["h", "x", "y"],
+                   {(0, 1): {1: 1}, (0, 2): {2: -1}, (1, 2): {1: 1}}, toral=0)
+    with pytest.raises(ValueError, match=r"Jacobi fails on \(h, x, y\)"):
+        weight_zero_reduce(L)
+
+
+def test_leaking_degree_slice_raises():
+    # a degree that is not additive, on a generator and on a non-generator
+    for x in (0, 2):
+        W = make_w1(1, P)
+        assert (x in W.generators) == (x == 0)
+        W.grading[x] += 1
+        with pytest.raises(ValueError, match="not closed under d: the degree"):
+            degree_slice(W, 0)
+        with pytest.raises(ValueError, match="not closed under d"):
+            ComplexSlice(W, weight=0, degree=0)
+
+
+def test_budget_counts_only_the_generator_coordinates():
+    # B^n and d_n are assembled on the tuples meeting L.generators alone,
+    # so the budget is charged exactly the entries that are eliminated
+    L = current_algebra(make_w1(1, 7), make_divided_powers(1, 7))
+    stats = cohomology_dim(L, 2, slice_=weight_zero_reduce(L)).stats
+    assert (stats["nnz"], stats["nnz_prev"]) == (44638, 1149)
+    assert stats["budget_used"] == stats["nnz"] + stats["nnz_prev"]
 
 
 def test_slice_for_the_other_module_is_refused():
@@ -1083,8 +1102,8 @@ def _stencil_cases(L):
 
 
 def _check_stencil(L, big):
-    # every column list in order; every image, key order included, with
-    # and without generator rows
+    # every column list in order; every image, key order included, on
+    # every row and on the generator rows that _column_images assembles
     restrict = L.generator_tables
     compared = 0
     for module, slice_, n in _stencil_cases(L):
@@ -1093,9 +1112,9 @@ def _check_stencil(L, big):
             (module, n, slice_ and slice_.descriptor())
         if (len(cols) > STENCIL_MAX_COLS) != big:
             continue
-        for rs in (None, restrict):
-            got = ceco._column_images(L, module, cols, 10 ** 9, [0],
-                                      [slice_], rs)
+        for rs, got in ((None, _images(L, module, cols)),
+                        (restrict, ceco._column_images(
+                            L, module, cols, 10 ** 9, [0], [slice_]))):
             for (T, t), img in zip(cols, got):
                 assert list(img.items()) == list(
                     _reference_image(L, module, T, t, rs).items()), \

@@ -175,6 +175,34 @@ def test_corrupted_cache_entry_is_discarded_and_recomputed(
     assert out.strip().splitlines()[-1] == "2/2 rows pass"
 
 
+@pytest.mark.parametrize("tamper", [
+    lambda doc: dict(doc, value=dict(doc["value"], dim=99)),
+    lambda doc: {"value": {"x": 1}},
+], ids=["wrong-dim", "no-dim"])
+def test_tampered_cohomology_entry_is_discarded_and_recomputed(
+        capsys, tmp_path, tamper):
+    # a cached value is used only if it holds four non-negative ints with
+    # dim = ncols - rank_d - rank_prev; else it is recomputed, not printed
+    # (dim 99) or read (no "dim" key)
+    cdir = str(tmp_path / "cache")
+    argv = ["cohomology", "w1n", "--p", "5", "--deg", "2", "--output",
+            "json", "--cache-dir", cdir]
+    rc, fresh, err = run(capsys, argv)
+    [entry] = glob.glob(os.path.join(cdir, "*.json"))
+    with open(entry, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    with open(entry, "w", encoding="utf-8") as fh:
+        json.dump(tamper(doc), fh)
+    rc, out, err = run(capsys, argv)
+    assert rc == 0 and out == fresh
+    assert "discarding corrupted entry" in err
+    # the recomputed value overwrote the entry
+    with open(entry, encoding="utf-8") as fh:
+        assert json.load(fh) == doc
+    rc, out, err = run(capsys, argv)
+    assert rc == 0 and out == fresh and err == ""
+
+
 def test_verify_budget_skip_and_force(capsys):
     rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--budget", "10",
                                 "--cache-dir", "off"])

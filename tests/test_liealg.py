@@ -762,6 +762,10 @@ def test_grading_needs_one_degree_per_basis_element():
         LieAlgebra.from_json(doc)
     with pytest.raises(ValueError, match="grading must be 2 integer degrees"):
         LieAlgebra(P, ["a", "b"], {}, grading=[0, 1, 2])
+    # a bool is no degree, though isinstance takes it for an int
+    doc["grading"] = [True, False]
+    with pytest.raises(ValueError, match="grading must be 2 integer degrees"):
+        LieAlgebra.from_json(doc)
 
 
 def test_from_json_checks_jacobi_at_every_dimension():
