@@ -53,7 +53,7 @@ class DiskCache:
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (ValueError, KeyError, OSError) as e:
+        except (ValueError, KeyError, TypeError, OSError) as e:
             print("modlie cache: discarding corrupted entry %s (%s)"
                   % (os.path.basename(fn), e), file=sys.stderr)
             try:

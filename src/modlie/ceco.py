@@ -7,15 +7,17 @@ The differential convention is
                     + sum_i (-1)^i x_i . phi(x_0..^i..x_n)
 
 so the kernel of d on 1-cochains with adjoint coefficients is the space
-of derivations.  Cochains are stored on sorted basis tuples.  The
-differential is assembled from one stencil, _stencil: the images of the
-elementary cochains (tuple T, target t), read off the algebra's cached
-bracket tables L.rev and L.ad, visited tuple-major: the bracket terms
-of T do not depend on t, so _bracket_terms computes them once for every
-target of T, and only the module-action terms are built per target.
-ce_differential sums stencil images, and the sparse matrices of d are
-built column by column from them, charging each column's distinct
-nonzero entries to the work budget.
+of derivations.  Cochains are stored on sorted basis tuples.  One
+stencil, _stencil, writes d of the elementary cochains (tuple T, target
+t), the columns, straight into the rows (U, k) of d.  It reads the
+cached bracket tables L.rev and L.ad tuple-major, so T's bracket terms
+serve all its targets, and resolves each U to an integer once per T, so
+an entry costs dict operations on integers.  A row that a cancellation
+empties in the column that made it is deleted, and so made anew at the
+end by a later touch; a row made earlier keeps an entry.  So the rows,
+their order and their entries' order are those of transposing the
+column images, and so are every pivot row and kernel vector.  Each
+column's distinct nonzero entries are charged to the work budget.
 
 A closed cochain whose coordinates (U, k) with U meeting S =
 L.generators all vanish is zero (linalg.greedy_generators), on any
@@ -43,8 +45,8 @@ and P lies where the kept rows are dense.  A column weighs its count of
 stencil terms in the whole d_n, read off the lengths of L.ad and L.rev:
 in the kept rows alone every column that meets S looks dense, and that
 order gave weight-one H^3 of W1(2) at p = 5 three times the fill.  The column
-order is fixed before d_n is assembled, and the stencil images are
-keyed by elimination position as they are transposed.
+order is fixed before d_n is assembled, so each entry is written at its
+column's elimination position.
 
 When the algebra has a toral basis element the complex splits by
 weight, and with an honest Z-grading it also splits by degree; both
@@ -92,23 +94,6 @@ __all__ = [
 ENGINE = 1
 
 
-def _perm_sign_and_sorted(xs):
-    """Sort a tuple of basis indices; returns (sign, sorted tuple) or
-    (0, None) on a repeated index."""
-    xs = list(xs)
-    sign = 1
-    for i in range(1, len(xs)):
-        j = i
-        while j and xs[j - 1] > xs[j]:
-            xs[j - 1], xs[j] = xs[j], xs[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(xs)):
-        if xs[i - 1] == xs[i]:
-            return 0, None
-    return sign, tuple(xs)
-
-
 def _check_module(module):
     if module not in ("adjoint", "trivial"):
         raise ValueError("module must be 'adjoint' or 'trivial', not %r"
@@ -149,14 +134,16 @@ class Cochain:
                 self.coeffs[T] = vec
 
     def evaluate(self, *xs):
-        """Value on basis indices, any order (alternating extension)."""
+        """Value on basis indices, any order (alternating extension): 0 on
+        a repeated index, else signed by the parity of xs's inversions."""
         if len(xs) != self.n:
             raise ValueError("expected %d arguments" % self.n)
-        sign, T = _perm_sign_and_sorted(xs)
-        if sign == 0:
+        T = tuple(sorted(xs))
+        if len(set(T)) < len(T):
             return {}
         v = self.coeffs.get(T, {})
-        return v if sign == 1 else vec_scale(v, -1, self.L.p)
+        odd = sum(x > y for i, x in enumerate(xs) for y in xs[i + 1:]) % 2
+        return vec_scale(v, -1, self.L.p) if odd else v
 
     def is_zero(self):
         return not self.coeffs
@@ -182,75 +169,90 @@ class Cochain:
             self.n, self.module, self.L.name, len(self.coeffs))
 
 
-def _bracket_terms(L, T, restrict):
-    """The bracket terms (U, signed c) of the stencil at T, shared by
-    every target: a support index m splits into a pair (i, j) with
-    [e_i, e_j] touching e_m (read from L.rev).  With restrict, the full
-    table serves where the rest of T meets S, the filtered one elsewhere."""
-    rev = L.rev
-    if restrict is not None:
-        S, _, rev_S = restrict
-        hits = sum(x in S for x in T)
-    terms = []
-    for a, m in enumerate(T):
-        rest = T[:a] + T[a + 1:]
-        table = rev_S if restrict is not None and hits == (m in S) else rev
-        for (i, j), c in table.get(m, ()):
-            if i in rest or j in rest:
-                continue
-            pi = bisect_left(rest, i)
-            pj = bisect_left(rest, j) + 1
-            terms.append((tuple(sorted(rest + (i, j))),
-                          -c if (a + pi + pj) % 2 else c))
-    return terms
-
-
-def _stencil(L, module, T, targets, restrict=None):
-    """The stencil of d: per target t, the image {(U, k): c} of the cochain
-    sending the sorted tuple T to e_t (to 1 in the trivial module, t = 0).
-    Module-action terms insert one z into T (sign by position, value
-    [e_z, e_t] from L.ad), then T's bracket terms follow at (U, t).  With
-    restrict = (S, ad, rev) from L.tables_for, only U meeting S."""
-    p, ad = L.p, L.ad
-    if restrict is not None and restrict[0].isdisjoint(T):
-        ad = restrict[1]
-    terms = _bracket_terms(L, T, restrict)
-    for t in targets:
-        img = {}
-        if module == "adjoint":
-            for z, vec in ad.get(t, ()):
-                if z in T:
+def _stencil(L, module, cols, restrict, budget, counter, slices):
+    """The rows of d on the columns ((T, t), key), those of one sorted T
+    adjacent, as (rows, name): rows {r: {key: c}} in the order they are
+    first touched (module docstring), name(r) = (U, k) the row's tuple
+    and target.  Column (T, t) sends T to e_t (to 1 in the trivial
+    module, t = 0): module-action terms insert one z into T (sign by
+    position, value [e_z, e_t] from L.ad), then T's bracket terms follow
+    at (U, t): a support index m splits into a pair (i, j) with [e_i, e_j]
+    touching e_m (L.rev).  With restrict = (S, ad, rev) from L.tables_for,
+    only U meeting S: the whole tables serve where the rest of T meets S,
+    the filtered ones elsewhere.  Each column's distinct nonzero entries
+    are charged to counter[0], BudgetExceeded once past budget."""
+    p, dim, adjoint = L.p, L.dim, module == "adjoint"
+    index, rows, used = {}, {}, counter[0]  # index: U -> dim * (U's index)
+    for T, run in itertools.groupby(cols, lambda col: col[0][0]):
+        ad, inserts, terms = L.ad, {}, []
+        if restrict is not None:
+            S, ad_S, rev_S = restrict
+            hits = sum(x in S for x in T)
+            ad = ad if hits else ad_S
+        for a, m in enumerate(T):
+            rest = T[:a] + T[a + 1:]
+            rev = rev_S if restrict is not None and hits == (m in S) else L.rev
+            for (i, j), c in rev.get(m, ()):
+                if i not in rest and j not in rest:
+                    odd = a + bisect_left(rest, i) + bisect_left(rest, j) + 1
+                    U = tuple(sorted(rest + (i, j)))
+                    terms.append((index.setdefault(U, len(index) * dim),
+                                  -c % p if odd % 2 else c))
+        for (_, t), key in run:
+            for z, vec in ad.get(t, ()) if adjoint else ():
+                at = inserts.get(z)  # (base, sign) of T with z inserted
+                if at is None:
+                    i = bisect_left(T, z)
+                    at = inserts[z] = () if z in T else (index.setdefault(
+                        T[:i] + (z,) + T[i:], len(index) * dim), (-1) ** i)
+                if not at:
                     continue
-                pos = bisect_left(T, z)
-                U = T[:pos] + (z,) + T[pos:]
-                sgn = -1 if pos % 2 else 1
+                b, sgn = at
                 for k, c in vec.items():
-                    key = (U, k)
-                    y = (img.get(key, 0) + sgn * c) % p
-                    if y:
-                        img[key] = y
+                    r, c = b + k, sgn * c % p
+                    row = rows.get(r) or rows.setdefault(r, {})
+                    if (y := row.get(key)) is None:
+                        row[key] = c
+                        used += 1
+                    elif y := (y + c) % p:
+                        row[key] = y
                     else:
-                        del img[key]
-        for U, c in terms:
-            key = (U, t)
-            y = (img.get(key, 0) + c) % p
-            if y:
-                img[key] = y
-            else:
-                del img[key]
-        yield img
+                        del row[key]
+                        used -= 1
+                        if not row:
+                            del rows[r]
+            for b, c in terms:
+                r = b + t
+                row = rows.get(r) or rows.setdefault(r, {})
+                if (y := row.get(key)) is None:
+                    row[key] = c
+                    used += 1
+                elif y := (y + c) % p:
+                    row[key] = y
+                else:
+                    del row[key]
+                    used -= 1
+                    if not row:
+                        del rows[r]
+            if used > budget:
+                raise _over_budget(L, budget, slices)
+    counter[0] = used
+    tuples = list(index)
+    return rows, lambda r: (tuples[r // dim], r % dim)
 
 
 def _image(c, restrict=None):
-    """{U: {k: value}}, the sum of the stencil images of c's terms."""
+    """d c as {U: {k: value}}: _stencil's rows on c's terms, each summed
+    with c's coefficients."""
     L, p = c.L, c.L.p
+    scale = [a for vec in c.coeffs.values() for a in vec.values()]
+    cols = ((T, t) for T, vec in c.coeffs.items() for t in vec)
+    rows, name = _stencil(L, c.module, zip(cols, itertools.count()),
+                          restrict, math.inf, [0], ())
     out = defaultdict(dict)
-    for T, vec in c.coeffs.items():
-        for a, img in zip(vec.values(),
-                          _stencil(L, c.module, T, vec, restrict)):
-            for (U, k), v in img.items():
-                row = out[U]
-                row[k] = (row.get(k, 0) + a * v) % p
+    for r, row in rows.items():
+        U, k = name(r)
+        out[U][k] = sum(scale[j] * v for j, v in row.items()) % p
     return out
 
 
@@ -388,20 +390,6 @@ def _consistent(value):
             and f[0] == f[1] - f[2] - f[3])
 
 
-def _column_images(L, module, cols, budget, counter, slices):
-    """Yield the stencil image of each given (tuple, target) column of the
-    slices on the rows whose tuple meets L.generators, charging its
-    distinct nonzero entries to counter[0] and raising BudgetExceeded
-    once the count passes budget."""
-    restrict = L.generator_tables
-    for T, run in itertools.groupby(cols, itemgetter(0)):
-        for img in _stencil(L, module, T, [t for _, t in run], restrict):
-            counter[0] += len(img)
-            if counter[0] > budget:
-                raise _over_budget(L, budget, slices)
-            yield img
-
-
 def _over_budget(L, budget, slices):
     """The BudgetExceeded of a differential: it names the slices, and
     advises a weight slice only on a whole complex that has one."""
@@ -467,14 +455,12 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         stats.update(assemble_s=lap(), nnz_prev=counter[0])
 
     def assemble(pos):
-        # rows of d_n from the kept columns' images, entries at positions
+        # the rows of d_n, each entry written at its column's position
         stats["rank_prev_s"] = lap()  # with the column order
         used = counter[0]
-        rows = transpose(zip(
-            (k for k in pos if k is not None),
-            _column_images(L, module, (ct for ct, k in zip(cols, pos)
-                                       if k is not None),
-                           budget, counter, [slice_])))
+        rows, _ = _stencil(
+            L, module, ((ct, k) for ct, k in zip(cols, pos) if k is not None),
+            L.generator_tables, budget, counter, [slice_])
         stats.update(rows=len(rows), nnz=counter[0] - used)
         stats["assemble_s"] += lap()
         return rows.values()
@@ -516,10 +502,17 @@ def degree_slice(L, d, module="adjoint"):
 def _coboundaries(L, n, module, slices, budget, counter):
     """The columns of C^{n-1} on the given slices (None for the whole
     complex), in order, and a lazy generator of their images under d on
-    the rows whose tuple meets L.generators: the projection of B^n on
-    those slices there.  Assembly is charged to counter."""
+    the rows whose tuple meets L.generators, the projection of B^n on
+    those slices there: its few entries are assembled as rows by _stencil
+    on the first request, charged to counter, and transposed."""
     cols = [ct for s in slices for ct in chain_columns(L, n - 1, module, s)]
-    return cols, _column_images(L, module, cols, budget, counter, slices)
+
+    def images():
+        rows, name = _stencil(L, module, zip(cols, itertools.count()),
+                              L.generator_tables, budget, counter, slices)
+        by_col = transpose((name(r), row) for r, row in rows.items())
+        yield from (by_col.get(j, {}) for j in range(len(cols)))
+    return cols, images()
 
 
 def _boundaries(L, cochains, budget):

@@ -61,7 +61,8 @@ than with no clearing.
 A linear map is given by its columns {j: {k: c}} (LinearMap).
 SparseFpMatrix is the Echelon that also knows its column count, so it
 has a kernel_basis and a nullity; its from_columns turns columns into
-rows with transpose, the one transpose of the package, and solve_sparse
+rows with transpose, the one transpose of the package (ceco writes d_n
+straight into rows and transposes only the few of B^n), and solve_sparse
 builds its augmented system [columns | -target] through from_columns.
 
 A bilinear map f is given on pairs {(i, j): f(e_i, e_j)}, i < j for an

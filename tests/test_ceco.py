@@ -7,7 +7,6 @@ import json
 import os
 import random
 from collections import defaultdict
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -581,10 +580,18 @@ ORACLE_MAX_COLS = 2500
 
 
 def _images(L, module, cols, restrict=None):
-    # the stencil image of each column in order, on every row or, with
+    # the reference image of each column in order, on every row or, with
     # restrict = L.tables_for(gens), on the rows whose tuple meets gens
-    for T, run in itertools.groupby(cols, itemgetter(0)):
-        yield from ceco._stencil(L, module, T, [t for _, t in run], restrict)
+    for T, t in cols:
+        yield _reference_image(L, module, T, t, restrict)
+
+
+def _stencil_rows(L, module, cols, restrict=None):
+    # the rows ceco._stencil assembles on the columns (ct, key), keyed by
+    # (U, k), in its order
+    rows, name = ceco._stencil(L, module, cols, restrict, float("inf"), [0],
+                               ())
+    return {name(r): row for r, row in rows.items()}
 
 
 def _whole_boundaries(L, n, module, slices):
@@ -817,6 +824,84 @@ def test_rows_keyed_by_position_match_rekeyed_rows(name):
                     module, n, slice_)
 
 
+def _assembled_rows(L, module, slice_, n, cols, monkeypatch):
+    # the rows of d_n that cohomology_dim assembles, re-keyed by natural
+    # column index, against the transposed reference images of the
+    # columns it keeps: keys, values, row order and entry order; returns
+    # whether rows in plain first-touch order (no row deleted when a
+    # cancellation empties it) would have been in another order
+    orders, assembled = [], []
+
+    def record_order(*args):
+        order, m = linalg.sparsest_first(*args)
+        orders.append(order)
+        return order, m
+
+    def record_rows(*args):
+        rows, name = stencil(*args)
+        assembled.append([(name(r), dict(row)) for r, row in rows.items()])
+        return rows, name
+
+    stencil = ceco._stencil
+    monkeypatch.setattr(ceco, "sparsest_first", record_order)
+    monkeypatch.setattr(ceco, "_stencil", record_rows)
+    cohomology_dim(L, n, module, slice_=slice_)
+    monkeypatch.undo()
+    order = orders.pop()
+    kept = set(order)
+    got = [(key, [(order[i], c) for i, c in row.items()])
+           for key, row in assembled[-1]]
+    touched = []
+    want = transpose((j, _reference_image(L, module, T, t, L.generator_tables,
+                                          touched))
+                     for j, (T, t) in enumerate(cols) if j in kept)
+    assert got == [(key, list(row.items())) for key, row in want.items()], (
+        module, n, slice_)
+    return list(dict.fromkeys(k for k in touched if k in want)) != list(want)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
+def test_assembled_rows_are_the_transposed_images_in_order(name, monkeypatch):
+    # cohomology_dim writes each stencil entry straight into its row of
+    # d_n; the rows, their order and their entries' order are those of
+    # transposing the images of the kept columns, so every pivot row and
+    # representative is the one of a transpose.  On weight-zero H^2 of
+    # W1(2) a cancellation empties a row in the column that made it, so
+    # plain first-touch order would differ there
+    L = ORACLE_ALGEBRAS[name]()
+    sharp = set()
+    for module, slice_, n, cols in _oracle_cases(L):
+        if _assembled_rows(L, module, slice_, n, cols, monkeypatch):
+            sharp.add((module, slice_ and slice_.descriptor()["weight"], n))
+    if name == "w1_2":
+        assert ("adjoint", 0, 2) in sharp
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", ["w1xo1", "w1_2"])
+def test_assembled_rows_are_the_transposed_images_at_p7(name, monkeypatch):
+    # the benchmark-sized assembly: weight-zero H^2 at p = 7, 8 232 columns
+    L = {"w1xo1": lambda: current_algebra(make_w1(1, 7),
+                                          make_divided_powers(1, 7)),
+         "w1_2": lambda: make_w1(2, 7)}[name]()
+    slice_ = weight_zero_reduce(L)
+    cols = chain_columns(L, 2, slice_=slice_)
+    assert len(cols) == 8232
+    _assembled_rows(L, "adjoint", slice_, 2, cols, monkeypatch)
+
+
+def test_budget_trips_after_the_column_that_passes_it():
+    # the budget counts each column's distinct nonzero entries and is
+    # checked after each column: weight-zero H^2 of W1(1)(x)O1(1) at
+    # p = 5 charges 8 150 entries, so 8 149 is refused and 8 150 is not
+    L = ORACLE_ALGEBRAS["w1xo1"]()
+    slice_ = weight_zero_reduce(L)
+    assert cohomology_dim(L, 2, slice_=slice_).stats["budget_used"] == 8150
+    with pytest.raises(BudgetExceeded, match="8149-entry budget"):
+        cohomology_dim(L, 2, slice_=slice_, budget=8149)
+    assert cohomology_dim(L, 2, slice_=slice_, budget=8150).dim == 20
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_ALGEBRAS))
 def test_closure_on_generator_rows_matches_the_differential(name):
     # closure_failure sums only the rows of d that meet L.generators; on
@@ -1038,9 +1123,11 @@ def _reference_columns(L, n, module, slice_):
             if slice_ is None or _reference_admits(slice_, T, t)]
 
 
-def _reference_image(L, module, T, t, restrict=None):
-    # the stencil of one column, its bracket terms recomputed per target
+def _reference_image(L, module, T, t, restrict=None, touched=None):
+    # the stencil of one column, its bracket terms recomputed per target;
+    # each key written is appended to touched
     p = L.p
+    touched = [] if touched is None else touched
     img = {}
     ad, rev = L.ad, L.rev
     if restrict is not None:
@@ -1057,6 +1144,7 @@ def _reference_image(L, module, T, t, restrict=None):
             sgn = -1 if pos % 2 else 1
             for k, c in vec.items():
                 key = (U, k)
+                touched.append(key)
                 y = (img.get(key, 0) + sgn * c) % p
                 if y:
                     img[key] = y
@@ -1074,6 +1162,7 @@ def _reference_image(L, module, T, t, restrict=None):
             pj = bisect_left(rest, j) + 1
             U = tuple(sorted(rest + (i, j)))
             key = (U, t)
+            touched.append(key)
             y = (img.get(key, 0) + (-c if (a + pi + pj) % 2 else c)) % p
             if y:
                 img[key] = y
@@ -1102,8 +1191,10 @@ def _stencil_cases(L):
 
 
 def _check_stencil(L, big):
-    # every column list in order; every image, key order included, on
-    # every row and on the generator rows that _column_images assembles
+    # every column list in order; every image on every row, from the rows
+    # ceco._stencil assembles for all columns at once, and on the generator
+    # rows, from the B^(n+1) images of _coboundaries; and each column's
+    # image alone, key order included, on both
     restrict = L.generator_tables
     compared = 0
     for module, slice_, n in _stencil_cases(L):
@@ -1112,12 +1203,17 @@ def _check_stencil(L, big):
             (module, n, slice_ and slice_.descriptor())
         if (len(cols) > STENCIL_MAX_COLS) != big:
             continue
-        for rs, got in ((None, _images(L, module, cols)),
-                        (restrict, ceco._column_images(
-                            L, module, cols, 10 ** 9, [0], [slice_]))):
+        whole = transpose(_stencil_rows(
+            L, module, zip(cols, itertools.count())).items())
+        _, projected = ceco._coboundaries(L, n + 1, module, [slice_],
+                                          10 ** 9, [0])
+        for rs, got in ((None, (whole.get(j, {}) for j in range(len(cols)))),
+                        (restrict, projected)):
             for (T, t), img in zip(cols, got):
-                assert list(img.items()) == list(
-                    _reference_image(L, module, T, t, rs).items()), \
+                want = _reference_image(L, module, T, t, rs)
+                alone = _stencil_rows(L, module, [((T, t), 0)], rs)
+                assert img == want and list(want.items()) == [
+                    (key, row[0]) for key, row in alone.items()], \
                     (module, n, T, t, rs is None)
                 compared += 1
     return compared

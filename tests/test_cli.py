@@ -178,12 +178,14 @@ def test_corrupted_cache_entry_is_discarded_and_recomputed(
 @pytest.mark.parametrize("tamper", [
     lambda doc: dict(doc, value=dict(doc["value"], dim=99)),
     lambda doc: {"value": {"x": 1}},
-], ids=["wrong-dim", "no-dim"])
+    lambda doc: [1, 2],
+    lambda doc: "x",
+], ids=["wrong-dim", "no-dim", "list", "string"])
 def test_tampered_cohomology_entry_is_discarded_and_recomputed(
         capsys, tmp_path, tamper):
     # a cached value is used only if it holds four non-negative ints with
     # dim = ncols - rank_d - rank_prev; else it is recomputed, not printed
-    # (dim 99) or read (no "dim" key)
+    # (dim 99) or read (no "dim" key, or no JSON object at the top)
     cdir = str(tmp_path / "cache")
     argv = ["cohomology", "w1n", "--p", "5", "--deg", "2", "--output",
             "json", "--cache-dir", cdir]
