@@ -104,7 +104,8 @@ class Cochain:
     """Alternating n-cochain on L with values in the adjoint or trivial
     module, stored as {sorted basis tuple: sparse target vector}; the
     trivial module uses the single target key 0.  Keys and targets
-    outside those of L and the module are refused."""
+    outside those of L and the module, and values that are not
+    integers, are refused."""
 
     def __init__(self, L, n, module, coeffs=None):
         _check_module(module)
@@ -116,10 +117,12 @@ class Cochain:
         targets = basis if module == "adjoint" else range(1)
         for T, vec in (coeffs or {}).items():
             # range membership takes a float equal to an index, so every
-            # index and target passes operator.index, which refuses one
+            # index, target and value passes operator.index, which refuses
+            # one (a float value would reach pow() in elimination)
             try:
                 T = tuple(map(index, T))
-                ok = all(map(targets.__contains__, map(index, vec)))
+                vec = {index(k): index(v) for k, v in vec.items()}
+                ok = all(map(targets.__contains__, vec))
             except TypeError:
                 T, ok = tuple(T), False
             if list(T) != sorted(set(T)):
@@ -128,7 +131,8 @@ class Cochain:
                 raise ValueError("cochain key %r has wrong arity" % (T,))
             if not ok or T and not (T[0] in basis and T[-1] in basis):
                 raise ValueError("cochain entry %r: %r leaves the basis of %s "
-                                 "or its %s module" % (T, vec, L.name, module))
+                                 "or its %s module, or is not an integer"
+                                 % (T, vec, L.name, module))
             vec = {k: v % L.p for k, v in vec.items() if v % L.p}
             if vec:
                 self.coeffs[T] = vec

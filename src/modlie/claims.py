@@ -31,7 +31,7 @@ from .linalg import DEFAULT_BUDGET, Echelon, LinearMap
 from .cocycles import (phi21, theta, upsilon, psi, phi_big, psi_t,
                        lambda_identities_check, build_filtered_deformation)
 
-__all__ = ["CLAIMS", "resolve_claim", "run_claim"]
+__all__ = ["CLAIMS", "Ctx", "resolve_claim"]
 
 
 class Claim:
@@ -204,7 +204,7 @@ def _hochschild_harrison(inst, ctx):
     for m, A in enumerate(algs, 1):
         D = partial_derivation(A)
         for i in range(1, m + 1):
-            F = basic_harrison_cocycle(m, p, i, "divided", A=A)
+            F = basic_harrison_cocycle(A, i)
             sym.append(is_harrison_cocycle(F))
             sF = star_action(D, F)
             lit.append(sF.is_zero())
@@ -458,8 +458,3 @@ def resolve_claim(cid):
     if key in CLAIMS:
         return CLAIMS[key]
     raise KeyError("unknown claim id %r (see verify --list)" % cid)
-
-
-def run_claim(cid, overrides=None, ctx=None):
-    claim = resolve_claim(cid)
-    return claim.rows(ctx or Ctx(), overrides)

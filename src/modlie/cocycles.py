@@ -106,7 +106,7 @@ def theta(L, phi_on_s, u):
     _, dA, A = _tensor_layout(L)
     abu = {key: v for key, ab in A.mult.items() if (v := A.mul(ab, u))}
     c = Cochain(L, 2, "adjoint",
-                bilinear_tensor(phi_on_s.coeffs, abu, 1, dA, L.p))
+                bilinear_tensor(phi_on_s.coeffs, abu, dA, L.p))
     return _check_closed(c, "Theta")
 
 
@@ -114,7 +114,7 @@ def upsilon(L, F):
     """Upsilon_F on S (x) A: (x (x) a, y (x) b) -> [x,y] (x) F(a,b)."""
     _, dA, _ = _tensor_layout(L)
     c = Cochain(L, 2, "adjoint",
-                bilinear_tensor(L.meta["L"].bracket, F.values, 1, dA, L.p))
+                bilinear_tensor(L.meta["L"].bracket, F.values, dA, L.p))
     return _check_closed(c, "Upsilon")
 
 
@@ -301,10 +301,11 @@ def _frac_mod(fr, p):
 
 def lambda_identities_check(p, lam=None):
     """Exhaustive check of the coefficient identities behind the lifted
-    Theta family.  `lam` overrides the coefficient table (for mutation
-    testing); violations are listed, not raised.
+    Theta family.  `lam`, a dict keyed like arith.lambda_table(p),
+    replaces that table (for mutation testing); violations are listed,
+    not raised.
 
-    Checked, with lam[i][j] indexed from (i,j) = (-1,-1):
+    Checked, with l_{ij} = lam[i, j] for i, j >= -1:
       boundary:   l_{-1,j} = l_{0,j} = 0, l_{1,j} = 3/2, l_{p-2,0} = 0
       recurrence: l_{ij} = l_{i-1,j} + l_{i,j-1} for i, j >= 0
       closing:    l_{j-1,k} + l_{j,k-1} = (-1)^k (2k+1)/(k(k+1)),
@@ -319,11 +320,7 @@ def lambda_identities_check(p, lam=None):
                   1 <= j <= p - 2
     """
     if lam is None:
-        table = lambda_table(p)
-        lam = lambda i, j: table[(i, j)]
-    elif isinstance(lam, dict):
-        table = lam
-        lam = lambda i, j: table[(i, j)]
+        lam = lambda_table(p)
     violations = []
 
     def record(name, where, lhs, rhs):
@@ -332,24 +329,24 @@ def lambda_identities_check(p, lam=None):
                 {"identity": name, "at": where, "lhs": lhs % p, "rhs": rhs % p})
 
     for j in range(-1, p - 1):
-        record("boundary", (-1, j), lam(-1, j), 0)
-        record("boundary", (0, j), lam(0, j), 0)
-        record("boundary", (1, j), lam(1, j), _frac_mod(Fraction(3, 2), p))
-    record("boundary", (p - 2, 0), lam(p - 2, 0), 0)
+        record("boundary", (-1, j), lam[-1, j], 0)
+        record("boundary", (0, j), lam[0, j], 0)
+        record("boundary", (1, j), lam[1, j], _frac_mod(Fraction(3, 2), p))
+    record("boundary", (p - 2, 0), lam[p - 2, 0], 0)
     for i in range(0, p - 1):
         for j in range(0, p - 1):
-            record("recurrence", (i, j), lam(i, j),
-                   lam(i - 1, j) + lam(i, j - 1))
+            record("recurrence", (i, j), lam[i, j],
+                   lam[i - 1, j] + lam[i, j - 1])
     for k in range(1, p - 1):
         j = p - 1 - k
         if not 1 <= j <= p - 2:
             continue
         rhs = Fraction((2 * k + 1), k * (k + 1))
         sgn = -1 if k % 2 else 1
-        record("closing", (j, k), lam(j - 1, k) + lam(j, k - 1),
+        record("closing", (j, k), lam[j - 1, k] + lam[j, k - 1],
                sgn * _frac_mod(rhs, p))
-        record("skew", (j, k), lam(j, k - 1) - lam(k, j - 1),
-               2 * sgn * lam(j, -1) - 2 * sgn * lam(k, -1)
+        record("skew", (j, k), lam[j, k - 1] - lam[k, j - 1],
+               2 * sgn * lam[j, -1] - 2 * sgn * lam[k, -1]
                - sgn * _frac_mod(rhs, p))
         record("divided-n", (j, k), n_div_p(j, k, p),
                (-1 if j % 2 else 1)
@@ -359,11 +356,11 @@ def lambda_identities_check(p, lam=None):
             for k in range(0, p - 1):
                 if i + j + k >= p - 1:
                     continue
-                lhs = (n_int(i, j) * lam(i + j, k)
-                       - n_int(j, k) * lam(i, j + k)
-                       + n_int(i, k) * lam(j, i + k)
-                       + n_int(j + k, i) * lam(j, k)
-                       - n_int(i + k, j) * lam(i, k))
+                lhs = (n_int(i, j) * lam[i + j, k]
+                       - n_int(j, k) * lam[i, j + k]
+                       + n_int(i, k) * lam[j, i + k]
+                       + n_int(j + k, i) * lam[j, k]
+                       - n_int(i + k, j) * lam[i, k])
                 record("mixing", (i, j, k), lhs, 0)
     return {"p": p, "ok": not violations, "violations": violations}
 

@@ -14,11 +14,11 @@ The Hochschild differential is written once, in _stencil: the terms of
     dF(x_0..x_k) = x_0 F(x_1..x_k) + sum_i (-1)^i F(..x_{i-1} x_i..)
                    + (-1)^{k+1} F(x_0..x_{k-1}) x_k
 
-at a basis tuple.  Evaluated, they give hochschild_delta, the Leibniz
-check and is_harrison_cocycle; as one scalar row per output coordinate
-they give the systems of derivation_space, harrison_h2 and
-hochschild_hn_dim; the d^1 rows, transposed, are the coboundaries that
-solve_delta1 and the Harrison quotients read.
+at a basis tuple.  Evaluated, they give the Leibniz check of Derivation
+and is_harrison_cocycle; as one scalar row per output coordinate they
+give the systems of derivation_space, harrison_h2 and hochschild_hn_dim;
+the d^1 rows, transposed, are the coboundaries that solve_delta1 and
+the Harrison quotients read.
 
 A kernel {F : dF = 0} needs only the rows whose first argument lies in
 {unit} + A.generators.  For G = dF, d^2 F = 0 at (s, x, ..) gives
@@ -46,8 +46,8 @@ from collections import defaultdict
 from .arith import binom, binom_mod_p, check_prime
 from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, LinearMap,
                      SparseFpMatrix, bilinear_eval, bilinear_get,
-                     bilinear_pairs, bilinear_table, bilinear_tensor, compose,
-                     family_add, greedy_generators, morphism_failure,
+                     bilinear_pairs, bilinear_table, bilinear_tensor,
+                     check_family, compose, family_add, greedy_generators,
                      solve_sparse, sparsest_first, transpose, vec_add,
                      vec_scale)
 
@@ -55,15 +55,11 @@ __all__ = [
     "CommAlgebra",
     "Derivation",
     "SymmetricBilinearMap",
-    "is_multiplicative",
     "make_divided_powers",
     "make_reduced_poly",
     "make_scalars",
     "tensor_product",
-    "divided_to_reduced_iso",
     "partial_derivation",
-    "partial_power_derivation",
-    "dx_derivation",
     "tensor_derivation",
     "mult_operator",
     "scale_derivation",
@@ -72,7 +68,6 @@ __all__ = [
     "d_invariants",
     "der_invariants",
     "der_coinvariants",
-    "hochschild_delta",
     "star_action",
     "is_harrison_cocycle",
     "solve_delta1",
@@ -254,40 +249,11 @@ def tensor_product(A, B):
     return CommAlgebra(
         A.p,
         labels,
-        dict(sorted(bilinear_tensor(A.mult, B.mult, 1, dB, A.p).items())),
+        dict(sorted(bilinear_tensor(A.mult, B.mult, dB, A.p).items())),
         unit=A.unit * dB + B.unit,
         name="%s(x)%s" % (A.name, B.name),
         meta={"kind": "tensor", "dims": (A.dim, B.dim), "left": A, "right": B},
     )
-
-
-def is_multiplicative(f):
-    """(True, None) when the linear map f between algebras preserves
-    products of basis elements, else (False, first failing pair)."""
-    bad = morphism_failure(f, f.source.mult, f.target.mult, 1)
-    return (False, bad[:2]) if bad else (True, None)
-
-
-def divided_to_reduced_iso(n, p):
-    """The algebra isomorphism O_n -> O1(n) sending the reduced monomial
-    x^alpha to (prod_i alpha_i!) x^{sum_i alpha_i p^{i-1}}; verified
-    multiplicative and bijective before being returned."""
-    Om = make_reduced_poly(n, p)
-    O1 = make_divided_powers(n, p)
-    cols = {}
-    for idx, alpha in enumerate(Om.meta["exps"]):
-        c = 1
-        e = 0
-        for a, ai in enumerate(alpha):
-            for t in range(2, ai + 1):
-                c = c * t % p
-            e += ai * p ** a
-        cols[idx] = {e: c}
-    f = LinearMap(Om, O1, cols)
-    ok, pair = is_multiplicative(f)
-    if not ok or not f.is_bijective():
-        raise AssertionError("divided/reduced identification failed at %r" % (pair,))
-    return f
 
 
 class Derivation(LinearMap):
@@ -335,31 +301,6 @@ def partial_derivation(A):
     return Derivation(A, {j: {j - 1: 1} for j in range(1, A.dim)}, name="d")
 
 
-def partial_power_derivation(A, k):
-    """The p^k-th divided power of the shift: x^j -> x^{j - p^k}."""
-    if A.meta.get("kind") != "divided":
-        raise ValueError("partial_power_derivation needs a divided-power algebra")
-    s = A.p ** k
-    return Derivation(
-        A, {j: {j - s: 1} for j in range(s, A.dim)}, name="d^(p^%d)" % k
-    )
-
-
-def dx_derivation(A, i):
-    """d/dx_i on the reduced polynomial ring."""
-    if A.meta.get("kind") != "reduced":
-        raise ValueError("dx_derivation needs a reduced polynomial ring")
-    exps = A.meta["exps"]
-    index = {e: idx for idx, e in enumerate(exps)}
-    cols = {}
-    for idx, alpha in enumerate(exps):
-        if alpha[i - 1]:
-            down = list(alpha)
-            down[i - 1] -= 1
-            cols[idx] = {index[tuple(down)]: alpha[i - 1] % A.p}
-    return Derivation(A, cols, name="d/dx%d" % i)
-
-
 def mult_operator(A, u):
     """Right multiplication by the element u, as sparse columns."""
     return {
@@ -380,24 +321,21 @@ def scale_derivation(D, u):
     return Derivation(A, cols, name="u*%s" % D.name)
 
 
-def tensor_derivation(AB, D, side):
-    """D (x) 1 or 1 (x) D on a tensor-product algebra."""
+def tensor_derivation(AB, D):
+    """D (x) 1 on a tensor-product algebra A (x) B, for D on A."""
     if AB.meta.get("kind") != "tensor":
         raise ValueError("tensor_derivation needs a tensor-product algebra")
     dA, dB = AB.meta["dims"]
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    # D's factor has dimension n and stride s in the index a * dB + b
-    n, s = (dA, dB) if side == "left" else (dB, 1)
-    if D.A.dim != n:
-        raise ValueError("derivation does not act on the %s factor" % side)
+    if D.A.dim != dA:
+        raise ValueError("derivation does not act on the left factor")
+    # x = a * dB + b goes to D(a) (x) b
     cols = {}
     for x in range(dA * dB):
-        own = x // s % n
-        col = {x + (k - own) * s: v for k, v in D.cols.get(own, {}).items()}
+        a, b = divmod(x, dB)
+        col = {k * dB + b: v for k, v in D.cols.get(a, {}).items()}
         if col:
             cols[x] = col
-    return Derivation(AB, cols, name="%s(x)%s" % (D.name, side))
+    return Derivation(AB, cols, name="%s(x)1" % D.name)
 
 
 def zero_derivation(A):
@@ -461,6 +399,7 @@ class SymmetricBilinearMap:
     """Symmetric bilinear map A x A -> A, stored on pairs i <= j."""
 
     def __init__(self, A, values):
+        check_family(values, A.dim, A.dim, "symmetric map")
         self.A = A
         self.p = A.p
         self.values = bilinear_pairs(values, 1, A.p)
@@ -548,26 +487,6 @@ def _stencil_rows(A, xs, col=None, fold=False):
     return out
 
 
-def hochschild_delta(c):
-    """The Hochschild coboundary of a degree-1 cochain (a linear operator,
-    given as a Derivation-like object or raw sparse columns) or of a
-    degree-2 symmetric cochain.
-
-    Degree 1: dG(a, b) = a G(b) - G(ab) + G(a) b, returned as a
-    SymmetricBilinearMap (it is symmetric for any G).
-    Degree 2: dF(a, b, c) = a F(b,c) - F(ab, c) + F(a, bc) - F(a,b) c,
-    returned as a dict keyed by all index triples."""
-    if isinstance(c, SymmetricBilinearMap):
-        A, F = c.A, (lambda args: c(*args))
-        return {xs: v for xs in itertools.product(range(A.dim), repeat=3)
-                if (v := _delta_value(A, F, xs))}
-    A, cols = (c.A, c.cols) if isinstance(c, Derivation) else c
-    G = lambda args: cols.get(args[0], {})
-    return SymmetricBilinearMap(A, {
-        (i, j): v for i in range(A.dim) for j in range(i, A.dim)
-        if (v := _delta_value(A, G, (i, j)))})
-
-
 def is_harrison_cocycle(F):
     """Exact check that the symmetric 2-cochain F is a Hochschild cocycle:
     dF(a, b, c) = 0 on the pairs (a, c) of _harrison_pairs, which decide
@@ -594,62 +513,40 @@ def star_action(D, F):
     return SymmetricBilinearMap(A, vals)
 
 
-def basic_harrison_cocycle(m, p, i, variant, A=None):
-    """The i-th basic Harrison 2-cocycle, 1 <= i <= m.
-
-    reduced variant, on O_m:  F(x^alpha, x^beta) = x^{alpha+beta-p e_i}
-    when alpha_i + beta_i >= p, else 0.
-    divided variant, on O1(m): F(x^a, x^b) = (binom(a+b, b)/p) x^{a+b-p^i}
+def basic_harrison_cocycle(A, i):
+    """The i-th basic Harrison 2-cocycle on the divided-power algebra
+    A = O1(m), 1 <= i <= m: F(x^a, x^b) = (binom(a+b, b)/p) x^{a+b-p^i}
     when the i-th p-adic digits satisfy a_i + b_i >= p, else 0; the
     binomial is divisible by p exactly because of that digit overflow."""
+    if A.meta.get("kind") != "divided":
+        raise ValueError("basic_harrison_cocycle needs O1(m)")
+    m, p, d = A.meta["n"], A.p, A.dim
     if not 1 <= i <= m:
         raise ValueError("cocycle index %d outside 1..%d" % (i, m))
-    if variant == "reduced":
-        if A is None:
-            A = make_reduced_poly(m, p)
-        exps = A.meta["exps"]
-        index = {e: idx for idx, e in enumerate(exps)}
-        vals = {}
-        for ia, alpha in enumerate(exps):
-            for ib in range(ia, len(exps)):
-                beta = exps[ib]
-                if alpha[i - 1] + beta[i - 1] >= p:
-                    s = list(x + y for x, y in zip(alpha, beta))
-                    s[i - 1] -= p
-                    if all(x < p for x in s):
-                        vals[(ia, ib)] = {index[tuple(s)]: 1}
-        F = SymmetricBilinearMap(A, vals)
-    elif variant == "divided":
-        if A is None:
-            A = make_divided_powers(m, p)
-        d = A.dim
-        vals = {}
-        for a in range(d):
-            for b in range(a, d):
-                da = [(a // p ** t) % p for t in range(m)]
-                db = [(b // p ** t) % p for t in range(m)]
-                if da[i - 1] + db[i - 1] >= p:
-                    # binom(a+b, b) read digit-wise: the product of the
-                    # per-digit binomials, with the forced factor of p in
-                    # the overflowing digit i divided out exactly.  A second
-                    # overflowing digit makes the whole product 0 mod p,
-                    # which matches the truncation of the target monomial.
-                    c = 1
-                    for t in range(m):
-                        c *= binom(da[t] + db[t], db[t])
-                    if c % p:
-                        raise AssertionError(
-                            "digit overflow without divisibility at (%d, %d)" % (a, b)
-                        )
-                    c = (c // p) % p
-                    e = a + b - p ** i
-                    if c and 0 <= e < d:
-                        vals[(a, b)] = {e: c}
-        F = SymmetricBilinearMap(A, vals)
-    else:
-        raise ValueError("variant must be 'reduced' or 'divided'")
+    vals = {}
+    for a in range(d):
+        for b in range(a, d):
+            da = [(a // p ** t) % p for t in range(m)]
+            db = [(b // p ** t) % p for t in range(m)]
+            if da[i - 1] + db[i - 1] >= p:
+                # binom(a+b, b) read digit-wise: the product of the
+                # per-digit binomials, with the forced factor of p in the
+                # overflowing digit i divided out exactly.  A second
+                # overflowing digit makes the whole product 0 mod p, which
+                # matches the truncation of the target monomial.
+                c = 1
+                for t in range(m):
+                    c *= binom(da[t] + db[t], db[t])
+                if c % p:
+                    raise ValueError("digit overflow without divisibility "
+                                     "at (%d, %d)" % (a, b))
+                c = (c // p) % p
+                e = a + b - p ** i
+                if c and 0 <= e < d:
+                    vals[(a, b)] = {e: c}
+    F = SymmetricBilinearMap(A, vals)
     if not is_harrison_cocycle(F):
-        raise AssertionError("basic cocycle %d failed the cocycle check" % i)
+        raise ValueError("basic cocycle %d failed the cocycle check" % i)
     return F
 
 

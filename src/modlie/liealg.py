@@ -211,28 +211,22 @@ class LieAlgebra:
             )
         self.jacobi_checked = True
 
-    def weights_for(self, t):
-        """Weight of each basis element under ad(e_t); requires the
-        adjoint action of e_t to be diagonal on the basis."""
-        w = []
-        for k in range(self.dim):
-            v = self.bracket_pair(t, k)
-            extra = {m: c for m, c in v.items() if m != k}
-            if extra:
-                raise ValueError(
-                    "ad(%s) is not diagonal at %s"
-                    % (self.labels[t], self.labels[k])
-                )
-            w.append(v.get(k, 0))
-        return w
-
     @property
     def weights(self):
-        """Weights under ad of the designated toral element."""
+        """Weight of each basis element under ad of the designated toral
+        element e_t, whose adjoint action must be diagonal on the basis."""
         if self._weights is None:
-            if self.toral is None:
+            t = self.toral
+            if t is None:
                 raise ValueError("%s has no toral element" % self.name)
-            self._weights = self.weights_for(self.toral)
+            w = []
+            for k in range(self.dim):
+                v = self.bracket_pair(t, k)
+                if any(m != k for m in v):
+                    raise ValueError("ad(%s) is not diagonal at %s"
+                                     % (self.labels[t], self.labels[k]))
+                w.append(v.get(k, 0))
+            self._weights = w
         return self._weights
 
     def to_json(self):
@@ -354,7 +348,7 @@ def current_algebra(L, A):
         "%s(x)%s" % (L.labels[i], A.labels[a])
         for i in range(L.dim) for a in range(dA)
     ]
-    bracket = bilinear_tensor(L.bracket, A.mult, 1, dA, L.p)
+    bracket = bilinear_tensor(L.bracket, A.mult, dA, L.p)
     grading = None
     if L.grading is not None:
         grading = [L.grading[i] for i in range(L.dim) for _ in range(dA)]
@@ -487,7 +481,7 @@ def verify_morphism(f):
     rank = f.rank()
     if rank != L.dim:
         return False, ("rank", rank)
-    bad = morphism_failure(f, L.bracket, M.bracket, -1)
+    bad = morphism_failure(f, L.bracket, M.bracket)
     if bad:
         i, j, lhs, rhs = bad
         return False, (L.labels[i], L.labels[j], lhs, rhs)
@@ -512,8 +506,7 @@ def kuznetsov_map(n, p, A=None):
     else:
         src = current_algebra(W, A)
         BA = tensor_product(B, A)
-        tgt = make_deformed(
-            BA, tensor_derivation(BA, partial_derivation(B), "left"))
+        tgt = make_deformed(BA, tensor_derivation(BA, partial_derivation(B)))
         dA = A.dim
     cols = {}
     for s in range(-1, p ** n - 1):

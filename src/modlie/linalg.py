@@ -80,8 +80,10 @@ maps; commutative associativity folds them in commalg.
 Every bilinear map of the package (a bracket, a product, a cocycle) is
 such a pair dict plus its sign, and each operation on one is written
 once: bilinear_pairs normalizes, bilinear_get and bilinear_eval look up
-and evaluate, family_add sums, bilinear_tensor forms P (x) Q, and
-morphism_failure checks f(P(x, y)) = Q(fx, fy) where it can fail.
+and evaluate, family_add sums, bilinear_tensor forms P (x) Q for a
+symmetric Q, and morphism_failure checks f([x, y]) = [fx, fy] for
+alternating maps where it can fail.  check_family refuses an entry of a
+linear or bilinear map that leaves the basis.
 """
 
 from collections import defaultdict
@@ -91,7 +93,7 @@ __all__ = ["BudgetExceeded", "LinearMap", "SparseFpMatrix", "Echelon",
            "greedy_generators", "sparsest_first", "solve_sparse",
            "transpose", "vec_add", "vec_scale", "bilinear_table", "compose",
            "circle", "bilinear_pairs", "family_add", "bilinear_tensor",
-           "morphism_failure"]
+           "morphism_failure", "check_family"]
 
 # The one default work budget of every budgeted computation (cohomology
 # assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
@@ -180,16 +182,16 @@ def family_add(f, g, p, scale=1):
     return {key: vec for key, vec in out.items() if vec}
 
 
-def bilinear_tensor(P, Q, sign, dim, p):
+def bilinear_tensor(P, Q, dim, p):
     """P (x) Q on pairs: (e_i (x) e_a, e_j (x) e_b) -> P(e_i, e_j) (x)
-    Q(e_a, e_b), e_i (x) e_a at i * dim + a, for reduced P and Q with
-    Q(e_b, e_a) = sign Q(e_a, e_b) on dim basis vectors.  Keys follow
-    P's, then a, then b; a diagonal key (i, i) of P takes only a <= b."""
+    Q(e_a, e_b), e_i (x) e_a at i * dim + a, for reduced P and a reduced
+    symmetric Q on dim basis vectors.  Keys follow P's, then a, then b;
+    a diagonal key (i, i) of P takes only a <= b."""
     rows = [[] for _ in range(dim)]  # a -> sorted [(b, Q(e_a, e_b))]
     for (a, b), vec in Q.items():
         rows[a].append((b, vec))
         if a != b:
-            rows[b].append((a, vec_scale(vec, sign, p)))
+            rows[b].append((a, vec))
     for row in rows:
         row.sort(key=lambda t: t[0])
     out = {}
@@ -204,27 +206,40 @@ def bilinear_tensor(P, Q, sign, dim, p):
     return out
 
 
-def morphism_failure(f, source, target, sign):
-    """The first pair (i, j), i < j for sign -1 and i <= j for +1, at
-    which the linear map f fails to carry source to target (bilinear
-    maps on pairs), as (i, j, f(source(e_i, e_j)), target(fe_i, fe_j)),
-    or None.  Only a pair of source, or one whose images meet a pair of
-    target (found through transpose(f.cols)), can fail."""
+def morphism_failure(f, source, target):
+    """The first pair (i, j), i < j, at which the linear map f fails to
+    carry the alternating map source to target (both on pairs), as
+    (i, j, f(source(e_i, e_j)), target(fe_i, fe_j)), or None.  Only a
+    pair of source, or one whose images meet a pair of target (found
+    through transpose(f.cols)), can fail."""
     p, cols = f.p, f.cols
     users = transpose(cols.items())
     pairs = set(source)
     for k, m in target:
         for i in users.get(k, ()):
             for j in users.get(m, ()):
-                pairs.add((i, j) if i <= j else (j, i))
+                if i != j:
+                    pairs.add((i, j) if i < j else (j, i))
     for i, j in sorted(pairs):
-        if i == j and sign == -1:
-            continue
         lhs = f(source.get((i, j), {}))
-        rhs = bilinear_eval(target, sign, p, cols.get(i, {}), cols.get(j, {}))
+        rhs = bilinear_eval(target, -1, p, cols.get(i, {}), cols.get(j, {}))
         if lhs != rhs:
             return i, j, lhs, rhs
     return None
+
+
+def check_family(family, n, m, what):
+    """Raise ValueError at the first entry key -> {k: c} of family whose
+    key is not a basis index in 0..n-1 (or a tuple of them), or with a
+    target k outside 0..m-1 or a value c that is not an int."""
+    for key, vec in family.items():
+        keys = key if type(key) is tuple else (key,)
+        if not (all(type(i) is int and 0 <= i < n for i in keys)
+                and all(type(k) is type(c) is int and 0 <= k < m
+                        for k, c in vec.items())):
+            raise ValueError(
+                "%s entry %r: %r needs basis indices in 0..%d, targets in "
+                "0..%d and integer values" % (what, key, vec, n - 1, m - 1))
 
 
 def bilinear_table(pairs, sign, p):
@@ -466,6 +481,7 @@ class LinearMap:
     sparse columns: cols[j] is the image of the j-th basis vector."""
 
     def __init__(self, source, target, cols):
+        check_family(cols, source.dim, target.dim, "linear map")
         p = self.p = target.p
         self.source = source
         self.target = target
@@ -499,9 +515,6 @@ class LinearMap:
         for col in self.cols.values():
             ech.add(col)
         return ech.rank
-
-    def is_bijective(self):
-        return self.source.dim == self.target.dim == self.rank()
 
 
 class SparseFpMatrix(Echelon):

@@ -7,11 +7,11 @@ import json
 
 import pytest
 
-from modlie.claims import run_claim
+from modlie.claims import Ctx, resolve_claim
 
 
 def check(cid, overrides=None):
-    rows = run_claim(cid, overrides)
+    rows = resolve_claim(cid).rows(Ctx(), overrides)
     for r in rows:
         assert r["status"] == "pass", json.dumps(
             {"claim": r["claim"], "instance": r["instance"],

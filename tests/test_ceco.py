@@ -312,13 +312,18 @@ def test_mixed_degrees_and_zero_cochains_are_refused():
     ("adjoint", {(0, 2.5, 4): {1: 1}}),
     ("trivial", {(3.0, 4): {0: 1}}),
     ("adjoint", {(0, 1): {2.0: 1}}),
+    ("adjoint", {(0, 1): {1: 1.0}}),
+    ("adjoint", {(0, 1): {1: 1.5}}),
 ], ids=["trivial-target-3", "key-9", "key-minus-1", "target-9",
-        "target-minus-1", "key-2.5", "key-3.0", "target-2.0"])
+        "target-minus-1", "key-2.5", "key-3.0", "target-2.0", "value-1.0",
+        "value-1.5"])
 def test_cochain_entries_outside_the_module_are_refused(module, coeffs):
     # read as the trivial target 0, (3, 4) -> 3 counted as a second class
     # of the one-dimensional H^2(W1(1); K); range membership took a float
     # equal to an index, so (0, 2.5, 4) gave d a 4-cochain of 4 terms and
-    # the other floats broke class_span_dim with a TypeError
+    # the other floats broke class_span_dim with a TypeError; a float
+    # value reached pow() inside Echelon, or, as 2.5, came back from
+    # closure_failure as a value outside F_p
     W = make_w1(1, P)
     c0 = Cochain(W, 2, "trivial", {(3, 4): {0: 1}})
     assert class_span_dim(W, [c0]) == cohomology_dim(

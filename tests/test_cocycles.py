@@ -31,6 +31,7 @@ from modlie.cocycles import (
     upsilon,
 )
 from modlie.commalg import (
+    Derivation,
     SymmetricBilinearMap,
     basic_harrison_cocycle,
     d_invariants,
@@ -40,7 +41,6 @@ from modlie.commalg import (
     harrison_h2_d_invariants,
     make_divided_powers,
     partial_derivation,
-    partial_power_derivation,
     scale_derivation,
     zero_derivation,
 )
@@ -115,7 +115,7 @@ def test_theta_extends_by_zero_on_tails(setup):
 
 def test_upsilon_family(setup):
     A, L = setup["A"], setup["L"]
-    F = basic_harrison_cocycle(1, P, 1, "divided", A=A)
+    F = basic_harrison_cocycle(A, 1)
     u = upsilon(L, F)
     # [e_0 (x) x^3, e_1 (x) x^2] = N_01 e_1 (x) F(x^3, x^2) = e_1 (x) 2
     assert u.evaluate(1 * 5 + 3, 2 * 5 + 2) == {2 * 5 + 0: 2}
@@ -231,7 +231,7 @@ def test_lifted_upsilon_family(setup):
 def test_lifted_upsilon_with_zero_direction_restricts(setup):
     A, L = setup["A"], setup["L"]
     Ld0 = make_deformed(A, zero_derivation(A))
-    F = basic_harrison_cocycle(1, P, 1, "divided", A=A)
+    F = basic_harrison_cocycle(A, 1)
     lifted = lifted_upsilon(Ld0, F)
     plain = upsilon(L, F)
     assert lifted.coeffs == plain.coeffs
@@ -288,7 +288,7 @@ def test_lifted_psi_restricts_to_psi_off_the_deformation_line(setup):
     # line survives on the (e_-1, e_-1) block and only there
     A2 = make_divided_powers(2, P)
     d2 = partial_derivation(A2)
-    E = partial_power_derivation(A2, 1)
+    E = Derivation(A2, {j: {j - P: 1} for j in range(P, A2.dim)})  # d^(p)
     lifted = lifted_psi(make_deformed(A2, d2), E)
     plain = psi(current_algebra(make_w1(1, P), A2), E)
     for T in set(lifted.coeffs) | set(plain.coeffs):

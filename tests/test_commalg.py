@@ -26,20 +26,15 @@ from modlie.commalg import (
     der_coinvariants,
     der_invariants,
     derivation_space,
-    divided_to_reduced_iso,
-    dx_derivation,
     harrison_h2,
     harrison_h2_d_invariants,
-    hochschild_delta,
     hochschild_hn_dim,
     is_harrison_cocycle,
-    is_multiplicative,
     make_divided_powers,
     make_reduced_poly,
     make_scalars,
     mult_operator,
     partial_derivation,
-    partial_power_derivation,
     scale_derivation,
     solve_delta1,
     star_action,
@@ -94,42 +89,6 @@ def test_reduced_poly_products():
     assert A.mul({ix[(4, 3)]: 1}, {ix[(0, 1)]: 1}) == {ix[(4, 4)]: 1}
 
 
-def dense_is_multiplicative(f):
-    """Reference for is_multiplicative: every pair i <= j of the source
-    basis in order, as the check visited them before it went sparse."""
-    A, B = f.source, f.target
-    for i in range(A.dim):
-        for j in range(i, A.dim):
-            if f(A.product(i, j)) != B.mul(f({i: 1}), f({j: 1})):
-                return False, (i, j)
-    return True, None
-
-
-def test_is_multiplicative_names_the_dense_first_failing_pair():
-    f = divided_to_reduced_iso(2, P)
-    O2, O1 = f.source, f.target
-    assert is_multiplicative(f) == dense_is_multiplicative(f) == (True, None)
-    exps = O2.meta["exps"]
-    ix = {e: i for i, e in enumerate(exps)}
-    scaled = dict(f.cols)
-    scaled[ix[(0, 1)]] = {5: 2}  # x2 -> 2 x^5
-    swapped = dict(f.cols)
-    swapped[ix[(1, 0)]], swapped[ix[(2, 0)]] = (f.cols[ix[(2, 0)]],
-                                                f.cols[ix[(1, 0)]])
-    unit_lost = dict(f.cols)
-    del unit_lost[O2.unit]  # 1 -> 0: every product with 1 breaks
-    shifted = {j: {(k + 1) % O1.dim: c for k, c in col.items()}
-               for j, col in f.cols.items()}
-    seen = set()
-    for cols in (scaled, swapped, unit_lost, shifted):
-        g = LinearMap(O2, O1, cols)
-        got = is_multiplicative(g)
-        assert got == dense_is_multiplicative(g)
-        assert not got[0]
-        seen.add(got[1])
-    assert len(seen) == 4
-
-
 def dense_tensor_mult(A, B):
     """Reference for tensor_product: the loop over every pair x <= y of
     the A.dim * B.dim layout that built the product table before."""
@@ -159,22 +118,6 @@ def test_tensor_product_matches_the_dense_loop(left, right):
     # the same table, key order included
     assert list(tensor_product(A, B).mult.items()) == list(
         dense_tensor_mult(A, B).items())
-
-
-def test_divided_reduced_identification():
-    # multiplicative bijection O_n -> O1(n); checked by the constructor,
-    # frozen here on a couple of columns
-    for n in (1, 2):
-        f = divided_to_reduced_iso(n, P)
-        assert f.is_bijective()
-        ok, _ = is_multiplicative(f)
-        assert ok
-    f = divided_to_reduced_iso(2, P)
-    exps = f.source.meta["exps"]
-    ix = {e: i for i, e in enumerate(exps)}
-    # x1^2 -> 2! x^2, x1^3 x2 -> 3! x^{3 + 5}
-    assert f({ix[(2, 0)]: 1}) == {2: 2}
-    assert f({ix[(3, 1)]: 1}) == {8: 1}  # 3! = 6 = 1 mod 5
 
 
 def dense_associativity_failure(A):
@@ -270,6 +213,27 @@ def test_conflicting_product_keys_are_refused():
         CommAlgebra(P, ["1", "a"], {**mult, (1, 0): {1: 2}}, 0)
 
 
+def test_maps_with_entries_off_the_basis_are_refused():
+    # {7: {0: 1}} on O1(1) flattened to 35, past the 25 matrix
+    # coordinates, and the pair (0, 9) onto the coordinate of (1, 4), so
+    # solve_delta1 answered for another map; floats pass range membership
+    A = make_divided_powers(1, P)
+    for cols in ({7: {0: 1}}, {-1: {0: 1}}, {1: {5: 1}}, {1.0: {0: 1}},
+                 {1: {0.0: 1}}, {1: {0: 1.0}}):
+        with pytest.raises(ValueError, match="linear map entry"):
+            Derivation(A, cols)
+    with pytest.raises(ValueError, match="linear map entry"):
+        LinearMap(A, make_divided_powers(2, P), {0: {25: 1}})
+    for vals in ({(0, 9): {0: 1}}, {(-1, 2): {0: 1}}, {(0, 1): {5: 1}},
+                 {(0, 1.0): {1: 1}}, {(0, 1): {1: 0.5}}):
+        with pytest.raises(ValueError, match="symmetric map entry"):
+            SymmetricBilinearMap(A, vals)
+    # in the basis, both still construct
+    assert LinearMap(A, make_divided_powers(2, P), {4: {24: 1}}).cols
+    assert SymmetricBilinearMap(A, {(4, 0): {4: 1}}).values == {
+        (0, 4): {4: 1}}
+
+
 def test_derivation_guard_and_shift():
     A = make_divided_powers(1, P)
     d = partial_derivation(A)
@@ -279,7 +243,8 @@ def test_derivation_guard_and_shift():
     with pytest.raises(ValueError, match=r"Leibniz fails on \(x\^1, x\^1\)"):
         Derivation(A, {1: {0: 1}})
     B = make_divided_powers(2, P)
-    d5 = partial_power_derivation(B, 1)
+    # the divided p-th power of the shift, x^j -> x^{j - p}
+    d5 = Derivation(B, {j: {j - P: 1} for j in range(P, B.dim)})
     assert d5({7: 1}) == {2: 1}
     assert d5({3: 1}) == {}
     # [d, d^(p)] = 0
@@ -321,26 +286,27 @@ def test_invariants_of_the_shift():
 
 
 def test_hochschild_delta_degree_one():
+    # the reference coboundary the tests lean on: d(mult by u)(a, b) =
+    # u a b, and derivations are 1-cocycles
     A = make_divided_powers(1, P)
     u = {2: 3}
-    dM = hochschild_delta((A, mult_operator(A, u)))
-    # d(mult by u)(a, b) = u a b
+    dM = dense_delta1(A, mult_operator(A, u))
     for i in range(A.dim):
         for j in range(A.dim):
             assert dM(i, j) == A.mul(A.mul({i: 1}, {j: 1}), u)
-    # derivations are 1-cocycles
-    assert hochschild_delta(partial_derivation(A)).is_zero()
+    assert dense_delta1(A, partial_derivation(A).cols).is_zero()
 
 
 def test_hochschild_delta_degree_two_on_coboundaries():
     A = make_divided_powers(1, P)
     G = mult_operator(A, {1: 1, 3: 2})
-    F = hochschild_delta((A, G))
+    F = dense_delta1(A, G)
     assert is_harrison_cocycle(F)
-    assert all(v == 0 or not v for v in hochschild_delta(F).values())
+    assert not any(_delta2_value(A, F, *xs)
+                   for xs in itertools.product(range(A.dim), repeat=3))
     H = solve_delta1(A, F)
     assert H is not None
-    assert hochschild_delta((A, H)).values == F.values
+    assert dense_delta1(A, H).values == F.values
 
 
 def test_hochschild_dimensions():
@@ -421,26 +387,14 @@ def test_harrison_kuenneth_on_a_tensor_square():
     assert harrison_h2(T)[0] == 50
 
 
-def test_basic_cocycles_reduced_values():
-    F = basic_harrison_cocycle(1, P, 1, "reduced")
-    assert F(3, 2) == {0: 1}   # x^3 * x^2 -> x^{5-5}
-    assert F(1, 2) == {}       # no overflow
-    assert F(4, 4) == {3: 1}
-    assert is_harrison_cocycle(F)
-    G = basic_harrison_cocycle(2, P, 2, "reduced")
-    exps = G.A.meta["exps"]
-    ix = {e: i for i, e in enumerate(exps)}
-    assert G(ix[(0, 3)], ix[(1, 2)]) == {ix[(1, 0)]: 1}
-    assert G(ix[(3, 0)], ix[(4, 0)]) == {}  # overflow in the wrong slot
-
-
 def test_basic_cocycles_divided_values():
-    F = basic_harrison_cocycle(1, P, 1, "divided")
+    F = basic_harrison_cocycle(make_divided_powers(1, P), 1)
     assert F(3, 2) == {0: 2}   # binom(5,2)/5 = 2
     assert F(1, 2) == {}
     assert is_harrison_cocycle(F)
-    for m, i in ((2, 1), (2, 2)):
-        assert is_harrison_cocycle(basic_harrison_cocycle(m, P, i, "divided"))
+    B = make_divided_powers(2, P)
+    for i in (1, 2):
+        assert is_harrison_cocycle(basic_harrison_cocycle(B, i))
 
 
 def test_literal_binomial_reading_is_not_a_cocycle():
@@ -459,21 +413,70 @@ def test_literal_binomial_reading_is_not_a_cocycle():
                     vals[(a, b)] = {e: c}
     F = SymmetricBilinearMap(A, vals)
     assert not is_harrison_cocycle(F)
-    bad = hochschild_delta(F)
-    assert bad[(5, 4, 4)] == {8: 1}  # the smallest witness
+    assert _delta2_value(A, F, 5, 4, 4) == {8: 1}  # a witness
+
+
+def reduced_basic_cocycle(A, i):
+    """Reference for the i-th basic Harrison cocycle of the reduced ring
+    A = O_m: F(x^alpha, x^beta) = x^{alpha + beta - p e_i} when alpha_i +
+    beta_i >= p, else 0."""
+    p, exps = A.p, A.meta["exps"]
+    index = {e: idx for idx, e in enumerate(exps)}
+    vals = {}
+    for ia, alpha in enumerate(exps):
+        for ib in range(ia, len(exps)):
+            s = [x + y for x, y in zip(alpha, exps[ib])]
+            s[i - 1] -= p
+            if s[i - 1] >= 0 and all(x < p for x in s):
+                vals[(ia, ib)] = {index[tuple(s)]: 1}
+    return SymmetricBilinearMap(A, vals)
+
+
+def reduced_to_divided(m, p):
+    """Reference algebra isomorphism O_m -> O1(m): the reduced monomial
+    x^alpha goes to (prod_i alpha_i!) x^{sum_i alpha_i p^{i-1}}; checked
+    bijective and multiplicative on every pair of basis elements."""
+    Om, O1 = make_reduced_poly(m, p), make_divided_powers(m, p)
+    cols = {}
+    for idx, alpha in enumerate(Om.meta["exps"]):
+        c = 1
+        for a in alpha:
+            for t in range(2, a + 1):
+                c = c * t % p
+        cols[idx] = {sum(a * p ** t for t, a in enumerate(alpha)): c}
+    f = LinearMap(Om, O1, cols)
+    assert f.rank() == Om.dim == O1.dim
+    for i in range(Om.dim):
+        for j in range(i, Om.dim):
+            assert f(Om.product(i, j)) == O1.mul(f({i: 1}), f({j: 1}))
+    return f
 
 
 def test_divided_cocycles_are_minus_the_transported_reduced_ones():
     for m in (1, 2):
-        f = divided_to_reduced_iso(m, P)
+        f = reduced_to_divided(m, P)
         for i in range(1, m + 1):
-            Fred = basic_harrison_cocycle(m, P, i, "reduced", A=f.source)
-            Fdiv = basic_harrison_cocycle(m, P, i, "divided", A=f.target)
+            Fred = reduced_basic_cocycle(f.source, i)
+            assert is_harrison_cocycle(Fred)
+            Fdiv = basic_harrison_cocycle(f.target, i)
             for a in range(f.source.dim):
                 for b in range(a, f.source.dim):
                     lhs = Fdiv.eval_vec(f({a: 1}), f({b: 1}))
                     rhs = vec_scale(f(Fred(a, b)), -1, P)
                     assert lhs == rhs
+
+
+def test_a_basic_cocycle_failing_its_check_raises_value_error(monkeypatch,
+                                                           capsys):
+    # every cochain constructor raises CocycleError or ValueError, which
+    # verify reports on one line, exiting 2, instead of a traceback
+    monkeypatch.setattr(commalg, "is_harrison_cocycle", lambda F: False)
+    with pytest.raises(ValueError, match="basic cocycle 1 failed"):
+        basic_harrison_cocycle(make_divided_powers(1, P), 1)
+    assert cli.main(["verify", "hochschild-harrison",
+                     "--cache-dir", "off"]) == 2
+    assert capsys.readouterr().err == (
+        "verify: basic cocycle 1 failed the cocycle check\n")
 
 
 def test_star_action_on_basic_cocycles():
@@ -483,7 +486,7 @@ def test_star_action_on_basic_cocycles():
     for m, i in ((1, 1), (2, 1), (2, 2)):
         A = make_divided_powers(m, P)
         d = partial_derivation(A)
-        F = basic_harrison_cocycle(m, P, i, "divided", A=A)
+        F = basic_harrison_cocycle(A, i)
         s = star_action(d, F)
         literal.append(s.is_zero())
         classwise.append(solve_delta1(A, s) is not None)
@@ -494,7 +497,7 @@ def test_star_action_on_basic_cocycles():
 def test_star_action_of_coboundaries_is_a_coboundary():
     A = make_divided_powers(1, P)
     d = partial_derivation(A)
-    F = hochschild_delta((A, mult_operator(A, {2: 1})))
+    F = dense_delta1(A, mult_operator(A, {2: 1}))
     s = star_action(d, F)
     assert solve_delta1(A, s) is not None
 
@@ -508,15 +511,16 @@ def test_invariant_harrison_classes_carry_potentials():
         assert len(pairs) == m
         for F, H in pairs:
             assert is_harrison_cocycle(F)
-            got = hochschild_delta((A, H))
+            got = dense_delta1(A, H)
             assert got.values == star_action(d, F).values
 
 
 def test_tensor_derivations_commute_across_sides():
     A = make_divided_powers(1, P)
     T = tensor_product(A, A)
-    dl = tensor_derivation(T, partial_derivation(A), "left")
-    dr = tensor_derivation(T, partial_derivation(A), "right")
+    dl = tensor_derivation(T, partial_derivation(A))
+    # 1 (x) d: x^a @ x^b -> x^a @ x^{b-1}
+    dr = Derivation(T, {x: {x - 1: 1} for x in range(T.dim) if x % A.dim})
     assert dl.commutator(dr).is_zero()
     # (d (x) 1)(x^1 @ x^2) = x^0 @ x^2
     assert dl({1 * A.dim + 2: 1}) == {0 * A.dim + 2: 1}
@@ -531,17 +535,6 @@ def test_scalars_and_zero_derivation():
     z = zero_derivation(A)
     assert z.is_zero()
     assert len(derivation_space(K)) == 0
-
-
-def test_dx_derivations_on_reduced_ring():
-    B = make_reduced_poly(2, P)
-    d1 = dx_derivation(B, 1)
-    d2 = dx_derivation(B, 2)
-    exps = B.meta["exps"]
-    ix = {e: i for i, e in enumerate(exps)}
-    assert d1({ix[(3, 1)]: 1}) == {ix[(2, 1)]: 3}
-    assert d2({ix[(3, 1)]: 1}) == {ix[(3, 0)]: 1}
-    assert d1.commutator(d2).is_zero()
 
 
 def test_one_default_budget():
@@ -682,15 +675,13 @@ def _tensor_cocycle(T, F, B):
 
 
 def _basic_cocycles(name, A):
-    if name == "O_2":
-        return [basic_harrison_cocycle(2, P, i, "reduced", A=A) for i in (1, 2)]
+    kind = A.meta["kind"]
+    if kind == "reduced":
+        return harrison_h2(A)[1][:A.meta["m"]]
     if name == "O1(1)(x)O1(1)":
         B = make_divided_powers(1, P)
-        return [_tensor_cocycle(A, basic_harrison_cocycle(1, P, 1, "divided"), B)]
-    kind = A.meta["kind"]
-    m = A.meta["m" if kind == "reduced" else "n"]
-    return [basic_harrison_cocycle(m, A.p, i, kind, A=A)
-            for i in range(1, m + 1)]
+        return [_tensor_cocycle(A, basic_harrison_cocycle(B, 1), B)]
+    return [basic_harrison_cocycle(A, i) for i in range(1, A.meta["n"] + 1)]
 
 
 @functools.cache
@@ -713,7 +704,7 @@ def symmetric_cochains(draw):
         G = draw(st.dictionaries(
             index, st.dictionaries(index, st.integers(1, p - 1),
                                    min_size=1, max_size=2), max_size=4))
-        F = hochschild_delta((A, G))
+        F = dense_delta1(A, G)
     else:
         F = draw(st.sampled_from(basic))
     perturbed = draw(st.booleans())
@@ -847,10 +838,10 @@ def _derivation_of(A):
     if kind == "divided":
         return partial_derivation(A)
     if kind == "reduced":
-        return dx_derivation(A, 1)
+        return derivation_space(A)[0]
     if kind == "tensor":
         return tensor_derivation(
-            A, partial_derivation(make_divided_powers(1, P)), "left")
+            A, partial_derivation(make_divided_powers(1, P)))
     return zero_derivation(A)
 
 
@@ -864,18 +855,12 @@ def test_hochschild_stencil_matches_dense_references(name, monkeypatch):
     assert ([E.cols for E in derivation_space(A)]
             == [E.cols for E in dense_derivation_space(A)])
     rng = random.Random(name)
-    cochains = [{rng.randrange(n): {rng.randrange(n): rng.randrange(1, p)}
-                 for _ in range(rng.randrange(1, 5))} for _ in range(4)]
-    for G in cochains:
-        assert hochschild_delta((A, G)).values == dense_delta1(A, G).values
+    G = {rng.randrange(n): {rng.randrange(n): rng.randrange(1, p)}
+         for _ in range(rng.randrange(1, 5))}
     # a coboundary, a random cochain and a basic cocycle
-    targets = [hochschild_delta((A, cochains[0])), SymmetricBilinearMap(
+    targets = [dense_delta1(A, G), SymmetricBilinearMap(
         A, {(rng.randrange(n), rng.randrange(n)): {rng.randrange(n): 1}})]
     targets += _basic_cocycles(name, A)[:1] if n > 1 else []
-    for F in targets:
-        assert hochschild_delta(F) == {
-            xs: v for xs in itertools.product(range(n), repeat=3)
-            if (v := _delta2_value(A, F, *xs))}
 
     D = _derivation_of(A)
     got = ([solve_delta1(A, F) for F in targets],
@@ -896,7 +881,7 @@ def test_coboundary_columns_are_built_once_per_algebra(monkeypatch):
     # build of the d^1 columns, cached on the algebra, which none of
     # them changes
     A = make_divided_powers(2, P)
-    D, F = partial_derivation(A), basic_harrison_cocycle(2, P, 1, "divided")
+    D, F = partial_derivation(A), basic_harrison_cocycle(A, 1)
     build, builds = commalg.transpose, []
 
     def spy(columns):

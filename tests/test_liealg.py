@@ -14,7 +14,7 @@ from modlie.ceco import (Cochain, ce_differential, coboundary_witness,
                          cohomology_dim, weight_zero_reduce)
 from modlie.cli import BUILTINS, _build_algebra
 from modlie.commalg import (
-    dx_derivation,
+    derivation_space,
     make_divided_powers,
     make_reduced_poly,
     partial_derivation,
@@ -78,7 +78,7 @@ def test_w1_higher_rank():
     assert W.bracket_pair(0, 6) == {5: 1}       # [e_-1, e_5] = e_4
     assert W.bracket_pair(5, 6) == {10: 2}      # [e_4, e_5]: N_45 = 42 = 2
     assert W.bracket_pair(2, 4) == {}           # [e_1, e_3]: N_13 = 5 = 0
-    w = W.weights_for(W.toral)
+    w = W.weights
     assert all(w.count(x) == 5 for x in range(P))
 
 
@@ -95,9 +95,11 @@ def test_sl2_structure():
 def test_weights_for_w1():
     W = make_w1(1, P)
     # weight of e_i under ad e_0 is i mod p; one line each
-    assert W.weights_for(W.toral) == [i % P for i in range(-1, P - 1)]
-    with pytest.raises(ValueError, match="not diagonal"):
-        W.weights_for(0)  # ad e_-1 shifts degrees
+    assert W.weights == [i % P for i in range(-1, P - 1)]
+    # ad e_-1 shifts degrees
+    shifted = LieAlgebra(P, W.labels, W.bracket, toral=0)
+    with pytest.raises(ValueError, match=r"ad\(e_-1\) is not diagonal"):
+        shifted.weights
 
 
 def test_current_algebra_bracket():
@@ -318,7 +320,7 @@ def test_a_derivation_of_another_algebra_is_refused():
     # same dimension, other products: K[x]/(x^5) is not O1(1)
     R = make_reduced_poly(1, P)
     with pytest.raises(ValueError, match=r"acts on O_1, not on O1\(1\)"):
-        make_deformed(A, dx_derivation(R, 1))
+        make_deformed(A, derivation_space(R)[0])
     # an equal algebra built twice is the same algebra
     d = partial_derivation(make_divided_powers(1, P))
     assert make_deformed(A, d).bracket == make_deformed(
@@ -362,7 +364,7 @@ def test_deformed_tensored_direction():
     # L(A (x) B, d (x) 1) has the same shape with B along for the ride
     A = make_divided_powers(1, P)
     T = tensor_product(A, A)
-    d = tensor_derivation(T, partial_derivation(A), "left")
+    d = tensor_derivation(T, partial_derivation(A))
     L = make_deformed(T, d)
     assert L.dim == 125
     assert L.jacobi_checked
