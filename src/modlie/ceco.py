@@ -66,11 +66,11 @@ import math
 import time
 from bisect import bisect_left
 from collections import defaultdict
-from operator import index, itemgetter
+from operator import itemgetter
 
 from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, bilinear_table,
-                     circle, family_add, solve_sparse, sparsest_first,
-                     transpose, vec_scale)
+                     check_family, circle, family_add, solve_sparse,
+                     sparsest_first, transpose, vec_scale)
 
 __all__ = [
     "BudgetExceeded",
@@ -103,9 +103,10 @@ def _check_module(module):
 class Cochain:
     """Alternating n-cochain on L with values in the adjoint or trivial
     module, stored as {sorted basis tuple: sparse target vector}; the
-    trivial module uses the single target key 0.  Keys and targets
-    outside those of L and the module, and values that are not
-    integers, are refused."""
+    trivial module uses the single target key 0.  Entries pass
+    linalg.check_family (basis indices of L, targets of the module, int
+    values); each key must also be a sorted n-tuple of distinct
+    indices."""
 
     def __init__(self, L, n, module, coeffs=None):
         _check_module(module)
@@ -113,26 +114,14 @@ class Cochain:
         self.n = n
         self.module = module
         self.coeffs = {}
-        basis = range(L.dim)
-        targets = basis if module == "adjoint" else range(1)
-        for T, vec in (coeffs or {}).items():
-            # range membership takes a float equal to an index, so every
-            # index, target and value passes operator.index, which refuses
-            # one (a float value would reach pow() in elimination)
-            try:
-                T = tuple(map(index, T))
-                vec = {index(k): index(v) for k, v in vec.items()}
-                ok = all(map(targets.__contains__, vec))
-            except TypeError:
-                T, ok = tuple(T), False
-            if list(T) != sorted(set(T)):
-                raise ValueError("cochain key %r is not a sorted tuple" % (T,))
-            if len(T) != n:
-                raise ValueError("cochain key %r has wrong arity" % (T,))
-            if not ok or T and not (T[0] in basis and T[-1] in basis):
-                raise ValueError("cochain entry %r: %r leaves the basis of %s "
-                                 "or its %s module, or is not an integer"
-                                 % (T, vec, L.name, module))
+        coeffs = coeffs or {}
+        check_family(coeffs, L.dim, L.dim if module == "adjoint" else 1,
+                     "cochain")
+        for T, vec in coeffs.items():
+            if (type(T) is not tuple or len(T) != n
+                    or list(T) != sorted(set(T))):
+                raise ValueError("cochain key %r is not a sorted %d-tuple of "
+                                 "distinct indices" % (T, n))
             vec = {k: v % L.p for k, v in vec.items() if v % L.p}
             if vec:
                 self.coeffs[T] = vec
@@ -153,8 +142,8 @@ class Cochain:
         return not self.coeffs
 
     def add(self, other, scale=1):
-        if other.n != self.n or other.module != self.module:
-            raise ValueError("cochain mismatch")
+        if (other.L, other.n, other.module) != (self.L, self.n, self.module):
+            raise ValueError("cochain mismatch: %r, not %r" % (other, self))
         return Cochain(self.L, self.n, self.module, family_add(
             self.coeffs, other.coeffs, self.L.p, scale))
 
@@ -288,6 +277,9 @@ class ComplexSlice:
 
     def __init__(self, L, module="adjoint", weight=None, degree=None):
         _check_module(module)
+        for name, x in (("weight", weight), ("degree", degree)):
+            if x is not None and type(x) is not int:
+                raise ValueError("%s must be an integer, not %r" % (name, x))
         if weight is not None and L.toral is None:
             raise ValueError("weight slice needs a toral element")
         if degree is not None:

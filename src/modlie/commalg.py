@@ -17,8 +17,8 @@ The Hochschild differential is written once, in _stencil: the terms of
 at a basis tuple.  Evaluated, they give the Leibniz check of Derivation
 and is_harrison_cocycle; as one scalar row per output coordinate they
 give the systems of derivation_space, harrison_h2 and hochschild_hn_dim;
-the d^1 rows, transposed, are the coboundaries that solve_delta1 and
-the Harrison quotients read.
+the d^1 rows, transposed, are the coboundaries (A.coboundary_columns)
+that solve_delta1 and the Harrison quotients read.
 
 A kernel {F : dF = 0} needs only the rows whose first argument lies in
 {unit} + A.generators.  For G = dF, d^2 F = 0 at (s, x, ..) gives
@@ -42,6 +42,7 @@ an unknown F(x_1..x_k)_t weighing the products of x_1..x_k and t.
 
 import itertools
 from collections import defaultdict
+from functools import cached_property
 
 from .arith import binom, binom_mod_p, check_prime
 from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, LinearMap,
@@ -82,9 +83,10 @@ class CommAlgebra:
     """Commutative associative unital algebra given by structure constants.
 
     mult is keyed by (i, j) with i <= j; each value is a sparse target
-    vector {k: c}.  The constructor checks the unit law and
-    associativity, the latter from the nonzero terms of (xy)z alone
-    (linalg.compose), not from every basis triple.
+    vector {k: c}.  The constructor checks the entries
+    (linalg.check_family), the unit law and associativity, the latter
+    from the nonzero terms of (xy)z alone (linalg.compose), not from
+    every basis triple.
     """
 
     def __init__(self, p, labels, mult, unit, name="algebra", meta=None):
@@ -94,11 +96,10 @@ class CommAlgebra:
         self.unit = unit
         self.name = name
         self.meta = meta or {}
+        check_family(mult, self.dim, self.dim, "product")
         self.mult = bilinear_pairs(mult, 1, p)
         self._table = bilinear_table(self.mult, 1, p)
         self._validate()
-        self._generators = None
-        self._coboundaries = None  # built by _coboundary_columns
 
     @property
     def dim(self):
@@ -110,19 +111,28 @@ class CommAlgebra:
     def mul(self, u, v):
         return bilinear_eval(self.mult, 1, self.p, u, v)
 
-    @property
+    @cached_property
     def generators(self):
         """Basis indices that, together with the unit, generate A as an
-        algebra; found on first use and cached: linalg.greedy_generators
-        under the product, from the unit, in basis order.  harrison_h2
-        and is_harrison_cocycle keep only the equations whose outer
-        arguments meet a generator; the choice sets their speed, never
-        their result."""
-        if self._generators is None:
-            self._generators = greedy_generators(
-                self.p, self.dim, range(self.dim),
-                lambda g, v: self.mul({g: 1}, v), [self.unit_vec])
-        return self._generators
+        algebra: linalg.greedy_generators under the product, from the
+        unit, in basis order.  harrison_h2 and is_harrison_cocycle keep
+        only the equations whose outer arguments meet a generator; the
+        choice sets their speed, never their result."""
+        return greedy_generators(
+            self.p, self.dim, range(self.dim),
+            lambda g, v: self.mul({g: 1}, v), [self.unit_vec])
+
+    @cached_property
+    def coboundary_columns(self):
+        """dG for every elementary 1-cochain G = (src -> tgt), keyed
+        src * dim + tgt, on the flatten() coordinates (i * dim + j) * dim
+        + t of symmetric pairs i <= j: the d^1 rows of all pairs,
+        transposed.  Every caller only reads it."""
+        n = self.dim
+        return dict(transpose(
+            ((a * n + b) * n + t, row)
+            for a in range(n) for b in range(a, n)
+            for t, row in _stencil_rows(self, (a, b)).items()))
 
     @property
     def unit_vec(self):
@@ -134,8 +144,9 @@ class CommAlgebra:
 
     def _validate(self):
         n, p = self.dim, self.p
-        if not (0 <= self.unit < n):
-            raise ValueError("unit index %r out of range" % (self.unit,))
+        if not (type(self.unit) is int and 0 <= self.unit < n):
+            raise ValueError("unit %r is not a basis index in 0..%d"
+                             % (self.unit, n - 1))
         for j in range(n):
             got = self.product(self.unit, j)
             if got != {j: 1}:
@@ -550,20 +561,6 @@ def basic_harrison_cocycle(A, i):
     return F
 
 
-def _coboundary_columns(A):
-    """dG for every elementary 1-cochain G = (src -> tgt), keyed
-    src * dim + tgt, on the flatten() coordinates (i * dim + j) * dim + t
-    of symmetric pairs i <= j: the d^1 rows of all pairs, transposed.
-    Built on first use and cached on A; every caller only reads it."""
-    if A._coboundaries is None:
-        n = A.dim
-        A._coboundaries = dict(transpose(
-            ((a * n + b) * n + t, row)
-            for a in range(n) for b in range(a, n)
-            for t, row in _stencil_rows(A, (a, b)).items()))
-    return A._coboundaries
-
-
 def _harrison_pairs(A):
     """Yield the pairs (a, c), a < c, whose cocycle equations dF(a, b, c)
     = 0 harrison_h2 assembles and is_harrison_cocycle checks: those with
@@ -599,7 +596,7 @@ def _harrison_system(A, pairs):
     order, m = sparsest_first(
         [w[u // n // n] + w[u // n % n] + w[u % n] for u in unknowns],
         ({col[u]: v for u, v in vec.items()}
-         for vec in _coboundary_columns(A).values()), rows, A.p)
+         for vec in A.coboundary_columns.values()), rows, A.p)
     return [unknowns[j] for j in order], m
 
 
@@ -627,7 +624,7 @@ def solve_delta1(A, target):
     target; returns sparse columns or None when target is not a
     coboundary."""
     n = A.dim
-    sol = solve_sparse(_coboundary_columns(A), target.flatten(), A.p)
+    sol = solve_sparse(A.coboundary_columns, target.flatten(), A.p)
     if sol is None:
         return None
     cols = defaultdict(dict)
@@ -650,7 +647,7 @@ def harrison_h2_d_invariants(A, D):
     # and D * F reduces to -x at the tags exactly when D * F = sum x_r F_r
     # modulo coboundaries
     ech, top = Echelon(p), A.dim ** 3
-    for vec in _coboundary_columns(A).values():
+    for vec in A.coboundary_columns.values():
         ech.add(vec)
     for r, F in enumerate(reps):
         ech.add({**F.flatten(), top + r: 1})

@@ -16,6 +16,7 @@ import hashlib
 import json
 import random
 from collections import defaultdict
+from functools import cached_property
 from itertools import combinations
 
 from .arith import check_prime, structure_constant_N
@@ -23,8 +24,9 @@ from .commalg import (make_divided_powers, partial_derivation,
                       tensor_derivation, tensor_product)
 from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_eval,
                      bilinear_get, bilinear_pairs, bilinear_table,
-                     bilinear_tensor, circle, family_add, greedy_generators,
-                     morphism_failure, solve_sparse, vec_add)
+                     bilinear_tensor, check_family, circle, family_add,
+                     greedy_generators, morphism_failure, solve_sparse,
+                     vec_add)
 
 __all__ = [
     "LieAlgebra",
@@ -50,7 +52,9 @@ IDEAL_TRIALS = 20
 
 class LieAlgebra:
     """Lie algebra from integer structure constants on pairs of basis
-    indices, stored on i < j; shape is checked here, Jacobi by generators.
+    indices, stored on i < j; entries are checked here (linalg.check_family,
+    and [x, x] = 0), Jacobi by generators.  Derived tables are cached
+    properties, built on first use.
 
     grading, when present, is one integer degree per basis element; the
     bracket must be degree-additive, or degree-nondecreasing when the
@@ -68,24 +72,12 @@ class LieAlgebra:
         self.name = name
         self.meta = meta or {}
         self.filtration = filtration
-        ok = range(self.dim)
-        for (i, j), vec in bracket.items():
-            if type(i) is type(j) is int and i in ok and j in ok:
-                for k, v in vec.items():
-                    if not (type(k) is type(v) is int and k in ok) or (
-                            i == j and v % p):
-                        break
-                else:
-                    continue
-            raise ValueError("bracket entry [%r, %r] = %r needs basis "
-                             "indices in 0..%d, integer values, zero if "
-                             "diagonal" % (i, j, vec, self.dim - 1))
+        check_family(bracket, self.dim, self.dim, "bracket")
         self.bracket = bilinear_pairs(bracket, -1, p)
-        self._rev = None
-        self._ad = None
-        self._generators = self._tables = None
-        self._weights = None
-        if toral is not None and not (type(toral) is int and toral in ok):
+        if diag := [ij for ij in self.bracket if ij[0] == ij[1]]:
+            raise ValueError("bracket entry %r: [x, x] must be 0" % (diag[0],))
+        if toral is not None and not (type(toral) is int
+                                      and 0 <= toral < self.dim):
             raise ValueError("toral %r is not a basis index in 0..%d"
                              % (toral, self.dim - 1))
         self._validate_grading()
@@ -96,26 +88,20 @@ class LieAlgebra:
         return len(self.labels)
 
     def _validate_grading(self):
-        if self.grading is None:
+        g = self.grading
+        if g is None:
             return
-        if len(self.grading) != self.dim or not all(
-                type(g) is int for g in self.grading):
+        if len(g) != self.dim or not all(type(x) is int for x in g):
             raise ValueError("grading must be %d integer degrees, one per "
-                             "basis element, not %r" % (self.dim, self.grading))
+                             "basis element, not %r" % (self.dim, g))
         for (i, j), vec in self.bracket.items():
-            s = self.grading[i] + self.grading[j]
+            s = g[i] + g[j]
             for k in vec:
-                if self.filtration:
-                    if self.grading[k] < s:
-                        raise ValueError(
-                            "bracket drops below the filtration on [%s, %s]"
-                            % (self.labels[i], self.labels[j])
-                        )
-                elif self.grading[k] != s:
-                    raise ValueError(
-                        "bracket is not degree-additive on [%s, %s]"
-                        % (self.labels[i], self.labels[j])
-                    )
+                if (g[k] < s) if self.filtration else (g[k] != s):
+                    raise ValueError("bracket %s on [%s, %s]" % (
+                        "drops below the filtration" if self.filtration
+                        else "is not degree-additive",
+                        self.labels[i], self.labels[j]))
 
     def bracket_pair(self, i, j):
         """[e_i, e_j] as a sparse vector, any index order."""
@@ -124,63 +110,54 @@ class LieAlgebra:
     def bracket_vec(self, u, v):
         return bilinear_eval(self.bracket, -1, self.p, u, v)
 
-    @property
+    @cached_property
     def rev(self):
         """target index -> list of ((i, j), c) with i < j contributing
         c e_target to [e_i, e_j]; used by the cochain differential."""
-        if self._rev is None:
-            table = defaultdict(list)
-            for (i, j), vec in self.bracket.items():
-                for k, c in vec.items():
-                    table[k].append(((i, j), c))
-            self._rev = dict(table)
-        return self._rev
+        table = defaultdict(list)
+        for (i, j), vec in self.bracket.items():
+            for k, c in vec.items():
+                table[k].append(((i, j), c))
+        return dict(table)
 
-    @property
+    @cached_property
     def ad(self):
         """index t -> list of (z, [e_z, e_t]) over the z with a nonzero
         bracket; the module action in the cochain differential."""
-        if self._ad is None:
-            self._ad = bilinear_table(self.bracket, -1, self.p)
-        return self._ad
+        return bilinear_table(self.bracket, -1, self.p)
 
-    @property
+    @cached_property
     def generators(self):
-        """Basis indices S that generate L, found on first use and cached:
-        linalg.greedy_generators, trying first the element with the most
-        nonzero brackets, then the rest sparsest ad first.  The one Jacobi
-        gate: the Jacobi sums of the triples that meet S certify L, and
-        check_jacobi names a failure."""
-        if self._generators is None:
-            supp = [{z for z, _ in self.ad.get(i, ())}
-                    for i in range(self.dim)]
-            nnz = [len(s) for s in supp]
-            most = sorted(range(self.dim), key=lambda i: (-nnz[i], i))[:1]
-            gens = greedy_generators(
-                self.p, self.dim,
-                most + sorted(range(self.dim), key=lambda i: (nnz[i], i)),
-                lambda g, v: {} if supp[g].isdisjoint(v)
-                else self.bracket_vec({g: 1}, v))
-            tables = self.tables_for(gens)
-            if not self.jacobi_checked:
-                S, ad, _ = tables
-                meet = {ij: v for ij, v in self.bracket.items()
-                        if not S.isdisjoint(ij)}
-                sums = circle(meet, self.ad)
-                circle({ij: v for ij, v in self.bracket.items()
-                        if ij not in meet}, ad, sums)
-                if any(x % self.p for acc in sums.values()
-                       for x in acc.values()):
-                    self.check_jacobi()
-                self.jacobi_checked = True
-            self._generators, self._tables = gens, tables
-        return self._generators
+        """Basis indices S that generate L: linalg.greedy_generators,
+        trying first the element with the most nonzero brackets, then the
+        rest sparsest ad first.  The one Jacobi gate: the Jacobi sums of
+        the triples that meet S certify L, and check_jacobi names a
+        failure; a failure caches nothing, so each access raises."""
+        supp = [{z for z, _ in self.ad.get(i, ())} for i in range(self.dim)]
+        nnz = [len(s) for s in supp]
+        most = sorted(range(self.dim), key=lambda i: (-nnz[i], i))[:1]
+        gens = greedy_generators(
+            self.p, self.dim,
+            most + sorted(range(self.dim), key=lambda i: (nnz[i], i)),
+            lambda g, v: {} if supp[g].isdisjoint(v)
+            else self.bracket_vec({g: 1}, v))
+        if not self.jacobi_checked:
+            S, ad, _ = self.tables_for(gens)
+            meet = {ij: v for ij, v in self.bracket.items()
+                    if not S.isdisjoint(ij)}
+            sums = circle(meet, self.ad)
+            circle({ij: v for ij, v in self.bracket.items()
+                    if ij not in meet}, ad, sums)
+            if any(x % self.p for acc in sums.values()
+                   for x in acc.values()):
+                self.check_jacobi()
+            self.jacobi_checked = True
+        return gens
 
-    @property
+    @cached_property
     def generator_tables(self):
-        """tables_for(generators), cached with them."""
-        self.generators
-        return self._tables
+        """tables_for(generators)."""
+        return self.tables_for(self.generators)
 
     def tables_for(self, gens):
         """(S, ad, rev) for S = set(gens): L.ad keeping only z in S, L.rev
@@ -211,23 +188,21 @@ class LieAlgebra:
             )
         self.jacobi_checked = True
 
-    @property
+    @cached_property
     def weights(self):
         """Weight of each basis element under ad of the designated toral
         element e_t, whose adjoint action must be diagonal on the basis."""
-        if self._weights is None:
-            t = self.toral
-            if t is None:
-                raise ValueError("%s has no toral element" % self.name)
-            w = []
-            for k in range(self.dim):
-                v = self.bracket_pair(t, k)
-                if any(m != k for m in v):
-                    raise ValueError("ad(%s) is not diagonal at %s"
-                                     % (self.labels[t], self.labels[k]))
-                w.append(v.get(k, 0))
-            self._weights = w
-        return self._weights
+        t = self.toral
+        if t is None:
+            raise ValueError("%s has no toral element" % self.name)
+        w = []
+        for k in range(self.dim):
+            v = self.bracket_pair(t, k)
+            if any(m != k for m in v):
+                raise ValueError("ad(%s) is not diagonal at %s"
+                                 % (self.labels[t], self.labels[k]))
+            w.append(v.get(k, 0))
+        return w
 
     def to_json(self):
         quads = []
@@ -268,11 +243,11 @@ class LieAlgebra:
                              % (doc["dim"], dim))
         bracket = defaultdict(dict)
         for entry in quads:
-            if not (isinstance(entry, list) and len(entry) == 4
-                    and all(isinstance(x, int) for x in entry)):
+            if not (isinstance(entry, list) and len(entry) == 4):
                 raise ValueError("bad bracket entry %r (need [i, j, k, "
-                                 "value], integers)" % (entry,))
+                                 "value])" % (entry,))
             i, j, k, v = entry
+            check_family({(i, j): {k: v}}, dim, dim, "bracket")
             key, val = ((i, j), v % p) if i <= j else ((j, i), -v % p)
             if bracket[key].setdefault(k, val) != val:
                 raise ValueError("conflicting bracket entries for %r"

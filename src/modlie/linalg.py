@@ -82,8 +82,9 @@ such a pair dict plus its sign, and each operation on one is written
 once: bilinear_pairs normalizes, bilinear_get and bilinear_eval look up
 and evaluate, family_add sums, bilinear_tensor forms P (x) Q for a
 symmetric Q, and morphism_failure checks f([x, y]) = [fx, fy] for
-alternating maps where it can fail.  check_family refuses an entry of a
-linear or bilinear map that leaves the basis.
+alternating maps where it can fail.  check_family is the one entry
+check of every family the package accepts (maps, brackets, products,
+cochains): keys and targets are basis indices, values are ints.
 """
 
 from collections import defaultdict
@@ -231,15 +232,21 @@ def morphism_failure(f, source, target):
 def check_family(family, n, m, what):
     """Raise ValueError at the first entry key -> {k: c} of family whose
     key is not a basis index in 0..n-1 (or a tuple of them), or with a
-    target k outside 0..m-1 or a value c that is not an int."""
+    target k outside 0..m-1 or a value c that is not an int (type(c) is
+    int: no bool, float or numpy integer)."""
     for key, vec in family.items():
-        keys = key if type(key) is tuple else (key,)
-        if not (all(type(i) is int and 0 <= i < n for i in keys)
-                and all(type(k) is type(c) is int and 0 <= k < m
-                        for k, c in vec.items())):
-            raise ValueError(
-                "%s entry %r: %r needs basis indices in 0..%d, targets in "
-                "0..%d and integer values" % (what, key, vec, n - 1, m - 1))
+        for i in key if type(key) is tuple else (key,):
+            if not (type(i) is int and 0 <= i < n):
+                break
+        else:
+            for k, c in vec.items():
+                if not (type(k) is type(c) is int and 0 <= k < m):
+                    break
+            else:
+                continue
+        raise ValueError(
+            "%s entry %r: %r needs basis indices in 0..%d, targets in "
+            "0..%d and integer values" % (what, key, vec, n - 1, m - 1))
 
 
 def bilinear_table(pairs, sign, p):

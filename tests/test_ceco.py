@@ -303,36 +303,6 @@ def test_mixed_degrees_and_zero_cochains_are_refused():
         class_span_dim(W, [zero])
 
 
-@pytest.mark.parametrize("module, coeffs", [
-    ("trivial", {(3, 4): {3: 1}}),
-    ("adjoint", {(0, 9): {1: 1}}),
-    ("adjoint", {(-1, 1): {1: 1}}),
-    ("adjoint", {(0, 1): {9: 1}}),
-    ("adjoint", {(0, 1): {-1: 1}}),
-    ("adjoint", {(0, 2.5, 4): {1: 1}}),
-    ("trivial", {(3.0, 4): {0: 1}}),
-    ("adjoint", {(0, 1): {2.0: 1}}),
-    ("adjoint", {(0, 1): {1: 1.0}}),
-    ("adjoint", {(0, 1): {1: 1.5}}),
-], ids=["trivial-target-3", "key-9", "key-minus-1", "target-9",
-        "target-minus-1", "key-2.5", "key-3.0", "target-2.0", "value-1.0",
-        "value-1.5"])
-def test_cochain_entries_outside_the_module_are_refused(module, coeffs):
-    # read as the trivial target 0, (3, 4) -> 3 counted as a second class
-    # of the one-dimensional H^2(W1(1); K); range membership took a float
-    # equal to an index, so (0, 2.5, 4) gave d a 4-cochain of 4 terms and
-    # the other floats broke class_span_dim with a TypeError; a float
-    # value reached pow() inside Echelon, or, as 2.5, came back from
-    # closure_failure as a value outside F_p
-    W = make_w1(1, P)
-    c0 = Cochain(W, 2, "trivial", {(3, 4): {0: 1}})
-    assert class_span_dim(W, [c0]) == cohomology_dim(
-        W, 2, module="trivial").dim == 1
-    (T,) = coeffs
-    with pytest.raises(ValueError, match="leaves the basis of W1"):
-        Cochain(W, len(T), module, coeffs)
-
-
 def test_weight_zero_d2_through_extend_matches_add(monkeypatch):
     # the real weight-zero d_2 of W1(1) (x) O1(1) at p = 5, eliminated by
     # sparsest_first through extend and again with every row through add
@@ -1006,10 +976,10 @@ def test_leaking_slice_raises():
     for x in (0, 2):
         W = make_w1(1, P)
         assert (x in W.generators) == (x == 0)
-        W._weights = [w + (k == x) for k, w in enumerate(W.weights)]
+        W.weights = [w + (k == x) for k, w in enumerate(W.weights)]
         with pytest.raises(ValueError, match="not closed under d: the weight"):
             weight_zero_reduce(W)
-        W._weights = None
+        del W.weights
         weight_zero_reduce(W)
 
 
@@ -1031,6 +1001,33 @@ def test_leaking_degree_slice_raises():
             degree_slice(W, 0)
         with pytest.raises(ValueError, match="not closed under d"):
             ComplexSlice(W, weight=0, degree=0)
+
+
+@pytest.mark.parametrize("grade", [
+    {"weight": 0.5}, {"degree": 1.5}, {"weight": "0"}, {"weight": 0.0},
+    {"weight": True}, {"degree": False},
+], ids=["weight-0.5", "degree-1.5", "weight-str", "weight-0.0", "weight-bool",
+        "degree-bool"])
+def test_slice_grade_must_be_an_int(grade):
+    # weight 0.5 or degree 1.5 selected no column and gave dim 0, weight
+    # '0' failed in string formatting, and weight 0.0 computed under the
+    # cache key 0.0, not 0
+    W, (name,) = make_w1(1, P), grade
+    with pytest.raises(ValueError, match="%s must be an integer" % name):
+        cohomology_dim(W, 2, slice_=ComplexSlice(W, **grade))
+
+
+def test_cochains_on_another_algebra_are_not_added():
+    # the sum was a cochain on Ab holding phi21's coefficients, which
+    # closure_failure called closed
+    W = make_w1(1, P)
+    Ab = LieAlgebra(P, list("abcde"), {})
+    z = Cochain(Ab, 2, "adjoint")
+    with pytest.raises(ValueError, match="mismatch: .* on W1\\(1\\), .*, not "
+                       "<Cochain n=2 adjoint on L, 0 terms>"):
+        z.add(phi21(W))
+    assert z.add(Cochain(Ab, 2, "adjoint", {(0, 1): {2: 1}})).coeffs == {
+        (0, 1): {2: 1}}
 
 
 def test_budget_counts_only_the_generator_coordinates():

@@ -14,6 +14,9 @@ from modlie.ceco import (Cochain, ce_differential, coboundary_witness,
                          cohomology_dim, weight_zero_reduce)
 from modlie.cli import BUILTINS, _build_algebra
 from modlie.commalg import (
+    CommAlgebra,
+    Derivation,
+    SymmetricBilinearMap,
     derivation_space,
     make_divided_powers,
     make_reduced_poly,
@@ -39,7 +42,8 @@ from modlie.liealg import (
     semidirect_current,
     verify_morphism,
 )
-from modlie.linalg import Echelon, LinearMap, family_add, vec_add, vec_scale
+from modlie.linalg import (Echelon, LinearMap, family_add, greedy_generators,
+                           vec_add, vec_scale)
 
 P = 5
 
@@ -642,7 +646,7 @@ def test_generators_generate_every_builtin(name, p, n):
     assert set(BUILTINS) <= {b for b, _, _ in GENERATORS}
     L = _build_algebra(name, p, n, 1)
     # found on first use, but a deformation certifies Jacobi with them
-    assert (L._generators is None) == (name != "ldef")
+    assert ("generators" in vars(L)) == (name == "ldef")
     gens = L.generators
     assert gens == GENERATORS[(name, p, n)]
     assert gens and len(set(gens)) == len(gens)
@@ -651,6 +655,24 @@ def test_generators_generate_every_builtin(name, p, n):
     # none of them is redundant
     for g in gens:
         assert _generated_dim(L, [h for h in gens if h != g]) < L.dim
+
+
+def test_derived_tables_are_built_once_per_algebra():
+    # each table is a cached property: a second access reads the first
+    # build, on Lie and on commutative algebras alike
+    searches = []
+
+    def spy(p, dim, *args, **kwargs):
+        searches.append(dim)
+        return greedy_generators(p, dim, *args, **kwargs)
+
+    with mock.patch("modlie.liealg.greedy_generators", spy), \
+            mock.patch("modlie.commalg.greedy_generators", spy):
+        W, A = make_w1(1, P), make_divided_powers(1, P)
+        tables = [(W.generators, W.generator_tables, W.ad, W.rev, W.weights,
+                   A.generators, A.coboundary_columns) for _ in range(2)]
+    assert searches == [W.dim, A.dim]
+    assert all(x is y for x, y in zip(*tables))
 
 
 def test_generators_of_an_abelian_algebra_are_the_whole_basis():
@@ -730,16 +752,100 @@ def test_toral_must_be_a_basis_index(toral):
         LieAlgebra(P, ["a", "b"], {}, toral=toral)
 
 
-@pytest.mark.parametrize("bracket", [
-    {(0, 1): {7: 1}}, {(0, 7): {}}, {(-1, 1): {0: 1}}, {(True, 2): {0: 1}},
-    {(0, 1): {"c": 1}}, {(0, 1): {2: 1.5}}, {(0, 1): {2: True}},
-    {(1, 1): {0: 1}},
-], ids=["target-7", "key-7", "key-minus-1", "bool-key", "str-target",
-        "float-value", "bool-value", "diagonal"])
-def test_bracket_entries_need_basis_indices_and_integer_values(bracket):
-    with pytest.raises(ValueError, match="needs basis indices in 0..2, "
-                       "integer values, zero if diagonal"):
-        LieAlgebra(P, ["a", "b", "c"], bracket)
+OFF_BASIS = "entry .* needs basis indices in 0..%d, targets in 0..%d and "\
+    "integer values"
+UNIT = {(0, 0): {0: 1}, (0, 1): {1: 1}}  # K[x]/(x^2) on ["1", "x"]
+
+
+def _entry_check(kind):
+    """(constructor of entries, entries that construct, message) of each
+    structure whose entries linalg.check_family decides."""
+    W, A = make_w1(1, P), make_divided_powers(1, P)
+    return {
+        "bracket": (lambda e: LieAlgebra(P, ["a", "b", "c"], e),
+                    {(0, 1): {2: 1}}, OFF_BASIS % (2, 2)),
+        "diagonal": (lambda e: LieAlgebra(P, ["a", "b", "c"], e),
+                     {(1, 1): {0: P}}, r"\[x, x\] must be 0"),
+        "json": (lambda e: LieAlgebra.from_json(
+                     {"p": P, "basis": ["a", "b", "c"], "bracket": e}),
+                 [[1, 0, 2, 1]], OFF_BASIS % (2, 2)),
+        "adjoint": (lambda e: Cochain(W, len(next(iter(e))), "adjoint", e),
+                    {(0, 1): {1: 1}}, OFF_BASIS % (W.dim - 1, W.dim - 1)),
+        "trivial": (lambda e: Cochain(W, len(next(iter(e))), "trivial", e),
+                    {(3, 4): {0: 1}}, OFF_BASIS % (W.dim - 1, 0)),
+        "derivation": (lambda e: Derivation(A, e),
+                       partial_derivation(A).cols, OFF_BASIS % (4, 4)),
+        "linear-map": (lambda e: LinearMap(A, make_divided_powers(2, P), e),
+                       {4: {24: 1}}, OFF_BASIS % (4, 24)),
+        "symmetric-map": (lambda e: SymmetricBilinearMap(A, e),
+                          {(4, 0): {4: 1}}, OFF_BASIS % (4, 4)),
+        "product": (lambda e: CommAlgebra(P, ["1", "x"], {**UNIT, **e}, 0),
+                    {(1, 1): {}}, OFF_BASIS % (1, 1)),
+        "unit": (lambda u: CommAlgebra(P, ["1", "x"], UNIT, u), 0,
+                 r"unit .* is not a basis index in 0..1"),
+    }[kind]
+
+
+# A JSON bracket value true was read as 1.  Read as the trivial target
+# 0, the cochain (3, 4) -> 3 counted as a second class of the
+# one-dimensional H^2(W1(1); K); range membership took a float equal to
+# an index, so (0, 2.5, 4) gave d a 4-cochain of 4 terms and the other
+# floats broke class_span_dim with a TypeError; a float value reached
+# pow() inside Echelon, or, as 2.5, came back from closure_failure as a
+# value outside F_p.  On O1(1), the linear map {7: {0: 1}} flattened to
+# 35, past the 25 matrix coordinates, and the symmetric pair (0, 9) onto
+# the coordinate of (1, 4), so solve_delta1 answered for another map.  A
+# product key (1, 9) raised IndexError from the associativity check, and
+# the product x^2 = 0.5 x reached pow() inside Echelon from
+# derivation_space, harrison_h2 and hochschild_hn_dim.
+ENTRY_ROWS = {
+    "bracket": [
+        ("target-7", {(0, 1): {7: 1}}), ("key-7", {(0, 7): {}}),
+        ("key-minus-1", {(-1, 1): {0: 1}}), ("bool-key", {(True, 2): {0: 1}}),
+        ("str-target", {(0, 1): {"c": 1}}),
+        ("float-value", {(0, 1): {2: 1.5}}),
+        ("bool-value", {(0, 1): {2: True}})],
+    "diagonal": [("nonzero", {(1, 1): {0: 1}})],
+    "json": [("key-7", [[0, 7, 2, 1]]), ("float-key", [[0, 1.0, 2, 1]]),
+             ("str-target", [[0, 1, "c", 1]]),
+             ("bool-value", [[0, 1, 2, True]])],
+    "adjoint": [
+        ("key-9", {(0, 9): {1: 1}}), ("key-minus-1", {(-1, 1): {1: 1}}),
+        ("target-9", {(0, 1): {9: 1}}), ("target-minus-1", {(0, 1): {-1: 1}}),
+        ("key-2.5", {(0, 2.5, 4): {1: 1}}), ("target-2.0", {(0, 1): {2.0: 1}}),
+        ("value-1.0", {(0, 1): {1: 1.0}}), ("value-1.5", {(0, 1): {1: 1.5}}),
+        ("bool-key", {(False, 1): {1: 1}}),
+        ("bool-target", {(0, 1): {True: 1}}),
+        ("bool-value", {(0, 1): {1: True}})],
+    "trivial": [("target-3", {(3, 4): {3: 1}}),
+                ("key-3.0", {(3.0, 4): {0: 1}})],
+    "derivation": [
+        ("key-7", {7: {0: 1}}), ("key-minus-1", {-1: {0: 1}}),
+        ("target-5", {1: {5: 1}}), ("key-1.0", {1.0: {0: 1}}),
+        ("target-0.0", {1: {0.0: 1}}), ("value-1.0", {1: {0: 1.0}})],
+    "linear-map": [("target-25", {0: {25: 1}})],
+    "symmetric-map": [
+        ("key-9", {(0, 9): {0: 1}}), ("key-minus-1", {(-1, 2): {0: 1}}),
+        ("target-5", {(0, 1): {5: 1}}), ("key-1.0", {(0, 1.0): {1: 1}}),
+        ("value-0.5", {(0, 1): {1: 0.5}})],
+    "product": [
+        ("key-9", {(1, 9): {1: 1}}), ("target-2", {(1, 1): {2: 1}}),
+        ("value-0.5", {(1, 1): {1: 0.5}}), ("key-1.0", {(1.0, 1): {1: 1}}),
+        ("bool-value", {(1, 1): {1: True}})],
+    "unit": [("9", 9), ("minus-1", -1), ("bool", True), ("float", 0.0)],
+}
+
+
+@pytest.mark.parametrize("kind, entries", [
+    pytest.param(kind, entries, id="%s-%s" % (kind, case))
+    for kind, rows in ENTRY_ROWS.items() for case, entries in rows])
+def test_entries_off_the_basis_are_refused(kind, entries):
+    # one check, linalg.check_family, for every structure the engine
+    # accepts: keys and targets are basis indices, values are ints
+    make, good, match = _entry_check(kind)
+    make(good)  # in the basis, it constructs
+    with pytest.raises(ValueError, match=match):
+        make(entries)
 
 
 def test_zero_diagonal_bracket_entry_is_dropped_but_needs_its_index():
@@ -748,7 +854,7 @@ def test_zero_diagonal_bracket_entry_is_dropped_but_needs_its_index():
     assert LieAlgebra.from_json(doc).bracket == {}
     with pytest.raises(ValueError, match="basis indices"):
         LieAlgebra.from_json(dict(doc, bracket=[[7, 7, 0, 0]]))
-    with pytest.raises(ValueError, match="zero if diagonal"):
+    with pytest.raises(ValueError, match=r"\[x, x\] must be 0"):
         LieAlgebra.from_json(dict(doc, bracket=[[1, 1, 0, 1]]))
 
 
