@@ -35,7 +35,8 @@ slice, for every n and both modules.  The lemma is used twice:
   project their closed cochains there: every span and witness is exact,
   in any degree n >= 1 (Massey brackets are classed in H^3).
 
-d_n is eliminated by linalg.sparsest_first, after the projection of
+d_n is eliminated by linalg.sparsest_first, its rows shortest first
+(all are built before any is inserted), after the projection of
 B^n, whose pivot columns P are cleared from d_n before it is built: B^n
 maps onto the coordinates P bijectively and d_n kills it, so the other
 columns keep the rank of d_n, and its kernel there is one cocycle per
@@ -69,8 +70,8 @@ from collections import defaultdict
 from operator import itemgetter
 
 from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, bilinear_table,
-                     check_family, circle, family_add, solve_sparse,
-                     sparsest_first, transpose, vec_scale)
+                     _shortest_first, check_family, circle, family_add,
+                     solve_sparse, sparsest_first, transpose, vec_scale)
 
 __all__ = [
     "BudgetExceeded",
@@ -125,18 +126,6 @@ class Cochain:
             vec = {k: v % L.p for k, v in vec.items() if v % L.p}
             if vec:
                 self.coeffs[T] = vec
-
-    def evaluate(self, *xs):
-        """Value on basis indices, any order (alternating extension): 0 on
-        a repeated index, else signed by the parity of xs's inversions."""
-        if len(xs) != self.n:
-            raise ValueError("expected %d arguments" % self.n)
-        T = tuple(sorted(xs))
-        if len(set(T)) < len(T):
-            return {}
-        v = self.coeffs.get(T, {})
-        odd = sum(x > y for i, x in enumerate(xs) for y in xs[i + 1:]) % 2
-        return vec_scale(v, -1, self.L.p) if odd else v
 
     def is_zero(self):
         return not self.coeffs
@@ -459,7 +448,7 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
             L.generator_tables, budget, counter, [slice_])
         stats.update(rows=len(rows), nnz=counter[0] - used)
         stats["assemble_s"] += lap()
-        return rows.values()
+        return _shortest_first(rows.values())
 
     # a column weighs its stencil terms in the whole d_n (module docstring)
     wrev = [len(L.rev.get(m, ())) for m in range(L.dim)]

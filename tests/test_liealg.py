@@ -797,14 +797,16 @@ def _entry_check(kind):
 # the coordinate of (1, 4), so solve_delta1 answered for another map.  A
 # product key (1, 9) raised IndexError from the associativity check, and
 # the product x^2 = 0.5 x reached pow() inside Echelon from
-# derivation_space, harrison_h2 and hochschild_hn_dim.
+# derivation_space, harrison_h2 and hochschild_hn_dim.  A value that is
+# not a dict, as the bracket (0, 1) -> 5, raised AttributeError.
 ENTRY_ROWS = {
     "bracket": [
         ("target-7", {(0, 1): {7: 1}}), ("key-7", {(0, 7): {}}),
         ("key-minus-1", {(-1, 1): {0: 1}}), ("bool-key", {(True, 2): {0: 1}}),
         ("str-target", {(0, 1): {"c": 1}}),
         ("float-value", {(0, 1): {2: 1.5}}),
-        ("bool-value", {(0, 1): {2: True}})],
+        ("bool-value", {(0, 1): {2: True}}),
+        ("int-value", {(0, 1): 5}), ("list-value", {(0, 1): [2]})],
     "diagonal": [("nonzero", {(1, 1): {0: 1}})],
     "json": [("key-7", [[0, 7, 2, 1]]), ("float-key", [[0, 1.0, 2, 1]]),
              ("str-target", [[0, 1, "c", 1]]),
@@ -816,14 +818,15 @@ ENTRY_ROWS = {
         ("value-1.0", {(0, 1): {1: 1.0}}), ("value-1.5", {(0, 1): {1: 1.5}}),
         ("bool-key", {(False, 1): {1: 1}}),
         ("bool-target", {(0, 1): {True: 1}}),
-        ("bool-value", {(0, 1): {1: True}})],
+        ("bool-value", {(0, 1): {1: True}}),
+        ("int-value", {(0, 1): 1})],
     "trivial": [("target-3", {(3, 4): {3: 1}}),
                 ("key-3.0", {(3.0, 4): {0: 1}})],
     "derivation": [
         ("key-7", {7: {0: 1}}), ("key-minus-1", {-1: {0: 1}}),
         ("target-5", {1: {5: 1}}), ("key-1.0", {1.0: {0: 1}}),
         ("target-0.0", {1: {0.0: 1}}), ("value-1.0", {1: {0: 1.0}})],
-    "linear-map": [("target-25", {0: {25: 1}})],
+    "linear-map": [("target-25", {0: {25: 1}}), ("int-value", {0: 1})],
     "symmetric-map": [
         ("key-9", {(0, 9): {0: 1}}), ("key-minus-1", {(-1, 2): {0: 1}}),
         ("target-5", {(0, 1): {5: 1}}), ("key-1.0", {(0, 1.0): {1: 1}}),
@@ -831,7 +834,8 @@ ENTRY_ROWS = {
     "product": [
         ("key-9", {(1, 9): {1: 1}}), ("target-2", {(1, 1): {2: 1}}),
         ("value-0.5", {(1, 1): {1: 0.5}}), ("key-1.0", {(1.0, 1): {1: 1}}),
-        ("bool-value", {(1, 1): {1: True}})],
+        ("bool-value", {(1, 1): {1: True}}),
+        ("int-value", {(0, 0): 1})],
     "unit": [("9", 9), ("minus-1", -1), ("bool", True), ("float", 0.0)],
 }
 
