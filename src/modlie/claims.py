@@ -27,7 +27,8 @@ from .commalg import (make_divided_powers, partial_derivation,
 from .liealg import (make_w1, make_sl2, current_algebra, make_deformed,
                      semidirect_current, kuznetsov_map, verify_morphism,
                      center, derived_series, find_proper_ideal)
-from .linalg import DEFAULT_BUDGET, Echelon, LinearMap
+from .linalg import (DEFAULT_BUDGET, Echelon, LinearMap, tensor_index,
+                     tensor_pair)
 from .cocycles import (phi21, theta, upsilon, psi, phi_big, psi_t,
                        lambda_identities_check, build_filtered_deformation)
 
@@ -264,7 +265,7 @@ def _massey(inst, ctx):
 def _outer_intersection(L, A):
     """dim of (1 (x) Der(A)) meet ad(L (x) A), by exact ranks of the
     operators on L.generators, which fix a derivation."""
-    gens, dA = L.generators, A.dim
+    gens, w = L.generators, L.meta["dims"][0]
     ad_ech = Echelon(L.p)
     for k in range(L.dim):
         ad = LinearMap(L, L, {j: L.bracket_pair(k, j) for j in gens})
@@ -272,10 +273,11 @@ def _outer_intersection(L, A):
     r_ad = ad_ech.rank
     der_ech = Echelon(L.p)
     # ad_ech, its rank read, grows into the echelon of both spans
-    for D in derivation_space(A):  # e_i (x) a, at i dA + a, to e_i (x) Da
+    for D in derivation_space(A):  # e_i (x) a to e_i (x) Da
         flat = LinearMap(L, L, {
-            j: {j - j % dA + k: c for k, c in D.cols[j % dA].items()}
-            for j in gens if j % dA in D.cols}).flatten()
+            j: {tensor_index(i, k, w): c for k, c in D.cols[a].items()}
+            for j in gens for i, a in [tensor_pair(j, w)]
+            if a in D.cols}).flatten()
         der_ech.add(flat)
         ad_ech.add(flat)
     return r_ad + der_ech.rank - ad_ech.rank

@@ -141,7 +141,9 @@ def cmd_verify(args):
     return 0 if status == "pass" else 1
 
 
-BUILTINS = ("w1n", "sl2", "w1n-x-om", "sl2-x-om", "ldef", "w1-sd", "sl2-sd")
+# each builtin, with the options among --p, --n, --m that it reads
+BUILTINS = {"w1n": "pn", "sl2": "p", "w1n-x-om": "pnm", "sl2-x-om": "pm",
+            "ldef": "pm", "w1-sd": "pnm", "sl2-sd": "pm"}
 
 
 def _build_algebra(name, p, n, m):
@@ -165,8 +167,16 @@ def _build_algebra(name, p, n, m):
 
 
 def _load_algebra(args):
+    """The algebra args names; ValueError on an option it does not read
+    (a file reads none).  Absent ones default to p = 5, n = m = 1."""
     target = args.algebra
-    if target.endswith(".json") or os.path.sep in target:
+    is_file = target.endswith(".json") or os.path.sep in target
+    reads = "" if is_file else BUILTINS.get(target, "pnm")
+    unread = ["--" + k for k in "pnm"
+              if getattr(args, k) is not None and k not in reads]
+    if unread:
+        raise ValueError("%s does not take %s" % (target, ", ".join(unread)))
+    if is_file:
         try:
             with open(target, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
@@ -178,7 +188,9 @@ def _load_algebra(args):
             return LieAlgebra.from_json(doc, name=os.path.basename(target))
         except ValueError as e:
             raise ValueError("malformed algebra file %s: %s" % (target, e))
-    return _build_algebra(target, args.p, args.n, args.m)
+    return _build_algebra(target, *(
+        default if (v := getattr(args, k)) is None else v
+        for k, default in (("p", 5), ("n", 1), ("m", 1))))
 
 
 def cmd_cohomology(args):
@@ -332,12 +344,6 @@ def main(argv=None):
     if args.command is None:
         ap.print_help()
         return 2
-    # cohomology builtins need concrete parameters; fill standard defaults
-    # (only when absent: an explicit --p 0 must reach the prime check)
-    if hasattr(args, "deg"):
-        for name, default in (("p", 5), ("n", 1), ("m", 1)):
-            if getattr(args, name) is None:
-                setattr(args, name, default)
     try:
         return args.func(args)
     except OSError as e:

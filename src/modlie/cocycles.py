@@ -22,8 +22,8 @@ from .ceco import Cochain, ComplexSlice, closure_failure, massey_bracket
 from .commalg import solve_delta1, star_action
 from .liealg import (_tensor_layout, deform, e_minus_one_block, make_w1,
                      phi_block)
-from .linalg import (LinearMap, bilinear_tensor, family_add, vec_add,
-                     vec_scale)
+from .linalg import (LinearMap, bilinear_tensor, family_add, tensor_index,
+                     tensor_pair, vec_add, vec_scale)
 
 __all__ = [
     "CocycleError",
@@ -94,27 +94,27 @@ def phi21(W):
     return _check_closed(Cochain(W, 2, "adjoint", coeffs), "phi21")
 
 
-def _line(k, avec, dA):
-    """e_k (x) avec as a sparse vector of S (x) A, whose basis element
-    e_k (x) a_m sits at k*dA + m."""
-    return {k * dA + m: c for m, c in avec.items()}
+def _line(k, avec, w):
+    """e_k (x) avec as a sparse vector of S (x) A, dim S = w, whose basis
+    element e_k (x) a_m sits at linalg.tensor_index(k, m, w)."""
+    return {tensor_index(k, m, w): c for m, c in avec.items()}
 
 
 def theta(L, phi_on_s, u):
     """Theta_{phi,u} on S (x) A (tails, if any, get zero):
     (x (x) a, y (x) b) -> phi(x, y) (x) abu."""
-    _, dA, A = _tensor_layout(L)
+    w, _, A = _tensor_layout(L)
     abu = {key: v for key, ab in A.mult.items() if (v := A.mul(ab, u))}
     c = Cochain(L, 2, "adjoint",
-                bilinear_tensor(phi_on_s.coeffs, abu, dA, L.p))
+                bilinear_tensor(phi_on_s.coeffs, -1, abu, w, L.p))
     return _check_closed(c, "Theta")
 
 
 def upsilon(L, F):
     """Upsilon_F on S (x) A: (x (x) a, y (x) b) -> [x,y] (x) F(a,b)."""
-    _, dA, _ = _tensor_layout(L)
+    w = _tensor_layout(L)[0]
     c = Cochain(L, 2, "adjoint",
-                bilinear_tensor(L.meta["L"].bracket, F.values, dA, L.p))
+                bilinear_tensor(L.meta["L"].bracket, -1, F.values, w, L.p))
     return _check_closed(c, "Upsilon")
 
 
@@ -132,10 +132,10 @@ def psi(L, D):
     top = w - 2
     coeffs = {}
     for x in range(w * dA):
-        i, a = divmod(x, dA)
+        i, a = tensor_pair(x, w)
         i -= 1
         for y in range(x + 1, w * dA):
-            j, b = divmod(y, dA)
+            j, b = tensor_pair(y, w)
             j -= 1
             c1 = binom(i + j + 1, j) % p
             c2 = binom(i + j + 1, i) % p
@@ -148,7 +148,7 @@ def psi(L, D):
             vec = vec_add(vec_scale(A.mul({b: 1}, D({a: 1})), c1, p),
                           A.mul({a: 1}, D({b: 1})), p, -c2)
             if vec:
-                coeffs[(x, y)] = _line(m + 1, vec, dA)
+                coeffs[(x, y)] = _line(m + 1, vec, w)
     return _check_closed(Cochain(L, 2, "adjoint", coeffs), "Psi")
 
 
@@ -201,15 +201,15 @@ def theta_prime(Ld, u=None):
     never checked."""
     A, D, _ = _deformed(Ld, "theta_prime")
     p = Ld.p
-    dA = A.dim
+    w = _tensor_layout(Ld)[0]
     if u is None:
         u = A.unit_vec
     coeffs = {}
     for x in range(Ld.dim):
-        i, a = divmod(x, dA)
+        i, a = tensor_pair(x, w)
         i -= 1
         for y in range(x + 1, Ld.dim):
-            j, b = divmod(y, dA)
+            j, b = tensor_pair(y, w)
             j -= 1
             m = i + j
             if not -1 <= m <= p - 2:
@@ -218,7 +218,7 @@ def theta_prime(Ld, u=None):
             vec = vec_add(vec_scale(A.mul(A.mul({a: 1}, D({b: 1})), u), l1, p),
                           A.mul(A.mul({b: 1}, D({a: 1})), u), p, -l2)
             if vec:
-                coeffs[(x, y)] = _line(m + 1, vec, dA)
+                coeffs[(x, y)] = _line(m + 1, vec, w)
     return Cochain(Ld, 2, "adjoint", coeffs)
 
 

@@ -56,7 +56,8 @@ from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, LinearMap,
                      bilinear_get, bilinear_pairs, bilinear_table,
                      bilinear_tensor, check_family, compose, family_add,
                      greedy_generators, solve_sparse, sparsest_first,
-                     transpose, vec_add, vec_scale)
+                     tensor_index, tensor_pair, transpose, vec_add,
+                     vec_scale)
 
 __all__ = [
     "CommAlgebra",
@@ -255,22 +256,18 @@ def make_scalars(p):
 
 
 def tensor_product(A, B):
-    """A (x) B with basis pairs ordered as i_A * dim(B) + i_B and
-    componentwise multiplication."""
+    """A (x) B with the basis pair (i_A, i_B) at linalg.tensor_index(i_A,
+    i_B, dim A) and componentwise multiplication."""
     if A.p != B.p:
         raise ValueError("tensor factors live over different primes")
-    dB = B.dim
-    labels = [
-        "%s@%s" % (A.labels[i], B.labels[j]) for i in range(A.dim) for j in range(dB)
-    ]
+    labels = ["%s@%s" % (A.labels[i], B.labels[j]) for i, j in
+              (tensor_pair(x, A.dim) for x in range(A.dim * B.dim))]
     return CommAlgebra(
-        A.p,
-        labels,
-        dict(sorted(bilinear_tensor(A.mult, B.mult, dB, A.p).items())),
-        unit=A.unit * dB + B.unit,
+        A.p, labels,
+        dict(sorted(bilinear_tensor(A.mult, 1, B.mult, A.dim, A.p).items())),
+        unit=tensor_index(A.unit, B.unit, A.dim),
         name="%s(x)%s" % (A.name, B.name),
-        meta={"kind": "tensor", "dims": (A.dim, B.dim), "left": A, "right": B},
-    )
+        meta={"kind": "tensor", "dims": (A.dim, B.dim), "left": A, "right": B})
 
 
 class Derivation(LinearMap):
@@ -339,19 +336,16 @@ def scale_derivation(D, u):
 
 
 def tensor_derivation(AB, D):
-    """D (x) 1 on a tensor-product algebra A (x) B, for D on A."""
+    """D (x) 1 on a tensor-product algebra A (x) B, for D on A: a (x) b,
+    at linalg.tensor_index(a, b, dim A), goes to D(a) (x) b."""
     if AB.meta.get("kind") != "tensor":
         raise ValueError("tensor_derivation needs a tensor-product algebra")
     dA, dB = AB.meta["dims"]
     if D.A.dim != dA:
         raise ValueError("derivation does not act on the left factor")
-    # x = a * dB + b goes to D(a) (x) b
-    cols = {}
-    for x in range(dA * dB):
-        a, b = divmod(x, dB)
-        col = {k * dB + b: v for k, v in D.cols.get(a, {}).items()}
-        if col:
-            cols[x] = col
+    cols = {tensor_index(a, b, dA): {tensor_index(k, b, dA): v
+                                     for k, v in col.items()}
+            for b in range(dB) for a, col in D.cols.items()}
     return Derivation(AB, cols, name="%s(x)1" % D.name)
 
 

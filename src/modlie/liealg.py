@@ -4,12 +4,13 @@ Provides the rank-one Zassenhaus algebras W1(n) (basis e_i, -1 <= i <=
 p^n - 2, [e_i, e_j] = N_ij e_{i+j}), sl(2) in the same normalization,
 current algebras L (x) A, semidirect sums with derivation tails, the
 deformed current algebras L(A, D) whose extra term Phi_D lives on the
-(e_{-1}, e_{-1}) block (phi_block), the degree-preserving identification
-of W1(n) with L(O1(n-1), d), and deform, the one builder of a filtered
-deformation, which records its base.  Structure probes are exact sparse
-computations: Jacobi, the center and ideals rest on L.generators
-(linalg.greedy_generators), which every probe needing Jacobi reads
-first, at any dimension; spans are closed by Echelon.close.
+(e_{-1}, e_{-1}) block (phi_block), the Kuznetsov identification of W1(n)
+with L(O1(n-1), d), the identity map on linalg.tensor_index, and deform,
+the one builder of a filtered deformation, which records its base.
+Structure probes are exact sparse computations: Jacobi, the center and
+ideals rest on L.generators (linalg.greedy_generators), which every
+probe needing Jacobi reads first, at any dimension; spans are closed by
+Echelon.close.
 """
 
 import hashlib
@@ -26,7 +27,7 @@ from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_eval,
                      bilinear_get, bilinear_pairs, bilinear_table,
                      bilinear_tensor, check_family, circle, family_add,
                      greedy_generators, morphism_failure, solve_sparse,
-                     vec_add)
+                     tensor_index, tensor_pair, vec_add)
 
 __all__ = [
     "LieAlgebra",
@@ -314,27 +315,20 @@ def make_sl2(p):
 
 def current_algebra(L, A):
     """L (x) A with bracket [x (x) a, y (x) b] = [x, y] (x) ab; basis pair
-    (i, a) sits at index i * dim(A) + a.  The grading is inherited from L
-    alone, which is the grading all the positive-part computations use."""
+    (i, a) sits at linalg.tensor_index(i, a, dim L).  The grading (or
+    filtration) is inherited from L alone, which is the grading all the
+    positive-part computations use."""
     if L.p != A.p:
         raise ValueError("factors live over different primes")
-    dA = A.dim
-    labels = [
-        "%s(x)%s" % (L.labels[i], A.labels[a])
-        for i in range(L.dim) for a in range(dA)
-    ]
-    bracket = bilinear_tensor(L.bracket, A.mult, dA, L.p)
-    grading = None
-    if L.grading is not None:
-        grading = [L.grading[i] for i in range(L.dim) for _ in range(dA)]
-    toral = None
-    if L.toral is not None:
-        toral = L.toral * dA + A.unit
+    pairs = [tensor_pair(x, L.dim) for x in range(L.dim * A.dim)]
+    labels = ["%s(x)%s" % (L.labels[i], A.labels[a]) for i, a in pairs]
+    grading = None if L.grading is None else [L.grading[i] for i, _ in pairs]
+    toral = None if L.toral is None else tensor_index(L.toral, A.unit, L.dim)
     return LieAlgebra(
-        L.p, labels, bracket, grading=grading, toral=toral,
-        name="%s(x)%s" % (L.name, A.name),
-        meta={"kind": "current", "L": L, "A": A, "dims": (L.dim, dA)},
-    )
+        L.p, labels, bilinear_tensor(L.bracket, -1, A.mult, L.dim, L.p),
+        grading=grading, toral=toral, name="%s(x)%s" % (L.name, A.name),
+        meta={"kind": "current", "L": L, "A": A, "dims": (L.dim, A.dim)},
+        filtration=L.filtration)
 
 
 def semidirect_current(L, A, Ds):
@@ -345,7 +339,6 @@ def semidirect_current(L, A, Ds):
     for D in Ds:
         _check_acts_on(D, A)
     cur = current_algebra(L, A)
-    dA = A.dim
     n0 = cur.dim
     nt = len(Ds)
     flat = {t: D.flatten() for t, D in enumerate(Ds)}
@@ -359,9 +352,8 @@ def semidirect_current(L, A, Ds):
         for i in range(L.dim):
             for a, col in D.cols.items():
                 # [x (x) a, 1 (x) d] = x (x) d(a)
-                out = {i * dA + k: c % A.p for k, c in col.items()}
-                if out:
-                    bracket[(i * dA + a, n0 + t)] = out
+                bracket[(tensor_index(i, a, L.dim), n0 + t)] = {
+                    tensor_index(i, k, L.dim): c for k, c in col.items()}
     for t in range(nt):
         for u in range(t + 1, nt):
             C = Ds[t].commutator(Ds[u])
@@ -377,15 +369,13 @@ def semidirect_current(L, A, Ds):
             if out:
                 bracket[(n0 + t, n0 + u)] = out
     labels = cur.labels + ["1(x)%s" % D.name for D in Ds]
-    grading = None
-    if cur.grading is not None:
-        grading = cur.grading + [0] * nt
+    grading = None if cur.grading is None else cur.grading + [0] * nt
     return LieAlgebra(
         L.p, labels, bracket, grading=grading, toral=cur.toral,
         name="%s+tails" % cur.name,
         meta={"kind": "semidirect", "L": L, "A": A, "Ds": list(Ds),
-              "dims": (L.dim, dA), "ntails": nt},
-    )
+              "dims": (L.dim, A.dim), "ntails": nt},
+        filtration=L.filtration)
 
 
 def _check_acts_on(D, A):
@@ -398,8 +388,8 @@ def _check_acts_on(D, A):
 
 
 def _tensor_layout(L):
-    """(w_dim, a_dim, A) of an algebra with basis e_i (x) a_j at i*a_dim
-    + j (and maybe tails after), as the constructors record meta["dims"]."""
+    """(w_dim, a_dim, A) of an algebra with basis e_i (x) a_j at
+    tensor_index(i, j, w_dim) (tails after), as meta["dims"] records."""
     if L.meta.get("kind") in ("current", "deformed", "semidirect"):
         return (*L.meta["dims"], L.meta["A"])
     raise ValueError("algebra %s has no tensor-product layout" % L.name)
@@ -410,7 +400,8 @@ def e_minus_one_block(L, f):
     on an algebra with a tensor layout; f returns a sparse vector of A.
     On L(A, D) this is the block where the deformation Phi_D lives."""
     w, dA, _ = _tensor_layout(L)
-    return {(a, b): {(w - 1) * dA + m: c for m, c in f(a, b).items()}
+    return {(tensor_index(0, a, w), tensor_index(0, b, w)):
+            {tensor_index(w - 1, m, w): c for m, c in f(a, b).items()}
             for a in range(dA) for b in range(a + 1, dA)}
 
 
@@ -468,28 +459,18 @@ def kuznetsov_map(n, p, A=None):
     deformed algebra L(O1(n-1), d): e_s maps to e_i (x) x^k under the
     unique decomposition s = pk + i with -1 <= i <= p - 2.  With A given,
     the same identification tensored by A maps W1(n) (x) A onto
-    L(O1(n-1) (x) A, d (x) 1)."""
+    L(O1(n-1) (x) A, d (x) 1).  Under linalg.tensor_index both sides
+    sit at one position, so the map is the identity."""
     check_prime(p)
     if n < 2:
         raise ValueError("the identification needs n >= 2")
     B = make_divided_powers(n - 1, p)
-    W = make_w1(n, p)
-    if A is None:
-        src = W
-        tgt = make_deformed(B, partial_derivation(B))
-        dA = 1
-    else:
-        src = current_algebra(W, A)
-        BA = tensor_product(B, A)
-        tgt = make_deformed(BA, tensor_derivation(BA, partial_derivation(B)))
-        dA = A.dim
-    cols = {}
-    for s in range(-1, p ** n - 1):
-        k = (s + 1) // p
-        i = s - p * k
-        for a in range(dA):
-            cols[(s + 1) * dA + a] = {((i + 1) * B.dim + k) * dA + a: 1}
-    return LinearMap(src, tgt, cols)
+    src, D = make_w1(n, p), partial_derivation(B)
+    if A is not None:
+        src, B = current_algebra(src, A), tensor_product(B, A)
+        D = tensor_derivation(B, D)
+    return LinearMap(src, make_deformed(B, D),
+                     {j: {j: 1} for j in range(src.dim)})
 
 
 def center(L):

@@ -89,7 +89,11 @@ such a pair dict plus its sign, and each operation on one is written
 once: bilinear_pairs normalizes, bilinear_get and bilinear_eval look up
 and evaluate, family_add sums, bilinear_tensor forms P (x) Q for a
 symmetric Q, and morphism_failure checks f([x, y]) = [fx, fy] for
-alternating maps where it can fail.  check_family is the one entry
+alternating maps where it can fail.  Every tensor basis S (x) A of the
+package puts e_i (x) a_m at m * dim S + i (tensor_index, inverse
+tensor_pair), second factor major: e_i (x) x^(k) of W1(1) (x) O1(m)
+sits where e_{pk+i} does in W1(m+1), so the Kuznetsov identification of
+the two is the identity map.  check_family is the one entry
 check of every family the package accepts (maps, brackets, products,
 cochains): keys and targets are basis indices, values are ints.
 """
@@ -100,8 +104,9 @@ from heapq import heapify, heappop, heappush
 __all__ = ["BudgetExceeded", "LinearMap", "SparseFpMatrix", "Echelon",
            "greedy_generators", "sparsest_first", "solve_sparse",
            "transpose", "vec_add", "vec_scale", "bilinear_table", "compose",
-           "circle", "bilinear_pairs", "family_add", "bilinear_tensor",
-           "morphism_failure", "check_family"]
+           "circle", "bilinear_pairs", "family_add", "tensor_index",
+           "tensor_pair", "bilinear_tensor", "morphism_failure",
+           "check_family"]
 
 # The one default work budget of every budgeted computation (cohomology
 # assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
@@ -190,27 +195,39 @@ def family_add(f, g, p, scale=1):
     return {key: vec for key, vec in out.items() if vec}
 
 
-def bilinear_tensor(P, Q, dim, p):
+def tensor_index(i, a, dim):
+    """The position of e_i (x) a_a in S (x) A, dim = dim S."""
+    return a * dim + i
+
+
+def tensor_pair(x, dim):
+    """(i, a) with tensor_index(i, a, dim) = x."""
+    return x % dim, x // dim
+
+
+def bilinear_tensor(P, sign, Q, dim, p):
     """P (x) Q on pairs: (e_i (x) e_a, e_j (x) e_b) -> P(e_i, e_j) (x)
-    Q(e_a, e_b), e_i (x) e_a at i * dim + a, for reduced P and a reduced
-    symmetric Q on dim basis vectors.  Keys follow P's, then a, then b;
-    a diagonal key (i, i) of P takes only a <= b."""
-    rows = [[] for _ in range(dim)]  # a -> sorted [(b, Q(e_a, e_b))]
+    Q(e_a, e_b) on the tensor_index layout, for a reduced P on dim basis
+    vectors with P(e_j, e_i) = sign P(e_i, e_j) and a reduced symmetric Q.
+    Keys follow P's, then a, then b, each put in order with sign; a
+    diagonal key (i, i) of P takes only a <= b."""
+    rows = defaultdict(list)  # a -> [(b, Q(e_a, e_b))]
     for (a, b), vec in Q.items():
         rows[a].append((b, vec))
         if a != b:
             rows[b].append((a, vec))
-    for row in rows:
-        row.sort(key=lambda t: t[0])
+    rows = sorted((a, sorted(row)) for a, row in rows.items())  # keys unique
     out = {}
     for (i, j), pv in P.items():
-        x, y = i * dim, j * dim
-        for a, row in enumerate(rows):
+        for a, row in rows:
+            x = tensor_index(i, a, dim)
             for b, qv in row:
                 if i < j or a <= b:
-                    out[(x + a, y + b)] = {k * dim + m: c * d % p
-                                           for k, c in pv.items()
-                                           for m, d in qv.items()}
+                    y = tensor_index(j, b, dim)
+                    s = 1 if x <= y else sign
+                    out[(x, y) if x <= y else (y, x)] = {
+                        tensor_index(k, m, dim): s * c * d % p
+                        for k, c in pv.items() for m, d in qv.items()}
     return out
 
 

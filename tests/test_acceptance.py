@@ -139,9 +139,19 @@ def test_massey_and_kuznetsov_claims_at_the_next_height():
     assert all(r["computed"] is True for r in rows)
 
 
-@pytest.mark.slow
 def test_lifted_h2_expects_one_plus_three_m():
     # at m = 2 the summands are [1, m, m, m] and the total 1 + 3m, which
     # is dim H^2(W_1(m + 1)) by the Kuznetsov isomorphism
     (row,) = check("lifted-h2", {"p": 5, "m": 2})
     assert row["computed"] == {"summands": [1, 2, 2, 2], "sum": 7, "h2": 7}
+
+
+@pytest.mark.slow
+def test_h2_claims_at_p_eleven():
+    # weight-zero H^2 on 79 860 columns each, past the p <= 7 rows
+    (row,) = check("lifted-h2", {"p": 11, "m": 1})
+    assert row["computed"] == {"summands": [1, 1, 1, 1], "sum": 4, "h2": 4}
+    (row,) = check("dimh2-w1n", {"p": 11, "n": 2})
+    assert row["computed"] == 4
+    (row,) = check("h2-current-split", {"p": 11})
+    assert row["computed"] == {"summands": [11] * 4, "sum": 44, "h2": 44}

@@ -410,6 +410,40 @@ def test_cohomology_p_zero_is_rejected(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("algebra, options", [
+    ("w1n", "pn"), ("sl2", "p"), ("w1n-x-om", "pnm"), ("sl2-x-om", "pm"),
+    ("ldef", "pm"), ("w1-sd", "pnm"), ("sl2-sd", "pm")])
+def test_cohomology_refuses_an_option_its_algebra_does_not_read(
+        capsys, algebra, options):
+    # each option it reads is taken (at its default, the same report);
+    # each other one, alone or with another, exits 2 and is named
+    base = ["cohomology", algebra, "--output", "json", "--cache-dir", "off"]
+    given = {"p": "5", "n": "1", "m": "1"}
+    rc, plain, err = run(capsys, base)
+    assert rc == 0
+    taken = [x for k in options for x in ("--" + k, given[k])]
+    assert run(capsys, base + taken) == (0, plain, "")
+    unread = [k for k in "pnm" if k not in options]
+    for k in unread:
+        assert run(capsys, base + ["--" + k, "2"]) == (
+            2, "", "cohomology: %s does not take --%s\n" % (algebra, k))
+    if len(unread) == 2:
+        rc, out, err = run(capsys, base + ["--m", "2", "--n", "3"])
+        assert (rc, err) == (2, "cohomology: %s does not take --n, --m\n"
+                             % algebra)
+
+
+def test_algebra_file_takes_no_builtin_option(capsys, tmp_path):
+    path = str(tmp_path / "alg.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(make_sl2(5).to_json(), fh)
+    for k in "pnm":
+        rc, out, err = run(capsys, ["cohomology", path, "--" + k, "5",
+                                    "--cache-dir", "off"])
+        assert (rc, out) == (2, "")
+        assert err == "cohomology: %s does not take --%s\n" % (path, k)
+
+
 @pytest.mark.parametrize("option, algebra", [
     ("--m", "w1n-x-om"), ("--m", "sl2-x-om"), ("--m", "ldef"),
     ("--m", "w1-sd"), ("--m", "sl2-sd"), ("--n", "w1n")])

@@ -44,7 +44,8 @@ from modlie.commalg import (
     scale_derivation,
     zero_derivation,
 )
-from modlie.linalg import LinearMap, family_add, vec_add, vec_scale
+from modlie.linalg import (LinearMap, family_add, tensor_index, tensor_pair,
+                           vec_add, vec_scale)
 from modlie.liealg import (
     LieAlgebra,
     current_algebra,
@@ -60,10 +61,16 @@ P = 5
 
 
 def value(c, *xs):
-    """The cochain c at basis indices xs given in increasing order: its
-    stored entry."""
-    assert list(xs) == sorted(set(xs))
-    return c.coeffs.get(xs, {})
+    """The alternating cochain c at distinct basis indices xs in any
+    order: its stored entry at sorted(xs), times the sign of the sort."""
+    assert len(set(xs)) == len(xs)
+    sign = (-1) ** sum(x > y for i, x in enumerate(xs) for y in xs[i + 1:])
+    return vec_scale(c.coeffs.get(tuple(sorted(xs)), {}), sign, c.L.p)
+
+
+def at(i, a):
+    """The position of e_i (x) a_a in W1(1) (x) A at p = P."""
+    return tensor_index(i + 1, a, P)
 
 
 @pytest.fixture(scope="module")
@@ -107,9 +114,9 @@ def test_theta_family(setup):
     assert class_span_dim(L, cs) == 5
     # Theta_{phi,1}(e_i (x) 1, e_j (x) 1) = phi(e_i, e_j) (x) 1
     t0 = theta(L, f, A.unit_vec)
-    assert value(t0, 2 * 5, 4 * 5) == {0: 1}
+    assert value(t0, at(1, 0), at(3, 0)) == {at(-1, 0): 1}
     # the A-argument multiplies through: (e_1 (x) x, e_3 (x) x) -> 2 x^2
-    assert value(t0, 2 * 5 + 1, 4 * 5 + 1) == {2: 2}
+    assert value(t0, at(1, 1), at(3, 1)) == {at(-1, 2): 2}
 
 
 def test_theta_extends_by_zero_on_tails(setup):
@@ -125,7 +132,7 @@ def test_upsilon_family(setup):
     F = basic_harrison_cocycle(A, 1)
     u = upsilon(L, F)
     # [e_0 (x) x^3, e_1 (x) x^2] = N_01 e_1 (x) F(x^3, x^2) = e_1 (x) 2
-    assert value(u, 1 * 5 + 3, 2 * 5 + 2) == {2 * 5 + 0: 2}
+    assert value(u, at(0, 3), at(1, 2)) == {at(1, 0): 2}
     cs = [upsilon(L, G) for G in harrison_h2(A)[1]]
     assert class_span_dim(L, cs) == 5
 
@@ -144,7 +151,7 @@ def test_psi_family(setup):
     # (e_i (x) a, e_j (x) b) -> e_{i+j} (x) (binom(i+j+1,j) b d(a)
     #                                       - binom(i+j+1,i) a d(b))
     # at (e_0 (x) x, e_1 (x) 1): binom(2,1) d(x) - 0 = 2
-    assert value(c, 1 * 5 + 1, 2 * 5 + 0) == {2 * 5 + 0: 2}
+    assert value(c, at(0, 1), at(1, 0)) == {at(1, 0): 2}
     cs = [psi(L, scale_derivation(d, {a: 1})) for a in range(A.dim)]
     assert class_span_dim(L, cs) == 5
     assert psi(L, zero_derivation(A)).is_zero()
@@ -154,8 +161,8 @@ def test_phi_big_family(setup):
     A, L, d = setup["A"], setup["L"], setup["d"]
     c = phi_big(L, d)
     # only (e_-1 (x) a, e_-1 (x) b) pairs hit, landing on e_{p-2}
-    assert value(c, 0, 1) == {4 * 5 + 0: 1}
-    assert value(c, 1 * 5, 2 * 5) == {}
+    assert value(c, at(-1, 0), at(-1, 1)) == {at(3, 0): 1}
+    assert value(c, at(0, 0), at(1, 0)) == {}
     cs = [phi_big(L, scale_derivation(d, {a: 1})) for a in range(A.dim)]
     assert class_span_dim(L, cs) == 5
 
@@ -193,8 +200,8 @@ def test_lifted_theta_sign_is_forced(setup):
     printed = lt.add(tp, scale=2)
     r = ce_differential(printed)
     assert not r.is_zero()
-    # smallest residual: d at (e_-1 (x) 1, e_-1 (x) x, e_1 (x) 1)
-    assert value(r, 0, 1, 10) == {0: 2}
+    # a residual: d at (e_-1 (x) 1, e_-1 (x) x, e_1 (x) 1)
+    assert value(r, at(-1, 0), at(-1, 1), at(1, 0)) == {at(-1, 0): 2}
     # and the residual is exactly twice d(theta_prime)
     assert r.flatten() == ce_differential(tp).scale(2).flatten()
 
@@ -260,10 +267,10 @@ def test_lifted_upsilon_is_upsilon_plus_the_deformation_line(m):
         plain = upsilon(L, F)
         Hmap = LinearMap(A, A, H)
         for T in set(lifted.coeffs) | set(plain.coeffs):
-            x, y = T
+            (i, a), (j, b) = (tensor_pair(x, P) for x in T)
             want = plain.coeffs.get(T, {})
-            if x < A.dim and y < A.dim:
-                want = vec_add(want, upsilon_line(A, F, Hmap, d, x, y), P)
+            if i == j == 0:  # e_-1 (x) a, e_-1 (x) b
+                want = vec_add(want, upsilon_line(A, F, Hmap, d, a, b), P)
                 on_line += bool(want)
             assert lifted.coeffs.get(T, {}) == want
     assert on_line  # the line is not empty, so the check above bites
@@ -274,7 +281,7 @@ def upsilon_line(A, F, H, D, a, b):
     v = vec_add(A.mul(eb, H(ea)), vec_scale(A.mul(ea, H(eb)), -1, P), P)
     v = vec_add(v, vec_scale(F.eval_vec(D(ea), eb), -1, P), P)
     v = vec_add(v, F.eval_vec(ea, D(eb)), P)
-    return {(P - 1) * A.dim + k: c for k, c in v.items()}
+    return {at(P - 2, k): c for k, c in v.items()}
 
 
 def test_lifted_psi_family(setup):
@@ -299,20 +306,22 @@ def test_lifted_psi_restricts_to_psi_off_the_deformation_line(setup):
     lifted = lifted_psi(make_deformed(A2, d2), E)
     plain = psi(current_algebra(make_w1(1, P), A2), E)
     for T in set(lifted.coeffs) | set(plain.coeffs):
-        x, y = T
+        (i, a), (j, b) = (tensor_pair(x, P) for x in T)
         want = plain.coeffs.get(T, {})
-        if x < A2.dim and y < A2.dim:
-            want = vec_add(want, deformation_line(A2, E, d2, x, y), P)
+        if i == j == 0:  # e_-1 (x) a, e_-1 (x) b
+            want = vec_add(want, deformation_line(A2, E, d2, a, b), P)
         assert lifted.coeffs.get(T, {}) == want
-    # frozen sample: (1 x x, 1 x x^(5)) -> -e_3 x 1, invisible to plain psi
-    assert plain.coeffs.get((1, 5), {}) == {}
-    assert value(lifted, 1, 5) == {4 * A2.dim: P - 1}
+    # frozen sample: (e_-1 x x, e_-1 x x^(5)) -> -e_3 x 1, invisible to
+    # plain psi
+    x, x5 = at(-1, 1), at(-1, 5)
+    assert value(plain, x, x5) == {}
+    assert value(lifted, x, x5) == {at(3, 0): P - 1}
 
 
 def deformation_line(A, E, D, a, b):
     v = vec_add(A.mul(E({a: 1}), D({b: 1})),
                 vec_scale(A.mul(E({b: 1}), D({a: 1})), -1, A.p), A.p)
-    return {(P - 1) * A.dim + k: c for k, c in v.items()}
+    return {at(P - 2, k): c for k, c in v.items()}
 
 
 def test_lifted_phi_equals_phi_big(setup):

@@ -45,7 +45,7 @@ from modlie.commalg import (
 )
 from modlie.arith import inv_mod
 from modlie.linalg import (Echelon, LinearMap, SparseFpMatrix, family_add,
-                           vec_add, vec_scale)
+                           tensor_index, tensor_pair, vec_add, vec_scale)
 
 P = 5
 
@@ -93,16 +93,16 @@ def test_reduced_poly_products():
 def dense_tensor_mult(A, B):
     """Reference for tensor_product: the loop over every pair x <= y of
     the A.dim * B.dim layout that built the product table before."""
-    dB, p = B.dim, A.p
-    dim = A.dim * dB
+    dA, p = A.dim, A.p
+    dim = dA * B.dim
     mult = {}
     for x in range(dim):
-        ia, ib = divmod(x, dB)
+        ia, ib = tensor_pair(x, dA)
         for y in range(x, dim):
-            ja, jb = divmod(y, dB)
+            ja, jb = tensor_pair(y, dA)
             va, vb = A.product(ia, ja), B.product(ib, jb)
-            out = {ka * dB + kb: ca * cb % p for ka, ca in va.items()
-                   for kb, cb in vb.items()}
+            out = {tensor_index(ka, kb, dA): ca * cb % p
+                   for ka, ca in va.items() for kb, cb in vb.items()}
             if out:
                 mult[(x, y)] = out
     return mult
@@ -506,11 +506,13 @@ def test_tensor_derivations_commute_across_sides():
     T = tensor_product(A, A)
     dl = tensor_derivation(T, partial_derivation(A))
     # 1 (x) d: x^a @ x^b -> x^a @ x^{b-1}
-    dr = Derivation(T, {x: {x - 1: 1} for x in range(T.dim) if x % A.dim})
+    at = functools.partial(tensor_index, dim=A.dim)
+    dr = Derivation(T, {at(a, b): {at(a, b - 1): 1}
+                        for a in range(A.dim) for b in range(1, A.dim)})
     assert dl.commutator(dr).is_zero()
     # (d (x) 1)(x^1 @ x^2) = x^0 @ x^2
-    assert dl({1 * A.dim + 2: 1}) == {0 * A.dim + 2: 1}
-    assert dr({1 * A.dim + 2: 1}) == {1 * A.dim + 1: 1}
+    assert dl({at(1, 2): 1}) == {at(0, 2): 1}
+    assert dr({at(1, 2): 1}) == {at(1, 1): 1}
 
 
 def test_scalars_and_zero_derivation():
@@ -695,12 +697,12 @@ def dense_is_harrison_cocycle(F):
 def _tensor_cocycle(T, F, B):
     """F (x) (multiplication of B) on T = A (x) B: a symmetric cocycle
     whenever F is one on A, since the B parts multiply associatively."""
-    dB = B.dim
+    dA = T.meta["dims"][0]
     vals = {}
     for x in range(T.dim):
         for y in range(x, T.dim):
-            (ia, ib), (ja, jb) = divmod(x, dB), divmod(y, dB)
-            vals[(x, y)] = {ka * dB + kb: ca * cb
+            (ia, ib), (ja, jb) = tensor_pair(x, dA), tensor_pair(y, dA)
+            vals[(x, y)] = {tensor_index(ka, kb, dA): ca * cb
                             for ka, ca in F(ia, ja).items()
                             for kb, cb in B.product(ib, jb).items()}
     return SymmetricBilinearMap(T, vals)

@@ -43,9 +43,15 @@ from modlie.liealg import (
     verify_morphism,
 )
 from modlie.linalg import (Echelon, LinearMap, family_add, greedy_generators,
-                           vec_add, vec_scale)
+                           tensor_index, tensor_pair, vec_add, vec_scale)
 
 P = 5
+
+
+def at(i, a, w=P):
+    """The position of e_i (x) a_a in S (x) A, for S = W1(1) (w = p) or
+    sl2 (w = 3), whose bases run e_-1, e_0, ..."""
+    return tensor_index(i + 1, a, w)
 
 
 def test_w1_structure():
@@ -112,10 +118,10 @@ def test_current_algebra_bracket():
     L = current_algebra(W, A)
     assert L.dim == 25
     # [e_0 (x) x, e_1 (x) x] = N_01 e_1 (x) x^2 = e_1 (x) 2 x^2
-    assert L.bracket_pair(1 * 5 + 1, 2 * 5 + 1) == {2 * 5 + 2: 2}
+    assert L.bracket_pair(at(0, 1), at(1, 1)) == {at(1, 2): 2}
     # A-degrees multiply: x^2 x^3 = 0 kills the product
-    assert L.bracket_pair(1 * 5 + 2, 2 * 5 + 3) == {}
-    assert L.toral == 1 * 5 + 0
+    assert L.bracket_pair(at(0, 2), at(1, 3)) == {}
+    assert L.toral == at(0, 0)
     assert center(L) == []
     assert derived_series(L) == [25, 25]
     assert not is_solvable(L)
@@ -153,7 +159,7 @@ def dense_center(L):
             for f in range(n) if f not in pivots]
 
 
-@pytest.mark.parametrize("name", BUILTINS + ("heis-x-om",))
+@pytest.mark.parametrize("name", [*BUILTINS, "heis-x-om"])
 def test_center_matches_a_dense_kernel(name):
     # center brackets with the generators only, since a centralizer is a
     # subalgebra; the dense kernel brackets with every basis element
@@ -180,10 +186,11 @@ def test_positive_part_of_w1_is_solvable():
 def test_kuznetsov_identification_plain():
     f = kuznetsov_map(2, P)
     assert f.source.dim == f.target.dim == 25
-    # e_s -> e_i (x) x^k under s = pk + i
-    assert f.cols[4 + 1] == {0 * 5 + 1: 1}   # e_4 -> e_-1 (x) x
-    assert f.cols[5 + 1] == {1 * 5 + 1: 1}   # e_5 -> e_0 (x) x
-    assert f.cols[0] == {0: 1}               # e_-1 -> e_-1 (x) 1
+    # e_s -> e_i (x) x^k under s = pk + i, at the same position
+    assert f.cols[4 + 1] == {at(-1, 1): 1}   # e_4 -> e_-1 (x) x
+    assert f.cols[5 + 1] == {at(0, 1): 1}    # e_5 -> e_0 (x) x
+    assert f.cols[0] == {at(-1, 0): 1}       # e_-1 -> e_-1 (x) 1
+    assert f.cols == {j: {j: 1} for j in range(25)}
     ok, witness = verify_morphism(f)
     assert ok, witness
 
@@ -192,8 +199,22 @@ def test_kuznetsov_identification_tensored():
     A = make_divided_powers(1, P)
     f = kuznetsov_map(2, P, A=A)
     assert f.source.dim == f.target.dim == 125
+    # the identity map, between algebras with one bracket
+    assert f.cols == {j: {j: 1} for j in range(125)}
+    assert f.source.bracket == f.target.bracket
     ok, witness = verify_morphism(f)
     assert ok, witness
+
+
+@pytest.mark.parametrize("p, m", [(5, 1), (5, 2), (7, 1)])
+def test_the_deformed_algebra_is_w1_on_its_basis(p, m):
+    # W1(m + 1) = L(O1(m), d) with e_{pk+i} and e_i (x) x^(k) at one
+    # position; gradings differ, as current_algebra grades by W1(1) alone
+    A = make_divided_powers(m, p)
+    L, W = make_deformed(A, partial_derivation(A)), make_w1(m + 1, p)
+    assert L.bracket == W.bracket
+    assert L.toral == W.toral
+    assert L.generators == W.generators
 
 
 def dense_verify_morphism(f):
@@ -224,7 +245,10 @@ def test_verify_morphism_names_the_dense_first_failing_pair(tensored):
         cols = dict(f.cols)
         cols[j] = {k: 2 * c for k, c in cols[j].items()}
         broken.append(cols)
-    for a, b in ((2, 7), (0, 1), (5, len(keys) - 1)):  # two columns swapped
+    # two columns swapped; tensored, the last swap trades e_-1 (x) x^4 and
+    # e_23 (x) x^4, whose products with x^b (b > 0) vanish
+    n = len(keys)
+    for a, b in ((2, 7), (0, 1), (5, n - 1), (n - 25, n - 1)):
         cols = dict(f.cols)
         cols[keys[a]], cols[keys[b]] = cols[keys[b]], cols[keys[a]]
         broken.append(cols)
@@ -244,17 +268,21 @@ def test_verify_morphism_names_the_dense_first_failing_pair(tensored):
 
 def dense_current_bracket(L, A):
     """Reference for current_algebra: the loop over every basis pair of
-    L and every (a, b) of A that built the bracket of L (x) A before."""
-    dA, p = A.dim, L.p
+    L and every (a, b) of A that built the bracket of L (x) A before,
+    each key put in order with [y, x] = -[x, y]."""
+    w, p = L.dim, L.p
     bracket = {}
     for (i, j), vec in L.bracket.items():
-        for a in range(dA):
-            for b in range(dA):
+        for a in range(A.dim):
+            for b in range(A.dim):
                 prod = A.product(a, b)
                 if prod:
-                    bracket[(i * dA + a, j * dA + b)] = {
-                        k * dA + m: c * cm % p for k, c in vec.items()
-                        for m, cm in prod.items()}
+                    x, y = tensor_index(i, a, w), tensor_index(j, b, w)
+                    val = {tensor_index(k, m, w): c * cm % p
+                           for k, c in vec.items() for m, cm in prod.items()}
+                    if x > y:
+                        x, y, val = y, x, vec_scale(val, -1, p)
+                    bracket[(x, y)] = val
     return bracket
 
 
@@ -285,7 +313,7 @@ def test_semidirect_action_sign():
     L = semidirect_current(W, A, [d])
     assert L.dim == 26
     # [e_0 (x) x, 1 (x) d] = e_0 (x) 1
-    assert L.bracket_pair(1 * 5 + 1, 25) == {1 * 5 + 0: 1}
+    assert L.bracket_pair(at(0, 1), 25) == {at(0, 0): 1}
     # tails have degree 0 in the inherited grading
     assert L.grading[25] == 0
     L.check_jacobi()
@@ -347,14 +375,25 @@ def test_deformed_current_bracket():
     assert L.dim == 25
     assert L.filtration
     # {e_-1 (x) 1, e_-1 (x) x} = e_3 (x) (1 d(x) - x d(1)) = e_3 (x) 1
-    assert L.bracket_pair(0, 1) == {4 * 5 + 0: 1}
+    assert L.bracket_pair(at(-1, 0), at(-1, 1)) == {at(3, 0): 1}
     # {e_-1 (x) x, e_-1 (x) x^2} = e_3 (x) (x x - x^2 1) = e_3 (x) x^2
-    assert L.bracket_pair(1, 2) == {4 * 5 + 2: 1}
+    assert L.bracket_pair(at(-1, 1), at(-1, 2)) == {at(3, 2): 1}
     # away from the (e_-1, e_-1) block the bracket is the current one
     C = current_algebra(make_w1(1, P), A)
     for (i, j), vec in C.bracket.items():
-        if not (i < 5 and j < 5):
+        if tensor_pair(i, P)[0] or tensor_pair(j, P)[0]:
             assert L.bracket_pair(i, j) == vec
+
+
+def test_current_algebras_over_a_filtered_base_keep_its_filtration():
+    # the bracket of L(O1, d) (x) O1 rises in degree on the deformation
+    # block, as L(O1, d)'s does; the tails have degree 0
+    A = make_divided_powers(1, P)
+    d = partial_derivation(A)
+    Ld = make_deformed(A, d)
+    for L in (current_algebra(Ld, A), semidirect_current(Ld, A, [d])):
+        assert L.filtration is True
+        assert L.generators  # certifies Jacobi
 
 
 def test_deformed_with_zero_direction_is_current():
@@ -379,7 +418,7 @@ def test_ideals_of_the_current_algebra():
     A = make_divided_powers(1, P)
     L = current_algebra(W, A)
     # e_0 (x) x generates W (x) O+ (codimension dim W)
-    basis = ideal_generated_by(L, [{1 * 5 + 1: 1}])
+    basis = ideal_generated_by(L, [{at(0, 1): 1}])
     assert len(basis) == 20
     # idempotent and monotone
     again = ideal_generated_by(L, basis)
@@ -631,10 +670,12 @@ def _generated_dim(L, gens):
 # cohomology_dim: (builtin, p, n) -> generators
 GENERATORS = {
     ("w1n", P, 1): (0, 4), ("sl2", P, 1): (0, 2),
-    ("w1n-x-om", P, 1): (0, 21, 20), ("sl2-x-om", P, 1): (0, 1, 10),
+    ("w1n-x-om", P, 1): (at(-1, 0), at(3, 1), at(3, 0)),
+    ("sl2-x-om", P, 1): (at(-1, 0, 3), at(-1, 1, 3), at(1, 0, 3)),
     ("ldef", P, 1): (0, 24), ("w1-sd", P, 1): (0, 24, 25),
-    ("sl2-sd", P, 1): (15, 4, 14), ("w1n", P, 2): (0, 24),
-    ("w1n-x-om", 7, 1): (0, 43, 42), ("w1n", 7, 2): (0, 48),
+    ("sl2-sd", P, 1): (15, at(-1, 4, 3), at(1, 4, 3)), ("w1n", P, 2): (0, 24),
+    ("w1n-x-om", 7, 1): (at(-1, 0, 7), at(5, 1, 7), at(5, 0, 7)),
+    ("w1n", 7, 2): (0, 48),
 }
 
 

@@ -23,6 +23,8 @@ from modlie.linalg import (
     morphism_failure,
     solve_sparse,
     sparsest_first,
+    tensor_index,
+    tensor_pair,
     vec_add,
     vec_scale,
 )
@@ -460,21 +462,24 @@ def dense_family_add(f, g, p, scale=1):
             if (w := {k: v for k, v in vec.items() if v})}
 
 
-def dense_tensor(P, Q, dim, p):
-    """Reference for bilinear_tensor, Q symmetric: every pair (x, y), x <
-    y, or x <= y for a symmetric result, of the dim(P) * dim layout,
-    keyed in the order of P's pairs and then (a, b), as current_algebra
-    built it."""
+def dense_tensor(P, sign, Q, dim, m, p):
+    """Reference for bilinear_tensor, P on dim and Q, symmetric, on m
+    basis vectors: every pair of basis elements, taken once, keyed in
+    the order of P's pairs and then (a, b), as current_algebra built it,
+    each key put in order with the sign of P."""
     out = {}
     for (i, j), pv in P.items():
-        for a in range(dim):
-            for b in range(dim):
-                x, y = i * dim + a, j * dim + b
+        for a in range(m):
+            for b in range(m):
                 qv = dense_bracket_vec(Q, 1, p, {a: 1}, {b: 1})
-                if x > y or not qv:
+                if (i == j and a > b) or not qv:
                     continue
-                out[(x, y)] = {k * dim + m: c * d % p for k, c in pv.items()
-                               for m, d in qv.items()}
+                x, y = tensor_index(i, a, dim), tensor_index(j, b, dim)
+                val = {tensor_index(k, n, dim): c * d % p
+                       for k, c in pv.items() for n, d in qv.items()}
+                if x > y:
+                    x, y, val = y, x, vec_scale(val, sign, p)
+                out[(x, y)] = val
     return out
 
 
@@ -559,8 +564,15 @@ def test_family_add_and_tensor_match_the_dense_loops(drawn, data):
     assert list(family_add(pairs, other, p, scale).items()) == list(
         dense_family_add(pairs, other, p, scale).items())
     _, _, m, Q = data.draw(bilinear_maps(p=p, sign=1))
-    assert list(bilinear_tensor(pairs, Q, m, p).items()) == list(
-        dense_tensor(pairs, Q, m, p).items())
+    assert list(bilinear_tensor(pairs, sign, Q, n, p).items()) == list(
+        dense_tensor(pairs, sign, Q, n, m, p).items())
+
+
+def test_tensor_basis_is_second_factor_major():
+    # e_i (x) a_m at m dim S + i: dim A copies of S side by side
+    pairs = [(i, a) for a in range(2) for i in range(3)]
+    assert [tensor_index(i, a, 3) for i, a in pairs] == list(range(6))
+    assert [tensor_pair(x, 3) for x in range(6)] == pairs
 
 
 def small_space(n, p):
