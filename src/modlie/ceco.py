@@ -90,11 +90,6 @@ __all__ = [
     "h2_positive",
 ]
 
-# Part of every cache key: bump it whenever the differential or the rank
-# semantics change, so that entries computed by older code are misses.
-ENGINE = 1
-
-
 def _check_module(module):
     if module not in ("adjoint", "trivial"):
         raise ValueError("module must be 'adjoint' or 'trivial', not %r"
@@ -350,7 +345,7 @@ class CohomologyResult:
     seconds per stage (enumerate, assemble, rank_prev, rank_d, reps),
     the columns, kept rows and entries of d_n, the entries of B^n
     eliminated (nnz_prev, its projection), and the entries charged to the
-    budget; a cache hit has only {"cached": True}."""
+    budget."""
 
     def __init__(self, dim, ncols, rank_d, rank_prev, reps=None, stats=None):
         self.dim = dim
@@ -365,16 +360,6 @@ class CohomologyResult:
             self.dim, self.ncols, self.rank_d, self.rank_prev)
 
 
-_FIELDS = ("dim", "ncols", "rank_d", "rank_prev")  # of a cached value
-
-
-def _consistent(value):
-    """A cached value: four ints >= 0 with dim = ncols - rank_d - rank_prev."""
-    f = [value.get(k) for k in _FIELDS] if type(value) is dict else [None]
-    return (all(type(x) is int and x >= 0 for x in f)
-            and f[0] == f[1] - f[2] - f[3])
-
-
 def _over_budget(L, budget, slices):
     """The BudgetExceeded of a differential: it names the slices, and
     advises a weight slice only on a whole complex that has one."""
@@ -387,7 +372,7 @@ def _over_budget(L, budget, slices):
 
 
 def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
-                   cache=None, want_reps=False):
+                   want_reps=False):
     """dim H^n(L; module) on the chosen slice (the whole complex when
     slice_ is None), by exact sparse ranks:
 
@@ -399,21 +384,11 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     one cocycle per class, is the representatives with want_reps.  The
     budget counts the entries assembled; a query with more tuples in C^n
     or C^(n-1) is refused before they are enumerated.  ValueError is
-    raised on an unknown module, before the cache is read, when L fails
-    Jacobi, and on a slice built for another algebra or module
-    (chain_columns); a slice that d leaves is refused when it is built.
-    Results without representatives are cached under (engine version,
-    algebra hash, module, n, slice descriptor), checked when read."""
+    raised on an unknown module, when L fails Jacobi, and on a slice
+    built for another algebra or module (chain_columns); a slice that d
+    leaves is refused when it is built."""
     _check_module(module)
     L.generators
-    desc = slice_.descriptor() if slice_ is not None else None
-    if cache is not None:
-        key = {"engine": ENGINE, "algebra": L.hash_key(), "module": module,
-               "n": n, "slice": desc, "kind": "cohomology"}
-        hit = cache.get(key, _consistent)
-        if hit is not None and not want_reps:
-            return CohomologyResult(*map(hit.get, _FIELDS),
-                                    stats={"cached": True})
     for k in (n, n - 1):
         if k >= 0 and math.comb(L.dim, k) > budget:
             raise BudgetExceeded(
@@ -431,7 +406,7 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     colidx = {ct: j for j, ct in enumerate(cols) if not S.isdisjoint(ct[0])}
     counter = [0]
     _, images = _coboundaries(L, n, module, [slice_], budget, counter)
-    stats = {"cached": False, "enumerate_s": lap(), "ncols": ncols}
+    stats = {"enumerate_s": lap(), "ncols": ncols}
 
     def boundary():  # B^n by C^n column index
         for img in images:
@@ -466,11 +441,8 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
         reps = [_cochain(L, n, module, cols, v) for v in mat.kernel_basis()]
     stats.update(reps_s=lap(), kernel_vectors=len(reps or ()),
                  budget_used=counter[0], budget=budget)
-    res = CohomologyResult(mat.nullity, ncols, mat.rank, ncols - len(cols),
-                           reps, stats)
-    if cache is not None:
-        cache.put(key, {k: getattr(res, k) for k in _FIELDS})
-    return res
+    return CohomologyResult(mat.nullity, ncols, mat.rank, ncols - len(cols),
+                            reps, stats)
 
 
 def weight_zero_reduce(L, module="adjoint"):
@@ -593,7 +565,7 @@ def massey_bracket(phi, psi):
     return Cochain(L, 3, "adjoint", dict(sorted(sums.items())))
 
 
-def h2_positive(L, budget=DEFAULT_BUDGET, cache=None):
+def h2_positive(L, budget=DEFAULT_BUDGET):
     """Sum of dim H^2(L; L) over the strictly positive degree slices of
     the Z-grading."""
     if L.grading is None:
@@ -601,8 +573,7 @@ def h2_positive(L, budget=DEFAULT_BUDGET, cache=None):
     lo, hi = min(L.grading), max(L.grading)
     per_degree = {}
     for d in range(1, hi - 2 * lo + 1):
-        res = cohomology_dim(L, 2, slice_=degree_slice(L, d),
-                             budget=budget, cache=cache)
+        res = cohomology_dim(L, 2, slice_=degree_slice(L, d), budget=budget)
         if res.dim:
             per_degree[d] = res.dim
     return sum(per_degree.values()), per_degree

@@ -1,9 +1,10 @@
-"""Command-line front end: claim verification, generic cohomology
-queries, and cache management.
+"""Command-line front end: claim verification and generic cohomology
+queries.  Every number is computed by the run that reports it, and the
+commands write no file but the --json-out report.
 
-Reports are deterministic: the JSON document contains no wall times or
-cache markers, so repeated runs (cached or not) are byte-identical;
-timing and cache hits are shown only in the human table.
+Reports are deterministic: the JSON document contains no wall times, so
+repeated runs are byte-identical; timing is shown only in the human
+table.
 """
 
 import argparse
@@ -14,7 +15,6 @@ import sys
 import time
 
 from . import __version__
-from .cache import DiskCache
 from .ceco import BudgetExceeded, ComplexSlice, cohomology_dim, DEFAULT_BUDGET
 from .claims import CLAIMS, Ctx, resolve_claim
 from .commalg import make_divided_powers, partial_derivation
@@ -44,7 +44,7 @@ def _report(body):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _print_table(rows, timing, cached):
+def _print_table(rows, timing):
     wid = max([len(r["claim"]) for r in rows] + [5])
     # a claim's time is shown once, on its first row
     print("%-*s  %-28s  %-14s  %10s" % (wid, "claim", "instance", "status",
@@ -52,11 +52,9 @@ def _print_table(rows, timing, cached):
     for i, r in enumerate(rows):
         inst = ",".join("%s=%s" % (k, v) for k, v in sorted(
             r["instance"].items()))
-        mark = " (cached)" if cached[i] else ""
         dt = "" if timing[i] is None else "%7.2fs" % timing[i]
-        print(("%-*s  %-28s  %-14s  %10s%s"
-               % (wid, r["claim"], inst[:28], r["status"], dt,
-                  mark)).rstrip())
+        print(("%-*s  %-28s  %-14s  %10s"
+               % (wid, r["claim"], inst[:28], r["status"], dt)).rstrip())
         if r["status"] == "fail":
             print("    expected: %s" % json.dumps(r["expected"],
                                                   sort_keys=True))
@@ -97,38 +95,22 @@ def cmd_verify(args):
             if skip:
                 print("verify: %s ignores %s" % (
                     cid, ", ".join("--" + k for k in skip)), file=sys.stderr)
-    cache = DiskCache(args.cache_dir) if args.cache_dir != "off" else None
-    rows, timing, cached = [], [], []
+    # the budget only refuses work, so lifting it changes no row that fits
+    ctx = Ctx(budget=FORCED_BUDGET if args.force else args.budget,
+              seed=args.seed)
+    rows, timing = [], []
     for cid in targets:
         claim = CLAIMS[cid]
         ov = {k: v for k, v in overrides.items()
               if not every or k in claim.params} or None
-        ctx = Ctx(budget=args.budget, cache=cache, seed=args.seed)
         t0 = time.perf_counter()
-        h0, m0 = (cache.hits, cache.misses) if cache else (0, 0)
         try:
             got = claim.rows(ctx, ov)
-        except BudgetExceeded as e:
-            if args.force:
-                ctx = Ctx(budget=FORCED_BUDGET, cache=cache, seed=args.seed)
-                got = claim.rows(ctx, ov)
-            else:
-                got = [{"claim": cid, "instance": ov or {},
-                        "statement": claim.statement,
-                        "expected": None, "computed": None,
-                        "provenance": claim.provenance,
-                        "status": "skipped-budget",
-                        "note": "%s; rerun with --force or a higher "
-                                "--budget" % e}]
         except ValueError as e:
             print("verify: %s" % e, file=sys.stderr)
             return 2
-        dt = time.perf_counter() - t0
-        for i, r in enumerate(got):
-            rows.append(r)
-            timing.append(None if i else dt)
-            cached.append(bool(cache) and cache.hits > h0
-                          and cache.misses == m0)
+        rows += got
+        timing += [time.perf_counter() - t0] + [None] * (len(got) - 1)
     status = "pass" if all(r["status"] == "pass" for r in rows) else "fail"
     doc = _report({"claims": rows, "status": status})
     if args.json_out:
@@ -137,7 +119,7 @@ def cmd_verify(args):
     if args.output == "json":
         sys.stdout.write(doc)
     else:
-        _print_table(rows, timing, cached)
+        _print_table(rows, timing)
     return 0 if status == "pass" else 1
 
 
@@ -210,12 +192,10 @@ def cmd_cohomology(args):
         except ValueError as e:
             print("cohomology: %s" % e, file=sys.stderr)
             return 2
-    cache = DiskCache(args.cache_dir) if args.cache_dir != "off" else None
     t0 = time.perf_counter()
     try:
         res = cohomology_dim(L, args.deg, module=module, slice_=slice_,
-                             budget=args.budget, cache=cache,
-                             want_reps=args.dump_reps)
+                             budget=args.budget, want_reps=args.dump_reps)
     except BudgetExceeded as e:
         print("cohomology: %s" % e, file=sys.stderr)
         return 1
@@ -255,21 +235,6 @@ def cmd_cohomology(args):
     return 0
 
 
-def cmd_cache(args):
-    cache = DiskCache(args.cache_dir)
-    if args.action == "path":
-        print(cache.path)
-    elif args.action == "list":
-        st = cache.stats()
-        for name, size in cache.entries():
-            print("%-70s %6d bytes" % (name, size))
-        print("%d entries, %d bytes at %s"
-              % (st["entries"], st["bytes"], st["path"]))
-    elif args.action == "clear":
-        print("removed %d entries" % cache.clear())
-    return 0
-
-
 def at_least_one(text):
     """argparse type of --n, --m and --budget: an integer >= 1, so that
     the error names the option rather than a constructor's own parameter
@@ -289,9 +254,6 @@ def _add_common(sp):
     sp.add_argument("--budget", type=at_least_one, default=DEFAULT_BUDGET,
                     help="work budget for cohomology assembly")
     sp.add_argument("--output", choices=("json", "table"), default="table")
-    sp.add_argument("--cache-dir", default=None,
-                    help="cache directory ('off' disables caching; "
-                         "default MODLIE_CACHE or the user cache dir)")
 
 
 def main(argv=None):
@@ -306,7 +268,7 @@ def main(argv=None):
     v.add_argument("claim", nargs="?", help="claim id or 'all'")
     v.add_argument("--list", action="store_true", help="list claim ids")
     v.add_argument("--force", action="store_true",
-                   help="retry a budget-exceeded claim without a budget")
+                   help="run every claim without a work budget")
     v.add_argument("--json-out", default=None,
                    help="also write the JSON report to this path")
     v.add_argument("--seed", type=int, default=0,
@@ -333,12 +295,6 @@ def main(argv=None):
                    help="print per-stage times and sizes to stderr")
     _add_common(c)
     c.set_defaults(func=cmd_cohomology)
-
-    g = sub.add_parser("cache", help="manage the result cache",
-                       allow_abbrev=False)
-    g.add_argument("action", choices=("list", "clear", "path"))
-    g.add_argument("--cache-dir", default=None)
-    g.set_defaults(func=cmd_cache)
 
     args = ap.parse_args(argv)
     if args.command is None:

@@ -13,8 +13,6 @@ probe needing Jacobi reads first, at any dimension; spans are closed by
 Echelon.close.
 """
 
-import hashlib
-import json
 import random
 from collections import defaultdict
 from functools import cached_property
@@ -261,10 +259,6 @@ class LieAlgebra:
                 toral=doc.get("toral"), name=name, filtration=filtration)
         L.generators  # outside input: certify Jacobi before it is used
         return L
-
-    def hash_key(self):
-        blob = json.dumps(self.to_json(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
     def __repr__(self):
         return "<LieAlgebra %s dim=%d p=%d>" % (self.name, self.dim, self.p)

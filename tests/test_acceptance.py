@@ -155,3 +155,6 @@ def test_h2_claims_at_p_eleven():
     assert row["computed"] == 4
     (row,) = check("h2-current-split", {"p": 11})
     assert row["computed"] == {"summands": [11] * 4, "sum": 44, "h2": 44}
+    # and on 184 548 columns at p = 13
+    (row,) = check("h2-current-split", {"p": 13})
+    assert row["computed"] == {"summands": [13] * 4, "sum": 52, "h2": 52}

@@ -3,8 +3,6 @@ cohomology dimensions, weight and degree slicing, coboundary witnesses,
 class spans, and the Massey bracket."""
 
 import itertools
-import json
-import os
 import random
 from collections import defaultdict
 
@@ -12,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from modlie import ceco, linalg
-from modlie.cache import DiskCache
 from modlie.ceco import (
     BudgetExceeded,
     Cochain,
@@ -345,7 +342,7 @@ def test_weight_zero_d2_through_extend_matches_add(monkeypatch):
     assert extended.kernel_basis() == by_adds.kernel_basis()
 
 
-def test_misspelled_module_is_refused(tmp_path):
+def test_misspelled_module_is_refused():
     # read as the trivial module it gave dim H^1 = 0; the adjoint one is 1
     W = make_w1(2, P)
     assert cohomology_dim(W, 1).dim == 1
@@ -355,15 +352,6 @@ def test_misspelled_module_is_refused(tmp_path):
         ComplexSlice(W, "adjiont")
     with pytest.raises(ValueError, match="not 'adjiont'"):
         Cochain(W, 1, "adjiont")
-    # an entry stored under the misspelled module is never served
-    cache = DiskCache(str(tmp_path))
-    cache.put({"engine": ceco.ENGINE, "algebra": W.hash_key(),
-               "module": "adjiont", "n": 1, "slice": None,
-               "kind": "cohomology"},
-              {"dim": 0, "ncols": 625, "rank_d": 600, "rank_prev": 25})
-    with pytest.raises(ValueError, match="not 'adjiont'"):
-        cohomology_dim(W, 1, module="adjiont", cache=cache)
-    assert cache.hits == 0
 
 
 def test_massey_bracket_symmetry_and_closure():
@@ -1073,26 +1061,6 @@ def test_slice_of_another_algebra_is_refused():
         chain_columns(W, 1, slice_=weight_zero_reduce(V))
     assert (cohomology_dim(W, 2, slice_=weight_zero_reduce(W)).dim
             == cohomology_dim(V, 2, slice_=weight_zero_reduce(V)).dim)
-
-
-def test_cache_entry_of_another_engine_is_a_miss(tmp_path, monkeypatch):
-    W = make_w1(1, P)
-    cache = DiskCache(str(tmp_path))
-    monkeypatch.setattr(ceco, "ENGINE", ceco.ENGINE + 1)
-    assert cohomology_dim(W, 2, cache=cache).dim == 1
-    # make the entry written under the other engine a wrong answer
-    [(name, _)] = cache.entries()
-    path = os.path.join(cache.path, name)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    doc["value"]["dim"] = 99
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-    monkeypatch.undo()
-    assert cohomology_dim(W, 2, cache=cache).dim == 1
-    assert (cache.hits, cache.misses) == (0, 2)
-    assert cohomology_dim(W, 2, cache=cache).dim == 1
-    assert (cache.hits, cache.misses) == (1, 2)
 
 
 def test_cochain_add_scale_and_mismatch():

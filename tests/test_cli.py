@@ -1,8 +1,7 @@
 """Command-line surface: exit codes, deterministic JSON reports, the
-human table (timing and cache markers live only there), cache
-management, and algebra input from builtins and JSON files."""
+human table (timing lives only there), budget-skipped rows, and algebra
+input from builtins and JSON files."""
 
-import glob
 import json
 import os
 import re
@@ -27,7 +26,7 @@ def run(capsys, argv):
 def test_no_command_prints_help(capsys):
     rc, out, err = run(capsys, [])
     assert rc == 2
-    assert "verify" in out and "cohomology" in out and "cache" in out
+    assert "verify" in out and "cohomology" in out and "cache" not in out
 
 
 def test_verify_list_names_every_claim(capsys):
@@ -52,24 +51,20 @@ def test_verify_unknown_claim(capsys):
 
 
 def test_verify_bad_override(capsys):
-    rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--p", "4",
-                                "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--p", "4"])
     assert rc == 2
     assert "not prime" in err
 
 
 def test_verify_single_claim_table(capsys):
-    rc, out, err = run(capsys, ["verify", "h2-w1-basic",
-                                "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["verify", "h2-w1-basic"])
     assert rc == 0
     # two instances (p = 5, 7), both pass
     assert out.strip().splitlines()[-1] == "2/2 rows pass"
-    assert "(cached)" not in out
 
 
 def test_verify_named_claim_refuses_an_override_it_does_not_take(capsys):
-    rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--m", "3",
-                                "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--m", "3"])
     assert rc == 2
     assert "claim h2-w1-basic does not take --m" in err
     assert "rows pass" not in out
@@ -81,7 +76,7 @@ def test_verify_all_names_the_overrides_each_claim_ignores(capsys,
     monkeypatch.setattr(cli, "CLAIMS", {cid: CLAIMS[cid] for cid in
                                         ("h2-w1-basic", "dimh1-w1n")})
     rc, out, err = run(capsys, ["verify", "all", "--n", "1",
-                                "--cache-dir", "off", "--output", "json"])
+                                "--output", "json"])
     assert rc == 0
     assert err.splitlines() == ["verify: h2-w1-basic ignores --n"]
     rows = json.loads(out)["claims"]
@@ -92,14 +87,13 @@ def test_verify_all_names_the_overrides_each_claim_ignores(capsys,
 
 def test_h2plus_w1_takes_no_m(capsys, monkeypatch):
     # the paper states the positive part of H^2 for O_1 = O1(1) only
-    rc, out, err = run(capsys, ["verify", "h2plus-w1", "--m", "2",
-                                "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["verify", "h2plus-w1", "--m", "2"])
     assert rc == 2
     assert "claim h2plus-w1 does not take --m" in err
     assert "rows pass" not in out
     monkeypatch.setattr(cli, "CLAIMS", {"h2plus-w1": CLAIMS["h2plus-w1"]})
     rc, out, err = run(capsys, ["verify", "all", "--m", "2",
-                                "--cache-dir", "off", "--output", "json"])
+                                "--output", "json"])
     assert rc == 0
     assert err.splitlines() == ["verify: h2plus-w1 ignores --m"]
     rows = json.loads(out)["claims"]
@@ -108,8 +102,7 @@ def test_h2plus_w1_takes_no_m(capsys, monkeypatch):
 
 
 def test_verify_table_shows_claim_time_once(capsys):
-    rc, out, err = run(capsys, ["verify", "h2-w1-basic",
-                                "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["verify", "h2-w1-basic"])
     assert rc == 0
     header, first, second = out.splitlines()[:3]
     assert header.split()[-2:] == ["claim", "time"]
@@ -125,103 +118,40 @@ GOLDEN_VERIFY_ALL = os.path.join(os.path.dirname(__file__), "data",
 def test_verify_all_report_matches_the_golden_file(capsys):
     # every claim's report, byte for byte, less the "git" line: exact
     # rewrites of the engine may change its speed, never one byte here
-    rc, out, err = run(capsys, ["verify", "all", "--cache-dir", "off",
-                                "--output", "json"])
+    rc, out, err = run(capsys, ["verify", "all", "--output", "json"])
     assert rc == 0
     with open(GOLDEN_VERIFY_ALL) as f:
         assert re.sub(r'(?m)^  "git": .*\n', "", out) == f.read()
 
 
-def test_verify_json_report_is_deterministic(capsys, tmp_path):
-    cdir = str(tmp_path / "cache")
-    argv = ["verify", "h2-w1-basic", "--cache-dir", cdir,
-            "--output", "json"]
-    rc1, cold, _ = run(capsys, argv)
-    rc2, warm, _ = run(capsys, argv)
-    rc3, off, _ = run(capsys, ["verify", "h2-w1-basic",
-                               "--cache-dir", "off", "--output", "json"])
-    assert rc1 == rc2 == rc3 == 0
-    # byte-identical across cold, warm, and cache-free runs: the JSON
-    # document carries no wall times and no cache markers
-    assert cold == warm == off
-    assert "(cached)" not in warm
-    doc = json.loads(cold)
+def test_verify_json_report_is_deterministic(capsys):
+    argv = ["verify", "h2-w1-basic", "--output", "json"]
+    rc1, first, _ = run(capsys, argv)
+    rc2, again, _ = run(capsys, argv)
+    assert rc1 == rc2 == 0
+    # byte-identical across runs: the JSON document carries no wall times
+    assert first == again
+    doc = json.loads(first)
     assert doc["schema"] == 1 and doc["tool"] == "modlie"
     assert doc["status"] == "pass"
     assert all(r["status"] == "pass" for r in doc["claims"])
 
 
-def test_verify_warm_table_marks_cached_rows(capsys, tmp_path):
-    cdir = str(tmp_path / "cache")
-    run(capsys, ["verify", "h2-w1-basic", "--cache-dir", cdir])
-    rc, out, err = run(capsys, ["verify", "h2-w1-basic",
-                                "--cache-dir", cdir])
-    assert rc == 0
-    assert "(cached)" in out
-
-
-def test_corrupted_cache_entry_is_discarded_and_recomputed(
-        capsys, tmp_path):
-    cdir = str(tmp_path / "cache")
-    run(capsys, ["verify", "h2-w1-basic", "--cache-dir", cdir])
-    entries = glob.glob(os.path.join(cdir, "*.json"))
-    assert entries
-    with open(entries[0], "w", encoding="utf-8") as fh:
-        fh.write("{corrupt")
-    rc, out, err = run(capsys, ["verify", "h2-w1-basic",
-                                "--cache-dir", cdir])
-    assert rc == 0
-    assert "discarding corrupted entry" in err
-    assert out.strip().splitlines()[-1] == "2/2 rows pass"
-
-
-@pytest.mark.parametrize("tamper", [
-    lambda doc: dict(doc, value=dict(doc["value"], dim=99)),
-    lambda doc: {"value": {"x": 1}},
-    lambda doc: [1, 2],
-    lambda doc: "x",
-], ids=["wrong-dim", "no-dim", "list", "string"])
-def test_tampered_cohomology_entry_is_discarded_and_recomputed(
-        capsys, tmp_path, tamper):
-    # a cached value is used only if it holds four non-negative ints with
-    # dim = ncols - rank_d - rank_prev; else it is recomputed, not printed
-    # (dim 99) or read (no "dim" key, or no JSON object at the top)
-    cdir = str(tmp_path / "cache")
-    argv = ["cohomology", "w1n", "--p", "5", "--deg", "2", "--output",
-            "json", "--cache-dir", cdir]
-    rc, fresh, err = run(capsys, argv)
-    [entry] = glob.glob(os.path.join(cdir, "*.json"))
-    with open(entry, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    with open(entry, "w", encoding="utf-8") as fh:
-        json.dump(tamper(doc), fh)
-    rc, out, err = run(capsys, argv)
-    assert rc == 0 and out == fresh
-    assert "discarding corrupted entry" in err
-    # the recomputed value overwrote the entry
-    with open(entry, encoding="utf-8") as fh:
-        assert json.load(fh) == doc
-    rc, out, err = run(capsys, argv)
-    assert rc == 0 and out == fresh and err == ""
-
-
 def test_verify_budget_skip_and_force(capsys):
-    rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--budget", "10",
-                                "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--budget", "10"])
     assert rc == 1
     assert "skipped-budget" in out
     assert "rerun with --force or a higher --budget" in out
-    assert out.strip().splitlines()[-1] == "0/1 rows pass"
+    assert out.strip().splitlines()[-1] == "0/2 rows pass"
     rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--budget", "10",
-                                "--force", "--cache-dir", "off"])
+                                "--force"])
     assert rc == 0
     assert out.strip().splitlines()[-1] == "2/2 rows pass"
 
 
 def test_verify_budget_skip_and_force_on_the_bar_complex(capsys):
     # the Hochschild bar complex of O1(1) at p = 5 has 5^3 = 125 cochains
-    argv = ["verify", "hochschild-harrison", "--budget", "100",
-            "--cache-dir", "off"]
+    argv = ["verify", "hochschild-harrison", "--budget", "100"]
     rc, out, err = run(capsys, argv)
     assert rc == 1
     assert "skipped-budget" in out
@@ -229,6 +159,48 @@ def test_verify_budget_skip_and_force_on_the_bar_complex(capsys):
     rc, out, err = run(capsys, argv + ["--force"])
     assert rc == 0
     assert "skipped-budget" not in out
+
+
+def test_budget_skips_each_instance_on_its_own_row(capsys):
+    # every skipped instance keeps its instance and note, and a skipped
+    # row is not a pass although its expected and computed are both null
+    rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--budget", "1",
+                                "--output", "json"])
+    assert rc == 1
+    rows = json.loads(out)["claims"]
+    assert [(r["instance"], r["status"]) for r in rows] == [
+        ({"p": 5}, "skipped-budget"), ({"p": 7}, "skipped-budget")]
+    assert all(r["note"].startswith("C^2 has over 1 tuples") for r in rows)
+    # W1(1) fits in 100 entries, the weight-zero slice of W1(2) does not:
+    # the row that fits is the one an unbudgeted run reports
+    rc, out, err = run(capsys, ["verify", "dimh1-w1n", "--budget", "100",
+                                "--output", "json"])
+    assert rc == 1
+    first, second = json.loads(out)["claims"]
+    rc, plain, err = run(capsys, ["verify", "dimh1-w1n", "--output", "json"])
+    assert first == json.loads(plain)["claims"][0]
+    assert first["status"] == "pass"
+    assert second["instance"] == {"p": 5, "n": 2}
+    assert second["status"] == "skipped-budget"
+    assert second["note"].startswith(
+        "differential on the slice weight=0 exceeds the 100-entry budget")
+
+
+def test_commands_write_no_file_of_their_own(capsys, tmp_path, monkeypatch):
+    # every number is computed by the run that reports it: nothing is
+    # stored under the home, the user cache or the working directory
+    for name, var in (("home", "HOME"), ("xdg", "XDG_CACHE_HOME")):
+        (tmp_path / name).mkdir()
+        monkeypatch.setenv(var, str(tmp_path / name))
+    monkeypatch.chdir(tmp_path)
+    for argv in (["verify", "h2-w1-basic"], ["cohomology", "w1n"],
+                 ["cohomology", "w1n", "--output", "json"]):
+        assert run(capsys, argv)[0] == 0
+    assert [f for f in tmp_path.rglob("*") if not f.is_dir()] == []
+    # --json-out is the one file a command writes
+    run(capsys, ["verify", "h2-w1-basic", "--json-out", "report.json"])
+    assert [f.name for f in tmp_path.rglob("*") if not f.is_dir()] == [
+        "report.json"]
 
 
 def test_python_m_modlie_runs_the_cli():
@@ -244,7 +216,7 @@ def test_python_m_modlie_runs_the_cli():
 def test_verify_json_out_writes_the_report_file(capsys, tmp_path):
     path = str(tmp_path / "report.json")
     rc, out, err = run(capsys, ["verify", "lambda-identities",
-                                "--cache-dir", "off", "--json-out", path])
+                                "--json-out", path])
     assert rc == 0
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -254,7 +226,7 @@ def test_verify_json_out_writes_the_report_file(capsys, tmp_path):
 
 
 def test_cohomology_builtin_table_line(capsys):
-    rc, out, err = run(capsys, ["cohomology", "w1n", "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["cohomology", "w1n"])
     assert rc == 0
     # weight reduction kicks in by default: 10 weight-zero columns
     assert out.startswith("H^2(W1(1); adjoint) on ")
@@ -262,8 +234,7 @@ def test_cohomology_builtin_table_line(capsys):
 
 
 def test_cohomology_current_algebra_json(capsys):
-    rc, out, err = run(capsys, ["cohomology", "sl2-x-om",
-                                "--cache-dir", "off", "--output", "json"])
+    rc, out, err = run(capsys, ["cohomology", "sl2-x-om", "--output", "json"])
     assert rc == 0
     doc = json.loads(out)
     assert doc["dim"] == 5
@@ -273,17 +244,17 @@ def test_cohomology_current_algebra_json(capsys):
 def test_cohomology_trivial_coefficients(capsys):
     rc, out, err = run(capsys, ["cohomology", "w1n", "--module", "trivial",
                                 "--weight-reduction", "off",
-                                "--cache-dir", "off", "--output", "json"])
+                                "--output", "json"])
     assert json.loads(out)["dim"] == 1
     rc, out, err = run(capsys, ["cohomology", "w1n-x-om",
                                 "--module", "trivial",
                                 "--weight-reduction", "off",
-                                "--cache-dir", "off", "--output", "json"])
+                                "--output", "json"])
     assert json.loads(out)["dim"] == 5
 
 
 def test_cohomology_dump_reps(capsys):
-    argv = ["cohomology", "w1n", "--dump-reps", "--cache-dir", "off"]
+    argv = ["cohomology", "w1n", "--dump-reps"]
     rc, out, err = run(capsys, argv)
     assert rc == 0
     assert "rep 0: (e_1;e_3)->0:1 (e_2;e_3)->1:1" in out
@@ -292,9 +263,8 @@ def test_cohomology_dump_reps(capsys):
         [[[2, 4], 0, 1], [[3, 4], 1, 1]]]
 
 
-def test_cohomology_stats_leave_the_report_alone(capsys, tmp_path):
-    argv = ["cohomology", "w1n-x-om", "--dump-reps", "--output", "json",
-            "--cache-dir", "off"]
+def test_cohomology_stats_leave_the_report_alone(capsys):
+    argv = ["cohomology", "w1n-x-om", "--dump-reps", "--output", "json"]
     rc, plain, err = run(capsys, argv)
     assert rc == 0 and err == ""
     rc, out, err = run(capsys, argv + ["--stats"])
@@ -302,7 +272,7 @@ def test_cohomology_stats_leave_the_report_alone(capsys, tmp_path):
     assert err.startswith("stats: ") and err.count("\n") == 1
     stats = json.loads(err[len("stats: "):])
     doc = json.loads(out)
-    assert stats["cached"] is False and stats["ncols"] == doc["ncols"] == 1500
+    assert stats["ncols"] == doc["ncols"] == 1500
     assert 0 < stats["nnz"] < stats["budget_used"] <= stats["budget"]
     assert 0 < stats["rows"] <= stats["nnz"]
     # with --dump-reps only the dim H kept kernel vectors are computed
@@ -310,13 +280,6 @@ def test_cohomology_stats_leave_the_report_alone(capsys, tmp_path):
             == len(doc["representatives"]))
     for stage in ("enumerate", "assemble", "rank_d", "rank_prev", "reps"):
         assert stats[stage + "_s"] >= 0
-    # a cache hit reports itself, and its report is the same too
-    cached = ["cohomology", "w1n-x-om", "--output", "json", "--cache-dir",
-              str(tmp_path), "--stats"]
-    rc, first, err = run(capsys, cached)
-    rc, again, err = run(capsys, cached)
-    assert again == first
-    assert json.loads(err[len("stats: "):]) == {"cached": True}
 
 
 @pytest.mark.parametrize("extra, dim", [
@@ -325,7 +288,7 @@ def test_cohomology_stats_leave_the_report_alone(capsys, tmp_path):
 ])
 def test_cohomology_dump_reps_table_names_every_argument(capsys, extra, dim):
     # the table lists each term as (labels of all arguments)->target:value
-    argv = ["cohomology", "w1n", "--dump-reps", "--cache-dir", "off"] + extra
+    argv = ["cohomology", "w1n", "--dump-reps"] + extra
     rc, out, err = run(capsys, argv + ["--output", "json"])
     assert rc == 0
     reps = json.loads(out)["representatives"]
@@ -344,8 +307,7 @@ def test_cohomology_from_algebra_file(capsys, tmp_path):
     path = str(tmp_path / "alg.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(make_sl2(5).to_json(), fh)
-    rc, out, err = run(capsys, ["cohomology", path, "--cache-dir", "off",
-                                "--output", "json"])
+    rc, out, err = run(capsys, ["cohomology", path, "--output", "json"])
     assert rc == 0
     doc = json.loads(out)
     assert doc["dim"] == 0
@@ -364,8 +326,7 @@ def test_cohomology_bad_inputs(capsys, tmp_path):
     assert rc == 2 and "malformed algebra file" in err
     rc, out, err = run(capsys, ["cohomology", str(tmp_path / "none.json")])
     assert rc == 2 and "cannot read" in err
-    rc, out, err = run(capsys, ["cohomology", "not-a-builtin",
-                                "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["cohomology", "not-a-builtin"])
     assert rc == 2 and "unknown builtin" in err
 
 
@@ -395,7 +356,7 @@ def test_cohomology_rejects_invalid_algebra_file(capsys, tmp_path, doc,
     path = str(tmp_path / "alg.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    rc, out, err = run(capsys, ["cohomology", path, "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["cohomology", path])
     assert rc == 2
     assert "malformed algebra file" in err and message in err
     assert out == ""
@@ -403,8 +364,8 @@ def test_cohomology_rejects_invalid_algebra_file(capsys, tmp_path, doc,
 
 def test_cohomology_p_zero_is_rejected(capsys):
     # --p 0 must not fall back to the default p = 5
-    rc, out, err = run(capsys, ["cohomology", "w1n", "--p", "0", "--deg", "2",
-                                "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["cohomology", "w1n", "--p", "0",
+                                "--deg", "2"])
     assert rc == 2
     assert "p = 0 is not prime" in err
     assert out == ""
@@ -417,7 +378,7 @@ def test_cohomology_refuses_an_option_its_algebra_does_not_read(
         capsys, algebra, options):
     # each option it reads is taken (at its default, the same report);
     # each other one, alone or with another, exits 2 and is named
-    base = ["cohomology", algebra, "--output", "json", "--cache-dir", "off"]
+    base = ["cohomology", algebra, "--output", "json"]
     given = {"p": "5", "n": "1", "m": "1"}
     rc, plain, err = run(capsys, base)
     assert rc == 0
@@ -438,8 +399,7 @@ def test_algebra_file_takes_no_builtin_option(capsys, tmp_path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(make_sl2(5).to_json(), fh)
     for k in "pnm":
-        rc, out, err = run(capsys, ["cohomology", path, "--" + k, "5",
-                                    "--cache-dir", "off"])
+        rc, out, err = run(capsys, ["cohomology", path, "--" + k, "5"])
         assert (rc, out) == (2, "")
         assert err == "cohomology: %s does not take --%s\n" % (path, k)
 
@@ -449,7 +409,7 @@ def test_algebra_file_takes_no_builtin_option(capsys, tmp_path):
     ("--m", "w1-sd"), ("--m", "sl2-sd"), ("--n", "w1n")])
 def test_height_below_one_names_its_option(capsys, option, algebra):
     with pytest.raises(SystemExit) as exc:
-        main(["cohomology", algebra, option, "0", "--cache-dir", "off"])
+        main(["cohomology", algebra, option, "0"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument %s: must be >= 1, got 0" % option in err
@@ -462,7 +422,7 @@ def test_budget_below_one_is_refused(capsys, argv):
     # -5 used to reach the enumeration ("C^2 has over -5 tuples") and 0
     # to skip every claim row as over budget, both with exit code 1
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--cache-dir", "off"])
+        main(argv)
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument --budget: must be >= 1, got %s" % argv[-1] in err
@@ -471,7 +431,7 @@ def test_budget_below_one_is_refused(capsys, argv):
 def test_cohomology_takes_no_seed(capsys):
     # only verify has randomized probes; cohomology would ignore a seed
     with pytest.raises(SystemExit) as exc:
-        main(["cohomology", "w1n", "--seed", "3", "--cache-dir", "off"])
+        main(["cohomology", "w1n", "--seed", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
@@ -484,48 +444,12 @@ def test_abbreviated_options_are_refused(capsys, argv, option):
     # read as a prefix, --degree 2 was --degree-slice 2: the empty degree-2
     # slice printed 0 with exit code 0, where H^2 (--deg 2) is 1
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--p", "5", "--cache-dir", "off"])
+        main(argv + ["--p", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: %s" % option in capsys.readouterr().err
 
 
 def test_degree_slice_refused_on_filtered_builtin(capsys):
-    rc, out, err = run(capsys, ["cohomology", "ldef", "--degree-slice", "5",
-                                "--cache-dir", "off"])
+    rc, out, err = run(capsys, ["cohomology", "ldef", "--degree-slice", "5"])
     assert rc == 2
     assert "degree slices are invalid on a filtered algebra" in err
-
-
-def test_cache_subcommand(capsys, tmp_path):
-    cdir = str(tmp_path / "cachedir")
-    rc, out, err = run(capsys, ["cache", "path", "--cache-dir", cdir])
-    assert rc == 0 and out.strip() == cdir
-    run(capsys, ["verify", "h2-w1-basic", "--cache-dir", cdir,
-                 "--output", "json"])
-    rc, out, err = run(capsys, ["cache", "list", "--cache-dir", cdir])
-    assert rc == 0
-    tail = out.strip().splitlines()[-1]
-    assert tail.startswith("2 entries,") and tail.endswith(cdir)
-    rc, out, err = run(capsys, ["cache", "clear", "--cache-dir", cdir])
-    assert out.strip() == "removed 2 entries"
-    rc, out, err = run(capsys, ["cache", "clear", "--cache-dir", cdir])
-    assert out.strip() == "removed 0 entries"
-
-
-def test_cache_dir_defaults_to_env(capsys, tmp_path, monkeypatch):
-    env_dir = str(tmp_path / "envcache")
-    monkeypatch.setenv("MODLIE_CACHE", env_dir)
-    rc, out, err = run(capsys, ["cache", "path"])
-    assert rc == 0 and out.strip() == env_dir
-
-
-@pytest.mark.slow
-def test_verify_all_passes(capsys, tmp_path):
-    cdir = str(tmp_path / "cache")
-    rc, out, err = run(capsys, ["verify", "all", "--cache-dir", cdir,
-                                "--output", "json"])
-    assert rc == 0
-    doc = json.loads(out)
-    assert doc["status"] == "pass"
-    assert len(doc["claims"]) >= len(CLAIMS)
-    assert all(r["status"] == "pass" for r in doc["claims"])

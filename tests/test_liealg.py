@@ -740,7 +740,7 @@ def test_lie_json_round_trip():
     assert M.bracket == L.bracket
     assert M.grading == L.grading
     assert M.toral == L.toral
-    assert M.hash_key() == L.hash_key()
+    assert M.to_json() == L.to_json()
 
 
 def test_filtered_json_round_trip():
@@ -753,7 +753,7 @@ def test_filtered_json_round_trip():
     M = LieAlgebra.from_json(doc)
     assert M.filtration
     assert M.bracket == L.bracket
-    assert M.hash_key() == L.hash_key()
+    assert M.to_json() == L.to_json()
     h2 = cohomology_dim(M, 2, slice_=weight_zero_reduce(M))
     assert h2.dim == cohomology_dim(L, 2, slice_=weight_zero_reduce(L)).dim
     assert h2.dim == 4
