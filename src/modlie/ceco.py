@@ -212,7 +212,7 @@ def _stencil(L, module, cols, restrict, budget, counter, slices):
                     if not row:
                         del rows[r]
             if used > budget:
-                raise _over_budget(L, budget, slices)
+                raise _over_budget(budget, slices)
     counter[0] = used
     tuples = list(index)
     return rows, lambda r: (tuples[r // dim], r % dim)
@@ -360,15 +360,13 @@ class CohomologyResult:
             self.dim, self.ncols, self.rank_d, self.rank_prev)
 
 
-def _over_budget(L, budget, slices):
-    """The BudgetExceeded of a differential: it names the slices, and
-    advises a weight slice only on a whole complex that has one."""
+def _over_budget(budget, slices):
+    """The BudgetExceeded of a differential: what exceeded which budget,
+    with the slices named; the command that caught it gives the advice."""
     named = "; ".join(str(s) for s in slices if s is not None)
     where = " on the slice " + named if named else ""
-    advice = ("" if named or L.toral is None
-              else "restrict to a weight slice (weight_zero_reduce) or ")
-    return BudgetExceeded("differential%s exceeds the %d-entry budget; "
-                          "%sraise the budget" % (where, budget, advice))
+    return BudgetExceeded("differential%s exceeds the %d-entry budget"
+                          % (where, budget))
 
 
 def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
@@ -392,8 +390,7 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
     for k in (n, n - 1):
         if k >= 0 and math.comb(L.dim, k) > budget:
             raise BudgetExceeded(
-                "C^%d has over %d tuples to enumerate; raise the budget"
-                % (k, budget))
+                "C^%d has over %d tuples to enumerate" % (k, budget))
     laps = [time.perf_counter()]
 
     def lap():  # seconds since the previous lap

@@ -197,7 +197,11 @@ def cmd_cohomology(args):
         res = cohomology_dim(L, args.deg, module=module, slice_=slice_,
                              budget=args.budget, want_reps=args.dump_reps)
     except BudgetExceeded as e:
-        print("cohomology: %s" % e, file=sys.stderr)
+        # the whole complex of an algebra with a toral element was asked for
+        drop = slice_ is None and L.toral is not None
+        print("cohomology: %s; raise --budget%s"
+              % (e, " or drop --weight-reduction off" if drop else ""),
+              file=sys.stderr)
         return 1
     dt = time.perf_counter() - t0
     if args.stats:

@@ -18,7 +18,8 @@ at a basis tuple.  Evaluated, they give the Leibniz check of Derivation
 and is_harrison_cocycle; as one scalar row per output coordinate they
 give the systems of derivation_space, harrison_h2 and hochschild_hn_dim;
 the d^1 rows, transposed, are the coboundaries (A.coboundary_columns)
-that solve_delta1 and the Harrison quotients read.
+that solve_delta1 and the Harrison quotients read.  der_invariants and
+harrison_h2_d_invariants each read a D-invariant space off one kernel.
 
 A kernel {F : dF = 0} needs only the rows whose first argument lies in
 {unit} + A.generators.  For G = dF, d^2 F = 0 at (s, x, ..) gives
@@ -52,12 +53,12 @@ from functools import cached_property
 
 from .arith import binom, binom_mod_p, check_prime
 from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, LinearMap,
-                     SparseFpMatrix, _shortest_first, bilinear_eval,
-                     bilinear_get, bilinear_pairs, bilinear_table,
-                     bilinear_tensor, check_family, compose, family_add,
-                     greedy_generators, solve_sparse, sparsest_first,
-                     tensor_index, tensor_pair, transpose, vec_add,
-                     vec_scale)
+                     SparseFpMatrix, _back_substitute, _shortest_first,
+                     bilinear_eval, bilinear_get, bilinear_pairs,
+                     bilinear_table, bilinear_tensor, check_family, compose,
+                     family_add, greedy_generators, solve_sparse,
+                     sparsest_first, tensor_index, tensor_pair, transpose,
+                     vec_add, vec_scale)
 
 __all__ = [
     "CommAlgebra",
@@ -290,11 +291,8 @@ class Derivation(LinearMap):
     def is_zero(self):
         return not self.cols
 
-    def add(self, other, scale=1):
-        cols = family_add(self.cols, other.cols, self.p, scale)
-        return Derivation(self.A, cols, name="%s+%s" % (self.name, other.name))
-
     def commutator(self, other):
+        _check_acts_on(other, self.A)
         cols = {}
         for j in range(self.A.dim):
             v = vec_add(self(other({j: 1})), other(self({j: 1})), self.p, -1)
@@ -306,6 +304,15 @@ class Derivation(LinearMap):
 
     def __repr__(self):
         return "<Derivation %s on %s>" % (self.name, self.A.name)
+
+
+def _check_acts_on(D, A):
+    """Refuse a derivation D of an algebra other than A; an equal algebra
+    (same p, unit and products) built twice is A."""
+    B = D.A
+    if B is not A and (B.p, B.unit, B.mult) != (A.p, A.unit, A.mult):
+        raise ValueError("derivation %s acts on %s, not on %s"
+                         % (D.name, D.A.name, A.name))
 
 
 def partial_derivation(A):
@@ -340,9 +347,8 @@ def tensor_derivation(AB, D):
     at linalg.tensor_index(a, b, dim A), goes to D(a) (x) b."""
     if AB.meta.get("kind") != "tensor":
         raise ValueError("tensor_derivation needs a tensor-product algebra")
+    _check_acts_on(D, AB.meta["left"])
     dA, dB = AB.meta["dims"]
-    if D.A.dim != dA:
-        raise ValueError("derivation does not act on the left factor")
     cols = {tensor_index(a, b, dA): {tensor_index(k, b, dA): v
                                      for k, v in col.items()}
             for b in range(dB) for a, col in D.cols.items()}
@@ -353,49 +359,64 @@ def zero_derivation(A):
     return Derivation(A, {}, name="0")
 
 
-def derivation_space(A):
-    """Basis of Der(A), the kernel of d^1 on matrix entries: unknown
-    (src, tgt) gets column src * dim + tgt.  Only the rows dD(a, b) = 0
-    with a in {unit} + A.generators are assembled (module docstring).
-    Columns keep natural order: tests pin the basis to a dense oracle."""
-    n, p = A.dim, A.p
-    m = SparseFpMatrix(n * n, p)
+def _columns(v, n):
+    """The columns {src: {tgt: c}} of a vector v on the unknowns src * n
+    + tgt, n = dim A: the endomorphism that LinearMap.flatten wrote."""
+    cols = defaultdict(dict)
+    for key, c in v.items():
+        cols[key // n][key % n] = c
+    return dict(cols)
+
+
+def _derivation_kernel(A, name, rows=()):
+    """The derivations X killed by rows on the unknowns src * dim + tgt,
+    named name0, name1, ..: the kernel, in natural column order, of those
+    rows and dX(a, b) = 0, a in {unit} + A.generators (module docstring)."""
+    n = A.dim
+    m = SparseFpMatrix(n * n, A.p)
     m.extend(row for a in (A.unit,) + A.generators for b in range(n)
              for row in _stencil_rows(A, (a, b)).values())
-    ders = []
-    for v in m.kernel_basis():
-        cols = defaultdict(dict)
-        for key, c in v.items():
-            cols[key // n][key % n] = c
-        ders.append(Derivation(A, dict(cols), name="E%d" % len(ders)))
-    return ders
+    m.extend(rows)
+    return [Derivation(A, _columns(v, n), name="%s%d" % (name, i))
+            for i, v in enumerate(m.kernel_basis())]
+
+
+def derivation_space(A):
+    """Basis of Der(A), the kernel of d^1 on matrix entries: unknown
+    (src, tgt) gets column src * dim + tgt.  Columns keep natural order:
+    tests pin the basis to a dense oracle."""
+    return _derivation_kernel(A, "E")
 
 
 def d_invariants(A, D):
     """Basis of the kernel of D on A (the D-constants)."""
+    _check_acts_on(D, A)
     return SparseFpMatrix.from_columns(D.cols, A.dim, A.p).kernel_basis()
 
 
 def der_invariants(A, D):
-    """Basis of the centralizer of D inside Der(A)."""
-    ders = derivation_space(A)
-    if not ders:
-        return []
-    coms = {idx: D.commutator(E).flatten() for idx, E in enumerate(ders)}
-    m = SparseFpMatrix.from_columns(coms, len(ders), A.p)
-    out = []
-    for combo in m.kernel_basis():
-        E = zero_derivation(A)
-        for idx, c in combo.items():
-            E = E.add(ders[idx], scale=c)
-        E.name = "Einv%d" % len(out)
-        out.append(E)
-    return out
+    """Basis of the centralizer of D inside Der(A): derivation_space's
+    system plus a row per (j, t) of [D, X](e_j) = D(X e_j) - X(D e_j)."""
+    _check_acts_on(D, A)
+    n = A.dim
+
+    def rows():
+        for j in range(n):
+            r = defaultdict(dict)
+            for s, col in D.cols.items():  # D(X e_j), X e_j = sum X_js e_s
+                for t, c in col.items():
+                    r[t][j * n + s] = c
+            for k, c in D.cols.get(j, {}).items():  # -X(D e_j)
+                for t in range(n):
+                    r[t][k * n + t] = r[t].get(k * n + t, 0) - c
+            yield from r.values()
+    return _derivation_kernel(A, "Einv", rows())
 
 
 def der_coinvariants(A, D):
     """Dimension of Der(A)/[D, Der(A)] plus derivations representing a
     basis of the quotient."""
+    _check_acts_on(D, A)
     ders = derivation_space(A)
     image = Echelon(A.p)
     for E in ders:
@@ -423,10 +444,6 @@ class SymmetricBilinearMap:
 
     def is_zero(self):
         return not self.values
-
-    def add(self, other, scale=1):
-        return SymmetricBilinearMap(
-            self.A, family_add(self.values, other.values, self.p, scale))
 
     def flatten(self):
         n = self.A.dim
@@ -511,6 +528,7 @@ def star_action(D, F):
     """(D * F)(a, b) = F(D(a), b) + F(a, D(b)) - D(F(a, b)); the induced
     action of a derivation on symmetric 2-cochains."""
     A, p = F.A, F.p
+    _check_acts_on(D, A)
     vals = {}
     for i in range(A.dim):
         for j in range(i, A.dim):
@@ -623,50 +641,34 @@ def solve_delta1(A, target):
     """Solve dH = target for a 1-cochain H given a symmetric 2-cochain
     target; returns sparse columns or None when target is not a
     coboundary."""
-    n = A.dim
     sol = solve_sparse(A.coboundary_columns, target.flatten(), A.p)
-    if sol is None:
-        return None
-    cols = defaultdict(dict)
-    for flat, c in sol.items():
-        cols[flat // n][flat % n] = c
-    return dict(cols)
+    return None if sol is None else _columns(sol, A.dim)
 
 
 def harrison_h2_d_invariants(A, D):
     """The D-invariant part of Har^2(A, A): classes [F] killed by the star
     action of D, each returned with an endomorphism H solving dH = D * F.
     These (F, H) pairs are exactly the parameters of the lifted symmetric
-    cocycle family."""
-    p = A.p
-    d2, reps = harrison_h2(A)
-    if d2 == 0:
-        return 0, []
-    # one echelon of the coboundaries and the rows F_r + e_{top + r}: the
-    # tag columns lie right of every cochain column, so they never pivot,
-    # and D * F reduces to -x at the tags exactly when D * F = sum x_r F_r
-    # modulo coboundaries
-    ech, top = Echelon(p), A.dim ** 3
-    for vec in A.coboundary_columns.values():
-        ech.add(vec)
-    for r, F in enumerate(reps):
-        ech.add({**F.flatten(), top + r: 1})
-    action = []  # column r: coordinates of [D * F_r] in the class basis
-    for F in reps:
-        rest = ech.reduce(star_action(D, F).flatten())
-        if any(k < top for k in rest):
-            raise AssertionError("star action left the cocycle class space")
-        action.append({k - top: -v % p for k, v in rest.items()})
-    m = SparseFpMatrix.from_columns(dict(enumerate(action)), len(reps), p)
+    cocycle family.  A kernel vector (H, x) of the coboundary columns
+    (the unknowns of H, below top = dim^2) and tags top + r holding
+    -(D * F_r) gives F = sum x_r F_r.  The tags lie right of H, so, read
+    at the free tags alone as in solve_sparse, x is the kernel basis of
+    the class action and H the witness of solve_delta1."""
+    _check_acts_on(D, A)
+    p, top, reps = A.p, A.dim ** 2, harrison_h2(A)[1]
+    m = SparseFpMatrix.from_columns(
+        {**A.coboundary_columns,
+         **{top + r: vec_scale(star_action(D, F).flatten(), -1, p)
+            for r, F in enumerate(reps)}}, top + len(reps), p)
     out = []
-    for combo in m.kernel_basis():
-        F = SymmetricBilinearMap(A, {})
-        for r, c in combo.items():
-            F = F.add(reps[r], scale=c)
-        H = solve_delta1(A, star_action(D, F))
-        if H is None:
-            raise AssertionError("invariant class without a potential for D * F")
-        out.append((F, H))
+    for v in _back_substitute(m.pivots, [k for k in range(top, m.ncols)
+                                         if k not in m.pivots], p):
+        vals = {}
+        for k, c in v.items():
+            if k >= top:
+                vals = family_add(vals, reps[k - top].values, p, c)
+        out.append((SymmetricBilinearMap(A, vals),
+                    _columns({k: c for k, c in v.items() if k < top}, A.dim)))
     return len(out), out
 
 

@@ -19,8 +19,8 @@ from functools import cached_property
 from itertools import combinations
 
 from .arith import check_prime, structure_constant_N
-from .commalg import (make_divided_powers, partial_derivation,
-                      tensor_derivation, tensor_product)
+from .commalg import (_check_acts_on, make_divided_powers,
+                      partial_derivation, tensor_derivation, tensor_product)
 from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_eval,
                      bilinear_get, bilinear_pairs, bilinear_table,
                      bilinear_tensor, check_family, circle, family_add,
@@ -370,15 +370,6 @@ def semidirect_current(L, A, Ds):
         meta={"kind": "semidirect", "L": L, "A": A, "Ds": list(Ds),
               "dims": (L.dim, A.dim), "ntails": nt},
         filtration=L.filtration)
-
-
-def _check_acts_on(D, A):
-    """Refuse a derivation D of an algebra other than A; an equal algebra
-    (same p, unit and products) built twice is A."""
-    B = D.A
-    if B is not A and (B.p, B.unit, B.mult) != (A.p, A.unit, A.mult):
-        raise ValueError("derivation %s acts on %s, not on %s"
-                         % (D.name, D.A.name, A.name))
 
 
 def _tensor_layout(L):

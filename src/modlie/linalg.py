@@ -16,13 +16,14 @@ is exactly one kernel vector with a 1 there and 0 at every other free
 column, so kernel_basis is order-independent as well.  So is the
 solution solve_sparse returns: with every free unknown 0, the pivot
 unknowns are determined.  Callers may therefore insert rows in whatever
-order keeps elimination cheap: all systems but two (their docstrings
-say why) use sparsest_first, the structured Gaussian elimination of
-LaMacchia and Odlyzko (CRYPTO '90).  Rows go in in the order the
-caller's builder yields them, each freed once inserted, so a system
-built row by row is never held whole: the Harrison system of O1(2) at
-p = 5 eliminates as fast as when its 28 107 rows were held to be
-sorted, at less than half the peak memory.  A caller that holds all
+order keeps elimination cheap: the systems of ceco.cohomology_dim,
+commalg.harrison_h2 and commalg.hochschild_hn_dim use sparsest_first,
+the structured Gaussian elimination of LaMacchia and Odlyzko (CRYPTO
+'90).  Rows go in in the order the caller's builder yields them, each
+freed once inserted, so a system built row by row is never held
+whole: the Harrison system of O1(2) at p = 5 eliminates as fast as
+when its 28 107 rows were held to be sorted, at less than half the
+peak memory.  A caller that holds all
 its rows anyway puts them shortest first with _shortest_first (ceco's
 d_n, written column by column, and commalg's bar complex, which
 eliminated slower without it), as sparsest_first does the boundary B
@@ -32,7 +33,11 @@ columns and fill on dense ones.  The weights depend on the columns
 alone, so the order is fixed before the rows are built, and the
 caller's row builder writes every entry at its column's position.  A
 column order changes no rank, only which columns are free: the kernel
-gets another basis.
+gets another basis.  So the systems whose bases or witnesses are pinned
+keep natural order: solve_sparse, liealg.center and commalg's
+derivation_space, der_invariants, d_invariants and
+harrison_h2_d_invariants.  The last reads combinations at tag columns
+right of its unknowns, as solve_sparse reads its augmented column.
 
 One loop, _residual, reduces a row against the pivots, consuming it:
 entries may be any integers, and each is reduced mod p as it leaves for

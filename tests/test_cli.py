@@ -186,6 +186,25 @@ def test_budget_skips_each_instance_on_its_own_row(capsys):
         "differential on the slice weight=0 exceeds the 100-entry budget")
 
 
+def test_budget_advice_is_given_once_in_the_words_of_the_command(capsys):
+    # the library says what exceeded which budget; each command adds one
+    # piece of advice, in its own options
+    argv = ["cohomology", "w1n", "--n", "2", "--budget", "500"]
+    rc, out, err = run(capsys, argv + ["--weight-reduction", "off"])
+    assert rc == 1
+    assert err == ("cohomology: differential exceeds the 500-entry budget; "
+                   "raise --budget or drop --weight-reduction off\n")
+    rc, out, err = run(capsys, argv)
+    assert rc == 1
+    assert err == ("cohomology: differential on the slice weight=0 exceeds "
+                   "the 500-entry budget; raise --budget\n")
+    rc, out, err = run(capsys, ["verify", "dimh1-w1n", "--budget", "50",
+                                "--output", "json"])
+    assert [r["note"] for r in json.loads(out)["claims"]] == [
+        "differential%s exceeds the 50-entry budget; rerun with --force or "
+        "a higher --budget" % where for where in ("", " on the slice weight=0")]
+
+
 def test_commands_write_no_file_of_their_own(capsys, tmp_path, monkeypatch):
     # every number is computed by the run that reports it: nothing is
     # stored under the home, the user cache or the working directory

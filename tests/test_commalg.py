@@ -743,8 +743,9 @@ def symmetric_cochains(draw):
     perturbed = draw(st.booleans())
     if perturbed:
         i, j, t = draw(index), draw(index), draw(index)
-        F = F.add(SymmetricBilinearMap(A, {(i, j): {t: 1}}),
-                  scale=draw(st.integers(1, p - 1)))
+        F = SymmetricBilinearMap(A, family_add(
+            F.values, SymmetricBilinearMap(A, {(i, j): {t: 1}}).values, p,
+            draw(st.integers(1, p - 1))))
     return F, perturbed
 
 
@@ -907,6 +908,81 @@ def test_hochschild_stencil_matches_dense_references(name, monkeypatch):
     assert got[1][0] == want[1][0]
     assert ([(F.values, H) for F, H in got[1][1]]
             == [(F.values, H) for F, H in want[1][1]])
+
+
+def reference_der_invariants(A, D):
+    """Reference for der_invariants: the kernel of E -> [D, E] on the
+    coordinates of the derivation_space basis, summed back."""
+    ders = derivation_space(A)
+    coms = {idx: D.commutator(E).flatten() for idx, E in enumerate(ders)}
+    out = []
+    for combo in SparseFpMatrix.from_columns(
+            coms, len(ders), A.p).kernel_basis():
+        cols = {}
+        for idx, c in combo.items():
+            cols = family_add(cols, ders[idx].cols, A.p, c)
+        out.append(Derivation(A, cols, name="Einv%d" % len(out)))
+    return out
+
+
+def reference_harrison_h2_d_invariants(A, D):
+    """Reference for harrison_h2_d_invariants: the class action of D on
+    the representatives of harrison_h2, read off one tagged echelon of
+    the coboundaries and the rows F_r + e_{top + r}; its kernel, summed
+    back into cocycles F, each given the witness solve_delta1(D * F)."""
+    p, top = A.p, A.dim ** 3
+    _, reps = harrison_h2(A)
+    ech = Echelon(p)
+    for vec in A.coboundary_columns.values():
+        ech.add(vec)
+    for r, F in enumerate(reps):
+        ech.add({**F.flatten(), top + r: 1})
+    action = []  # column r: coordinates of [D * F_r] in the class basis
+    for F in reps:
+        rest = ech.reduce(star_action(D, F).flatten())
+        assert all(k >= top for k in rest)
+        action.append({k - top: -v % p for k, v in rest.items()})
+    out = []
+    for combo in SparseFpMatrix.from_columns(
+            dict(enumerate(action)), len(reps), p).kernel_basis():
+        vals = {}
+        for r, c in combo.items():
+            vals = family_add(vals, reps[r].values, p, c)
+        F = SymmetricBilinearMap(A, vals)
+        H = solve_delta1(A, star_action(D, F))
+        assert H is not None
+        out.append((F, H))
+    return len(out), out
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow)
+    if name in ("O_2", "O1(1)(x)O1(1)", "O1(2),p=7") else name
+    for name in [*ALGEBRAS, "O1(2),p=7"]])
+def test_invariant_systems_match_the_reference_algorithms(name):
+    A = (ALGEBRAS[name][0]() if name in ALGEBRAS
+         else make_divided_powers(2, 7))
+    D = _derivation_of(A)
+    assert ([(E.name, E.cols) for E in der_invariants(A, D)]
+            == [(E.name, E.cols) for E in reference_der_invariants(A, D)])
+    (count, pairs), (want, ref) = (harrison_h2_d_invariants(A, D),
+                                   reference_harrison_h2_d_invariants(A, D))
+    assert count == want == len(pairs)
+    assert ([(F.values, H) for F, H in pairs]
+            == [(F.values, H) for F, H in ref])
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow)
+    if name in ("O_2", "O1(1)(x)O1(1)") else name
+    for name in ALGEBRAS])
+def test_star_action_keeps_the_harrison_representatives_cocycles(name):
+    # so D * F_r lies in the span of the coboundaries and the
+    # representatives, and [D * F_r] has coordinates in the class basis
+    A = ALGEBRAS[name][0]()
+    D = _derivation_of(A)
+    for F in harrison_h2(A)[1]:
+        assert dense_is_harrison_cocycle(star_action(D, F))
 
 
 def test_coboundary_columns_are_built_once_per_algebra(monkeypatch):

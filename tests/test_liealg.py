@@ -17,11 +17,17 @@ from modlie.commalg import (
     CommAlgebra,
     Derivation,
     SymmetricBilinearMap,
+    basic_harrison_cocycle,
+    d_invariants,
+    der_coinvariants,
+    der_invariants,
     derivation_space,
+    harrison_h2_d_invariants,
     make_divided_powers,
     make_reduced_poly,
     partial_derivation,
     scale_derivation,
+    star_action,
     tensor_derivation,
     tensor_product,
     zero_derivation,
@@ -351,8 +357,18 @@ def test_a_derivation_of_another_algebra_is_refused():
         semidirect_current(make_w1(1, P), A, [partial_derivation(B)])
     # same dimension, other products: K[x]/(x^5) is not O1(1)
     R = make_reduced_poly(1, P)
-    with pytest.raises(ValueError, match=r"acts on O_1, not on O1\(1\)"):
-        make_deformed(A, derivation_space(R)[0])
+    E = derivation_space(R)[0]
+    F = basic_harrison_cocycle(A, 1)
+    for call in (lambda: make_deformed(A, E),
+                 lambda: d_invariants(A, E),
+                 lambda: der_invariants(A, E),
+                 lambda: der_coinvariants(A, E),
+                 lambda: harrison_h2_d_invariants(A, E),
+                 lambda: partial_derivation(A).commutator(E),
+                 lambda: star_action(E, F),
+                 lambda: tensor_derivation(tensor_product(A, A), E)):
+        with pytest.raises(ValueError, match=r"acts on O_1, not on O1\(1\)"):
+            call()
     # an equal algebra built twice is the same algebra
     d = partial_derivation(make_divided_powers(1, P))
     assert make_deformed(A, d).bracket == make_deformed(

@@ -4,7 +4,9 @@ on each, so a stale entry would crash every traced run), and must be
 used by the program: read in src/modlie outside its own definition, or
 named in bench/*.py.  A docstring mention, an unused import or a test is
 not a use.  The allowlist holds the names an open ROADMAP item will
-call; each says which."""
+call; each says which.  What a deletion leaves behind is caught too:
+every imported name is read or re-exported where it is imported, and
+every private top-level function or class is read by the program."""
 
 import ast
 import importlib
@@ -79,3 +81,37 @@ def test_allowlist_names_public_names():
     for entry in ALLOWED:
         module, name = entry.split(".")
         assert name in importlib.import_module("modlie." + module).__all__
+
+
+def _imports(tree):
+    """The names the imports of a module bind, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda path: path.stem)
+def test_every_import_is_read_or_exported(path):
+    # an import that a top-level definition of the same name shadows is
+    # never read either: a definition left behind by a move
+    tree = ast.parse(path.read_text())
+    read = {name for _, name in _reads(tree)}
+    exported = getattr(importlib.import_module("modlie." + path.stem),
+                       "__all__", [])
+    defined = {stmt.name for stmt in tree.body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    imported = set(_imports(tree))
+    assert sorted(imported - read - set(exported) | imported & defined) == []
+
+
+def test_every_private_definition_is_read():
+    used = _used_names()
+    dead = ["%s.%s" % (path.stem, stmt.name)
+            for path in sorted(SRC.glob("*.py"))
+            for stmt in ast.parse(path.read_text()).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and stmt.name.startswith("_")
+            and not used.get(stmt.name, set()) - {(path.stem, stmt.name)}]
+    assert dead == []
