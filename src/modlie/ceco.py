@@ -49,17 +49,20 @@ order gave weight-one H^3 of W1(2) at p = 5 three times the fill.  The column
 order is fixed before d_n is assembled, so each entry is written at its
 column's elimination position.
 
-When the algebra has a toral basis element the complex splits by
-weight, and with an honest Z-grading it also splits by degree; both
-splittings are exact index bookkeeping, not heuristics, and a slice
-that d would leave is an error rather than a truncation.  A ComplexSlice
-holds the grade of each basis element as data (its weight mod p and/or
-its degree), and a column's grade is its target's less its tuple's.  It
-refuses grades that some bracket term does not add up to, and additive
-grades keep d on the slice for both modules and every n.  So
-chain_columns buckets the targets by grade once, and each tuple reads
-the bucket its grade asks for, which is exactly its columns: enumeration
-costs one grade per tuple and one per target, not one per candidate.
+When the algebra has a toral basis element t the complex splits by
+weight, and with a Z-grading also by degree.  A ComplexSlice holds the
+grade of each basis element as data (weight mod p and/or degree); a
+column's grade is its target's less its tuple's.  It refuses grades
+that some bracket term does not add up to, and additive grades keep d
+on the slice for both modules and every n.  chain_columns buckets the
+targets by grade once, and each tuple reads the bucket its grade asks
+for: one grade per tuple and one per target, not one per candidate.
+By Cartan's formula theta(t) = d i_t + i_t d, t acts on the weight-w
+part of a degree slice by w, so that part is acyclic for w != 0:
+positive_cohomology reads each degree at weight zero.  i_t keeps
+degrees where it must: by degree additivity a t of some nonzero weight
+lies in degree 0, and a t of all weights 0 has the degree slice as its
+weight-zero slice.
 """
 
 import itertools
@@ -83,11 +86,10 @@ __all__ = [
     "CohomologyResult",
     "cohomology_dim",
     "weight_zero_reduce",
-    "degree_slice",
     "coboundary_witness",
     "class_span_dim",
     "massey_bracket",
-    "h2_positive",
+    "positive_cohomology",
 ]
 
 def _check_module(module):
@@ -443,14 +445,9 @@ def cohomology_dim(L, n, module="adjoint", slice_=None, budget=DEFAULT_BUDGET,
 
 
 def weight_zero_reduce(L, module="adjoint"):
-    """The weight-zero slice of the complex; the whole cohomology sits
-    here when a toral element acts (the nonzero-weight slices are exact,
-    which the vanishing spot checks verify rather than assume)."""
+    """The weight-zero slice of the complex, which holds the whole
+    cohomology when a toral element acts (module docstring)."""
     return ComplexSlice(L, module, weight=0)
-
-
-def degree_slice(L, d, module="adjoint"):
-    return ComplexSlice(L, module, degree=d)
 
 
 def _coboundaries(L, n, module, slices, budget, counter):
@@ -562,15 +559,17 @@ def massey_bracket(phi, psi):
     return Cochain(L, 3, "adjoint", dict(sorted(sums.items())))
 
 
-def h2_positive(L, budget=DEFAULT_BUDGET):
-    """Sum of dim H^2(L; L) over the strictly positive degree slices of
-    the Z-grading."""
+def positive_cohomology(L, n=2, budget=DEFAULT_BUDGET):
+    """(total, {degree: nonzero dim}) of H^n(L; L) on the positive degree
+    slices, at weight zero when L has a toral element (module docstring)."""
     if L.grading is None:
-        raise ValueError("h2_positive needs a graded algebra")
+        raise ValueError("positive_cohomology needs a graded algebra")
     lo, hi = min(L.grading), max(L.grading)
+    weight = None if L.toral is None else 0
     per_degree = {}
-    for d in range(1, hi - 2 * lo + 1):
-        res = cohomology_dim(L, 2, slice_=degree_slice(L, d), budget=budget)
+    for d in range(1, hi - n * lo + 1):
+        res = cohomology_dim(L, n, slice_=ComplexSlice(
+            L, weight=weight, degree=d), budget=budget)
         if res.dim:
             per_degree[d] = res.dim
     return sum(per_degree.values()), per_degree

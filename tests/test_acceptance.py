@@ -88,6 +88,13 @@ def test_09_positive_h2_of_the_semidirect_sums():
     assert s["computed"] == 0
 
 
+def test_positive_h2_claims_take_their_overrides():
+    (w,) = check("h2plus-w1", {"p": 7})
+    (s,) = check("h2plus-sl2", {"m": 2})
+    assert (w["instance"], w["computed"]) == ({"p": 7, "m": 1}, 1)
+    assert (s["instance"], s["computed"]) == ({"p": 5, "m": 2}, 0)
+
+
 def test_10_massey_products_vanish_and_the_sum_integrates():
     (row,) = check("massey-certificates")
     assert row["computed"] == {"phi_sq_zero": True, "pairwise_zero": True,

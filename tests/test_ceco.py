@@ -20,9 +20,8 @@ from modlie.ceco import (
     closure_failure,
     coboundary_witness,
     cohomology_dim,
-    degree_slice,
-    h2_positive,
     massey_bracket,
+    positive_cohomology,
     weight_zero_reduce,
 )
 from modlie.cocycles import CocycleError, _check_closed, phi21, phi_big
@@ -171,7 +170,7 @@ def test_degree_slices_split_the_current_h2():
     L = current_algebra(make_w1(1, P), make_divided_powers(1, P))
     # Theta classes at degree -p, Upsilon/Psi at 0, PhiBig at +p
     by_degree = {
-        d: cohomology_dim(L, 2, slice_=degree_slice(L, d)).dim
+        d: cohomology_dim(L, 2, slice_=ComplexSlice(L, degree=d)).dim
         for d in (-5, 0, 5)
     }
     assert by_degree == {-5: 5, 0: 10, 5: 5}
@@ -192,14 +191,14 @@ def test_nonzero_weight_slices_are_exact():
 def test_off_lattice_degree_slices_are_exact():
     L = current_algebra(make_w1(1, P), make_divided_powers(1, P))
     for d in (1, 3, 7):  # not multiples of p
-        assert cohomology_dim(L, 2, slice_=degree_slice(L, d)).dim == 0
+        assert cohomology_dim(L, 2, slice_=ComplexSlice(L, degree=d)).dim == 0
 
 
 def test_degree_slice_refused_on_filtered_algebra():
     A = make_divided_powers(1, P)
     Ld = make_deformed(A, partial_derivation(A))
     with pytest.raises(ValueError):
-        degree_slice(Ld, 0)
+        ComplexSlice(Ld, degree=0)
     # weight slicing is still allowed
     assert cohomology_dim(Ld, 2, slice_=weight_zero_reduce(Ld)).dim == 4
 
@@ -436,14 +435,78 @@ def test_massey_square_of_the_deformation_direction():
     assert massey_bracket(f, f).is_zero()
 
 
+def _semidirect(S, m):
+    B = make_divided_powers(m, P)
+    return semidirect_current(S, B, [partial_derivation(B)])
+
+
+def _positive_by_degree_slices(L, n):
+    # the reference: every positive degree slice whole, no weight slice
+    lo, hi = min(L.grading), max(L.grading)
+    per_degree = {}
+    for d in range(1, hi - n * lo + 1):
+        dim = cohomology_dim(L, n, slice_=ComplexSlice(L, degree=d)).dim
+        if dim:
+            per_degree[d] = dim
+    return sum(per_degree.values()), per_degree
+
+
 def test_positive_degree_h2():
-    A = make_divided_powers(1, P)
-    d = partial_derivation(A)
-    Lw = semidirect_current(make_w1(1, P), A, [d])
-    total, per_degree = h2_positive(Lw)
-    assert (total, per_degree) == (1, {5: 1})
-    Ls = semidirect_current(make_sl2(P), A, [d])
-    assert h2_positive(Ls) == (0, {})
+    Lw = _semidirect(make_w1(1, P), 1)
+    assert positive_cohomology(Lw) == (1, {5: 1})
+    Ls = _semidirect(make_sl2(P), 1)
+    assert positive_cohomology(Ls) == (0, {})
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("build", [lambda: make_w1(1, P), lambda: make_sl2(P)],
+                         ids=["w1", "sl2"])
+def test_positive_cohomology_matches_the_degree_slices(build, n):
+    L = _semidirect(build(), 1)
+    assert positive_cohomology(L, n) == _positive_by_degree_slices(L, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("w1n, m, per_degree", [
+    (1, 2, {5: 2}), (2, 1, {20: 1, 25: 1})], ids=["1-2", "2-1"])
+def test_positive_h2_matches_the_degree_slices_at_larger_n_m(w1n, m,
+                                                            per_degree):
+    # each reference loop takes about 2.5 s
+    L = _semidirect(make_w1(w1n, P), m)
+    total, found = positive_cohomology(L)
+    assert found == per_degree == _positive_by_degree_slices(L, 2)[1]
+    assert total == w1n - 1 + m
+
+
+def test_positive_h3_of_the_semidirect_sum():
+    # the obstruction space of the positive classes of H^2 at (1, 1)
+    L = _semidirect(make_w1(1, P), 1)
+    assert positive_cohomology(L, 3) == (3, {5: 3})
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("w1n, m, per_degree", [
+    (1, 2, {5: 6}), (2, 1, {20: 3, 25: 3})], ids=["1-2", "2-1"])
+def test_positive_h3_at_larger_n_m(w1n, m, per_degree):
+    # (2, 1) on the whole degree slices took 153 s (ROADMAP item 12)
+    L = _semidirect(make_w1(w1n, P), m)
+    assert positive_cohomology(L, 3)[1] == per_degree
+
+
+def test_a_toral_element_outside_degree_0_has_weight_0():
+    # a toral t of nonzero degree and weight breaks degree additivity
+    with pytest.raises(ValueError, match="is not degree-additive"):
+        LieAlgebra(P, ["t", "x"], {(0, 1): {1: 1}}, grading=[1, 0],
+                   toral=0)
+    # the central z of a Heisenberg algebra, of degree -1, has weight 0
+    # everywhere: its weight-zero slices are the whole degree slices
+    found = []
+    for toral in (2, None):
+        L = LieAlgebra(P, ["x", "y", "z"], {(0, 1): {2: 1}},
+                       grading=[-2, 1, -1], toral=toral)
+        found.append([positive_cohomology(L, n) for n in (1, 2, 3)])
+    assert found[0] == found[1] == [
+        (1, {3: 1}), (3, {1: 1, 2: 1, 4: 1}), (1, {3: 1})]
 
 
 def test_weight_zero_cuts_columns():
@@ -494,7 +557,7 @@ def test_representatives_match_the_greedy_loop(name, module, slicing,
     L = ORACLE_ALGEBRAS[name]()
     slice_ = (None if slicing is None else
               weight_zero_reduce(L, module) if slicing == "weight" else
-              degree_slice(L, 0, module))
+              ComplexSlice(L, module, degree=0))
     found = 0
     for n in degrees:
         res = cohomology_dim(L, n, module, slice_=slice_, want_reps=True)
@@ -998,7 +1061,7 @@ def test_leaking_degree_slice_raises():
         assert (x in W.generators) == (x == 0)
         W.grading[x] += 1
         with pytest.raises(ValueError, match="not closed under d: the degree"):
-            degree_slice(W, 0)
+            ComplexSlice(W, degree=0)
         with pytest.raises(ValueError, match="not closed under d"):
             ComplexSlice(W, weight=0, degree=0)
 
