@@ -62,7 +62,9 @@ part of a degree slice by w, so that part is acyclic for w != 0:
 positive_cohomology reads each degree at weight zero.  i_t keeps
 degrees where it must: by degree additivity a t of some nonzero weight
 lies in degree 0, and a t of all weights 0 has the degree slice as its
-weight-zero slice.
+weight-zero slice.  A degree with no weight-zero column of C^n is not
+queried: _column_degrees reads the column degrees off the (degree,
+weight) sums of n distinct basis elements, not off the tuples.
 """
 
 import itertools
@@ -559,15 +561,29 @@ def massey_bracket(phi, psi):
     return Cochain(L, 3, "adjoint", dict(sorted(sums.items())))
 
 
+def _column_degrees(L, n, weights):
+    """The degrees of the columns of C^n(L; L) of weight zero under the
+    given weights mod p: deg t less the degree of an n-tuple, from the
+    (degree, weight) sums of n distinct basis elements (module docstring)."""
+    p, grades = L.p, list(zip(L.grading, weights))
+    sums = [{(0, 0)}] + [set() for _ in range(n)]
+    for d, w in grades:
+        for k in range(n, 0, -1):
+            sums[k] |= {(a + d, (b + w) % p) for a, b in sums[k - 1]}
+    return {d - a for d, w in grades for a, b in sums[n] if b == w % p}
+
+
 def positive_cohomology(L, n=2, budget=DEFAULT_BUDGET):
     """(total, {degree: nonzero dim}) of H^n(L; L) on the positive degree
-    slices, at weight zero when L has a toral element (module docstring)."""
+    slices with a column, at weight zero when L has a toral element
+    (module docstring)."""
     if L.grading is None:
         raise ValueError("positive_cohomology needs a graded algebra")
-    lo, hi = min(L.grading), max(L.grading)
     weight = None if L.toral is None else 0
+    degrees = _column_degrees(L, n, [0] * L.dim if weight is None
+                              else L.weights)
     per_degree = {}
-    for d in range(1, hi - n * lo + 1):
+    for d in sorted(d for d in degrees if d > 0):
         res = cohomology_dim(L, n, slice_=ComplexSlice(
             L, weight=weight, degree=d), budget=budget)
         if res.dim:

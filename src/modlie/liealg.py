@@ -23,9 +23,9 @@ from .commalg import (_check_acts_on, make_divided_powers,
                       partial_derivation, tensor_derivation, tensor_product)
 from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_eval,
                      bilinear_get, bilinear_pairs, bilinear_table,
-                     bilinear_tensor, check_family, circle, family_add,
-                     greedy_generators, morphism_failure, solve_sparse,
-                     tensor_index, tensor_pair, vec_add)
+                     bilinear_tensor, check_family, check_grading, circle,
+                     family_add, greedy_generators, morphism_failure,
+                     solve_sparse, tensor_index, tensor_pair, vec_add)
 
 __all__ = [
     "LieAlgebra",
@@ -79,28 +79,13 @@ class LieAlgebra:
                                       and 0 <= toral < self.dim):
             raise ValueError("toral %r is not a basis index in 0..%d"
                              % (toral, self.dim - 1))
-        self._validate_grading()
+        check_grading(self.grading, self.bracket, self.labels,
+                      "bracket %s on [%s, %s]", filtration)
         self.jacobi_checked = False
 
     @property
     def dim(self):
         return len(self.labels)
-
-    def _validate_grading(self):
-        g = self.grading
-        if g is None:
-            return
-        if len(g) != self.dim or not all(type(x) is int for x in g):
-            raise ValueError("grading must be %d integer degrees, one per "
-                             "basis element, not %r" % (self.dim, g))
-        for (i, j), vec in self.bracket.items():
-            s = g[i] + g[j]
-            for k in vec:
-                if (g[k] < s) if self.filtration else (g[k] != s):
-                    raise ValueError("bracket %s on [%s, %s]" % (
-                        "drops below the filtration" if self.filtration
-                        else "is not degree-additive",
-                        self.labels[i], self.labels[j]))
 
     def bracket_pair(self, i, j):
         """[e_i, e_j] as a sparse vector, any index order."""

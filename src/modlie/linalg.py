@@ -100,7 +100,9 @@ tensor_pair), second factor major: e_i (x) x^(k) of W1(1) (x) O1(m)
 sits where e_{pk+i} does in W1(m+1), so the Kuznetsov identification of
 the two is the identity map.  check_family is the one entry
 check of every family the package accepts (maps, brackets, products,
-cochains): keys and targets are basis indices, values are ints.
+cochains): keys and targets are basis indices, values are ints; and
+check_grading the one check of a grading, that of a Lie bracket or of
+a commutative product.
 """
 
 from collections import defaultdict
@@ -111,7 +113,7 @@ __all__ = ["BudgetExceeded", "LinearMap", "SparseFpMatrix", "Echelon",
            "transpose", "vec_add", "vec_scale", "bilinear_table", "compose",
            "circle", "bilinear_pairs", "family_add", "tensor_index",
            "tensor_pair", "bilinear_tensor", "morphism_failure",
-           "check_family"]
+           "check_family", "check_grading"]
 
 # The one default work budget of every budgeted computation (cohomology
 # assembly in ceco, the bar complex in commalg, the claims' Ctx); kept
@@ -279,6 +281,25 @@ def check_family(family, n, m, what):
             "0..%d and integer values" % (what, key, vec, n - 1, m - 1))
 
 
+def check_grading(g, family, labels, what, filtration=False):
+    """Raise ValueError unless g is None or one int degree per label
+    under which every term e_k of each family[(i, j)] has degree g[i] +
+    g[j] (at least that, with filtration); the message is what %
+    (verdict, labels[i], labels[j])."""
+    if g is None:
+        return
+    if len(g) != len(labels) or not all(type(x) is int for x in g):
+        raise ValueError("grading must be %d integer degrees, one per "
+                         "basis element, not %r" % (len(labels), g))
+    for (i, j), vec in family.items():
+        s = g[i] + g[j]
+        for k in vec:
+            if (g[k] < s) if filtration else (g[k] != s):
+                raise ValueError(what % (
+                    "drops below the filtration" if filtration
+                    else "is not degree-additive", labels[i], labels[j]))
+
+
 def bilinear_table(pairs, sign, p):
     """The table t -> [(z, f(e_z, e_t))] of the bilinear map f given by
     pairs[(i, j)] = f(e_i, e_j) and f(e_j, e_i) = sign f(e_i, e_j):
@@ -297,7 +318,8 @@ def compose(inner, outer):
     """The nonzero terms of f(e_z, g(e_x, e_y)), for g given on pairs
     (inner) and f by its bilinear_table (outer): yields (x, y, c, row)
     for each entry c e_m of g(e_x, e_y) with a row in outer, whose terms
-    are c w = f(e_z, c e_m) for (z, w) in row = outer[m]."""
+    are c w = f(e_z, c e_m) for (z, w) in row = outer[m] (in its items
+    when outer holds dicts {z: w}, as CommAlgebra's table does)."""
     for (x, y), vec in inner.items():
         for m, c in vec.items():
             row = outer.get(m)

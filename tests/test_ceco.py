@@ -478,6 +478,37 @@ def test_positive_h2_matches_the_degree_slices_at_larger_n_m(w1n, m,
     assert total == w1n - 1 + m
 
 
+def _heisenberg(toral):
+    return LieAlgebra(P, ["x", "y", "z"], {(0, 1): {2: 1}},
+                      grading=[-2, 1, -1], toral=toral)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _semidirect(make_w1(1, P), 1), lambda: _semidirect(make_sl2(P), 1),
+    lambda: make_w1(2, P), lambda: _heisenberg(2), lambda: _heisenberg(None),
+], ids=["w1-sd", "sl2-sd", "w1(2)", "heis-toral", "heis"])
+def test_positive_cohomology_queries_the_degrees_with_columns(build,
+                                                              monkeypatch):
+    # the degrees read off sums of grades are those of the slices with a
+    # column, and only those are queried
+    L = build()
+    lo, hi = min(L.grading), max(L.grading)
+    weight = None if L.toral is None else 0
+    queried, query = [], ceco.cohomology_dim
+
+    def spy(L, n, **kw):
+        queried.append(kw["slice_"].degree)
+        return query(L, n, **kw)
+
+    monkeypatch.setattr(ceco, "cohomology_dim", spy)
+    for n in (0, 1, 2, 3):
+        want = [d for d in range(1, hi - n * lo + 1) if chain_columns(
+            L, n, slice_=ComplexSlice(L, weight=weight, degree=d))]
+        queried.clear()
+        positive_cohomology(L, n)
+        assert queried == want
+
+
 def test_positive_h3_of_the_semidirect_sum():
     # the obstruction space of the positive classes of H^2 at (1, 1)
     L = _semidirect(make_w1(1, P), 1)

@@ -45,7 +45,8 @@ from modlie.commalg import (
 )
 from modlie.arith import inv_mod
 from modlie.linalg import (Echelon, LinearMap, SparseFpMatrix, family_add,
-                           tensor_index, tensor_pair, vec_add, vec_scale)
+                           solve_sparse, tensor_index, tensor_pair, vec_add,
+                           vec_scale)
 
 P = 5
 
@@ -1105,3 +1106,188 @@ def test_bar_complex_column_order_changes_no_rank(name, k, monkeypatch):
     assert dim == nat_dim
     assert [r for _, r in calls] == [r for _, r in nat_calls]
     assert [o for o, _ in nat_calls] == [sorted(o) for o, _ in calls]
+
+
+def reference_delta_value(A, F, xs):
+    """Reference for commalg._delta_value: the term list of
+    commalg._stencil, each outer product x_0 F(..) and F(..) x_k made by
+    A.mul."""
+    p, out = A.p, {}
+    for args, m, c in commalg._stencil(A, xs):
+        v = F(args)
+        if m is not None:
+            v = A.mul({m: 1}, v)
+        for t, w in v.items():
+            out[t] = out.get(t, 0) + c * w
+    return {t: w % p for t, w in out.items() if w % p}
+
+
+def golden_ring(p):
+    """K[x]/(x^2 - x - 1): x x = x + 1 has two terms, so no grading fits."""
+    return CommAlgebra(p, ["1", "x"], {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                       (1, 1): {0: 1, 1: 1}}, 0, name="K[x]")
+
+
+EVALUATED = {**{name: ALGEBRAS[name][0] for name in
+                ("O1(1)", "O1(2)", "O_2", "O1(1)(x)O1(1)", "K")},
+             "K[x]": lambda: golden_ring(P)}
+
+
+@pytest.mark.parametrize("name,k", [
+    pytest.param(name, k, marks=pytest.mark.slow)
+    if k == 3 and EVALUATED[name]().dim == 25 else (name, k)
+    for name in EVALUATED for k in (1, 2, 3)])
+def test_delta_value_matches_the_term_lists(name, k):
+    # dF at every basis tuple of a random k-cochain, dense or sparse
+    A = EVALUATED[name]()
+    n, p = A.dim, A.p
+    rng = random.Random("%s-%d" % (name, k))
+    for density in (0.9, 0.1):
+        F = {}
+        for args in itertools.product(range(n), repeat=k):
+            if rng.random() < density:
+                F[args] = {rng.randrange(n): rng.randrange(1, p)
+                           for _ in range(rng.randrange(1, 3))}
+        value = lambda args: F.get(args, {})
+        for xs in itertools.product(range(n), repeat=k + 1):
+            assert (commalg._delta_value(A, value, xs)
+                    == reference_delta_value(A, value, xs)), xs
+
+
+def _leibniz_failure(A, cols):
+    """The pair Derivation names for cols, by the reference evaluator:
+    the first failing (a, b), a in {unit} + A.generators, or None."""
+    value = lambda args: cols.get(args[0], {})
+    for a in (A.unit,) + A.generators:
+        for b in range(A.dim):
+            if reference_delta_value(A, value, (a, b)):
+                return "(%s, %s)" % (A.labels[a], A.labels[b])
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATED))
+def test_derivation_names_the_reference_pair(name):
+    # mutants of derivations, perturbed in one or two entries
+    A = EVALUATED[name]()
+    n, p = A.dim, A.p
+    rng = random.Random(name)
+    ders = [E.cols for E in derivation_space(A)]
+    named = 0
+    for _ in range(30):
+        cols = {}
+        for E in rng.sample(ders, min(len(ders), 2)):
+            cols = family_add(cols, E, p, rng.randrange(p))
+        for _ in range(rng.randrange(3)):
+            cols = family_add(cols, {rng.randrange(n): {rng.randrange(n): 1}},
+                              p, rng.randrange(1, p))
+        want = _leibniz_failure(A, cols)
+        try:
+            Derivation(A, cols)
+            got = None
+        except ValueError as e:
+            got = re.search(r"Leibniz fails on (\(.*\))$", str(e)).group(1)
+        assert got == want
+        named += want is not None
+    assert named
+
+
+def test_grading_is_checked_like_the_lie_one():
+    unit = {(0, 0): {0: 1}, (0, 1): {1: 1}}
+    assert CommAlgebra(P, ["1", "x"], unit, 0, grading=(0, 1)).grading == [0, 1]
+    with pytest.raises(ValueError,
+                       match=r"product is not degree-additive on \(x, x\)"):
+        CommAlgebra(P, ["1", "x"], {**unit, (1, 1): {0: 1, 1: 1}}, 0,
+                    grading=[0, 1])
+    with pytest.raises(ValueError,
+                       match=r"product is not degree-additive on \(1, 1\)"):
+        CommAlgebra(P, ["1", "x"], unit, 0, grading=[1, 2])
+    for bad in ([0], [0, 1, 2], [0, 1.0], [0, "1"], [0, True]):
+        with pytest.raises(ValueError,
+                           match="grading must be 2 integer degrees"):
+            CommAlgebra(P, ["1", "x"], unit, 0, grading=bad)
+    assert golden_ring(P).grading is None
+
+
+def test_constructors_set_their_gradings():
+    assert make_divided_powers(1, P).grading == [0, 1, 2, 3, 4]
+    assert make_divided_powers(2, 7).grading == list(range(49))
+    O2 = make_reduced_poly(2, P)
+    assert O2.grading == [sum(e) for e in O2.meta["exps"]]
+    assert O2.grading[:7] == [0, 1, 2, 3, 4, 1, 2]
+    assert make_scalars(P).grading == [0]
+    A, B = make_divided_powers(1, P), make_reduced_poly(1, P)
+    T = tensor_product(A, B)
+    assert T.grading == [a + b for a, b in
+                         (tensor_pair(x, A.dim) for x in range(T.dim))]
+    assert tensor_product(golden_ring(P), A).grading is None
+    assert tensor_product(A, golden_ring(P)).grading is None
+
+
+def full_solve_delta1(A, target):
+    """Reference for solve_delta1: the whole coboundary system, one
+    block, as before gradings."""
+    sol = solve_sparse(A.coboundary_columns, target.flatten(), A.p)
+    return None if sol is None else commalg._columns(sol, A.dim)
+
+
+def _ungraded(A):
+    return CommAlgebra(A.p, A.labels, A.mult, A.unit, name=A.name)
+
+
+@pytest.mark.parametrize("name", ["O1(1)", "O1(2)", "O_2",
+                                  "O1(1)(x)O1(1)", "K", "O1(1),p=7"])
+def test_blockwise_solve_delta1_is_the_full_solve(name, monkeypatch):
+    A = ALGEBRAS[name][0]()
+    n, p, g = A.dim, A.p, A.grading
+    rng = random.Random(name)
+    targets = []
+    for _ in range(6):  # coboundaries of two degrees, perturbed or not
+        G = {}
+        while len({g[t] - g[s] for s, col in G.items() for t in col}) < min(
+                2, n):
+            G = family_add(G, {rng.randrange(n): {rng.randrange(n): 1}}, p,
+                           rng.randrange(1, p))
+        F = dense_delta1(A, G)
+        if rng.random() < 0.5:
+            F = SymmetricBilinearMap(A, family_add(F.values, {tuple(sorted(
+                (rng.randrange(n), rng.randrange(n)))): {rng.randrange(n): 1}},
+                p))
+        targets.append(F)
+    targets += _basic_cocycles(name, A)[:1] if n > 1 else []
+    targets.append(SymmetricBilinearMap(A, {}))
+    sizes, solve = [], commalg.solve_sparse
+
+    def spy(columns, target, p):
+        sizes.append(len(columns))
+        return solve(columns, target, p)
+
+    monkeypatch.setattr(commalg, "solve_sparse", spy)
+    U = _ungraded(A)
+    got = [solve_delta1(A, F) for F in targets]
+    want = [full_solve_delta1(A, F) for F in targets]
+    assert got == want
+    assert [solve_delta1(U, SymmetricBilinearMap(U, F.values))
+            for F in targets] == want
+    assert any(want) and (None in want) == (n > 1)  # Har^2(K) = 0
+    touched = [{g[t] - g[i] - g[j] for (i, j), vec in F.values.items()
+                for t in vec} for F in targets]
+    assert any(len(d) > 1 for d in touched) == (n > 1)
+    full = len(A.coboundary_columns)
+    assert sizes[-len(targets):] == [full] * len(targets)  # ungraded
+    if n > 1:
+        assert max(sizes[:len(targets)]) < full
+
+
+def test_solve_delta1_refuses_a_target_on_another_algebra():
+    # dG of G = (x^6 -> 4 x^3) on O1(1) at p = 7, read on O_1: no
+    # coboundary there, and a witness on O1(1) is no answer for it
+    A, B = make_divided_powers(1, 7), make_reduced_poly(1, 7)
+    vals = dense_delta1(A, {6: {3: 4}}).values
+    assert solve_delta1(A, SymmetricBilinearMap(A, vals)) == {6: {3: 4}}
+    F = SymmetricBilinearMap(B, vals)
+    assert solve_delta1(B, F) is None
+    with pytest.raises(ValueError,
+                       match=r"symmetric map acts on O_1, not on O1\(1\)"):
+        solve_delta1(A, F)
+    twin = make_divided_powers(1, 7)
+    assert solve_delta1(twin, SymmetricBilinearMap(A, vals)) == {6: {3: 4}}
