@@ -15,7 +15,6 @@ its instance and the reason, in place of its rows.  Provenance tags:
 """
 
 import json
-from collections import OrderedDict
 
 from .ceco import (cohomology_dim, weight_zero_reduce,
                    coboundary_witness, class_span_dim, massey_bracket,
@@ -150,16 +149,18 @@ def _lifted_h2(inst, ctx):
 
 
 def _h2_current_split(inst, ctx):
-    p = inst["p"]
+    p, m = inst["p"], inst.get("m", 1)
     W = make_w1(1, p)
-    A = make_divided_powers(1, p)
+    A = make_divided_powers(m, p)
     L = current_algebra(W, A)
     s1 = cohomology_dim(W, 2, budget=ctx.budget).dim * A.dim
     nder = len(derivation_space(A))
     har = harrison_h2(A)[0]
     total = cohomology_dim(L, 2, slice_=weight_zero_reduce(L),
                            budget=ctx.budget).dim
-    return [_row({"summands": [p] * 4, "sum": 4 * p, "h2": 4 * p},
+    q = p ** m
+    return [_row({"summands": [q] + [m * q] * 3, "sum": q * (1 + 3 * m),
+                  "h2": q * (1 + 3 * m)},
                  {"summands": [s1, nder, nder, har],
                   "sum": s1 + 2 * nder + har, "h2": total})]
 
@@ -172,11 +173,10 @@ def _class_independence(inst, ctx):
     phw = phi21(W)
     ders = derivation_space(A)
     _, freps = harrison_h2(A)
-    fams = OrderedDict()
-    fams["theta"] = [theta(L, phw, {u: 1}) for u in range(A.dim)]
-    fams["upsilon"] = [upsilon(L, F) for F in freps]
-    fams["psi"] = [psi(L, D) for D in ders]
-    fams["phi"] = [phi_big(L, D) for D in ders]
+    fams = {"theta": [theta(L, phw, {u: 1}) for u in range(A.dim)],
+            "upsilon": [upsilon(L, F) for F in freps],
+            "psi": [psi(L, D) for D in ders],
+            "phi": [phi_big(L, D) for D in ders]}
     computed = {name: class_span_dim(L, cs, budget=ctx.budget)
                 for name, cs in fams.items()}
     computed["union"] = class_span_dim(
@@ -369,7 +369,7 @@ def _trivial_coeffs(inst, ctx):
                   "ratio_is_dimA": left == right * A.dim})]
 
 
-CLAIMS = OrderedDict()
+CLAIMS = {}
 
 
 def _register(cid, statement, params, instances, runner, provenance="stated"):
@@ -405,7 +405,7 @@ _register(
     "dim H^2(W_1(1) (x) O_1) = dim H^2(W_1(1)) * dim O_1 + 2 dim Der(O_1) "
     "+ dim Har^2(O_1, O_1) = 4p, the total confirmed by direct "
     "weight-zero cohomology",
-    ("p",), [{"p": 5}], _h2_current_split)
+    ("p", "m"), [{"p": 5}], _h2_current_split)
 _register(
     "class-independence",
     "the four cocycle families on W_1(1) (x) O_1 span as many classes "

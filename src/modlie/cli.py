@@ -10,6 +10,7 @@ table.
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -123,56 +124,50 @@ def cmd_verify(args):
     return 0 if status == "pass" else 1
 
 
-# each builtin, with the options among --p, --n, --m that it reads
-BUILTINS = {"w1n": "pn", "sl2": "p", "w1n-x-om": "pnm", "sl2-x-om": "pm",
-            "ldef": "pm", "w1-sd": "pnm", "sl2-sd": "pm"}
+# the names the constructors print, and the only names cohomology takes
+GRAMMAR = ("W1(n), sl2, S(x)O1(m), S(x)O1(m)+d or L(O1(m),d), where S is "
+           "W1(n) or sl2 and n, m are integers >= 1")
+_NAME = re.compile(r"(?:W1\((?P<n>[1-9][0-9]*)\)|(?P<sl2>sl2))"
+                   r"(?:\(x\)O1\((?P<m>[1-9][0-9]*)\)(?P<d>\+d)?)?"
+                   r"|L\(O1\((?P<lm>[1-9][0-9]*)\),d\)")
 
 
-def _build_algebra(name, p, n, m):
-    if name == "w1n":
-        return make_w1(n, p)
-    if name == "sl2":
-        return make_sl2(p)
-    A = make_divided_powers(m, p)
-    if name == "w1n-x-om":
-        return current_algebra(make_w1(n, p), A)
-    if name == "sl2-x-om":
-        return current_algebra(make_sl2(p), A)
-    if name == "ldef":
+def _build_algebra(expr, p):
+    """The algebra expr names at characteristic p; its name is expr."""
+    g = _NAME.fullmatch(expr)
+    if g is None:
+        raise ValueError("malformed algebra %r: expected %s" % (expr, GRAMMAR))
+    if g["lm"]:
+        A = make_divided_powers(int(g["lm"]), p)
         return make_deformed(A, partial_derivation(A))
-    if name == "w1-sd":
-        return semidirect_current(make_w1(n, p), A, [partial_derivation(A)])
-    if name == "sl2-sd":
-        return semidirect_current(make_sl2(p), A, [partial_derivation(A)])
-    raise ValueError("unknown builtin %r (choose from %s or a .json file)"
-                     % (name, ", ".join(BUILTINS)))
+    S = make_sl2(p) if g["sl2"] else make_w1(int(g["n"]), p)
+    if g["m"] is None:
+        return S
+    A = make_divided_powers(int(g["m"]), p)
+    if g["d"]:
+        return semidirect_current(S, A, [partial_derivation(A)])
+    return current_algebra(S, A)
 
 
 def _load_algebra(args):
-    """The algebra args names; ValueError on an option it does not read
-    (a file reads none).  Absent ones default to p = 5, n = m = 1."""
+    """The algebra args names: an expression at --p (default 5), or an
+    algebra .json file, which carries its own p and refuses --p."""
     target = args.algebra
-    is_file = target.endswith(".json") or os.path.sep in target
-    reads = "" if is_file else BUILTINS.get(target, "pnm")
-    unread = ["--" + k for k in "pnm"
-              if getattr(args, k) is not None and k not in reads]
-    if unread:
-        raise ValueError("%s does not take %s" % (target, ", ".join(unread)))
-    if is_file:
-        try:
-            with open(target, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as e:
-            raise ValueError("cannot read %s: %s" % (target, e))
-        except ValueError as e:
-            raise ValueError("malformed JSON in %s: %s" % (target, e))
-        try:
-            return LieAlgebra.from_json(doc, name=os.path.basename(target))
-        except ValueError as e:
-            raise ValueError("malformed algebra file %s: %s" % (target, e))
-    return _build_algebra(target, *(
-        default if (v := getattr(args, k)) is None else v
-        for k, default in (("p", 5), ("n", 1), ("m", 1))))
+    if not (target.endswith(".json") or os.path.sep in target):
+        return _build_algebra(target, 5 if args.p is None else args.p)
+    if args.p is not None:
+        raise ValueError("%s does not take --p" % target)
+    try:
+        with open(target, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as e:
+        raise ValueError("cannot read %s: %s" % (target, e))
+    except ValueError as e:
+        raise ValueError("malformed JSON in %s: %s" % (target, e))
+    try:
+        return LieAlgebra.from_json(doc, name=os.path.basename(target))
+    except ValueError as e:
+        raise ValueError("malformed algebra file %s: %s" % (target, e))
 
 
 def cmd_cohomology(args):
@@ -240,9 +235,9 @@ def cmd_cohomology(args):
 
 
 def at_least_one(text):
-    """argparse type of --n, --m and --budget: an integer >= 1, so that
-    the error names the option rather than a constructor's own parameter
-    or a budget that no work fits."""
+    """argparse type of verify's --n and --m and of --budget: an integer
+    >= 1, so that the error names the option rather than a constructor's
+    own parameter or a budget that no work fits."""
     h = int(text)
     if h < 1:
         raise argparse.ArgumentTypeError("must be >= 1, got %d" % h)
@@ -252,9 +247,6 @@ def at_least_one(text):
 def _add_common(sp):
     sp.add_argument("--p", type=int, default=None,
                     help="characteristic (prime)")
-    sp.add_argument("--n", type=at_least_one, default=None, help="W-height n")
-    sp.add_argument("--m", type=at_least_one, default=None,
-                    help="divided-power height m")
     sp.add_argument("--budget", type=at_least_one, default=DEFAULT_BUDGET,
                     help="work budget for cohomology assembly")
     sp.add_argument("--output", choices=("json", "table"), default="table")
@@ -277,14 +269,16 @@ def main(argv=None):
                    help="also write the JSON report to this path")
     v.add_argument("--seed", type=int, default=0,
                    help="seed for randomized probes")
+    v.add_argument("--n", type=at_least_one, default=None, help="W-height n")
+    v.add_argument("--m", type=at_least_one, default=None,
+                   help="divided-power height m")
     _add_common(v)
     v.set_defaults(func=cmd_verify)
 
     c = sub.add_parser("cohomology", help="compute one cohomology dimension",
                        allow_abbrev=False)
-    c.add_argument("algebra",
-                   help="builtin (%s) or algebra .json file"
-                        % ", ".join(BUILTINS))
+    c.add_argument("algebra", help="%s (at --p, default 5), or an algebra "
+                                   ".json file" % GRAMMAR)
     c.add_argument("--deg", type=int, default=2, help="cohomology degree")
     c.add_argument("--module", choices=("adjoint", "trivial"),
                    default="adjoint")

@@ -351,9 +351,9 @@ def semidirect_current(L, A, Ds):
     grading = None if cur.grading is None else cur.grading + [0] * nt
     return LieAlgebra(
         L.p, labels, bracket, grading=grading, toral=cur.toral,
-        name="%s+tails" % cur.name,
+        name=cur.name + "".join("+" + D.name for D in Ds),
         meta={"kind": "semidirect", "L": L, "A": A, "Ds": list(Ds),
-              "dims": (L.dim, A.dim), "ntails": nt},
+              "dims": (L.dim, A.dim)},
         filtration=L.filtration)
 
 

@@ -54,6 +54,23 @@ def test_05_current_algebra_h2_splits_into_four_families():
                                "h2": 20}
 
 
+def test_h2_current_split_at_m_1_is_the_default_row():
+    (row,) = check("h2-current-split")
+    (at_m1,) = check("h2-current-split", {"m": 1})
+    assert (row["instance"], at_m1["instance"]) == ({"p": 5},
+                                                    {"p": 5, "m": 1})
+    for key in ("expected", "computed", "status", "statement"):
+        assert at_m1[key] == row[key]
+
+
+@pytest.mark.slow
+def test_h2_current_split_at_m_2():
+    # summands [p^m, m p^m, m p^m, m p^m], total p^m (1 + 3m)
+    (row,) = check("h2-current-split", {"m": 2})
+    assert row["computed"] == {"summands": [25, 50, 50, 50], "sum": 175,
+                               "h2": 175}
+
+
 def test_06_cocycle_families_span_independent_classes():
     (row,) = check("class-independence")
     assert row["computed"] == {"theta": 5, "upsilon": 5, "psi": 5,

@@ -1,6 +1,6 @@
 """Command-line surface: exit codes, deterministic JSON reports, the
 human table (timing lives only there), budget-skipped rows, and algebra
-input from builtins and JSON files."""
+input from expressions and JSON files."""
 
 import json
 import os
@@ -14,7 +14,9 @@ import modlie
 from modlie import cli
 from modlie.cli import main
 from modlie.claims import CLAIMS
-from modlie.liealg import make_sl2
+from modlie.commalg import make_divided_powers, partial_derivation
+from modlie.liealg import (current_algebra, make_deformed, make_sl2,
+                           make_w1, semidirect_current)
 
 
 def run(capsys, argv):
@@ -189,7 +191,7 @@ def test_budget_skips_each_instance_on_its_own_row(capsys):
 def test_budget_advice_is_given_once_in_the_words_of_the_command(capsys):
     # the library says what exceeded which budget; each command adds one
     # piece of advice, in its own options
-    argv = ["cohomology", "w1n", "--n", "2", "--budget", "500"]
+    argv = ["cohomology", "W1(2)", "--budget", "500"]
     rc, out, err = run(capsys, argv + ["--weight-reduction", "off"])
     assert rc == 1
     assert err == ("cohomology: differential exceeds the 500-entry budget; "
@@ -212,8 +214,8 @@ def test_commands_write_no_file_of_their_own(capsys, tmp_path, monkeypatch):
         (tmp_path / name).mkdir()
         monkeypatch.setenv(var, str(tmp_path / name))
     monkeypatch.chdir(tmp_path)
-    for argv in (["verify", "h2-w1-basic"], ["cohomology", "w1n"],
-                 ["cohomology", "w1n", "--output", "json"]):
+    for argv in (["verify", "h2-w1-basic"], ["cohomology", "W1(1)"],
+                 ["cohomology", "W1(1)", "--output", "json"]):
         assert run(capsys, argv)[0] == 0
     assert [f for f in tmp_path.rglob("*") if not f.is_dir()] == []
     # --json-out is the one file a command writes
@@ -245,7 +247,7 @@ def test_verify_json_out_writes_the_report_file(capsys, tmp_path):
 
 
 def test_cohomology_builtin_table_line(capsys):
-    rc, out, err = run(capsys, ["cohomology", "w1n"])
+    rc, out, err = run(capsys, ["cohomology", "W1(1)"])
     assert rc == 0
     # weight reduction kicks in by default: 10 weight-zero columns
     assert out.startswith("H^2(W1(1); adjoint) on ")
@@ -253,7 +255,8 @@ def test_cohomology_builtin_table_line(capsys):
 
 
 def test_cohomology_current_algebra_json(capsys):
-    rc, out, err = run(capsys, ["cohomology", "sl2-x-om", "--output", "json"])
+    rc, out, err = run(capsys, ["cohomology", "sl2(x)O1(1)",
+                                "--output", "json"])
     assert rc == 0
     doc = json.loads(out)
     assert doc["dim"] == 5
@@ -261,11 +264,11 @@ def test_cohomology_current_algebra_json(capsys):
 
 
 def test_cohomology_trivial_coefficients(capsys):
-    rc, out, err = run(capsys, ["cohomology", "w1n", "--module", "trivial",
+    rc, out, err = run(capsys, ["cohomology", "W1(1)", "--module", "trivial",
                                 "--weight-reduction", "off",
                                 "--output", "json"])
     assert json.loads(out)["dim"] == 1
-    rc, out, err = run(capsys, ["cohomology", "w1n-x-om",
+    rc, out, err = run(capsys, ["cohomology", "W1(1)(x)O1(1)",
                                 "--module", "trivial",
                                 "--weight-reduction", "off",
                                 "--output", "json"])
@@ -273,7 +276,7 @@ def test_cohomology_trivial_coefficients(capsys):
 
 
 def test_cohomology_dump_reps(capsys):
-    argv = ["cohomology", "w1n", "--dump-reps"]
+    argv = ["cohomology", "W1(1)", "--dump-reps"]
     rc, out, err = run(capsys, argv)
     assert rc == 0
     assert "rep 0: (e_1;e_3)->0:1 (e_2;e_3)->1:1" in out
@@ -283,7 +286,8 @@ def test_cohomology_dump_reps(capsys):
 
 
 def test_cohomology_stats_leave_the_report_alone(capsys):
-    argv = ["cohomology", "w1n-x-om", "--dump-reps", "--output", "json"]
+    argv = ["cohomology", "W1(1)(x)O1(1)", "--dump-reps",
+            "--output", "json"]
     rc, plain, err = run(capsys, argv)
     assert rc == 0 and err == ""
     rc, out, err = run(capsys, argv + ["--stats"])
@@ -302,12 +306,12 @@ def test_cohomology_stats_leave_the_report_alone(capsys):
 
 
 @pytest.mark.parametrize("extra, dim", [
-    (["--n", "2", "--deg", "1"], 1),
-    (["--deg", "3"], 2),
+    (["W1(2)", "--deg", "1"], 1),
+    (["W1(1)", "--deg", "3"], 2),
 ])
 def test_cohomology_dump_reps_table_names_every_argument(capsys, extra, dim):
     # the table lists each term as (labels of all arguments)->target:value
-    argv = ["cohomology", "w1n", "--dump-reps"] + extra
+    argv = ["cohomology", "--dump-reps"] + extra
     rc, out, err = run(capsys, argv + ["--output", "json"])
     assert rc == 0
     reps = json.loads(out)["representatives"]
@@ -345,8 +349,10 @@ def test_cohomology_bad_inputs(capsys, tmp_path):
     assert rc == 2 and "malformed algebra file" in err
     rc, out, err = run(capsys, ["cohomology", str(tmp_path / "none.json")])
     assert rc == 2 and "cannot read" in err
-    rc, out, err = run(capsys, ["cohomology", "not-a-builtin"])
-    assert rc == 2 and "unknown builtin" in err
+    rc, out, err = run(capsys, ["cohomology", "not-an-algebra"])
+    assert (rc, out) == (2, "")
+    assert err == ("cohomology: malformed algebra 'not-an-algebra': "
+                   "expected %s\n" % cli.GRAMMAR)
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -383,59 +389,91 @@ def test_cohomology_rejects_invalid_algebra_file(capsys, tmp_path, doc,
 
 def test_cohomology_p_zero_is_rejected(capsys):
     # --p 0 must not fall back to the default p = 5
-    rc, out, err = run(capsys, ["cohomology", "w1n", "--p", "0",
+    rc, out, err = run(capsys, ["cohomology", "W1(1)", "--p", "0",
                                 "--deg", "2"])
     assert rc == 2
     assert "p = 0 is not prime" in err
     assert out == ""
 
 
-@pytest.mark.parametrize("algebra, options", [
-    ("w1n", "pn"), ("sl2", "p"), ("w1n-x-om", "pnm"), ("sl2-x-om", "pm"),
-    ("ldef", "pm"), ("w1-sd", "pnm"), ("sl2-sd", "pm")])
-def test_cohomology_refuses_an_option_its_algebra_does_not_read(
-        capsys, algebra, options):
-    # each option it reads is taken (at its default, the same report);
-    # each other one, alone or with another, exits 2 and is named
-    base = ["cohomology", algebra, "--output", "json"]
-    given = {"p": "5", "n": "1", "m": "1"}
-    rc, plain, err = run(capsys, base)
-    assert rc == 0
-    taken = [x for k in options for x in ("--" + k, given[k])]
-    assert run(capsys, base + taken) == (0, plain, "")
-    unread = [k for k in "pnm" if k not in options]
-    for k in unread:
-        assert run(capsys, base + ["--" + k, "2"]) == (
-            2, "", "cohomology: %s does not take --%s\n" % (algebra, k))
-    if len(unread) == 2:
-        rc, out, err = run(capsys, base + ["--m", "2", "--n", "3"])
-        assert (rc, err) == (2, "cohomology: %s does not take --n, --m\n"
-                             % algebra)
+def _round_trip_points():
+    # two points of each production, one at p = 7 or with n or m = 2
+    O = make_divided_powers
+
+    def d(m, p):
+        return partial_derivation(O(m, p))
+    return [
+        (lambda: make_w1(1, 5), 5), (lambda: make_w1(2, 5), 5),
+        (lambda: make_sl2(5), 5), (lambda: make_sl2(7), 7),
+        (lambda: current_algebra(make_w1(1, 7), O(1, 7)), 7),
+        (lambda: current_algebra(make_sl2(5), O(2, 5)), 5),
+        (lambda: semidirect_current(make_w1(2, 5), O(1, 5), [d(1, 5)]), 5),
+        (lambda: semidirect_current(make_sl2(5), O(1, 5), [d(1, 5)]), 5),
+        (lambda: make_deformed(O(1, 5), d(1, 5)), 5),
+        (lambda: make_deformed(O(2, 5), d(2, 5)), 5),
+    ]
+
+
+@pytest.mark.parametrize("build, p", _round_trip_points(), ids=[
+    "W1(1)", "W1(2)", "sl2", "sl2-p7", "W1(1)(x)O1(1)-p7", "sl2(x)O1(2)",
+    "W1(2)(x)O1(1)+d", "sl2(x)O1(1)+d", "L(O1(1),d)", "L(O1(2),d)"])
+def test_every_printed_name_rebuilds_its_algebra(capsys, build, p):
+    L = build()
+    M = cli._build_algebra(L.name, p)
+    assert M.name == L.name
+    assert (M.p, M.labels, M.bracket) == (L.p, L.labels, L.bracket)
+    assert (M.grading, M.toral, M.filtration) == (L.grading, L.toral,
+                                                  L.filtration)
+    assert M.meta["kind"] == L.meta["kind"]
+    # and a report names its algebra by the expression that asked for it
+    rc, out, err = run(capsys, ["cohomology", L.name, "--p", str(p),
+                                "--deg", "1", "--output", "json"])
+    assert rc == 0, err
+    assert json.loads(out)["query"]["algebra"] == L.name
+
+
+@pytest.mark.parametrize("expr", [
+    "W1(0)", "L(O1(0),d)", "W1(01)", "w1n", "sl2+d", "W1(1)(x)",
+    "L(O1(1),x)"])
+def test_malformed_algebra_names_the_grammar(capsys, expr):
+    rc, out, err = run(capsys, ["cohomology", expr])
+    assert (rc, out) == (2, "")
+    assert err == "cohomology: malformed algebra %r: expected %s\n" % (
+        expr, cli.GRAMMAR)
+
+
+@pytest.mark.parametrize("option", ["--n", "--m"])
+def test_cohomology_takes_no_height_option(capsys, option):
+    # heights are written into the expression, W1(n) and O1(m)
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "W1(1)", option, "2"])
+    assert exc.value.code == 2
+    assert ("unrecognized arguments: %s 2" % option
+            in capsys.readouterr().err)
 
 
 def test_algebra_file_takes_no_builtin_option(capsys, tmp_path):
+    # a file carries its own p, so --p is refused, not ignored
     path = str(tmp_path / "alg.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(make_sl2(5).to_json(), fh)
-    for k in "pnm":
-        rc, out, err = run(capsys, ["cohomology", path, "--" + k, "5"])
-        assert (rc, out) == (2, "")
-        assert err == "cohomology: %s does not take --%s\n" % (path, k)
+    rc, out, err = run(capsys, ["cohomology", path, "--p", "5"])
+    assert (rc, out) == (2, "")
+    assert err == "cohomology: %s does not take --p\n" % path
 
 
-@pytest.mark.parametrize("option, algebra", [
-    ("--m", "w1n-x-om"), ("--m", "sl2-x-om"), ("--m", "ldef"),
-    ("--m", "w1-sd"), ("--m", "sl2-sd"), ("--n", "w1n")])
-def test_height_below_one_names_its_option(capsys, option, algebra):
+@pytest.mark.parametrize("option, claim", [
+    ("--n", "dimh1-w1n"), ("--m", "lifted-h2")])
+def test_height_below_one_names_its_option(capsys, option, claim):
     with pytest.raises(SystemExit) as exc:
-        main(["cohomology", algebra, option, "0"])
+        main(["verify", claim, option, "0"])
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "argument %s: must be >= 1, got 0" % option in err
 
 
 @pytest.mark.parametrize("argv", [
-    ["cohomology", "w1n", "--budget", "-5"],
+    ["cohomology", "W1(1)", "--budget", "-5"],
     ["verify", "h2-w1-basic", "--budget", "0"]])
 def test_budget_below_one_is_refused(capsys, argv):
     # -5 used to reach the enumeration ("C^2 has over -5 tuples") and 0
@@ -450,14 +488,14 @@ def test_budget_below_one_is_refused(capsys, argv):
 def test_cohomology_takes_no_seed(capsys):
     # only verify has randomized probes; cohomology would ignore a seed
     with pytest.raises(SystemExit) as exc:
-        main(["cohomology", "w1n", "--seed", "3"])
+        main(["cohomology", "W1(1)", "--seed", "3"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv, option", [
-    (["cohomology", "w1n", "--n", "1", "--degree", "2"], "--degree"),
-    (["cohomology", "w1n", "--weight", "off"], "--weight"),
+    (["cohomology", "W1(1)", "--degree", "2"], "--degree"),
+    (["cohomology", "W1(1)", "--weight", "off"], "--weight"),
     (["verify", "h2-w1-basic", "--json", "report.json"], "--json")])
 def test_abbreviated_options_are_refused(capsys, argv, option):
     # read as a prefix, --degree 2 was --degree-slice 2: the empty degree-2
@@ -469,6 +507,7 @@ def test_abbreviated_options_are_refused(capsys, argv, option):
 
 
 def test_degree_slice_refused_on_filtered_builtin(capsys):
-    rc, out, err = run(capsys, ["cohomology", "ldef", "--degree-slice", "5"])
+    rc, out, err = run(capsys, ["cohomology", "L(O1(1),d)",
+                                "--degree-slice", "5"])
     assert rc == 2
     assert "degree slices are invalid on a filtered algebra" in err

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from modlie.ceco import (Cochain, ce_differential, coboundary_witness,
                          cohomology_dim, weight_zero_reduce)
-from modlie.cli import BUILTINS, _build_algebra
+from modlie.cli import _build_algebra
 from modlie.commalg import (
     CommAlgebra,
     Derivation,
@@ -165,18 +165,25 @@ def dense_center(L):
             for f in range(n) if f not in pivots]
 
 
-@pytest.mark.parametrize("name", [*BUILTINS, "heis-x-om"])
-def test_center_matches_a_dense_kernel(name):
+# the seven families of cli.GRAMMAR at n = m = 1, keyed by test id
+FAMILIES = {"w1n": "W1(1)", "sl2": "sl2", "w1n-x-om": "W1(1)(x)O1(1)",
+            "sl2-x-om": "sl2(x)O1(1)", "ldef": "L(O1(1),d)",
+            "w1-sd": "W1(1)(x)O1(1)+d", "sl2-sd": "sl2(x)O1(1)+d"}
+
+
+@pytest.mark.parametrize("expr", [*FAMILIES.values(), "heis-x-om"],
+                         ids=[*FAMILIES, "heis-x-om"])
+def test_center_matches_a_dense_kernel(expr):
     # center brackets with the generators only, since a centralizer is a
     # subalgebra; the dense kernel brackets with every basis element
-    if name == "heis-x-om":
+    if expr == "heis-x-om":
         H = LieAlgebra(P, ["x", "y", "z"], {(0, 1): {2: 1}}, name="heis")
         L = current_algebra(H, make_divided_powers(1, P))
     else:
-        L = _build_algebra(name, P, 1, 1)
+        L = _build_algebra(expr, P)
     want = dense_center(L)
     assert center(L) == want
-    assert len(want) == (5 if name == "heis-x-om" else 0)
+    assert len(want) == (5 if expr == "heis-x-om" else 0)
 
 
 def test_positive_part_of_w1_is_solvable():
@@ -647,11 +654,11 @@ def test_sparse_jacobi_matches_dense_reference_on_flipped_constants():
     assert failures > 0
 
 
-@pytest.mark.parametrize("name", BUILTINS)
-def test_jacobi_certificate_matches_dense_reference_on_flipped_builtins(name):
+@pytest.mark.parametrize("expr", FAMILIES.values(), ids=FAMILIES)
+def test_jacobi_certificate_matches_dense_reference_on_flipped_builtins(expr):
     # deform flips one structure constant c to -c; its certificate on the
     # generators gives the verdict and the message of the dense loop
-    L = _build_algebra(name, P, 1, 1)
+    L = _build_algebra(expr, P)
     entries = [(key, k) for key, vec in sorted(L.bracket.items())
                for k in sorted(vec)]
     failures = 0
@@ -683,29 +690,30 @@ def _generated_dim(L, gens):
 
 
 # the generating sets found, pinned since they set the speed of
-# cohomology_dim: (builtin, p, n) -> generators
+# cohomology_dim: (expression, p) -> generators
 GENERATORS = {
-    ("w1n", P, 1): (0, 4), ("sl2", P, 1): (0, 2),
-    ("w1n-x-om", P, 1): (at(-1, 0), at(3, 1), at(3, 0)),
-    ("sl2-x-om", P, 1): (at(-1, 0, 3), at(-1, 1, 3), at(1, 0, 3)),
-    ("ldef", P, 1): (0, 24), ("w1-sd", P, 1): (0, 24, 25),
-    ("sl2-sd", P, 1): (15, at(-1, 4, 3), at(1, 4, 3)), ("w1n", P, 2): (0, 24),
-    ("w1n-x-om", 7, 1): (at(-1, 0, 7), at(5, 1, 7), at(5, 0, 7)),
-    ("w1n", 7, 2): (0, 48),
+    ("W1(1)", P): (0, 4), ("sl2", P): (0, 2),
+    ("W1(1)(x)O1(1)", P): (at(-1, 0), at(3, 1), at(3, 0)),
+    ("sl2(x)O1(1)", P): (at(-1, 0, 3), at(-1, 1, 3), at(1, 0, 3)),
+    ("L(O1(1),d)", P): (0, 24), ("W1(1)(x)O1(1)+d", P): (0, 24, 25),
+    ("sl2(x)O1(1)+d", P): (15, at(-1, 4, 3), at(1, 4, 3)),
+    ("W1(2)", P): (0, 24),
+    ("W1(1)(x)O1(1)", 7): (at(-1, 0, 7), at(5, 1, 7), at(5, 0, 7)),
+    ("W1(2)", 7): (0, 48),
 }
 
 
-@pytest.mark.parametrize("name, p, n", [
-    pytest.param(*key, id="%s-%d" % (key[0], key[2])
-                 + ("-p%d" % key[1] if key[1] != P else ""))
-    for key in GENERATORS])
-def test_generators_generate_every_builtin(name, p, n):
-    assert set(BUILTINS) <= {b for b, _, _ in GENERATORS}
-    L = _build_algebra(name, p, n, 1)
+@pytest.mark.parametrize("expr, p", GENERATORS, ids=[
+    "w1n-1", "sl2-1", "w1n-x-om-1", "sl2-x-om-1", "ldef-1", "w1-sd-1",
+    "sl2-sd-1", "w1n-2", "w1n-x-om-1-p7", "w1n-2-p7"])
+def test_generators_generate_every_builtin(expr, p):
+    # every production of the grammar has a pin
+    assert set(FAMILIES.values()) <= {e for e, _ in GENERATORS}
+    L = _build_algebra(expr, p)
     # found on first use, but a deformation certifies Jacobi with them
-    assert ("generators" in vars(L)) == (name == "ldef")
+    assert ("generators" in vars(L)) == expr.startswith("L(")
     gens = L.generators
-    assert gens == GENERATORS[(name, p, n)]
+    assert gens == GENERATORS[(expr, p)]
     assert gens and len(set(gens)) == len(gens)
     assert all(0 <= g < L.dim for g in gens)
     assert _generated_dim(L, gens) == L.dim
