@@ -24,10 +24,9 @@ from .commalg import (make_divided_powers, partial_derivation,
                       der_coinvariants, harrison_h2,
                       harrison_h2_d_invariants, hochschild_hn_dim,
                       basic_harrison_cocycle, is_harrison_cocycle,
-                      star_action, solve_delta1, zero_derivation)
-from .liealg import (make_w1, make_sl2, current_algebra, make_deformed,
-                     semidirect_current, kuznetsov_map, verify_morphism,
-                     center, derived_series, find_proper_ideal)
+                      star_action, solve_delta1)
+from .liealg import (build_algebra, kuznetsov_map, verify_morphism, center,
+                     derived_series, find_proper_ideal)
 from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, LinearMap,
                      tensor_index, tensor_pair)
 from .cocycles import (phi21, theta, upsilon, psi, phi_big, psi_t,
@@ -96,8 +95,7 @@ def _row(expected, computed, **extra):
 # ---------------------------------------------------------------- claims
 
 def _h2_w1_basic(inst, ctx):
-    p = inst["p"]
-    W = make_w1(1, p)
+    W = build_algebra("W1(1)", inst["p"])
     res = cohomology_dim(W, 2, budget=ctx.budget)
     c = phi21(W)  # raises if not closed
     bounds = coboundary_witness(W, c, budget=ctx.budget) is not None
@@ -109,8 +107,8 @@ def _h2_w1_basic(inst, ctx):
 
 def _dim_w1n(k, a, b):
     def run(inst, ctx):  # dim H^k(W_1(n), W_1(n)) = a n - b
-        p, n = inst["p"], inst["n"]
-        W = make_w1(n, p)
+        n = inst["n"]
+        W = build_algebra("W1(%d)" % n, inst["p"])
         slc = weight_zero_reduce(W) if W.dim > 10 else None
         res = cohomology_dim(W, k, slice_=slc, budget=ctx.budget)
         return [_row(a * n - b, res.dim)]
@@ -131,14 +129,13 @@ def _kuznetsov(inst, ctx):
 
 
 def _lifted_h2(inst, ctx):
-    p, m = inst["p"], inst["m"]
-    A = make_divided_powers(m, p)
-    D = partial_derivation(A)
+    m = inst["m"]
+    Ld = build_algebra("L(O1(%d),d)" % m, inst["p"])
+    A, D = Ld.meta["A"], Ld.meta["D"]
     inv = len(d_invariants(A, D))
     codim, _ = der_coinvariants(A, D)
     derinv = len(der_invariants(A, D))
     har, _ = harrison_h2_d_invariants(A, D)
-    Ld = make_deformed(A, D)
     h2 = cohomology_dim(Ld, 2, slice_=weight_zero_reduce(Ld),
                         budget=ctx.budget).dim
     summands = [inv, codim, derinv, har]
@@ -150,9 +147,8 @@ def _lifted_h2(inst, ctx):
 
 def _h2_current_split(inst, ctx):
     p, m = inst["p"], inst.get("m", 1)
-    W = make_w1(1, p)
-    A = make_divided_powers(m, p)
-    L = current_algebra(W, A)
+    L = build_algebra("W1(1)(x)O1(%d)" % m, p)
+    W, A = L.meta["L"], L.meta["A"]
     s1 = cohomology_dim(W, 2, budget=ctx.budget).dim * A.dim
     nder = len(derivation_space(A))
     har = harrison_h2(A)[0]
@@ -166,10 +162,8 @@ def _h2_current_split(inst, ctx):
 
 
 def _class_independence(inst, ctx):
-    p = inst["p"]
-    W = make_w1(1, p)
-    A = make_divided_powers(1, p)
-    L = current_algebra(W, A)
+    L = build_algebra("W1(1)(x)O1(1)", inst["p"])
+    W, A = L.meta["L"], L.meta["A"]
     phw = phi21(W)
     ders = derivation_space(A)
     _, freps = harrison_h2(A)
@@ -225,29 +219,22 @@ def _hochschild_harrison(inst, ctx):
     return rows
 
 
-def _h2plus(S_name):
-    def run(inst, ctx):
-        p, m = inst["p"], inst["m"]
-        S = make_w1(1, p) if S_name == "w1" else make_sl2(p)
-        B = make_divided_powers(m, p)
-        L = semidirect_current(S, B, [partial_derivation(B)])
+def _h2plus(S, expected):
+    def run(inst, ctx):  # dim H^2_+(S (x) O1(m) + K d) = expected
+        L = build_algebra("%s(x)O1(%d)+d" % (S, inst["m"]), inst["p"])
         total, _ = positive_cohomology(L, 2, ctx.budget)
-        return [_row(1 if S_name == "w1" else 0, total)]
+        return [_row(expected, total)]
     return run
 
 
 def _massey(inst, ctx):
     p, n, m = inst["p"], inst["n"], inst["m"]
-    W1 = make_w1(1, p)
-    A = make_divided_powers(m, p)
-    L1 = current_algebra(W1, A)
-    phi = phi_big(L1, partial_derivation(A))
+    L1 = build_algebra("W1(1)(x)O1(%d)" % m, p)
+    phi = phi_big(L1, partial_derivation(L1.meta["A"]))
     sq_zero = massey_bracket(phi, phi).is_zero()
 
-    W = make_w1(n, p)
-    B = make_divided_powers(m, p)
-    dB = partial_derivation(B)
-    L = semidirect_current(W, B, [dB])
+    L = build_algebra("W1(%d)(x)O1(%d)+d" % (n, m), p)
+    W, B, (dB,) = L.meta["L"], L.meta["A"], L.meta["Ds"]
     cocycles = [theta(L, psi_t(W, t), B.unit_vec) for t in range(1, n)]
     cocycles.append(phi_big(L, dB))
     pair_zero = all(massey_bracket(a, b).is_zero()
@@ -262,10 +249,11 @@ def _massey(inst, ctx):
                   "jacobi": out.jacobi_checked})]
 
 
-def _outer_intersection(L, A):
-    """dim of (1 (x) Der(A)) meet ad(L (x) A), by exact ranks of the
-    operators on L.generators, which fix a derivation."""
-    gens, w = L.generators, L.meta["dims"][0]
+def _outer_intersection(L):
+    """dim of (1 (x) Der(A)) meet ad(S (x) A) on a current algebra L = S (x)
+    A, by exact ranks of the operators on L.generators, which fix a
+    derivation."""
+    A, gens, w = L.meta["A"], L.generators, L.meta["dims"][0]
     ad_ech = Echelon(L.p)
     for k in range(L.dim):
         ad = LinearMap(L, L, {j: L.bracket_pair(k, j) for j in gens})
@@ -285,15 +273,13 @@ def _outer_intersection(L, A):
 
 def _simplicity_full(inst, ctx):
     p = inst["p"]
-    A = make_divided_powers(1, p)
-    D = partial_derivation(A)
     rows = []
 
     # proper ideals: none in the deformed algebra, visible ones in the
     # plain current algebra and in the deformation by the zero derivation
-    Ld = make_deformed(A, D)
-    L = current_algebra(make_w1(1, p), A)
-    L0 = make_deformed(A, zero_derivation(A))
+    Ld = build_algebra("L(O1(1),d)", p)
+    L = build_algebra("W1(1)(x)O1(1)", p)
+    L0 = build_algebra("L(O1(1),0)", p)
     f1 = find_proper_ideal(Ld, seed=ctx.seed)
     f2 = find_proper_ideal(L, seed=ctx.seed)
     f3 = find_proper_ideal(L0, seed=ctx.seed)
@@ -314,18 +300,15 @@ def _simplicity_full(inst, ctx):
     # current algebra is perfect and non-solvable, and no nonzero
     # operator 1 (x) d is inner
     probes = []
-    A2 = make_divided_powers(2, p)
-    insts = [(current_algebra(make_w1(1, p), A), A),
-             (current_algebra(make_sl2(p), A), A),
-             (current_algebra(make_w1(1, p), A2), A2)]
-    for Lc, Ac in insts:
+    for Lc in (L, build_algebra("sl2(x)O1(1)", p),
+               build_algebra("W1(1)(x)O1(2)", p)):
         series = derived_series(Lc)
         probes.append({
             "algebra": Lc.name,
             "center": len(center(Lc)),
             "perfect": series[-1] == Lc.dim,
             "solvable": series[-1] == 0,
-            "outer_intersection": _outer_intersection(Lc, Ac),
+            "outer_intersection": _outer_intersection(Lc),
         })
     expected = [{"algebra": pr["algebra"], "center": 0, "perfect": True,
                  "solvable": False, "outer_intersection": 0}
@@ -340,28 +323,24 @@ def _simplicity_full(inst, ctx):
 
 def _vanishing(inst, ctx):
     p = inst["p"]
-    W2 = make_w1(2, p)
-    L = current_algebra(make_w1(1, p), make_divided_powers(1, p))
+    W2 = build_algebra("W1(2)", p)
+    L = build_algebra("W1(1)(x)O1(1)", p)
     checks = []
-    for name, alg, w in (("w1n", W2, 1), ("w1n", W2, 2),
-                         ("current", L, 1), ("current", L, 3)):
-        d = cohomology_dim(alg, 2,
-                           slice_=ComplexSlice(alg, weight=w),
+    for alg, grade in ((W2, {"weight": 1}), (W2, {"weight": 2}),
+                       (L, {"weight": 1}), (L, {"weight": 3}),
+                       (L, {"degree": 1}), (L, {"degree": 3}),
+                       (L, {"degree": p + 2})):
+        d = cohomology_dim(alg, 2, slice_=ComplexSlice(alg, **grade),
                            budget=ctx.budget).dim
-        checks.append({"algebra": name, "weight": w, "dim": d})
-    for deg in (1, 3, p + 2):
-        d = cohomology_dim(L, 2, slice_=ComplexSlice(L, degree=deg),
-                           budget=ctx.budget).dim
-        checks.append({"algebra": "current", "degree": deg, "dim": d})
+        checks.append(dict(grade, algebra=alg.name, dim=d))
     expected = [dict(c, dim=0) for c in checks]
     return [_row(expected, checks)]
 
 
 def _trivial_coeffs(inst, ctx):
     p = inst["p"]
-    W = make_w1(1, p)
-    A = make_divided_powers(1, p)
-    L = current_algebra(W, A)
+    L = build_algebra("W1(1)(x)O1(1)", p)
+    W, A = L.meta["L"], L.meta["A"]
     left = cohomology_dim(L, 2, module="trivial", budget=ctx.budget).dim
     right = cohomology_dim(W, 2, module="trivial", budget=ctx.budget).dim
     return [_row({"current": p, "base": 1, "ratio_is_dimA": True},
@@ -402,9 +381,9 @@ _register(
     ("p", "m"), [{"p": 5, "m": 1}], _lifted_h2)
 _register(
     "h2-current-split",
-    "dim H^2(W_1(1) (x) O_1) = dim H^2(W_1(1)) * dim O_1 + 2 dim Der(O_1) "
-    "+ dim Har^2(O_1, O_1) = 4p, the total confirmed by direct "
-    "weight-zero cohomology",
+    "dim H^2(W_1(1) (x) O_1(m)) = dim H^2(W_1(1)) * dim O_1(m) "
+    "+ 2 dim Der(O_1(m)) + dim Har^2(O_1(m), O_1(m)) = p^m(1 + 3m), the "
+    "total confirmed by direct weight-zero cohomology",
     ("p", "m"), [{"p": 5}], _h2_current_split)
 _register(
     "class-independence",
@@ -425,11 +404,11 @@ _register(
 _register(
     "h2plus-w1",
     "the positive part of H^2 of W_1(1) (x) O_1 + K d is 1-dimensional",
-    ("p",), [{"p": 5, "m": 1}], _h2plus("w1"), provenance="derived")
+    ("p",), [{"p": 5, "m": 1}], _h2plus("W1(1)", 1), provenance="derived")
 _register(
     "h2plus-sl2",
     "the positive part of H^2 of sl_2 (x) O_1 + K d vanishes",
-    ("p", "m"), [{"p": 5, "m": 1}], _h2plus("sl2"))
+    ("p", "m"), [{"p": 5, "m": 1}], _h2plus("sl2", 0))
 _register(
     "massey-certificates",
     "[Phi_d, Phi_d] = 0 on W_1(1) (x) O_1; the positive cocycles of the "

@@ -10,7 +10,6 @@ table.
 import argparse
 import json
 import os
-import re
 import subprocess
 import sys
 import time
@@ -18,9 +17,7 @@ import time
 from . import __version__
 from .ceco import BudgetExceeded, ComplexSlice, cohomology_dim, DEFAULT_BUDGET
 from .claims import CLAIMS, Ctx, resolve_claim
-from .commalg import make_divided_powers, partial_derivation
-from .liealg import (LieAlgebra, make_w1, make_sl2, current_algebra,
-                     make_deformed, semidirect_current)
+from .liealg import GRAMMAR, LieAlgebra, build_algebra
 
 FORCED_BUDGET = 10 ** 12
 
@@ -124,37 +121,12 @@ def cmd_verify(args):
     return 0 if status == "pass" else 1
 
 
-# the names the constructors print, and the only names cohomology takes
-GRAMMAR = ("W1(n), sl2, S(x)O1(m), S(x)O1(m)+d or L(O1(m),d), where S is "
-           "W1(n) or sl2 and n, m are integers >= 1")
-_NAME = re.compile(r"(?:W1\((?P<n>[1-9][0-9]*)\)|(?P<sl2>sl2))"
-                   r"(?:\(x\)O1\((?P<m>[1-9][0-9]*)\)(?P<d>\+d)?)?"
-                   r"|L\(O1\((?P<lm>[1-9][0-9]*)\),d\)")
-
-
-def _build_algebra(expr, p):
-    """The algebra expr names at characteristic p; its name is expr."""
-    g = _NAME.fullmatch(expr)
-    if g is None:
-        raise ValueError("malformed algebra %r: expected %s" % (expr, GRAMMAR))
-    if g["lm"]:
-        A = make_divided_powers(int(g["lm"]), p)
-        return make_deformed(A, partial_derivation(A))
-    S = make_sl2(p) if g["sl2"] else make_w1(int(g["n"]), p)
-    if g["m"] is None:
-        return S
-    A = make_divided_powers(int(g["m"]), p)
-    if g["d"]:
-        return semidirect_current(S, A, [partial_derivation(A)])
-    return current_algebra(S, A)
-
-
 def _load_algebra(args):
     """The algebra args names: an expression at --p (default 5), or an
     algebra .json file, which carries its own p and refuses --p."""
     target = args.algebra
     if not (target.endswith(".json") or os.path.sep in target):
-        return _build_algebra(target, 5 if args.p is None else args.p)
+        return build_algebra(target, 5 if args.p is None else args.p)
     if args.p is not None:
         raise ValueError("%s does not take --p" % target)
     try:

@@ -7,6 +7,8 @@ deformed current algebras L(A, D) whose extra term Phi_D lives on the
 (e_{-1}, e_{-1}) block (phi_block), the Kuznetsov identification of W1(n)
 with L(O1(n-1), d), the identity map on linalg.tensor_index, and deform,
 the one builder of a filtered deformation, which records its base.
+build_algebra parses the names these constructors print (GRAMMAR), the
+one vocabulary in which the CLI and the claims name their algebras.
 Structure probes are exact sparse computations: Jacobi, the center and
 ideals rest on L.generators (linalg.greedy_generators), which every
 probe needing Jacobi reads first, at any dimension; spans are closed by
@@ -14,13 +16,15 @@ Echelon.close.
 """
 
 import random
+import re
 from collections import defaultdict
 from functools import cached_property
 from itertools import combinations
 
 from .arith import check_prime, structure_constant_N
 from .commalg import (_check_acts_on, make_divided_powers,
-                      partial_derivation, tensor_derivation, tensor_product)
+                      partial_derivation, tensor_derivation, tensor_product,
+                      zero_derivation)
 from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_eval,
                      bilinear_get, bilinear_pairs, bilinear_table,
                      bilinear_tensor, check_family, check_grading, circle,
@@ -34,6 +38,8 @@ __all__ = [
     "current_algebra",
     "semidirect_current",
     "make_deformed",
+    "GRAMMAR",
+    "build_algebra",
     "deform",
     "e_minus_one_block",
     "phi_block",
@@ -403,6 +409,32 @@ def make_deformed(A, D):
     return deform(cur, phi_block(cur, D), "L(%s,%s)" % (A.name, D.name),
                   {"kind": "deformed", "L": W, "A": A, "D": D,
                    "dims": (W.dim, A.dim)})
+
+
+# the names the constructors print, and the only names build_algebra takes
+GRAMMAR = ("W1(n), sl2, S(x)O1(m), S(x)O1(m)+d, L(O1(m),d) or L(O1(m),0), "
+           "where S is W1(n) or sl2 and n, m are integers >= 1")
+_NAME = re.compile(r"(?:W1\((?P<n>[1-9][0-9]*)\)|(?P<sl2>sl2))"
+                   r"(?:\(x\)O1\((?P<m>[1-9][0-9]*)\)(?P<d>\+d)?)?"
+                   r"|L\(O1\((?P<lm>[1-9][0-9]*)\),(?P<ld>[d0])\)")
+
+
+def build_algebra(expr, p):
+    """The algebra expr names at characteristic p; its name is expr."""
+    g = _NAME.fullmatch(expr)
+    if g is None:
+        raise ValueError("malformed algebra %r: expected %s" % (expr, GRAMMAR))
+    if g["lm"]:
+        A = make_divided_powers(int(g["lm"]), p)
+        return make_deformed(A, partial_derivation(A) if g["ld"] == "d"
+                             else zero_derivation(A))
+    S = make_sl2(p) if g["sl2"] else make_w1(int(g["n"]), p)
+    if g["m"] is None:
+        return S
+    A = make_divided_powers(int(g["m"]), p)
+    if g["d"]:
+        return semidirect_current(S, A, [partial_derivation(A)])
+    return current_algebra(S, A)
 
 
 def verify_morphism(f):

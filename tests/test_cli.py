@@ -11,10 +11,11 @@ import sys
 import pytest
 
 import modlie
-from modlie import cli
+from modlie import claims, cli, liealg
 from modlie.cli import main
 from modlie.claims import CLAIMS
-from modlie.commalg import make_divided_powers, partial_derivation
+from modlie.commalg import (make_divided_powers, partial_derivation,
+                            zero_derivation)
 from modlie.liealg import (current_algebra, make_deformed, make_sl2,
                            make_w1, semidirect_current)
 
@@ -352,7 +353,7 @@ def test_cohomology_bad_inputs(capsys, tmp_path):
     rc, out, err = run(capsys, ["cohomology", "not-an-algebra"])
     assert (rc, out) == (2, "")
     assert err == ("cohomology: malformed algebra 'not-an-algebra': "
-                   "expected %s\n" % cli.GRAMMAR)
+                   "expected %s\n" % liealg.GRAMMAR)
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -411,15 +412,18 @@ def _round_trip_points():
         (lambda: semidirect_current(make_sl2(5), O(1, 5), [d(1, 5)]), 5),
         (lambda: make_deformed(O(1, 5), d(1, 5)), 5),
         (lambda: make_deformed(O(2, 5), d(2, 5)), 5),
+        (lambda: make_deformed(O(1, 5), zero_derivation(O(1, 5))), 5),
+        (lambda: make_deformed(O(2, 5), zero_derivation(O(2, 5))), 5),
     ]
 
 
 @pytest.mark.parametrize("build, p", _round_trip_points(), ids=[
     "W1(1)", "W1(2)", "sl2", "sl2-p7", "W1(1)(x)O1(1)-p7", "sl2(x)O1(2)",
-    "W1(2)(x)O1(1)+d", "sl2(x)O1(1)+d", "L(O1(1),d)", "L(O1(2),d)"])
+    "W1(2)(x)O1(1)+d", "sl2(x)O1(1)+d", "L(O1(1),d)", "L(O1(2),d)",
+    "L(O1(1),0)", "L(O1(2),0)"])
 def test_every_printed_name_rebuilds_its_algebra(capsys, build, p):
     L = build()
-    M = cli._build_algebra(L.name, p)
+    M = liealg.build_algebra(L.name, p)
     assert M.name == L.name
     assert (M.p, M.labels, M.bracket) == (L.p, L.labels, L.bracket)
     assert (M.grading, M.toral, M.filtration) == (L.grading, L.toral,
@@ -432,14 +436,50 @@ def test_every_printed_name_rebuilds_its_algebra(capsys, build, p):
     assert json.loads(out)["query"]["algebra"] == L.name
 
 
+def _printed_algebras(node):
+    """The "algebra" values in a report fragment, at any depth."""
+    if isinstance(node, dict):
+        if "algebra" in node:
+            yield node["algebra"]
+        for v in node.values():
+            yield from _printed_algebras(v)
+    elif isinstance(node, list):
+        for v in node:
+            yield from _printed_algebras(v)
+
+
+def test_every_algebra_verify_prints_rebuilds_its_algebra(capsys,
+                                                          monkeypatch):
+    # a verify row names each algebra it reports on in the grammar, so
+    # the name rebuilds the algebra the claim computed on
+    built = {}
+
+    def record(expr, p):
+        L = liealg.build_algebra(expr, p)
+        built[(L.name, p)] = L
+        return L
+    monkeypatch.setattr(claims, "build_algebra", record)
+    rc, out, err = run(capsys, ["verify", "all", "--output", "json"])
+    assert rc == 0, err
+    printed = {(name, r["instance"]["p"])
+               for r in json.loads(out)["claims"]
+               for name in _printed_algebras([r["expected"], r["computed"]])}
+    assert {name for name, _ in printed} == {
+        "W1(1)(x)O1(1)", "sl2(x)O1(1)", "W1(1)(x)O1(2)", "W1(2)"}
+    for name, p in sorted(printed):
+        M = liealg.build_algebra(name, p)
+        assert M.name == name
+        assert M.bracket == built[(name, p)].bracket
+
+
 @pytest.mark.parametrize("expr", [
     "W1(0)", "L(O1(0),d)", "W1(01)", "w1n", "sl2+d", "W1(1)(x)",
-    "L(O1(1),x)"])
+    "L(O1(1),x)", "L(O1(1),1)"])
 def test_malformed_algebra_names_the_grammar(capsys, expr):
     rc, out, err = run(capsys, ["cohomology", expr])
     assert (rc, out) == (2, "")
     assert err == "cohomology: malformed algebra %r: expected %s\n" % (
-        expr, cli.GRAMMAR)
+        expr, liealg.GRAMMAR)
 
 
 @pytest.mark.parametrize("option", ["--n", "--m"])

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from modlie.ceco import (Cochain, ce_differential, coboundary_witness,
                          cohomology_dim, weight_zero_reduce)
-from modlie.cli import _build_algebra
 from modlie.commalg import (
     CommAlgebra,
     Derivation,
@@ -34,6 +33,7 @@ from modlie.commalg import (
 )
 from modlie.liealg import (
     LieAlgebra,
+    build_algebra,
     center,
     current_algebra,
     deform,
@@ -165,10 +165,11 @@ def dense_center(L):
             for f in range(n) if f not in pivots]
 
 
-# the seven families of cli.GRAMMAR at n = m = 1, keyed by test id
+# the eight families of liealg.GRAMMAR at n = m = 1, keyed by test id
 FAMILIES = {"w1n": "W1(1)", "sl2": "sl2", "w1n-x-om": "W1(1)(x)O1(1)",
             "sl2-x-om": "sl2(x)O1(1)", "ldef": "L(O1(1),d)",
-            "w1-sd": "W1(1)(x)O1(1)+d", "sl2-sd": "sl2(x)O1(1)+d"}
+            "w1-sd": "W1(1)(x)O1(1)+d", "sl2-sd": "sl2(x)O1(1)+d",
+            "ldef-0": "L(O1(1),0)"}
 
 
 @pytest.mark.parametrize("expr", [*FAMILIES.values(), "heis-x-om"],
@@ -180,7 +181,7 @@ def test_center_matches_a_dense_kernel(expr):
         H = LieAlgebra(P, ["x", "y", "z"], {(0, 1): {2: 1}}, name="heis")
         L = current_algebra(H, make_divided_powers(1, P))
     else:
-        L = _build_algebra(expr, P)
+        L = build_algebra(expr, P)
     want = dense_center(L)
     assert center(L) == want
     assert len(want) == (5 if expr == "heis-x-om" else 0)
@@ -658,7 +659,7 @@ def test_sparse_jacobi_matches_dense_reference_on_flipped_constants():
 def test_jacobi_certificate_matches_dense_reference_on_flipped_builtins(expr):
     # deform flips one structure constant c to -c; its certificate on the
     # generators gives the verdict and the message of the dense loop
-    L = _build_algebra(expr, P)
+    L = build_algebra(expr, P)
     entries = [(key, k) for key, vec in sorted(L.bracket.items())
                for k in sorted(vec)]
     failures = 0
@@ -696,6 +697,8 @@ GENERATORS = {
     ("W1(1)(x)O1(1)", P): (at(-1, 0), at(3, 1), at(3, 0)),
     ("sl2(x)O1(1)", P): (at(-1, 0, 3), at(-1, 1, 3), at(1, 0, 3)),
     ("L(O1(1),d)", P): (0, 24), ("W1(1)(x)O1(1)+d", P): (0, 24, 25),
+    # the zero derivation deforms nothing: the current algebra's bracket
+    ("L(O1(1),0)", P): (at(-1, 0), at(3, 1), at(3, 0)),
     ("sl2(x)O1(1)+d", P): (15, at(-1, 4, 3), at(1, 4, 3)),
     ("W1(2)", P): (0, 24),
     ("W1(1)(x)O1(1)", 7): (at(-1, 0, 7), at(5, 1, 7), at(5, 0, 7)),
@@ -705,11 +708,11 @@ GENERATORS = {
 
 @pytest.mark.parametrize("expr, p", GENERATORS, ids=[
     "w1n-1", "sl2-1", "w1n-x-om-1", "sl2-x-om-1", "ldef-1", "w1-sd-1",
-    "sl2-sd-1", "w1n-2", "w1n-x-om-1-p7", "w1n-2-p7"])
+    "ldef-0-1", "sl2-sd-1", "w1n-2", "w1n-x-om-1-p7", "w1n-2-p7"])
 def test_generators_generate_every_builtin(expr, p):
     # every production of the grammar has a pin
     assert set(FAMILIES.values()) <= {e for e, _ in GENERATORS}
-    L = _build_algebra(expr, p)
+    L = build_algebra(expr, p)
     # found on first use, but a deformation certifies Jacobi with them
     assert ("generators" in vars(L)) == expr.startswith("L(")
     gens = L.generators

@@ -115,3 +115,25 @@ def test_every_private_definition_is_read():
             and stmt.name.startswith("_")
             and not used.get(stmt.name, set()) - {(path.stem, stmt.name)}]
     assert dead == []
+
+
+def _imported_modules(tree):
+    """The modules, and the names taken from them, a module imports, as
+    absolute dotted names (a relative import resolves inside modlie)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["modlie" * (node.level == 1),
+                                          node.module]))
+            yield base
+            yield from (base + "." + alias.name for alias in node.names)
+
+
+def test_no_module_but_main_imports_the_cli():
+    # the CLI is a leaf: the grammar it parses (liealg.build_algebra)
+    # cannot drift back into it
+    importers = [path.stem for path in sorted(SRC.glob("*.py"))
+                 if "modlie.cli" in _imported_modules(
+                     ast.parse(path.read_text()))]
+    assert importers == ["__main__"]
