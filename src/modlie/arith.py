@@ -2,10 +2,11 @@
 
 Everything here is computed with arbitrary-precision integers and reduced
 mod p at the end; there are no floating-point values and no tolerances.
-The module provides binomial coefficients (big-integer and Lucas-reduced),
-the structure constants N_ij of the rank-one Zassenhaus algebras, their
-exactly divided values N_ij/p, and the lambda_ij coefficients that control
-the middle line of the lifted cocycle families.
+The module provides binomial coefficients, the structure constants N_ij
+of the rank-one Zassenhaus algebras as exact integers (the bracket of
+W1(n) is [e_i, e_j] = (N_ij mod p) e_{i+j}), their exactly divided values
+N_ij/p, and the lambda_ij coefficients that control the middle line of
+the lifted cocycle families.
 """
 
 import math
@@ -15,8 +16,6 @@ __all__ = [
     "check_prime",
     "inv_mod",
     "binom",
-    "binom_mod_p",
-    "structure_constant_N",
     "n_int",
     "n_div_p",
     "lambda_coeff",
@@ -66,33 +65,10 @@ def binom(n, k):
     return math.comb(n, k)
 
 
-def binom_mod_p(i, j, p):
-    """binom(i,j) mod p via the Lucas digit product.  Requires i >= 0."""
-    check_prime(p)
-    if i < 0:
-        raise ValueError("binom_mod_p requires i >= 0, got i = %d" % i)
-    if j < 0 or j > i:
-        return 0
-    r = 1
-    while i or j:
-        a, i = i % p, i // p
-        b, j = j % p, j // p
-        if b > a:
-            return 0
-        r = r * math.comb(a, b) % p
-    return r
-
-
 def n_int(i, j):
     """The exact integer N_ij = binom(i+j+1, j) - binom(i+j+1, i)."""
     s = i + j + 1
     return binom(s, j) - binom(s, i)
-
-
-def structure_constant_N(i, j, p):
-    """N_ij mod p; the bracket of the Zassenhaus basis is
-    [e_i, e_j] = N_ij e_{i+j} (the caller zeroes out-of-range targets)."""
-    return n_int(i, j) % p
 
 
 def n_div_p(i, j, p):

@@ -234,7 +234,7 @@ def _massey(inst, ctx):
     sq_zero = massey_bracket(phi, phi).is_zero()
 
     L = build_algebra("W1(%d)(x)O1(%d)+d" % (n, m), p)
-    W, B, (dB,) = L.meta["L"], L.meta["A"], L.meta["Ds"]
+    W, B, dB = L.meta["L"], L.meta["A"], L.meta["D"]
     cocycles = [theta(L, psi_t(W, t), B.unit_vec) for t in range(1, n)]
     cocycles.append(phi_big(L, dB))
     pair_zero = all(massey_bracket(a, b).is_zero()

@@ -28,7 +28,7 @@ def _git_hash():
         out = subprocess.run(
             ["git", "-C", here, "rev-parse", "HEAD"],
             capture_output=True, text=True, timeout=10)
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         return None
     if out.returncode != 0:
         return None

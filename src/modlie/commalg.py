@@ -66,7 +66,7 @@ import itertools
 from collections import defaultdict
 from functools import cached_property
 
-from .arith import binom, binom_mod_p, check_prime
+from .arith import binom, check_prime
 from .linalg import (DEFAULT_BUDGET, BudgetExceeded, Echelon, LinearMap,
                      SparseFpMatrix, _back_substitute, _shortest_first,
                      bilinear_eval, bilinear_get, bilinear_pairs,
@@ -223,7 +223,7 @@ def make_divided_powers(n, p):
     for i in range(d):
         for j in range(i, d):
             if i + j < d:
-                c = binom_mod_p(i + j, j, p)
+                c = binom(i + j, j) % p
                 if c:
                     mult[(i, j)] = {i + j: c}
     return CommAlgebra(

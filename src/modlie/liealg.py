@@ -2,7 +2,7 @@
 
 Provides the rank-one Zassenhaus algebras W1(n) (basis e_i, -1 <= i <=
 p^n - 2, [e_i, e_j] = N_ij e_{i+j}), sl(2) in the same normalization,
-current algebras L (x) A, semidirect sums with derivation tails, the
+current algebras L (x) A, their semidirect sums with one derivation, the
 deformed current algebras L(A, D) whose extra term Phi_D lives on the
 (e_{-1}, e_{-1}) block (phi_block), the Kuznetsov identification of W1(n)
 with L(O1(n-1), d), the identity map on linalg.tensor_index, and deform,
@@ -21,7 +21,7 @@ from collections import defaultdict
 from functools import cached_property
 from itertools import combinations
 
-from .arith import check_prime, structure_constant_N
+from .arith import check_prime, n_int
 from .commalg import (_check_acts_on, make_divided_powers,
                       partial_derivation, tensor_derivation, tensor_product,
                       zero_derivation)
@@ -29,7 +29,7 @@ from .linalg import (Echelon, LinearMap, SparseFpMatrix, bilinear_eval,
                      bilinear_get, bilinear_pairs, bilinear_table,
                      bilinear_tensor, check_family, check_grading, circle,
                      family_add, greedy_generators, morphism_failure,
-                     solve_sparse, tensor_index, tensor_pair, vec_add)
+                     tensor_index, tensor_pair, vec_add)
 
 __all__ = [
     "LieAlgebra",
@@ -268,7 +268,7 @@ def make_w1(n, p):
     for i in range(-1, top + 1):
         for j in range(i + 1, top + 1):
             if -1 <= i + j <= top:
-                c = structure_constant_N(i, j, p)
+                c = n_int(i, j) % p
                 if c:
                     bracket[(idx(i), idx(j))] = {idx(i + j): c}
     return LieAlgebra(
@@ -316,56 +316,33 @@ def current_algebra(L, A):
         filtration=L.filtration)
 
 
-def semidirect_current(L, A, Ds):
-    """(L (x) A) + 1 (x) span(Ds): the derivations Ds of A act on the
-    current algebra through the A-factor, [x (x) a, 1 (x) d] = x (x) d(a),
-    and bracket among themselves by commutator.  The span of Ds must be
-    closed under commutators."""
-    for D in Ds:
-        _check_acts_on(D, A)
+def semidirect_current(L, A, D):
+    """(L (x) A) + K(1 (x) D) for a nonzero derivation D of A, which acts
+    on the current algebra through the A-factor: [x (x) a, 1 (x) D] =
+    x (x) D(a)."""
+    _check_acts_on(D, A)
+    if D.is_zero():
+        raise ValueError("derivation %s is zero: its tail would be central"
+                         % D.name)
     cur = current_algebra(L, A)
     n0 = cur.dim
-    nt = len(Ds)
-    flat = {t: D.flatten() for t, D in enumerate(Ds)}
-    span = Echelon(A.p)
-    for v in flat.values():
-        if not span.add(dict(v)):
-            raise ValueError("derivation tails are linearly dependent")
-
     bracket = dict(cur.bracket)
-    for t, D in enumerate(Ds):
-        for i in range(L.dim):
-            for a, col in D.cols.items():
-                # [x (x) a, 1 (x) d] = x (x) d(a)
-                bracket[(tensor_index(i, a, L.dim), n0 + t)] = {
-                    tensor_index(i, k, L.dim): c for k, c in col.items()}
-    for t in range(nt):
-        for u in range(t + 1, nt):
-            C = Ds[t].commutator(Ds[u])
-            if C.is_zero():
-                continue
-            coords = solve_sparse(flat, C.flatten(), A.p)
-            if coords is None:
-                raise ValueError(
-                    "derivation span is not closed under commutators")
-            # ad(1 (x) d) acts on the current part as -d, so the tails
-            # close under the negated commutator
-            out = {n0 + s: (-c) % A.p for s, c in coords.items()}
-            if out:
-                bracket[(n0 + t, n0 + u)] = out
-    labels = cur.labels + ["1(x)%s" % D.name for D in Ds]
-    grading = None if cur.grading is None else cur.grading + [0] * nt
+    for i in range(L.dim):
+        for a, col in D.cols.items():
+            bracket[(tensor_index(i, a, L.dim), n0)] = {
+                tensor_index(i, k, L.dim): c for k, c in col.items()}
+    grading = None if cur.grading is None else cur.grading + [0]
     return LieAlgebra(
-        L.p, labels, bracket, grading=grading, toral=cur.toral,
-        name=cur.name + "".join("+" + D.name for D in Ds),
-        meta={"kind": "semidirect", "L": L, "A": A, "Ds": list(Ds),
+        L.p, cur.labels + ["1(x)%s" % D.name], bracket, grading=grading,
+        toral=cur.toral, name="%s+%s" % (cur.name, D.name),
+        meta={"kind": "semidirect", "L": L, "A": A, "D": D,
               "dims": (L.dim, A.dim)},
         filtration=L.filtration)
 
 
 def _tensor_layout(L):
     """(w_dim, a_dim, A) of an algebra with basis e_i (x) a_j at
-    tensor_index(i, j, w_dim) (tails after), as meta["dims"] records."""
+    tensor_index(i, j, w_dim) (a tail after), as meta["dims"] records."""
     if L.meta.get("kind") in ("current", "deformed", "semidirect"):
         return (*L.meta["dims"], L.meta["A"])
     raise ValueError("algebra %s has no tensor-product layout" % L.name)
@@ -433,7 +410,7 @@ def build_algebra(expr, p):
         return S
     A = make_divided_powers(int(g["m"]), p)
     if g["d"]:
-        return semidirect_current(S, A, [partial_derivation(A)])
+        return semidirect_current(S, A, partial_derivation(A))
     return current_algebra(S, A)
 
 

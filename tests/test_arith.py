@@ -1,4 +1,4 @@
-"""Binomials mod p, Zassenhaus structure constants, divided structure
+"""Binomials, Zassenhaus structure constants, divided structure
 constants, and the lambda coefficients with their closed-form identities."""
 
 from fractions import Fraction
@@ -7,7 +7,6 @@ import pytest
 
 from modlie.arith import (
     binom,
-    binom_mod_p,
     check_prime,
     inv_mod,
     is_prime,
@@ -15,7 +14,6 @@ from modlie.arith import (
     lambda_table,
     n_div_p,
     n_int,
-    structure_constant_N,
 )
 
 PRIMES = (5, 7)
@@ -49,15 +47,8 @@ def test_binom_values():
     assert binom(4, -1) == 0
     assert binom(3, 5) == 0
     assert binom(0, 0) == 1
-    assert binom_mod_p(7, 2, 5) == 1
-    assert binom_mod_p(10, 5, 5) == 2  # 252 mod 5
-
-
-def test_lucas_matches_big_integers():
-    for p in PRIMES:
-        for i in range(2 * p * p):
-            for j in range(2 * p * p):
-                assert binom_mod_p(i, j, p) == binom(i, j) % p
+    assert binom(7, 2) % 5 == 1
+    assert binom(10, 5) % 5 == 2  # 252 mod 5
 
 
 def test_structure_constants_small_values():
@@ -65,12 +56,8 @@ def test_structure_constants_small_values():
     assert n_int(1, 2) == binom(4, 2) - binom(4, 1) == 2
     assert n_int(-1, 4) == 1
     assert n_int(2, 3) == binom(6, 3) - binom(6, 2) == 5
-    assert structure_constant_N(2, 3, 5) == 0
-    assert structure_constant_N(1, 2, 5) == 2
-    for p in PRIMES:
-        for i in range(-1, 2 * p):
-            for j in range(-1, 2 * p):
-                assert structure_constant_N(i, j, p) == n_int(i, j) % p
+    assert n_int(2, 3) % 5 == 0
+    assert n_int(1, 2) % 5 == 2
 
 
 def test_structure_constants_antisymmetric():
@@ -84,12 +71,12 @@ def test_structure_constant_vanishing_is_a_range_phenomenon():
     for p in PRIMES:
         for i in range(-1, p - 1):
             for j in range(-1, p - 1):
-                vanish = structure_constant_N(i, j, p) == 0
+                vanish = n_int(i, j) % p == 0
                 assert vanish == (i + j >= p - 1 or i == j)
     # outside that range divisibility fails: N_{-1,p} = 1
     for p in PRIMES:
         assert n_int(-1, p) == 1
-        assert structure_constant_N(-1, p, p) == 1
+        assert n_int(-1, p) % p == 1
 
 
 def test_divided_structure_constants():

@@ -437,7 +437,7 @@ def test_massey_square_of_the_deformation_direction():
 
 def _semidirect(S, m):
     B = make_divided_powers(m, P)
-    return semidirect_current(S, B, [partial_derivation(B)])
+    return semidirect_current(S, B, partial_derivation(B))
 
 
 def _positive_by_degree_slices(L, n):

@@ -5,6 +5,7 @@ input from expressions and JSON files."""
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 
@@ -225,6 +226,37 @@ def test_commands_write_no_file_of_their_own(capsys, tmp_path, monkeypatch):
         "report.json"]
 
 
+def test_a_hanging_git_leaves_the_report_without_a_revision(capsys,
+                                                            monkeypatch):
+    # the revision lookup times out after the work is done; the report
+    # is still written, with "git": null
+    def hang(*args, **kwargs):
+        raise subprocess.TimeoutExpired(args[0], kwargs.get("timeout"))
+    monkeypatch.setattr(subprocess, "run", hang)
+    rc, out, err = run(capsys, ["verify", "h2-w1-basic", "--output", "json"])
+    assert rc == 0
+    assert json.loads(out)["git"] is None
+
+
+def _readme_commands():
+    """The modlie lines of README's "Command line" block, as argv lists,
+    less the one that names a placeholder file."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(modlie.__file__))))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    block = block.split("```", 1)[0]
+    return [shlex.split(line.split("#", 1)[0])[1:]
+            for line in block.splitlines()
+            if line.startswith("modlie ") and "my_algebra.json" not in line]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_line_examples_exit_0(capsys, argv):
+    assert run(capsys, argv)[0] == 0, argv
+
+
 def test_python_m_modlie_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(modlie.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -408,8 +440,8 @@ def _round_trip_points():
         (lambda: make_sl2(5), 5), (lambda: make_sl2(7), 7),
         (lambda: current_algebra(make_w1(1, 7), O(1, 7)), 7),
         (lambda: current_algebra(make_sl2(5), O(2, 5)), 5),
-        (lambda: semidirect_current(make_w1(2, 5), O(1, 5), [d(1, 5)]), 5),
-        (lambda: semidirect_current(make_sl2(5), O(1, 5), [d(1, 5)]), 5),
+        (lambda: semidirect_current(make_w1(2, 5), O(1, 5), d(1, 5)), 5),
+        (lambda: semidirect_current(make_sl2(5), O(1, 5), d(1, 5)), 5),
         (lambda: make_deformed(O(1, 5), d(1, 5)), 5),
         (lambda: make_deformed(O(2, 5), d(2, 5)), 5),
         (lambda: make_deformed(O(1, 5), zero_derivation(O(1, 5))), 5),

@@ -121,7 +121,7 @@ def test_theta_family(setup):
 
 def test_theta_extends_by_zero_on_tails(setup):
     W, A, d = setup["W"], setup["A"], setup["d"]
-    Lsd = semidirect_current(W, A, [d])
+    Lsd = semidirect_current(W, A, d)
     t = theta(Lsd, phi21(W), A.unit_vec)  # closure checked on 26 dims
     for (x, y) in t.coeffs:
         assert x < 25 and y < 25
